@@ -200,6 +200,13 @@ def parse_scenario(text):
     if cocycle_kind in ("group_table", "table"):
         values = take("cocycle", "values")
         cocycle_values = tuple(values.split())
+        field = Field(char)
+        for value in cocycle_values:
+            try:
+                field.parse(value)
+            except (ValueError, ExactLinalgError) as exc:
+                raise ScenarioError(f"bad cocycle scalar: {exc}",
+                                    data["cocycle"]["values"][0])
     elif cocycle_kind != "trivial":
         raise ScenarioError(f"unknown cocycle kind {cocycle_kind!r}")
 
@@ -207,9 +214,13 @@ def parse_scenario(text):
         if key in data["compute"]:
             lineno, value = data["compute"][key]
             try:
-                return int(value)
+                number = int(value)
             except ValueError:
                 raise ScenarioError(f"'{key}' must be an integer", lineno)
+            if number < 0:
+                raise ScenarioError(
+                    f"'{key}' must not be negative, got {number}", lineno)
+            return number
         return default
 
     scenario = Scenario(
@@ -539,6 +550,11 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        for option, value in (("--max-degree", args.max_degree),
+                              ("--cap", args.cap)):
+            if value is not None and value < 0:
+                raise ScenarioError(
+                    f"{option} must not be negative, got {value}")
         scenario = parse_scenario(text)
         if args.max_degree is not None:
             scenario.max_degree = args.max_degree

@@ -128,8 +128,10 @@ class Field:
         """Parse 'a' or 'a/b' into a scalar."""
         text = text.strip()
         if "/" in text:
-            num, den = text.split("/", 1)
-            frac = Fraction(int(num), int(den))
+            num, den = (int(part) for part in text.split("/", 1))
+            if den == 0:
+                raise ExactLinalgError(f"{text!r} has a zero denominator")
+            frac = Fraction(num, den)
         else:
             frac = Fraction(int(text))
         return self.of(frac)
@@ -167,12 +169,6 @@ def vec_add_into(acc, vec, coeff=None):
                 del acc[k]
         elif c:
             acc[k] = c
-
-
-def vec_scale(vec, coeff):
-    if not coeff:
-        return {}
-    return {k: coeff * c for k, c in vec.items()}
 
 
 def vec_sub(u, v):
@@ -276,11 +272,6 @@ class SparseMatrix:
             self._bycol = bycol
         return self._bycol
 
-    def transpose(self):
-        t = SparseMatrix(self.field, self.cols, self.rows)
-        t.entries = {(j, i): c for (i, j), c in self.entries.items()}
-        return t
-
     def apply(self, vec):
         """Matrix times sparse coordinate vector (keyed by column index)."""
         bycol = self._columns_cached()
@@ -348,42 +339,43 @@ def rref(row_dicts):
     Returns (pivot_columns, reduced_rows) sorted by pivot column with zero
     rows dropped.  RREF depends only on the row span, which makes every
     representative chosen downstream canonical.
+
+    Every stored row is zero on the other pivot columns, so an incoming
+    row is reduced by one pass over its own pivot entries, and a new pivot
+    column is cleared from the stored rows that `holders` says hold it.
     """
-    pivots = []  # (pivot_col, fully reduced row)
+    row_of = {}    # pivot column -> its reduced row
+    holders = {}   # non-pivot column -> pivot columns of rows nonzero there
     for row in row_dicts:
         row = dict(row)
-        for pcol, prow in pivots:
-            if pcol in row:
-                coeff = row[pcol]
-                for k, c in prow.items():
-                    if k in row:
-                        s = row[k] - coeff * c
-                        if s:
-                            row[k] = s
-                        else:
-                            del row[k]
-                    else:
-                        row[k] = -(coeff * c)
+        for pcol, coeff in [(k, c) for k, c in row.items() if k in row_of]:
+            vec_add_into(row, row_of[pcol], -coeff)
         if not row:
             continue
         pcol = min(row)
         inv = row[pcol]
         row = {k: c / inv for k, c in row.items()}
-        for qcol, qrow in pivots:
-            if pcol in qrow:
-                coeff = qrow[pcol]
-                for k, c in row.items():
-                    if k in qrow:
-                        s = qrow[k] - coeff * c
-                        if s:
-                            qrow[k] = s
-                        else:
-                            del qrow[k]
+        for qcol in holders.pop(pcol, ()):
+            qrow = row_of[qcol]
+            coeff = qrow[pcol]
+            for k, c in row.items():
+                if k in qrow:
+                    s = qrow[k] - coeff * c
+                    if s:
+                        qrow[k] = s
                     else:
-                        qrow[k] = -(coeff * c)
-        pivots.append((pcol, row))
-    pivots.sort(key=lambda pc: pc[0])
-    return [p for p, _ in pivots], [r for _, r in pivots]
+                        del qrow[k]
+                        if k != pcol:
+                            holders[k].discard(qcol)
+                else:
+                    qrow[k] = -(coeff * c)
+                    holders.setdefault(k, set()).add(qcol)
+        for k in row:
+            if k != pcol:
+                holders.setdefault(k, set()).add(pcol)
+        row_of[pcol] = row
+    pivots = sorted(row_of)
+    return pivots, [row_of[p] for p in pivots]
 
 
 def mat_rank(m):
@@ -392,79 +384,69 @@ def mat_rank(m):
     return len(pivots)
 
 
-@dataclass
 class Subspace:
-    """A subspace given by a canonical reduced-echelon basis (rows)."""
+    """A subspace given by its canonical reduced row echelon basis.
 
-    ambient_dim: int
-    basis: SparseMatrix
+    `rows[t]` is the basis vector whose pivot (least) column is
+    `pivots[t]`; pivots increase with t and every row is zero on the other
+    pivot columns.  The rows are shared with callers: read them, do not
+    modify them.
+    """
+
+    __slots__ = ("field", "ambient_dim", "pivots", "rows", "_position")
+
+    def __init__(self, field, ambient_dim, pivots, rows):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.pivots = pivots
+        self.rows = rows
+        self._position = {p: t for t, p in enumerate(pivots)}
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
-        _, rows = rref(vectors)
-        return cls(ambient_dim, SparseMatrix.from_row_list(field, rows, ambient_dim))
+        pivots, rows = rref(vectors)
+        return cls(field, ambient_dim, pivots, rows)
 
     @classmethod
     def zero(cls, field, ambient_dim):
-        return cls(ambient_dim, SparseMatrix(field, 0, ambient_dim))
-
-    @property
-    def field(self):
-        return self.basis.field
+        return cls(field, ambient_dim, [], [])
 
     @property
     def dim(self):
-        return self.basis.rows
+        return len(self.rows)
 
-    def pivot_columns(self):
-        return [min(r) for r in self.basis.row_dicts()]
+    @property
+    def basis(self):
+        """The basis rows as a dim x ambient_dim matrix, built on demand."""
+        return SparseMatrix.from_row_list(self.field, self.rows,
+                                          self.ambient_dim)
+
+    def _pivot_entries(self, vec):
+        """(position, coefficient) of the vector's pivot coordinates, by
+        increasing pivot; reducing by one row leaves the others unchanged."""
+        position = self._position
+        return sorted((position[k], c) for k, c in vec.items()
+                      if k in position)
 
     def reduce(self, vec):
         """Subtract the projection onto this subspace along its pivots."""
         out = dict(vec)
-        for row in self.basis.row_dicts():
-            p = min(row)
-            if p in out:
-                coeff = out[p]
-                for k, c in row.items():
-                    if k in out:
-                        s = out[k] - coeff * c
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
-                    else:
-                        out[k] = -(coeff * c)
+        rows = self.rows
+        for t, coeff in self._pivot_entries(vec):
+            vec_add_into(out, rows[t], -coeff)
         return out
 
     def contains(self, vec):
         return not self.reduce(vec)
 
-    def sum_with(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim,
-            self.basis.row_dicts() + other.basis.row_dicts())
-
     def coords_of(self, vec):
         """Coordinates of a member vector in the RREF basis (reads pivots)."""
         residual = dict(vec)
         coords = {}
-        for t, row in enumerate(self.basis.row_dicts()):
-            p = min(row)
-            if p in residual:
-                coeff = residual[p]
-                coords[t] = coeff
-                for k, c in row.items():
-                    if k in residual:
-                        s = residual[k] - coeff * c
-                        if s:
-                            residual[k] = s
-                        else:
-                            del residual[k]
-                    else:
-                        residual[k] = -(coeff * c)
+        rows = self.rows
+        for t, coeff in self._pivot_entries(vec):
+            coords[t] = coeff
+            vec_add_into(residual, rows[t], -coeff)
         if residual:
             raise ExactLinalgError("vector is not in the subspace")
         return coords
@@ -558,7 +540,7 @@ def quotient_space(ambient_dim, denom):
     if denom.ambient_dim != ambient_dim:
         raise DimensionMismatch(
             f"denominator lives in dimension {denom.ambient_dim}, not {ambient_dim}")
-    pivot_set = set(denom.pivot_columns())
+    pivot_set = set(denom.pivots)
     free_cols = [j for j in range(ambient_dim) if j not in pivot_set]
     return QuotientSpace(ambient_dim, denom, free_cols)
 
@@ -586,10 +568,10 @@ def induced_map(f, src, dst):
         raise DimensionMismatch(
             f"map is {f.rows}x{f.cols}, quotients have ambient "
             f"{src.ambient_dim} -> {dst.ambient_dim}")
-    for row in src.denominator.basis.row_dicts():
+    for row in src.denominator.rows:
         img = f.apply(row)
         if not dst.denominator.contains(img):
-            return NotWellDefined(basis_vector=row, image=img)
+            return NotWellDefined(basis_vector=dict(row), image=img)
     one = f.field.one
     columns = [dst.project(f.apply({fcol: one})) for fcol in src.free_columns]
     return SparseMatrix.from_columns(f.field, dst.dim, columns)

@@ -212,7 +212,7 @@ class RowComplexes:
         ker_dst, quot_dst = self.homology(p, tq)
         mat = self.induced(name, p, q)
         cols = []
-        for row in ker_src.basis.row_dicts():
+        for row in ker_src.rows:
             img = mat.apply(row)
             try:
                 cols.append(ker_dst.coords_of(img))
@@ -344,7 +344,7 @@ def invariant_complex_N0(cyl, max_q):
     for q in range(max_q + 1):
         mod = actions[q]
         sub = subspaces[q]
-        for row in sub.basis.row_dicts():
+        for row in sub.rows:
             averaged = mod.act_vec(integral, row)
             if averaged != row:
                 raise SpectralError(
@@ -378,7 +378,7 @@ def _restrict(cyl, subspaces, q, tq, op, what):
     src, dst = subspaces[q], subspaces[tq]
     field = cyl.field
     cols = []
-    for row in src.basis.row_dicts():
+    for row in src.rows:
         img = {}
         for k, c in row.items():
             vec_add_into(img, op(k), c)

@@ -151,3 +151,39 @@ def test_cli_report_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.encode() == second.encode()
+
+
+def test_zero_denominator_cocycle_scalar_exits_2(tmp_path, capsys):
+    text = read("s2.scn").replace(
+        "values = 1 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1",
+        "values = 1 1 1 1  1 1/0 1 1  1 -1 1 -1  1 -1 1 -1")
+    lineno = text.splitlines().index(
+        "values = 1 1 1 1  1 1/0 1 1  1 -1 1 -1  1 -1 1 -1") + 1
+    target = tmp_path / "zero-den.scn"
+    target.write_text(text)
+    assert main(["verify", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {lineno}:" in err
+    assert "'1/0'" in err and "zero denominator" in err
+
+
+@pytest.mark.parametrize("key", ["max_degree", "max_p", "max_q", "cap"])
+def test_negative_size_in_scenario_exits_2(tmp_path, capsys, key):
+    text = read("s2.scn").rstrip("\n") + f"\n{key} = -1\n"
+    target = tmp_path / "negative.scn"
+    target.write_text(text)
+    assert main(["hc", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{key}' must not be negative, got -1" in captured.err
+    assert f"line {len(text.splitlines())}:" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--max-degree", "--cap"])
+def test_negative_size_option_exits_2(tmp_path, capsys, option):
+    target = tmp_path / "s1.scn"
+    target.write_text(read("s1.scn"))
+    assert main(["hc", str(target), option, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option} must not be negative, got -1" in captured.err

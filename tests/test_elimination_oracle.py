@@ -1,0 +1,220 @@
+"""The pivot-indexed elimination kernel against the all-rows kernel.
+
+The oracles below are the elimination routines hclab used before its
+kernel was pivot-indexed: `rref` scans every stored pivot row, both when
+reducing an incoming row and when back-substituting, and the subspace
+operations walk every basis row, reading each row's pivot as its least
+column.  RREF is unique, so the two kernels must agree exactly on the
+pivots, the rows, every reduction, every coordinate vector and every
+quotient projection.  sympy's rank is a third, independent oracle over Q.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hclab.exactlinalg import (
+    ExactLinalgError,
+    Field,
+    QQ,
+    Subspace,
+    quotient_space,
+    rref,
+)
+
+
+FIELDS = {"Q": QQ, "F2": Field(2), "F3": Field(3)}
+
+
+def oracle_rref(row_dicts):
+    pivots = []  # (pivot_col, fully reduced row)
+    for row in row_dicts:
+        row = dict(row)
+        for pcol, prow in pivots:
+            if pcol in row:
+                coeff = row[pcol]
+                for k, c in prow.items():
+                    if k in row:
+                        s = row[k] - coeff * c
+                        if s:
+                            row[k] = s
+                        else:
+                            del row[k]
+                    else:
+                        row[k] = -(coeff * c)
+        if not row:
+            continue
+        pcol = min(row)
+        inv = row[pcol]
+        row = {k: c / inv for k, c in row.items()}
+        for qcol, qrow in pivots:
+            if pcol in qrow:
+                coeff = qrow[pcol]
+                for k, c in row.items():
+                    if k in qrow:
+                        s = qrow[k] - coeff * c
+                        if s:
+                            qrow[k] = s
+                        else:
+                            del qrow[k]
+                    else:
+                        qrow[k] = -(coeff * c)
+        pivots.append((pcol, row))
+    pivots.sort(key=lambda pc: pc[0])
+    return [p for p, _ in pivots], [r for _, r in pivots]
+
+
+def oracle_reduce(basis_rows, vec):
+    out = dict(vec)
+    for row in basis_rows:
+        p = min(row)
+        if p in out:
+            coeff = out[p]
+            for k, c in row.items():
+                if k in out:
+                    s = out[k] - coeff * c
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+                else:
+                    out[k] = -(coeff * c)
+    return out
+
+
+def oracle_coords_of(basis_rows, vec):
+    """Coordinates in the basis, or None when vec is not in the span."""
+    residual = dict(vec)
+    coords = {}
+    for t, row in enumerate(basis_rows):
+        p = min(row)
+        if p in residual:
+            coeff = residual[p]
+            coords[t] = coeff
+            for k, c in row.items():
+                if k in residual:
+                    s = residual[k] - coeff * c
+                    if s:
+                        residual[k] = s
+                    else:
+                        del residual[k]
+                else:
+                    residual[k] = -(coeff * c)
+    return None if residual else coords
+
+
+def oracle_project(ambient_dim, basis_rows, vec):
+    pivot_set = {min(row) for row in basis_rows}
+    free = [j for j in range(ambient_dim) if j not in pivot_set]
+    reduced = oracle_reduce(basis_rows, vec)
+    out = {t: reduced.pop(f) for t, f in enumerate(free) if f in reduced}
+    assert not reduced
+    return out
+
+
+def combine(field, rows, coeffs):
+    """sum coeffs[i] * rows[i], dropping cancelled entries."""
+    out = {}
+    for row, a in zip(rows, coeffs):
+        for k, c in row.items():
+            s = out.get(k, field.zero) + field.of(a) * c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+@st.composite
+def sparse_rows(draw):
+    """A field, an ambient dimension and a list of sparse rows.
+
+    Besides random sparse rows the list holds zero rows, exact duplicates
+    and combinations of earlier rows; combining rows whose supports
+    overlap makes their reduction fill in columns neither row had alone.
+    """
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    field = FIELDS[name]
+    n = draw(st.integers(1, 9))
+    scalars = st.integers(-4, 4).map(field.of).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "zero", "copy",
+                                     "combination"]))
+        if kind == "zero" or (kind != "sparse" and not rows):
+            rows.append({})
+        elif kind == "copy":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append(combine(field, rows, coeffs))
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, n - 1), scalars,
+                                             max_size=n)))
+    return field, n, rows
+
+
+def vectors(field, n):
+    scalars = st.integers(-4, 4).map(field.of).filter(bool)
+    return st.dictionaries(st.integers(0, n - 1), scalars, max_size=n)
+
+
+ORACLE_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+
+FILL_IN = (QQ, 4, [{0: Fraction(1), 3: Fraction(1)},
+                   {1: Fraction(1), 2: Fraction(1)},
+                   {0: Fraction(1), 1: Fraction(2)},
+                   {2: Fraction(1), 3: Fraction(-1)}])
+
+
+@ORACLE_SETTINGS
+@given(sparse_rows())
+@example(FILL_IN)
+def test_rref_matches_oracle(case):
+    field, n, rows = case
+    pivots, reduced = rref(rows)
+    want_pivots, want_rows = oracle_rref(rows)
+    assert pivots == want_pivots
+    assert reduced == want_rows
+    for p, row in zip(pivots, reduced):
+        assert min(row) == p and row[p] == field.one
+        assert not any(q in row for q in pivots if q != p)
+    if field is QQ:
+        dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+        assert len(pivots) == sympy.Matrix(len(rows), n,
+                                           [x for r in dense for x in r]
+                                           ).rank()
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_subspace_operations_match_oracle(data):
+    field, n, rows = data.draw(sparse_rows())
+    sub = Subspace.from_vectors(field, n, rows)
+    _, basis_rows = oracle_rref(rows)
+    assert sub.rows == basis_rows
+    assert sub.basis.row_dicts() == basis_rows
+    quotient = quotient_space(n, sub)
+    assert sub.dim + quotient.dim == n
+
+    vec = data.draw(vectors(field, n))
+    assert sub.reduce(vec) == oracle_reduce(basis_rows, vec)
+    assert sub.contains(vec) == (not oracle_reduce(basis_rows, vec))
+    assert quotient.project(vec) == oracle_project(n, basis_rows, vec)
+    want = oracle_coords_of(basis_rows, vec)
+    if want is None:
+        with pytest.raises(ExactLinalgError):
+            sub.coords_of(vec)
+    else:
+        assert sub.coords_of(vec) == want
+
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                max_size=len(rows)))
+    member = combine(field, rows, coeffs)
+    assert sub.reduce(member) == {}
+    assert sub.coords_of(member) == oracle_coords_of(basis_rows, member)
+    assert quotient.project(member) == {}
