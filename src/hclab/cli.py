@@ -28,13 +28,15 @@ check (Hopf axioms, cocommutativity, weak action, the three cocycle
 conditions, convolution invertibility) runs at ingestion; a violation is
 an input error.  Commands: verify, hc, e1, e2, collapse, report.  Exit
 codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
-input, 3 resource cap exceeded.
+input, 3 resource cap exceeded, 4 internal error (a programming error,
+never a mathematical verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
@@ -53,14 +55,14 @@ from .cylinder import (
     build_cylinder, check_cylindrical, check_coefficient_action,
     check_row_identification, tot_mixed_complex,
 )
-from .exactlinalg import DimensionCapExceeded, ExactLinalgError, Field
+from .exactlinalg import (
+    DimensionCapExceeded, ExactLinalgError, Field, MathError,
+)
 from .hopf import (
     UnsupportedSemisimplicityQuery, group_hopf, is_cocommutative,
     is_semisimple, validate_hopf,
 )
-from .spectral import (
-    SpectralError, collapse_check, compute_E1, compute_E2,
-)
+from .spectral import collapse_check, compute_E1, compute_E2
 
 
 class ScenarioError(ValueError):
@@ -74,7 +76,7 @@ class ScenarioError(ValueError):
         super().__init__(message)
 
 
-class MathCheckFailed(RuntimeError):
+class MathCheckFailed(MathError):
     """A verified mathematical identity failed (an axiom violation in the
     input tables, or a broken derived identity).  Mapped to exit code 1,
     with the violated identity named."""
@@ -444,19 +446,31 @@ def run_command(command, scenario):
     if command in ("hc", "report"):
         _run_hc(built, cyl, report)
     if command in ("e1", "report"):
-        page, _ = compute_E1(cyl, scenario.max_p, scenario.max_q)
-        for (p, q) in sorted(page.entries):
-            report.pages.append((1, p, q, page.entries[(p, q)]))
-        report.add_check("first page: row homology = Hopf homology", True)
+        _run_page(report, "first page: row homology = Hopf homology",
+                  lambda: compute_E1(cyl, scenario.max_p, scenario.max_q)[0])
     if command in ("e2", "report"):
-        page = compute_E2(cyl, scenario.max_p, scenario.max_q)
-        for (p, q) in sorted(page.entries):
-            report.pages.append((2, p, q, page.entries[(p, q)]))
-        report.add_check("second page computed without well-definedness "
-                         "failures", True)
+        _run_page(report, "second page computed without well-definedness "
+                  "failures",
+                  lambda: compute_E2(cyl, scenario.max_p, scenario.max_q))
     if command in ("collapse", "report"):
         _run_collapse(built, cyl, scenario, report, command)
     return report
+
+
+def _run_page(report, check_name, compute):
+    """Add a spectral page's entries and its check line.  Under `report`
+    a page that fails its verification becomes a FAIL line and the other
+    stages still run; the page's own command exits 1 on it."""
+    try:
+        page = compute()
+    except MathError as exc:
+        if report.command != "report":
+            raise
+        report.add_check(check_name, False, str(exc))
+        return
+    for (p, q) in sorted(page.entries):
+        report.pages.append((page.page, p, q, page.entries[(p, q)]))
+    report.add_check(check_name, True)
 
 
 def _run_verify(built, cyl, report):
@@ -474,7 +488,7 @@ def _run_verify(built, cyl, report):
     try:
         build_crossed_product(built.action, built.cocycle)
         report.add_check("crossed product associativity revalidated", True)
-    except Exception as exc:
+    except MathError as exc:
         report.add_check("crossed product associativity revalidated",
                          False, str(exc))
     bad = check_cylindrical(cyl, scenario.max_p, scenario.max_q)
@@ -484,7 +498,7 @@ def _run_verify(built, cyl, report):
     try:
         tot_mixed_complex(cyl, scenario.max_degree)
         report.add_check("total mixed complex identities", True)
-    except Exception as exc:
+    except MathError as exc:
         report.add_check("total mixed complex identities", False, str(exc))
     ts = twisted_scalar_algebra(built.cocycle)
     bad = check_row_identification(cyl, ts, 0, min(scenario.max_p, 2))
@@ -567,17 +581,13 @@ def main(argv=None):
     except DimensionCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except MathError as exc:
+        print(f"mathematical check failed: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
-        if isinstance(exc, (MathCheckFailed, SpectralError)) or \
-                exc.__class__.__name__ in ("MixedComplexError",
-                                           "NormalizationError",
-                                           "HopfComplexError",
-                                           "ModuleLawError",
-                                           "CylinderError",
-                                           "CrossedProductError"):
-            print(f"mathematical check failed: {exc}", file=sys.stderr)
-            return 1
-        raise
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     sys.stdout.write(emit_report(report, machine=args.machine))
     return 0 if report.passed else 1
 

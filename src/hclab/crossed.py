@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FinDimAlgebra, Violation, ground_algebra
-from .exactlinalg import SparseMatrix, solve_linear, vec_add_into
+from .exactlinalg import MathError, SparseMatrix, solve_linear, vec_add_into
 from .hopf import is_cocommutative
 
 
-class CrossedProductError(ValueError):
+class CrossedProductError(MathError, ValueError):
     """A precondition of the crossed-product construction failed."""
 
 
@@ -57,10 +57,6 @@ def trivial_action(hopf, algebra):
     table = [[{a: hopf.counit[h]} if hopf.counit[h] else {}
               for a in range(algebra.dim)]
              for h in range(hopf.dim)]
-    return ActionMap(hopf, algebra, table)
-
-
-def action_from_table(hopf, algebra, table):
     return ActionMap(hopf, algebra, table)
 
 

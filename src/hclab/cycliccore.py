@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlinalg import (
+    MathError,
     SparseMatrix,
     Subspace,
     check_dimension_cap,
@@ -64,6 +65,40 @@ class TensorSpace:
         return tuple(out)
 
 
+def apply_linear(op, vec, *args):
+    """The image of a sparse vector under the operator whose image of
+    basis vector k is op(*args, k)."""
+    out = {}
+    for k, c in vec.items():
+        vec_add_into(out, op(*args, k), c)
+    return out
+
+
+def memoized(op, keep):
+    """op(*head, k), computing each image once for every head (the
+    arguments before the basis index k) that keep(head) accepts.
+
+    Identity checks build their own, so the images live no longer than
+    the check.  Callers share the kept images and must not mutate them.
+    """
+    # images[head][k]: one key tuple per head, not one per basis vector
+    images = {}
+
+    def call(*args):
+        head = args[:-1]
+        row = images.get(head)
+        if row is None:
+            if not keep(head):
+                return op(*args)
+            row = images[head] = {}
+        k = args[-1]
+        image = row.get(k)
+        if image is None:
+            image = row[k] = op(*args)
+        return image
+    return call
+
+
 class ParacyclicModule:
     """Base class; subclasses provide dims and the operator families."""
 
@@ -94,23 +129,8 @@ class ParacyclicModule:
 
     # -- vector-level application ------------------------------------------
 
-    def face_vec(self, n, i, vec):
-        out = {}
-        for k, c in vec.items():
-            vec_add_into(out, self.face(n, i, k), c)
-        return out
-
-    def degeneracy_vec(self, n, i, vec):
-        out = {}
-        for k, c in vec.items():
-            vec_add_into(out, self.degeneracy(n, i, k), c)
-        return out
-
     def rotate_vec(self, n, vec):
-        out = {}
-        for k, c in vec.items():
-            vec_add_into(out, self.rotate(n, k), c)
-        return out
+        return apply_linear(self.rotate, vec, n)
 
     # -- materialized matrices ---------------------------------------------
 
@@ -184,10 +204,6 @@ class ParacyclicModule:
         return sn.add(lam.compose(sn), self.field.sign(1))
 
 
-class CyclicModuleMixin:
-    """Marker for modules expected to satisfy rotate^(n+1) = id."""
-
-
 @dataclass
 class HomologyReport:
     degrees: list
@@ -209,7 +225,7 @@ class RelationViolation:
                 f"at basis vector {self.basis_index}")
 
 
-class AlgebraCyclicModule(ParacyclicModule, CyclicModuleMixin):
+class AlgebraCyclicModule(ParacyclicModule):
     """The cyclic module of a unital algebra: degree n is the (n+1)-fold
     tensor power, faces multiply adjacent tensor slots (the last face
     wraps), degeneracies insert the unit, the rotation cycles slots."""
@@ -325,7 +341,18 @@ def check_paracyclic(module, max_degree):
     Relations whose composites land in degree max_degree + 1 are checked
     whenever the module has operators there (provider-backed modules
     always do; matrix-backed ones answer through their stored range).
+
+    Every image in degrees through max_degree is computed once and
+    reused by every relation that needs it.  Images in degree
+    max_degree + 1 are recomputed: they are the most numerous and each is
+    needed only about twice.
     """
+    def in_range(head):
+        return head[0] <= max_degree
+
+    face = memoized(module.face, in_range)
+    rotate = memoized(module.rotate, in_range)
+    degeneracy = memoized(module.degeneracy, in_range)
     for n in range(max_degree + 1):
         can_deg_n = module.degeneracy_available(n)
         can_deg_up = module.degeneracy_available(n + 1)
@@ -336,11 +363,10 @@ def check_paracyclic(module, max_degree):
             # faces against faces (composites land two degrees down)
             if n >= 2:
                 for j in range(1, n + 1):
-                    fj = module.face(n, j, k)
+                    fj = face(n, j, k)
                     for i in range(j):
-                        lhs = module.face_vec(n - 1, i, fj)
-                        rhs = module.face_vec(
-                            n - 1, j - 1, module.face(n, i, k))
+                        lhs = apply_linear(face, fj, n - 1, i)
+                        rhs = apply_linear(face, face(n, i, k), n - 1, j - 1)
                         if lhs != rhs:
                             return RelationViolation(
                                 f"face_{i} face_{j} = face_{j-1} face_{i}",
@@ -348,54 +374,53 @@ def check_paracyclic(module, max_degree):
             # degeneracies against degeneracies
             if can_deg_n and can_deg_up:
                 for j in range(n + 1):
-                    sj = module.degeneracy(n, j, k)
+                    sj = degeneracy(n, j, k)
                     for i in range(j + 1):
-                        lhs = module.degeneracy_vec(n + 1, i, sj)
-                        rhs = module.degeneracy_vec(
-                            n + 1, j + 1, module.degeneracy(n, i, k))
+                        lhs = apply_linear(degeneracy, sj, n + 1, i)
+                        rhs = apply_linear(degeneracy, degeneracy(n, i, k),
+                                           n + 1, j + 1)
                         if lhs != rhs:
                             return RelationViolation(
                                 f"deg_{i} deg_{j} = deg_{j+1} deg_{i}", n, k)
             # faces against degeneracies
             if can_deg_n and can_face_up:
                 for j in range(n + 1):
-                    sj = module.degeneracy(n, j, k)
+                    sj = degeneracy(n, j, k)
                     for i in range(n + 2):
-                        img = module.face_vec(n + 1, i, sj)
+                        img = apply_linear(face, sj, n + 1, i)
                         if i == j or i == j + 1:
                             want = e
                         elif i < j:
-                            want = module.degeneracy_vec(
-                                n - 1, j - 1, module.face(n, i, k))
+                            want = apply_linear(degeneracy, face(n, i, k),
+                                                n - 1, j - 1)
                         else:
-                            want = module.degeneracy_vec(
-                                n - 1, j, module.face(n, i - 1, k))
+                            want = apply_linear(degeneracy,
+                                                face(n, i - 1, k), n - 1, j)
                         if img != want:
                             return RelationViolation(
                                 f"face_{i} deg_{j} mismatch", n, k)
             # paracyclic relations
-            t = module.rotate(n, k)
+            t = rotate(n, k)
             if n >= 1:
-                if module.face_vec(n, 0, t) != module.face(n, n, k):
+                if apply_linear(face, t, n, 0) != face(n, n, k):
                     return RelationViolation("face_0 rotate = face_n", n, k)
                 for i in range(1, n + 1):
-                    lhs = module.face_vec(n, i, t)
-                    rhs = module.rotate_vec(n - 1, module.face(n, i - 1, k))
+                    lhs = apply_linear(face, t, n, i)
+                    rhs = apply_linear(rotate, face(n, i - 1, k), n - 1)
                     if lhs != rhs:
                         return RelationViolation(
                             f"face_{i} rotate = rotate face_{i-1}", n, k)
             if can_deg_n and can_rot_up:
                 for i in range(1, n + 1):
-                    lhs = module.degeneracy_vec(n, i, t)
-                    rhs = module.rotate_vec(
-                        n + 1, module.degeneracy(n, i - 1, k))
+                    lhs = apply_linear(degeneracy, t, n, i)
+                    rhs = apply_linear(rotate, degeneracy(n, i - 1, k), n + 1)
                     if lhs != rhs:
                         return RelationViolation(
                             f"deg_{i} rotate = rotate deg_{i-1}", n, k)
-                lhs = module.degeneracy_vec(n, 0, t)
-                rhs = module.rotate_vec(
-                    n + 1,
-                    module.rotate_vec(n + 1, module.degeneracy(n, n, k)))
+                lhs = apply_linear(degeneracy, t, n, 0)
+                rhs = apply_linear(
+                    rotate,
+                    apply_linear(rotate, degeneracy(n, n, k), n + 1), n + 1)
                 if lhs != rhs:
                     return RelationViolation(
                         "deg_0 rotate = rotate^2 deg_n", n, k)
@@ -407,17 +432,18 @@ def check_cyclic(module, max_degree):
     bad = check_paracyclic(module, max_degree)
     if bad is not None:
         return bad
+    rotate = memoized(module.rotate, lambda head: True)
     for n in range(max_degree + 1):
         for k in range(module.dim(n)):
             v = {k: module.field.one}
             for _ in range(n + 1):
-                v = module.rotate_vec(n, v)
+                v = apply_linear(rotate, v, n)
             if v != {k: module.field.one}:
                 return RelationViolation("rotate^(n+1) = id", n, k)
     return None
 
 
-class NormalizationError(RuntimeError):
+class NormalizationError(MathError):
     pass
 
 
@@ -555,7 +581,7 @@ class MixedComplex:
         return None
 
 
-class MixedComplexError(RuntimeError):
+class MixedComplexError(MathError):
     pass
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 
 from ..cycliccore import HomologyReport, TensorSpace
-from ..exactlinalg import SparseMatrix, mat_rank, vec_add_into
+from ..exactlinalg import MathError, SparseMatrix, mat_rank, vec_add_into
 
 
-class ModuleLawError(RuntimeError):
+class ModuleLawError(MathError):
     pass
 
 
@@ -358,7 +358,7 @@ class HopfComplex:
         return SparseMatrix.from_columns(self.field, self.dim(p - 1), cols)
 
 
-class HopfComplexError(RuntimeError):
+class HopfComplexError(MathError):
     pass
 
 

@@ -23,14 +23,16 @@ import itertools
 
 from ..crossed import validate_cocycle, validate_weak_action
 from ..cycliccore import (
-    CyclicModuleMixin,
     MixedComplex,
     MixedComplexError,
     ParacyclicModule,
     TensorSpace,
+    apply_linear,
     check_paracyclic,
+    memoized,
 )
 from ..exactlinalg import (
+    MathError,
     SparseMatrix,
     Subspace,
     check_dimension_cap,
@@ -42,7 +44,7 @@ from ..exactlinalg import (
 from ..hopf import is_cocommutative
 
 
-class CylinderError(RuntimeError):
+class CylinderError(MathError):
     pass
 
 
@@ -124,12 +126,6 @@ class HopfCrossedCylinder:
             elif key in out:
                 del out[key]
 
-    def _apply(self, fn, vec):
-        out = {}
-        for k, c in vec.items():
-            vec_add_into(out, fn(k), c)
-        return out
-
     # -- vertical family (coefficient direction, degree q) --------------------
 
     def vface(self, p, q, i, k):
@@ -137,8 +133,7 @@ class HopfCrossedCylinder:
             raise ValueError("no vertical faces in column degree 0")
         if i == q:
             # the wrap-around face is face_0 composed with the rotation
-            return self._apply(lambda kk: self.vface(p, q, 0, kk),
-                               self.vrot(p, q, k))
+            return apply_linear(self.vface, self.vrot(p, q, k), p, q, 0)
         gs, avs = self.split(p, q, k)
         tgt = self.space(p, q - 1)
         out = {}
@@ -188,8 +183,7 @@ class HopfCrossedCylinder:
         if p < 1:
             raise ValueError("no horizontal faces in row degree 0")
         if i == p:
-            return self._apply(lambda kk: self.hface(p, q, 0, kk),
-                               self.hrot(p, q, k))
+            return apply_linear(self.hface, self.hrot(p, q, k), p, q, 0)
         gs, avs = self.split(p, q, k)
         tgt = self.space(p - 1, q)
         out = {}
@@ -295,7 +289,7 @@ class _ColumnModule(ParacyclicModule):
         return self.cyl.vrot(self.p, n, k)
 
 
-class DiagonalModule(ParacyclicModule, CyclicModuleMixin):
+class DiagonalModule(ParacyclicModule):
     """(p, p) spaces with composed operators; genuinely cyclic."""
 
     def __init__(self, cyl):
@@ -310,17 +304,14 @@ class DiagonalModule(ParacyclicModule, CyclicModuleMixin):
 
     def face(self, n, i, k):
         step = self.cyl.hface(n, n, i, k)
-        return self.cyl._apply(
-            lambda kk: self.cyl.vface(n - 1, n, i, kk), step)
+        return apply_linear(self.cyl.vface, step, n - 1, n, i)
 
     def degeneracy(self, n, i, k):
         step = self.cyl.hdeg(n, n, i, k)
-        return self.cyl._apply(
-            lambda kk: self.cyl.vdeg(n + 1, n, i, kk), step)
+        return apply_linear(self.cyl.vdeg, step, n + 1, n, i)
 
     def rotate(self, n, k):
-        return self.cyl._apply(
-            lambda kk: self.cyl.vrot(n, n, kk), self.cyl.hrot(n, n, k))
+        return apply_linear(self.cyl.vrot, self.cyl.hrot(n, n, k), n, n)
 
 
 def build_cylinder(hopf, action, cocycle, check=True, cap=None):
@@ -340,7 +331,16 @@ def build_cylinder(hopf, action, cocycle, check=True, cap=None):
 def check_cylindrical(cyl, max_p, max_q):
     """Row and column paracyclicity, slotwise commutation of the two
     families, and the joint rotation identity, all on every basis vector;
-    None or the first failure, named."""
+    None or the first failure, named.
+
+    The commutation and joint rotation checks at (p, q) read face and
+    rotation images at (p, q) and its four neighbours many times over;
+    each one inside (max_p, max_q) is computed once per bidegree checked.
+    Degeneracy images, which only insert a unit, and images outside the
+    range are recomputed, and no image is kept from one bidegree to the
+    next: that would save few evaluations but hold every bidegree's
+    images at once.
+    """
     for q in range(max_q + 1):
         bad = check_paracyclic(cyl.row_module(q), max_p)
         if bad is not None:
@@ -349,65 +349,60 @@ def check_cylindrical(cyl, max_p, max_q):
         bad = check_paracyclic(cyl.column_module(p), max_q)
         if bad is not None:
             return f"column {p}: {bad}"
+
+    def in_range(head):
+        return head[0] <= max_p and head[1] <= max_q
+
+    one = cyl.field.one
     for p in range(max_p + 1):
         for q in range(max_q + 1):
-            bad = _check_commutation(cyl, p, q)
+            vface, vrot, hface, hrot = (
+                memoized(op, in_range)
+                for op in (cyl.vface, cyl.vrot, cyl.hface, cyl.hrot))
+            ops = (vface, cyl.vdeg, vrot, hface, cyl.hdeg, hrot)
+            bad = _check_commutation(ops, p, q, cyl.dim(p, q))
             if bad is not None:
                 return bad
             for k in range(cyl.dim(p, q)):
-                v = {k: cyl.field.one}
+                v = {k: one}
                 for _ in range(p + 1):
-                    v = cyl._apply(lambda kk: cyl.hrot(p, q, kk), v)
+                    v = apply_linear(hrot, v, p, q)
                 for _ in range(q + 1):
-                    v = cyl._apply(lambda kk: cyl.vrot(p, q, kk), v)
-                if v != {k: cyl.field.one}:
+                    v = apply_linear(vrot, v, p, q)
+                if v != {k: one}:
                     return ("joint rotation identity fails at "
                             f"({p},{q}) basis {k}")
     return None
 
 
-def _check_commutation(cyl, p, q):
-    """All nine vertical/horizontal operator pairs commute at (p, q)."""
+def _check_commutation(ops, p, q, dim):
+    """Every vertical operator commutes with every horizontal one at
+    (p, q): V at (hp, q) after H at (p, q) equals H at (p, vq) after V at
+    (p, q), where H lands in (hp, q) and V in (p, vq).  The images at
+    (p, q) itself are computed once for all pairs."""
+    vface, vdeg, vrot, hface, hdeg, hrot = ops
+    # (label, provider, its index arguments, target degree)
     verticals = []
     if q >= 1:
-        verticals += [(f"vface_{i}", lambda k, i=i: cyl.vface(p, q, i, k),
-                       lambda k, i=i: cyl.vface(p - 1, q, i, k),
-                       lambda k, i=i: cyl.vface(p + 1, q, i, k))
+        verticals += [(f"vface_{i}", vface, (i,), q - 1)
                       for i in range(q + 1)]
-    verticals += [(f"vdeg_{i}", lambda k, i=i: cyl.vdeg(p, q, i, k),
-                   lambda k, i=i: cyl.vdeg(p - 1, q, i, k),
-                   lambda k, i=i: cyl.vdeg(p + 1, q, i, k))
-                  for i in range(q + 1)]
-    verticals += [("vrot", lambda k: cyl.vrot(p, q, k),
-                   lambda k: cyl.vrot(p - 1, q, k),
-                   lambda k: cyl.vrot(p + 1, q, k))]
+    verticals += [(f"vdeg_{i}", vdeg, (i,), q + 1) for i in range(q + 1)]
+    verticals += [("vrot", vrot, (), q)]
     horizontals = []
     if p >= 1:
-        horizontals += [(f"hface_{j}", lambda k, j=j: cyl.hface(p, q, j, k),
-                         "down") for j in range(p + 1)]
-    horizontals += [(f"hdeg_{j}", lambda k, j=j: cyl.hdeg(p, q, j, k), "up")
-                    for j in range(p + 1)]
-    horizontals += [("hrot", lambda k: cyl.hrot(p, q, k), "same")]
+        horizontals += [(f"hface_{j}", hface, (j,), p - 1)
+                        for j in range(p + 1)]
+    horizontals += [(f"hdeg_{j}", hdeg, (j,), p + 1) for j in range(p + 1)]
+    horizontals += [("hrot", hrot, (), p)]
 
-    for vname, v_here, v_down, v_up in verticals:
-        # the vertical operator acting at the horizontal target bidegree
-        for hname, h_here, direction in horizontals:
-            v_there = {"down": v_down, "up": v_up, "same": v_here}[direction]
-            # the horizontal operator acting at the vertical target bidegree
-            vq = q - 1 if vname.startswith("vface") else (
-                q + 1 if vname.startswith("vdeg") else q)
-            if hname.startswith("hface"):
-                j = int(hname.split("_")[1])
-                h_there = lambda k, j=j, vq=vq: cyl.hface(p, vq, j, k)
-            elif hname.startswith("hdeg"):
-                j = int(hname.split("_")[1])
-                h_there = lambda k, j=j, vq=vq: cyl.hdeg(p, vq, j, k)
-            else:
-                h_there = lambda k, vq=vq: cyl.hrot(p, vq, k)
-            for k in range(cyl.dim(p, q)):
-                one = {k: cyl.field.one}
-                lhs = cyl._apply(v_there, cyl._apply(h_here, one))
-                rhs = cyl._apply(h_there, cyl._apply(v_here, one))
+    h_here = [[h(p, q, *hj, k) for k in range(dim)]
+              for _, h, hj, _ in horizontals]
+    for vname, v, vi, vq in verticals:
+        v_here = [v(p, q, *vi, k) for k in range(dim)]
+        for (hname, h, hj, hp), h_images in zip(horizontals, h_here):
+            for k in range(dim):
+                lhs = apply_linear(v, h_images[k], hp, q, *vi)
+                rhs = apply_linear(h, v_here[k], p, vq, *hj)
                 if lhs != rhs:
                     return (f"{vname} and {hname} fail to commute at "
                             f"({p},{q}) basis {k}")
@@ -813,15 +808,11 @@ def shuffle_map(cyl, bn, diag_norm, p, q):
             # vertical degeneracies at mu positions, ascending; raise q to n
             cur_q = q
             for pos in mu:
-                img = cyl._apply(
-                    lambda kk, pos=pos, cq=cur_q: cyl.vdeg(p, cq, pos, kk),
-                    img)
+                img = apply_linear(cyl.vdeg, img, p, cur_q, pos)
                 cur_q += 1
             cur_p = p
             for pos in nu:
-                img = cyl._apply(
-                    lambda kk, pos=pos, cp=cur_p: cyl.hdeg(cp, n, pos, kk),
-                    img)
+                img = apply_linear(cyl.hdeg, img, cur_p, n, pos)
                 cur_p += 1
             vec_add_into(out, img, field.sign(inv + p * q))
         cols.append(out)

@@ -31,6 +31,14 @@ class DimensionCapExceeded(ExactLinalgError):
     """Raised before building a chain space larger than the configured cap."""
 
 
+class MathError(RuntimeError):
+    """A mathematical identity hclab verifies does not hold.
+
+    The command line exits 1 on these, and only on these; any other
+    exception is a programming error.
+    """
+
+
 def check_dimension_cap(dim, cap=DEFAULT_DIMENSION_CAP):
     if cap is not None and dim > cap:
         raise DimensionCapExceeded(
@@ -509,6 +517,9 @@ class QuotientSpace:
     denominator: Subspace
     free_columns: list
 
+    def __post_init__(self):
+        self._position = {f: t for t, f in enumerate(self.free_columns)}
+
     @property
     def dim(self):
         return len(self.free_columns)
@@ -518,14 +529,14 @@ class QuotientSpace:
         return self.denominator.field
 
     def project(self, vec):
+        """Coordinates of vec's class, in increasing position."""
         reduced = self.denominator.reduce(vec)
-        out = {}
-        for t, f in enumerate(self.free_columns):
-            if f in reduced:
-                out[t] = reduced.pop(f)
-        if reduced:
+        position = self._position
+        try:
+            coords = sorted((position[f], c) for f, c in reduced.items())
+        except KeyError:
             raise ExactLinalgError("reduction left unexpected coordinates")
-        return out
+        return dict(coords)
 
     def lift(self, coords):
         return {self.free_columns[t]: c for t, c in coords.items() if c}

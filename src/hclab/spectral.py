@@ -32,6 +32,7 @@ from .cylinder.coefficients import (
 )
 from .cylinder.core import BinormalizedCylinder, _components
 from .exactlinalg import (
+    MathError,
     NotWellDefined,
     SparseMatrix,
     Subspace,
@@ -44,7 +45,7 @@ from .exactlinalg import (
 from .hopf import find_normalized_integral, is_semisimple
 
 
-class SpectralError(RuntimeError):
+class SpectralError(MathError):
     pass
 
 
@@ -149,11 +150,15 @@ class RowComplexes:
             return self._induced[key]
         cyl = self.cyl
         if name == "row_boundary":
-            raw = self._matrix(lambda k: cyl.hface(p, q, 0, k), p, q, p - 1, q)
-            for i in range(1, p + 1):
-                raw = raw.add(self._matrix(
-                    lambda k, i=i: cyl.hface(p, q, i, k), p, q, p - 1, q),
-                    self.field.sign(i))
+            cols = []
+            for k in range(cyl.dim(p, q)):
+                col = {}
+                for i in range(p + 1):
+                    vec_add_into(col, cyl.hface(p, q, i, k),
+                                 self.field.sign(i))
+                cols.append(col)
+            raw = SparseMatrix.from_columns(self.field, cyl.dim(p - 1, q),
+                                            cols)
             res = induced_map(raw, self.quotients[(p, q)],
                               self.quotients[(p - 1, q)])
         elif name.startswith("vface_"):

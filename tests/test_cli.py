@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hclab import cli
 from hclab.cli import (
     MathCheckFailed,
     ScenarioError,
@@ -12,6 +13,11 @@ from hclab.cli import (
     parse_scenario,
     run_command,
 )
+from hclab.crossed import CrossedProductError
+from hclab.cycliccore import MixedComplexError, NormalizationError
+from hclab.cylinder import CylinderError, HopfComplexError, ModuleLawError
+from hclab.exactlinalg import DimensionCapExceeded, MathError
+from hclab.spectral import SpectralError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -187,3 +193,70 @@ def test_negative_size_option_exits_2(tmp_path, capsys, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{option} must not be negative, got -1" in captured.err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_programming_error_exits_4(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "s1.scn"
+    target.write_text(read("s1.scn"))
+    monkeypatch.setattr(cli, "check_cylindrical",
+                        _raise(TypeError("unsupported operand")))
+    assert main(["verify", str(target)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: TypeError: unsupported operand" in captured.err
+    assert "mathematical check failed" not in captured.err
+
+
+def test_math_error_subclass_exits_1(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "s1.scn"
+    target.write_text(read("s1.scn"))
+    monkeypatch.setattr(cli, "check_cylindrical",
+                        _raise(CylinderError("faces do not commute")))
+    assert main(["verify", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert "mathematical check failed: faces do not commute" in captured.err
+    assert "internal error" not in captured.err
+
+
+def test_every_math_error_class_shares_the_base():
+    for cls in (MathCheckFailed, SpectralError, MixedComplexError,
+                NormalizationError, HopfComplexError, ModuleLawError,
+                CylinderError, CrossedProductError):
+        assert issubclass(cls, MathError), cls
+    assert not issubclass(ScenarioError, MathError)
+    assert not issubclass(DimensionCapExceeded, MathError)
+
+
+def test_report_records_a_failed_first_page(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "s1.scn"
+    target.write_text(read("s1.scn"))
+    monkeypatch.setattr(cli, "compute_E1",
+                        _raise(SpectralError("first-page mismatch at (1,0)")))
+    scenario = parse_scenario(read("s1.scn"))
+    report = run_command("report", scenario)
+    checks = {name: (ok, detail) for name, ok, detail in report.checks}
+    assert checks["first page: row homology = Hopf homology"] == (
+        False, "first-page mismatch at (1,0)")
+    # the stages after the first page still ran and passed
+    assert checks["second page computed without well-definedness "
+                  "failures"] == (True, "")
+    assert checks["collapse comparison"] == (True, "")
+    assert {page for page, _, _, _ in report.pages} == {2}
+    assert not report.passed
+
+    assert main(["report", str(target), "--machine"]) == 1
+    out = capsys.readouterr().out
+    assert ("check\tfirst page: row homology = Hopf homology\tFAIL "
+            "first-page mismatch at (1,0)\n") in out
+    assert out.endswith("overall FAIL\n")
+
+    assert main(["e1", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mathematical check failed: first-page mismatch" in captured.err

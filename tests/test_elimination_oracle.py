@@ -218,3 +218,28 @@ def test_subspace_operations_match_oracle(data):
     assert sub.reduce(member) == {}
     assert sub.coords_of(member) == oracle_coords_of(basis_rows, member)
     assert quotient.project(member) == {}
+
+
+def free_column_walk_project(quotient, vec):
+    """The projection as it walked every free column of the quotient."""
+    reduced = quotient.denominator.reduce(vec)
+    out = {}
+    for t, f in enumerate(quotient.free_columns):
+        if f in reduced:
+            out[t] = reduced.pop(f)
+    assert not reduced
+    return out
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_project_matches_free_column_walk(data):
+    """Projection visits only the reduced vector's entries, yet returns
+    the same coordinates in the same (increasing) order as the walk over
+    every free column, so reports built from it stay byte-identical."""
+    field, n, rows = data.draw(sparse_rows())
+    quotient = quotient_space(n, Subspace.from_vectors(field, n, rows))
+    vec = data.draw(vectors(field, n))
+    got = quotient.project(vec)
+    want = free_column_walk_project(quotient, vec)
+    assert list(got.items()) == list(want.items())
