@@ -457,16 +457,23 @@ def run_command(command, scenario):
     return report
 
 
-def _run_page(report, check_name, compute):
-    """Add a spectral page's entries and its check line.  Under `report`
-    a page that fails its verification becomes a FAIL line and the other
-    stages still run; the page's own command exits 1 on it."""
+def _run_stage(report, check_name, compute):
+    """compute(), or None when it fails a verification under `report`:
+    the failure then becomes the stage's FAIL line and the other stages
+    still run.  The stage's own command exits 1 on it."""
     try:
-        page = compute()
+        return compute()
     except MathError as exc:
         if report.command != "report":
             raise
         report.add_check(check_name, False, str(exc))
+        return None
+
+
+def _run_page(report, check_name, compute):
+    """Add a spectral page's entries and its check line."""
+    page = _run_stage(report, check_name, compute)
+    if page is None:
         return
     for (p, q) in sorted(page.entries):
         report.pages.append((page.page, p, q, page.entries[(p, q)]))
@@ -537,7 +544,10 @@ def _run_collapse(built, cyl, scenario, report, command):
         report.add_check("collapse comparison (skipped: non-semisimple)",
                          True, "not semisimple")
         return
-    rep = collapse_check(cyl, scenario.max_degree)
+    rep = _run_stage(report, "collapse comparison",
+                     lambda: collapse_check(cyl, scenario.max_degree))
+    if rep is None:
+        return
     report.tables.append(("cyclic homology, direct", rep.direct))
     report.tables.append(("cyclic homology via invariants",
                           rep.via_invariants))

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FinDimAlgebra, Violation, ground_algebra
-from .exactlinalg import MathError, SparseMatrix, solve_linear, vec_add_into
+from .exactlinalg import (
+    MathError, SparseMatrix, exact_div, solve_linear, vec_add_into)
 from .hopf import is_cocommutative
 
 
@@ -423,7 +424,8 @@ def lift_group_cocycle(hopf, table):
                     raise GroupCocycleError(
                         "cocycle identity fails at "
                         f"({group.labels[x]},{group.labels[y]},{group.labels[z]})")
-    inverse = [[field.one / table[i][j] for j in range(n)] for i in range(n)]
+    inverse = [[exact_div(field.one, table[i][j]) for j in range(n)]
+               for i in range(n)]
     return Cocycle(hopf, [row[:] for row in table], inverse)
 
 

@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over Q and prime fields.
 
 Everything downstream (homology ranks, spectral pages, identity checks)
-reduces to ranks, kernels and quotients computed here.  Scalars are
-`fractions.Fraction` in characteristic 0 and `FpScalar` wrappers mod p;
-there is no floating point anywhere.  Vectors are plain dicts mapping a
+reduces to ranks, kernels and quotients computed here.  Over Q a scalar
+is a Python `int` when it is integral and a `fractions.Fraction` when it
+is not; mod p it is an `FpScalar`.  Mixed int/`Fraction` arithmetic is
+exact, and `exact_div` is the one place scalars are divided, so there is
+no floating point anywhere.  Vectors are plain dicts mapping a
 coordinate index to a nonzero scalar; matrices store nonzero entries
 sparsely and carry their field.  All canonical forms are reduced row
 echelon forms, so every representative choice made downstream is
@@ -103,34 +105,36 @@ class Field:
             raise ExactLinalgError(
                 f"characteristic must be 0 or prime, got {characteristic}")
         self.characteristic = characteristic
+        # scalars are never mutated, so every caller may share these
+        self.zero = self.of(0)
+        self.one = self.of(1)
+        self._minus_one = self.of(-1)
 
     @property
     def kind(self):
         return "rationals" if self.characteristic == 0 else "prime_field"
 
     def of(self, n):
-        """Embed an integer (or Fraction, when the denominator allows)."""
+        """Embed an int or a Fraction (mod p, when the denominator allows).
+
+        Over Q an integral value comes back as an `int` and any other
+        value as a `Fraction`."""
         if self.characteristic == 0:
-            return Fraction(n)
+            if isinstance(n, int):
+                return n
+            n = Fraction(n)
+            return n.numerator if n.denominator == 1 else n
         if isinstance(n, Fraction):
             if n.denominator % self.characteristic == 0:
                 raise ExactLinalgError(
                     f"{n} has no image in F_{self.characteristic}")
-            return FpScalar(self.characteristic, n.numerator) / FpScalar(
-                self.characteristic, n.denominator)
+            return exact_div(FpScalar(self.characteristic, n.numerator),
+                             FpScalar(self.characteristic, n.denominator))
         return FpScalar(self.characteristic, n)
-
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
 
     def sign(self, i):
         """(-1)**i as a scalar."""
-        return self.of(1) if i % 2 == 0 else self.of(-1)
+        return self.one if i % 2 == 0 else self._minus_one
 
     def parse(self, text):
         """Parse 'a' or 'a/b' into a scalar."""
@@ -139,10 +143,10 @@ class Field:
             num, den = (int(part) for part in text.split("/", 1))
             if den == 0:
                 raise ExactLinalgError(f"{text!r} has a zero denominator")
-            frac = Fraction(num, den)
+            value = Fraction(num, den)
         else:
-            frac = Fraction(int(text))
-        return self.of(frac)
+            value = int(text)
+        return self.of(value)
 
     def format(self, scalar):
         return str(scalar)
@@ -159,6 +163,22 @@ class Field:
 
 QQ = Field(0)
 GF2 = Field(2)
+
+
+def exact_div(a, b):
+    """a / b as a scalar of the same field; the only division of scalars.
+
+    Integers divide to an `int` when the quotient is integral and to a
+    `Fraction` otherwise, never to a float.  Any other pair divides with
+    `/`, and a `Fraction` quotient that is integral comes back as an `int`.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    q = a / b
+    if isinstance(q, Fraction) and q.denominator == 1:
+        return q.numerator
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +382,10 @@ def rref(row_dicts):
             continue
         pcol = min(row)
         inv = row[pcol]
-        row = {k: c / inv for k, c in row.items()}
+        # a pivot of 1 needs no division; an FpScalar never equals the
+        # int 1, so its residue is compared
+        if (inv.v if type(inv) is FpScalar else inv) != 1:
+            row = {k: exact_div(c, inv) for k, c in row.items()}
         for qcol in holders.pop(pcol, ()):
             qrow = row_of[qcol]
             coeff = qrow[pcol]

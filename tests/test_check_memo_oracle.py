@@ -26,7 +26,7 @@ from hclab.cycliccore import (
 )
 from hclab.cylinder import HopfCrossedCylinder, build_cylinder
 from hclab.cylinder.core import check_cylindrical
-from hclab.exactlinalg import QQ, vec_add_into
+from hclab.exactlinalg import QQ, exact_div, vec_add_into
 from hclab.hopf import group_hopf
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -273,7 +273,8 @@ def test_flipped_cocycle_sign_matches_oracle():
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
     table = sign_group_cocycle_table(h)
     table[1][1] = -table[1][1]
-    inv = [[QQ.one / table[i][j] for j in range(4)] for i in range(4)]
+    inv = [[exact_div(QQ.one, table[i][j]) for j in range(4)]
+           for i in range(4)]
     cyl = build_cylinder(h, trivial_action(h, ground_algebra(QQ)),
                          Cocycle(h, table, inv), check=False)
     got = check_cylindrical(cyl, 2, 2)
@@ -338,7 +339,7 @@ class RescaledColumn(HopfCrossedCylinder):
         image = super().vdeg(p, q, i, k)
         if p != 1:
             return image
-        return {kk: c / self.field.of(2) for kk, c in image.items()}
+        return {kk: exact_div(c, self.field.of(2)) for kk, c in image.items()}
 
 
 def test_commutation_fault_matches_oracle():

@@ -260,3 +260,33 @@ def test_report_records_a_failed_first_page(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "mathematical check failed: first-page mismatch" in captured.err
+
+
+def test_report_records_a_failed_collapse(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "s1.scn"
+    target.write_text(read("s1.scn"))
+    assert main(["report", str(target), "--machine"]) == 0
+    passing = capsys.readouterr().out.splitlines()
+
+    monkeypatch.setattr(cli, "collapse_check",
+                        _raise(SpectralError("collapse mismatch in degree 1")))
+    assert main(["report", str(target), "--machine"]) == 1
+    failing = capsys.readouterr().out.splitlines()
+    # every line before the collapse stage is printed as it was
+    stage = passing.index("check\tcollapse comparison\tPASS")
+    assert failing[:stage] == passing[:stage]
+    assert failing[stage] == ("check\tcollapse comparison\tFAIL "
+                              "collapse mismatch in degree 1")
+    # after it come the other tables and the pages, without the two
+    # tables the collapse stage would have added
+    collapse_tables = ("dims\tcyclic homology, direct\t",
+                       "dims\tcyclic homology via invariants\t")
+    assert failing[stage + 1:-1] == [
+        line for line in passing[stage + 1:-1]
+        if not line.startswith(collapse_tables)]
+    assert failing[-1] == "overall FAIL"
+
+    assert main(["collapse", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mathematical check failed: collapse mismatch" in captured.err

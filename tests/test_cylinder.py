@@ -1,6 +1,6 @@
 import pytest
 
-from hclab.exactlinalg import Field, QQ, SparseMatrix
+from hclab.exactlinalg import Field, QQ, SparseMatrix, exact_div
 from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
 )
@@ -123,7 +123,8 @@ def test_mutated_cocycle_breaks_cylinder_identities():
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
     table = sign_group_cocycle_table(h)
     table[1][1] = -table[1][1]
-    inv = [[QQ.one / table[i][j] for j in range(4)] for i in range(4)]
+    inv = [[exact_div(QQ.one, table[i][j]) for j in range(4)]
+           for i in range(4)]
     coc = Cocycle(h, table, inv)
     cyl = build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc,
                          check=False)

@@ -7,6 +7,10 @@ operations walk every basis row, reading each row's pivot as its least
 column.  RREF is unique, so the two kernels must agree exactly on the
 pivots, the rows, every reduction, every coordinate vector and every
 quotient projection.  sympy's rank is a third, independent oracle over Q.
+
+Over Q hclab keeps integral scalars as ints, and the oracles divide with
+`/`, so they are given `Fraction` copies of their input rows: their
+arithmetic stays exact and their results compare with `==` as before.
 """
 
 from fractions import Fraction
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 from hclab.exactlinalg import (
     ExactLinalgError,
     Field,
+    FpScalar,
     QQ,
     Subspace,
     quotient_space,
@@ -27,6 +32,23 @@ from hclab.exactlinalg import (
 
 
 FIELDS = {"Q": QQ, "F2": Field(2), "F3": Field(3)}
+
+
+def exact_copy(row):
+    """The row with every int entry made a `Fraction`, for the oracles."""
+    return {k: Fraction(c) if isinstance(c, int) else c
+            for k, c in row.items()}
+
+
+def exact_copies(rows):
+    return [exact_copy(row) for row in rows]
+
+
+def assert_exact_scalars(field, vec):
+    """Over Q an int or a Fraction, mod p an FpScalar; never a float."""
+    kinds = (int, Fraction) if field is QQ else (FpScalar,)
+    for c in vec.values():
+        assert type(c) in kinds, (c, type(c))
 
 
 def oracle_rref(row_dicts):
@@ -177,10 +199,11 @@ FILL_IN = (QQ, 4, [{0: Fraction(1), 3: Fraction(1)},
 def test_rref_matches_oracle(case):
     field, n, rows = case
     pivots, reduced = rref(rows)
-    want_pivots, want_rows = oracle_rref(rows)
+    want_pivots, want_rows = oracle_rref(exact_copies(rows))
     assert pivots == want_pivots
     assert reduced == want_rows
     for p, row in zip(pivots, reduced):
+        assert_exact_scalars(field, row)
         assert min(row) == p and row[p] == field.one
         assert not any(q in row for q in pivots if q != p)
     if field is QQ:
@@ -195,28 +218,37 @@ def test_rref_matches_oracle(case):
 def test_subspace_operations_match_oracle(data):
     field, n, rows = data.draw(sparse_rows())
     sub = Subspace.from_vectors(field, n, rows)
-    _, basis_rows = oracle_rref(rows)
+    _, basis_rows = oracle_rref(exact_copies(rows))
     assert sub.rows == basis_rows
     assert sub.basis.row_dicts() == basis_rows
     quotient = quotient_space(n, sub)
     assert sub.dim + quotient.dim == n
 
     vec = data.draw(vectors(field, n))
-    assert sub.reduce(vec) == oracle_reduce(basis_rows, vec)
-    assert sub.contains(vec) == (not oracle_reduce(basis_rows, vec))
-    assert quotient.project(vec) == oracle_project(n, basis_rows, vec)
-    want = oracle_coords_of(basis_rows, vec)
+    exact_vec = exact_copy(vec)
+    reduced = sub.reduce(vec)
+    assert_exact_scalars(field, reduced)
+    assert reduced == oracle_reduce(basis_rows, exact_vec)
+    assert sub.contains(vec) == (not oracle_reduce(basis_rows, exact_vec))
+    projected = quotient.project(vec)
+    assert_exact_scalars(field, projected)
+    assert projected == oracle_project(n, basis_rows, exact_vec)
+    want = oracle_coords_of(basis_rows, exact_vec)
     if want is None:
         with pytest.raises(ExactLinalgError):
             sub.coords_of(vec)
     else:
-        assert sub.coords_of(vec) == want
+        coords = sub.coords_of(vec)
+        assert_exact_scalars(field, coords)
+        assert coords == want
 
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
                                 max_size=len(rows)))
     member = combine(field, rows, coeffs)
     assert sub.reduce(member) == {}
-    assert sub.coords_of(member) == oracle_coords_of(basis_rows, member)
+    coords = sub.coords_of(member)
+    assert_exact_scalars(field, coords)
+    assert coords == oracle_coords_of(basis_rows, exact_copy(member))
     assert quotient.project(member) == {}
 
 

@@ -2,17 +2,21 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hclab.exactlinalg import (
     vec_sub,
     DimensionCapExceeded,
     DimensionMismatch,
     Field,
+    FpScalar,
     NotWellDefined,
     QQ,
     SparseMatrix,
     Subspace,
     check_dimension_cap,
+    exact_div,
     image_subspace,
     induced_map,
     kernel_basis,
@@ -42,6 +46,61 @@ def test_fp_arithmetic():
     f5 = Field(5)
     x = f5.of(2)
     assert (x / f5.of(3)) * f5.of(3) == x
+
+
+def test_rationals_are_ints_when_integral():
+    for value in (3, Fraction(6, 3), QQ.parse("4/2"), QQ.parse("-5"),
+                  QQ.of(Fraction(-8, 4))):
+        assert type(QQ.of(value)) is int
+    assert QQ.of(Fraction(6, 3)) == 2
+    assert type(QQ.parse("-3/2")) is Fraction
+    assert type(QQ.one) is int and type(QQ.zero) is int
+    assert QQ.sign(0) == 1 and QQ.sign(5) == -1
+    f3 = Field(3)
+    assert f3.of(Fraction(1, 2)) == f3.of(2)
+    assert isinstance(f3.of(Fraction(1, 2)), FpScalar)
+
+
+def test_field_constants_are_built_once():
+    for field in (QQ, F2, Field(5)):
+        assert field.one is field.one and field.zero is field.zero
+        assert field.sign(2) is field.sign(4) is field.one
+        assert field.sign(1) is field.sign(3) == field.of(-1)
+
+
+RATIONALS = st.one_of(st.integers(-60, 60),
+                      st.fractions(min_value=-20, max_value=20,
+                                   max_denominator=12))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(RATIONALS, RATIONALS)
+@example(7, 7)
+@example(1, 3)
+@example(-6, 3)
+@example(0, -4)
+@example(Fraction(3, 2), Fraction(3, 4))
+@example(Fraction(4, 2), 2)
+@example(2, Fraction(1, 3))
+@example(5, 0)
+@example(Fraction(1, 2), Fraction(0))
+def test_exact_div_is_exact(a, b):
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            exact_div(a, b)
+        return
+    q = exact_div(a, b)
+    assert q == Fraction(a) / Fraction(b)
+    assert type(q) in (int, Fraction), type(q)
+    assert (type(q) is int) == (Fraction(q).denominator == 1)
+
+
+def test_exact_div_mod_p():
+    f5 = Field(5)
+    q = exact_div(f5.of(2), f5.of(3))
+    assert isinstance(q, FpScalar) and q * f5.of(3) == f5.of(2)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(f5.one, f5.zero)
 
 
 def test_rank_identity():
