@@ -18,8 +18,7 @@ from hclab.crossed import (
 )
 from hclab.cylinder import build_cylinder
 from hclab.spectral import (
-    collapse_check, compute_E1, compute_E2, filtration_check,
-    invariant_complex_N0,
+    collapse_check, compute_E1, compute_E2, invariant_complex_N0,
 )
 
 
@@ -33,9 +32,6 @@ def show_page(tag, page):
 h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
 coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
 cyl = build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
-
-print("filtration bookkeeping:", filtration_check(cyl, 2).preserving,
-      "+ shift by one:", filtration_check(cyl, 2).shifting)
 
 page1, _ = compute_E1(cyl, 2, 2)
 print("first page (vanishes off column zero - semisimple):")

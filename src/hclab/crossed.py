@@ -113,9 +113,6 @@ class Cocycle:
         self.values = values            # values[i][j] scalar
         self.inverse_values = inverse_values
 
-    def of_basis(self, i, j):
-        return self.values[i][j]
-
     def of(self, u, v, inverse=False):
         """Bilinear evaluation on sparse vectors."""
         table = self.inverse_values if inverse else self.values
@@ -277,10 +274,6 @@ class CrossedProductAlgebra:
     product: FinDimAlgebra
     action: ActionMap
     cocycle: Cocycle
-
-    @property
-    def coefficient_dim(self):
-        return self.action.algebra.dim
 
     @property
     def hopf_dim(self):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .exactlinalg import (
     MathError,
+    NotWellDefined,
     SparseMatrix,
     Subspace,
     check_dimension_cap,
@@ -100,7 +101,11 @@ def memoized(op, keep):
 
 
 class ParacyclicModule:
-    """Base class; subclasses provide dims and the operator families."""
+    """Base class; subclasses provide dims and the operator families.
+
+    Every raw operator matrix is built here, from the providers, and is
+    not kept: its users keep what they induce from it.  A module with
+    faces only inherits b."""
 
     field = None
 
@@ -134,51 +139,27 @@ class ParacyclicModule:
 
     # -- materialized matrices ---------------------------------------------
 
-    def _cache(self):
-        if not hasattr(self, "_matrix_cache"):
-            self._matrix_cache = {}
-        return self._matrix_cache
-
     def face_matrix(self, n, i):
-        cache = self._cache()
-        key = ("face", n, i)
-        if key not in cache:
-            cols = [self.face(n, i, k) for k in range(self.dim(n))]
-            cache[key] = SparseMatrix.from_columns(
-                self.field, self.dim(n - 1), cols)
-        return cache[key]
+        cols = [self.face(n, i, k) for k in range(self.dim(n))]
+        return SparseMatrix.from_columns(self.field, self.dim(n - 1), cols)
 
     def degeneracy_matrix(self, n, i):
-        cache = self._cache()
-        key = ("degeneracy", n, i)
-        if key not in cache:
-            cols = [self.degeneracy(n, i, k) for k in range(self.dim(n))]
-            cache[key] = SparseMatrix.from_columns(
-                self.field, self.dim(n + 1), cols)
-        return cache[key]
+        cols = [self.degeneracy(n, i, k) for k in range(self.dim(n))]
+        return SparseMatrix.from_columns(self.field, self.dim(n + 1), cols)
 
     def rotate_matrix(self, n):
-        cache = self._cache()
-        key = ("rotate", n)
-        if key not in cache:
-            cols = [self.rotate(n, k) for k in range(self.dim(n))]
-            cache[key] = SparseMatrix.from_columns(
-                self.field, self.dim(n), cols)
-        return cache[key]
+        cols = [self.rotate(n, k) for k in range(self.dim(n))]
+        return SparseMatrix.from_columns(self.field, self.dim(n), cols)
 
     def boundary_matrix(self, n):
         """b = alternating sum of the faces; the zero map for n = 0."""
-        cache = self._cache()
-        key = ("boundary", n)
-        if key not in cache:
-            if n == 0:
-                cache[key] = SparseMatrix.zero(self.field, 0, self.dim(0))
-            else:
-                m = self.face_matrix(n, 0)
-                for i in range(1, n + 1):
-                    m = m.add(self.face_matrix(n, i), self.field.sign(i))
-                cache[key] = m
-        return cache[key]
+        if n == 0:
+            return SparseMatrix.zero(self.field, 0, self.dim(0))
+        b = SparseMatrix.zero(self.field, self.dim(n - 1), self.dim(n))
+        for i in range(n + 1):
+            vec_add_into(b.entries, self.face_matrix(n, i).entries,
+                         self.field.sign(i))
+        return b
 
     def signed_rotation_matrix(self, n):
         return self.rotate_matrix(n).scale(self.field.sign(n))
@@ -197,9 +178,14 @@ class ParacyclicModule:
         """s = rotate o last degeneracy : degree n -> degree n+1."""
         return self.rotate_matrix(n + 1).compose(self.degeneracy_matrix(n, n))
 
+    def sn_matrix(self, n):
+        """s N : degree n -> degree n+1, the Connes boundary of the
+        normalized complex before it is induced there."""
+        return self.extra_degeneracy_matrix(n).compose(self.norm_matrix(n))
+
     def connes_matrix(self, n):
         """The unnormalized Connes boundary (1 - lambda) s N."""
-        sn = self.extra_degeneracy_matrix(n).compose(self.norm_matrix(n))
+        sn = self.sn_matrix(n)
         lam = self.signed_rotation_matrix(n + 1)
         return sn.add(lam.compose(sn), self.field.sign(1))
 
@@ -280,10 +266,6 @@ class AlgebraCyclicModule(ParacyclicModule):
         src = self.space(n)
         tup = src.decode(k)
         return {src.encode((tup[n],) + tup[:n]): self.field.one}
-
-
-def algebra_cyclic_module(algebra, cap=None):
-    return AlgebraCyclicModule(algebra, cap=cap)
 
 
 class MatrixParacyclicModule(ParacyclicModule):
@@ -447,13 +429,31 @@ class NormalizationError(MathError):
     pass
 
 
-def _require_welldefined(res, what):
-    from .exactlinalg import NotWellDefined
-    if isinstance(res, NotWellDefined):
-        raise NormalizationError(
-            f"induced operator not well defined: {what}; "
-            f"offending vector {res.basis_vector}")
-    return res
+def require_descent(induced, error, message):
+    """The matrix `induced_map` returned, or error(message) when it found
+    that the map does not descend; the message may name the offending
+    denominator vector as {basis_vector}."""
+    if isinstance(induced, NotWellDefined):
+        raise error(message.format(basis_vector=induced.basis_vector))
+    return induced
+
+
+def degeneracy_quotient(pieces):
+    """One space modulo every degeneracy image that lands in it.
+
+    `pieces` lists (module, n) pairs that all have the space in degree n;
+    each contributes the images of its degeneracies out of degree n - 1.
+    """
+    module, n = pieces[0]
+    field, dim = module.field, module.dim(n)
+    vectors = []
+    for module, n in pieces:
+        for i in range(n):
+            vectors.extend(module.degeneracy(n - 1, i, k)
+                           for k in range(module.dim(n - 1)))
+    if not vectors:
+        return full_quotient(field, dim)
+    return quotient_space(dim, Subspace.from_vectors(field, dim, vectors))
 
 
 class NormalizedComplex:
@@ -465,22 +465,12 @@ class NormalizedComplex:
     machine-verified to be well defined via induced_map."""
 
     def __init__(self, base, max_degree):
-        field = base.field
         self.base = base
-        self.field = field
+        self.field = base.field
         self.max_degree = max_degree
-        quotients = []
-        for n in range(max_degree + 1):
-            if n == 0:
-                quotients.append(full_quotient(field, base.dim(0)))
-                continue
-            vectors = []
-            for i in range(n):
-                vectors.extend(base.degeneracy_matrix(n - 1, i).columns())
-            denom = Subspace.from_vectors(field, base.dim(n), vectors)
-            quotients.append(quotient_space(base.dim(n), denom))
-        self.quotients = quotients
-        self.dims = [q.dim for q in quotients]
+        self.quotients = [degeneracy_quotient([(base, n)])
+                          for n in range(max_degree + 1)]
+        self.dims = [q.dim for q in self.quotients]
         self._boundaries = {}
         self._connes = {}
 
@@ -493,45 +483,36 @@ class NormalizedComplex:
     def lift(self, n, coords):
         return self.quotients[n].lift(coords)
 
+    def _induced(self, raw, n, target, what):
+        return require_descent(
+            induced_map(raw, self.quotients[n], self.quotients[target]),
+            NormalizationError,
+            f"induced operator not well defined: {what}; "
+            "offending vector {basis_vector}")
+
     def boundary_matrix(self, n):
         if n not in self._boundaries:
             if n == 0:
                 self._boundaries[n] = SparseMatrix.zero(
                     self.field, 0, self.dim(0))
             else:
-                res = induced_map(self.base.boundary_matrix(n),
-                                  self.quotients[n], self.quotients[n - 1])
-                _require_welldefined(res, f"boundary in degree {n}")
-                self._boundaries[n] = res
+                self._boundaries[n] = self._induced(
+                    self.base.boundary_matrix(n), n, n - 1,
+                    f"boundary in degree {n}")
         return self._boundaries[n]
 
     def connes_matrix(self, n):
         """s N induced on the quotients (consults base degree n+1)."""
         if n not in self._connes:
-            raw = self.base.extra_degeneracy_matrix(n).compose(
-                self.base.norm_matrix(n))
-            res = induced_map(raw, self.quotients[n], self.quotients[n + 1])
-            _require_welldefined(res, f"Connes boundary in degree {n}")
-            self._connes[n] = res
+            self._connes[n] = self._induced(
+                self.base.sn_matrix(n), n, n + 1,
+                f"Connes boundary in degree {n}")
         return self._connes[n]
 
 
 def normalize(module, max_degree):
     """The normalized complex of a (para)cyclic module."""
     return NormalizedComplex(module, max_degree)
-
-
-def connes_boundary(module, n, normalized=True):
-    """The degree-raising Connes operator in degree n.
-
-    Both variants are exposed: the unnormalized (1 - lambda) s N on the
-    module itself, and the induced s N on the normalization (the variant
-    homology computations use)."""
-    if not normalized:
-        return module.connes_matrix(n)
-    norm = module if isinstance(module, NormalizedComplex) else \
-        NormalizedComplex(module, n + 1)
-    return norm.connes_matrix(n)
 
 
 def hochschild_homology(module, max_degree):
@@ -626,25 +607,13 @@ def cyclic_homology_mixed(mx, max_degree):
         for m in dst:
             dst_offset[m] = off
             off += mx.dims[m]
-        rows = off
-        out = SparseMatrix.zero(mx.field, rows, tot_dim(n))
+        out = SparseMatrix.zero(mx.field, off, tot_dim(n))
         col_off = 0
         for m in src:
             if m >= 1 and (m - 1) in dst_offset:
-                bm = mx.b_mats[m]
-                ro = dst_offset[m - 1]
-                for (i, j), c in bm.entries.items():
-                    out.entries[(ro + i, col_off + j)] = c
+                out.add_block(mx.b_mats[m], dst_offset[m - 1], col_off)
             if (m + 1) in dst_offset and m in mx.B_mats:
-                Bm = mx.B_mats[m]
-                ro = dst_offset[m + 1]
-                for (i, j), c in Bm.entries.items():
-                    key = (ro + i, col_off + j)
-                    s = out.entries.get(key, mx.field.zero) + c
-                    if s:
-                        out.entries[key] = s
-                    elif key in out.entries:
-                        del out.entries[key]
+                out.add_block(mx.B_mats[m], dst_offset[m + 1], col_off)
             col_off += mx.dims[m]
         return out
 

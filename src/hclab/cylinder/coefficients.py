@@ -12,9 +12,7 @@ homology with those twisted coefficients.
 
 from __future__ import annotations
 
-import itertools
-
-from ..cycliccore import HomologyReport, TensorSpace
+from ..cycliccore import HomologyReport, ParacyclicModule, TensorSpace
 from ..exactlinalg import MathError, SparseMatrix, mat_rank, vec_add_into
 
 
@@ -143,7 +141,7 @@ class BimoduleMq(CoefficientBimodule):
         return None
 
 
-class HochschildComplex:
+class HochschildComplex(ParacyclicModule):
     """C_p(R, M) = M (x) R^p with the standard faces: the zeroth face acts
     on the right, interior faces multiply in R, the last face wraps to a
     left action."""
@@ -181,17 +179,6 @@ class HochschildComplex:
             for mm, c in img.items():
                 _acc(out, dst.encode((mm,) + hs[:p - 1]), c)
         return out
-
-    def boundary_matrix(self, p):
-        if p == 0:
-            return SparseMatrix.zero(self.field, 0, self.dim(0))
-        cols = []
-        for k in range(self.dim(p)):
-            acc = {}
-            for i in range(p + 1):
-                vec_add_into(acc, self.face(p, i, k), self.field.sign(i))
-            cols.append(acc)
-        return SparseMatrix.from_columns(self.field, self.dim(p - 1), cols)
 
 
 def _acc(out, key, c):
@@ -294,18 +281,17 @@ class TwistedLeftModule:
         return None
 
 
-def twisted_left_module(bimodule, verify=True):
+def twisted_left_module(bimodule):
     mod = TwistedLeftModule(bimodule)
-    if verify:
-        bad = mod.verify_module_law()
-        if bad is not None:
-            raise ModuleLawError(
-                f"left module law fails at {bad}; the conversion needs a "
-                f"cocommutative Hopf algebra")
+    bad = mod.verify_module_law()
+    if bad is not None:
+        raise ModuleLawError(
+            f"left module law fails at {bad}; the conversion needs a "
+            f"cocommutative Hopf algebra")
     return mod
 
 
-class HopfComplex:
+class HopfComplex(ParacyclicModule):
     """The bar-type complex computing Hopf-algebra homology of a left
     module: degree p is H^p (x) M, the differential drops the first leg
     through the counit, merges adjacent legs with alternating signs and
@@ -346,17 +332,6 @@ class HopfComplex:
                 _acc(out, dst.encode(hs[:p - 1] + (mm,)), c)
         return out
 
-    def boundary_matrix(self, p):
-        if p == 0:
-            return SparseMatrix.zero(self.field, 0, self.dim(0))
-        cols = []
-        for k in range(self.dim(p)):
-            acc = {}
-            for i in range(p + 1):
-                vec_add_into(acc, self.face(p, i, k), self.field.sign(i))
-            cols.append(acc)
-        return SparseMatrix.from_columns(self.field, self.dim(p - 1), cols)
-
 
 class HopfComplexError(MathError):
     pass
@@ -396,7 +371,7 @@ def hochschild_to_hopf(bimodule, p):
         tup = src.decode(k)
         m, hs = tup[0], tup[1:]
         out = {}
-        for coef, legs in _multi_sweedler(hopf, hs, 2):
+        for coef, legs in hopf.sweedler_product([(h, 2) for h in hs]):
             mv = {m: field.one}
             for (l1, _l2) in legs:
                 mv = bimodule.right_vec(mv, {l1: field.one})
@@ -421,7 +396,7 @@ def hopf_to_hochschild(bimodule, p):
         tup = src.decode(k)
         hs, m = tup[:p], tup[p]
         out = {}
-        for coef, legs in _multi_sweedler(hopf, hs, 4):
+        for coef, legs in hopf.sweedler_product([(h, 4) for h in hs]):
             w = coef
             for (_l1, l2, l3, _l4) in legs:
                 w = w * coc.of(hopf.antipode[l2], {l3: field.one},
@@ -438,18 +413,6 @@ def hopf_to_hochschild(bimodule, p):
                 _acc(out, dst.encode((mm,) + fourth), w * c)
         cols.append(out)
     return SparseMatrix.from_columns(field, dst.size, cols)
-
-
-def _multi_sweedler(hopf, indices, count):
-    lists = [hopf.sweedler(i, count) for i in indices]
-    one = hopf.field.one
-    for combo in itertools.product(*lists):
-        coef = one
-        tups = []
-        for c, t in combo:
-            coef = coef * c
-            tups.append(t)
-        yield coef, tups
 
 
 def check_maclane(cyl, twisted_algebra, q, max_p):

@@ -23,22 +23,23 @@ import itertools
 
 from ..crossed import validate_cocycle, validate_weak_action
 from ..cycliccore import (
+    AlgebraCyclicModule,
     MixedComplex,
     MixedComplexError,
+    NormalizedComplex,
     ParacyclicModule,
     TensorSpace,
     apply_linear,
     check_paracyclic,
+    degeneracy_quotient,
     memoized,
+    require_descent,
 )
 from ..exactlinalg import (
     MathError,
     SparseMatrix,
-    Subspace,
     check_dimension_cap,
-    full_quotient,
     induced_map,
-    quotient_space,
     vec_add_into,
 )
 from ..hopf import is_cocommutative
@@ -82,18 +83,6 @@ class HopfCrossedCylinder:
         return tup[:p + 1], tup[p + 1:]
 
     # -- small helpers -------------------------------------------------------
-
-    def _legs(self, indices, count):
-        """Iterate (coefficient, list of leg tuples) over the product of
-        the factors' iterated coproducts."""
-        lists = [self.hopf.sweedler(i, count) for i in indices]
-        for combo in itertools.product(*lists):
-            coef = self.field.one
-            tups = []
-            for c, t in combo:
-                coef = coef * c
-                tups.append(t)
-            yield coef, tups
 
     def _emit(self, out, space, coef, gs, avecs_or_tuple):
         """Accumulate coef * (gs | a-part) where the a-part may be a plain
@@ -148,7 +137,7 @@ class HopfCrossedCylinder:
         gs, avs = self.split(p, q, k)
         tgt = self.space(p, q - 1)
         out = {}
-        for coef, legs in self._legs(gs, 2):
+        for coef, legs in self.hopf.sweedler_product([(g, 2) for g in gs]):
             u = self.hopf.product_of_basis([t[0] for t in legs])
             su = self.hopf.antipode_of(u)
             w = self.action.apply(su, {avs[q]: self.field.one})
@@ -169,7 +158,7 @@ class HopfCrossedCylinder:
         gs, avs = self.split(p, q, k)
         tgt = self.space(p, q)
         out = {}
-        for coef, legs in self._legs(gs, 2):
+        for coef, legs in self.hopf.sweedler_product([(g, 2) for g in gs]):
             u = self.hopf.product_of_basis([t[0] for t in legs])
             su = self.hopf.antipode_of(u)
             w = self.action.apply(su, {avs[q]: self.field.one})
@@ -417,6 +406,7 @@ class BinormalizedCylinder:
     """Bidegreewise quotients by both families of degeneracy images, with
     the induced boundary and Connes operators of both directions.
 
+    The raw operators come from the cylinder's row and column modules.
     The twist T at each bidegree is computed literally as
     1 - (bB + Bb) of the vertical pair; it also equals the induced
     (q+1)-st power of the vertical rotation, which callers may check.
@@ -427,114 +417,42 @@ class BinormalizedCylinder:
         self.field = cyl.field
         self.top_total = top_total
         self.quotients = {}
-        self._raw = {}
         self._ops = {}
         for total in range(top_total + 1):
             for p in range(total + 1):
                 q = total - p
-                self.quotients[(p, q)] = self._build_quotient(p, q)
-
-    def _build_quotient(self, p, q):
-        cyl = self.cyl
-        dim = cyl.dim(p, q)
-        vectors = []
-        if q >= 1:
-            for i in range(q):
-                for k in range(cyl.dim(p, q - 1)):
-                    vectors.append(cyl.vdeg(p, q - 1, i, k))
-        if p >= 1:
-            for i in range(p):
-                for k in range(cyl.dim(p - 1, q)):
-                    vectors.append(cyl.hdeg(p - 1, q, i, k))
-        if not vectors:
-            return full_quotient(self.field, dim)
-        denom = Subspace.from_vectors(self.field, dim, vectors)
-        return quotient_space(dim, denom)
-
-    def in_range(self, p, q):
-        return p >= 0 and q >= 0 and p + q <= self.top_total
+                self.quotients[(p, q)] = degeneracy_quotient(
+                    [(cyl.column_module(p), q), (cyl.row_module(q), p)])
 
     def dim(self, p, q):
         return self.quotients[(p, q)].dim
 
-    def _matrix_of(self, fn, p, q, tp, tq):
-        cols = [fn(k) for k in range(self.cyl.dim(p, q))]
-        return SparseMatrix.from_columns(
-            self.field, self.cyl.dim(tp, tq), cols)
-
-    def _raw_matrix(self, kind, p, q):
-        key = (kind, p, q)
-        if key in self._raw:
-            return self._raw[key]
-        cyl = self.cyl
-        if kind == "bv":
-            m = self._matrix_of(lambda k: cyl.vface(p, q, 0, k), p, q, p, q - 1)
-            for i in range(1, q + 1):
-                m = m.add(self._matrix_of(
-                    lambda k, i=i: cyl.vface(p, q, i, k), p, q, p, q - 1),
-                    self.field.sign(i))
-        elif kind == "bh":
-            m = self._matrix_of(lambda k: cyl.hface(p, q, 0, k), p, q, p - 1, q)
-            for i in range(1, p + 1):
-                m = m.add(self._matrix_of(
-                    lambda k, i=i: cyl.hface(p, q, i, k), p, q, p - 1, q),
-                    self.field.sign(i))
-        elif kind == "Bv":
-            # extra degeneracy o norm, vertically
-            rot = self._matrix_of(lambda k: cyl.vrot(p, q + 1, k),
-                                  p, q + 1, p, q + 1)
-            sdeg = self._matrix_of(lambda k: cyl.vdeg(p, q, q, k),
-                                   p, q, p, q + 1)
-            lam = self._matrix_of(lambda k: cyl.vrot(p, q, k), p, q, p, q)
-            lam = lam.scale(self.field.sign(q))
-            acc = SparseMatrix.identity(self.field, self.cyl.dim(p, q))
-            total = acc
-            for _ in range(q):
-                acc = lam.compose(acc)
-                total = total.add(acc)
-            m = rot.compose(sdeg).compose(total)
-        elif kind == "Bh":
-            rot = self._matrix_of(lambda k: cyl.hrot(p + 1, q, k),
-                                  p + 1, q, p + 1, q)
-            sdeg = self._matrix_of(lambda k: cyl.hdeg(p, q, p, k),
-                                   p, q, p + 1, q)
-            lam = self._matrix_of(lambda k: cyl.hrot(p, q, k), p, q, p, q)
-            lam = lam.scale(self.field.sign(p))
-            acc = SparseMatrix.identity(self.field, self.cyl.dim(p, q))
-            total = acc
-            for _ in range(p):
-                acc = lam.compose(acc)
-                total = total.add(acc)
-            m = rot.compose(sdeg).compose(total)
-        else:
-            raise ValueError(kind)
-        self._raw[key] = m
-        return m
-
-    def _induced(self, kind, p, q, tp, tq):
-        key = (kind, p, q)
-        if key in self._ops:
-            return self._ops[key]
-        raw = self._raw_matrix(kind, p, q)
-        res = induced_map(raw, self.quotients[(p, q)], self.quotients[(tp, tq)])
-        from ..exactlinalg import NotWellDefined
-        if isinstance(res, NotWellDefined):
-            raise MixedComplexError(
-                f"{kind} not well defined on the normalization at ({p},{q})")
-        self._ops[key] = res
-        return res
+    def _induced(self, kind, raw, n, src, dst):
+        """raw(n), the raw operator from bidegree src to dst, induced."""
+        key = (kind,) + src
+        if key not in self._ops:
+            self._ops[key] = require_descent(
+                induced_map(raw(n), self.quotients[src], self.quotients[dst]),
+                MixedComplexError,
+                f"{kind} not well defined on the normalization at "
+                f"({src[0]},{src[1]})")
+        return self._ops[key]
 
     def vertical_boundary(self, p, q):
-        return self._induced("bv", p, q, p, q - 1)
+        return self._induced("bv", self.cyl.column_module(p).boundary_matrix,
+                             q, (p, q), (p, q - 1))
 
     def horizontal_boundary(self, p, q):
-        return self._induced("bh", p, q, p - 1, q)
+        return self._induced("bh", self.cyl.row_module(q).boundary_matrix,
+                             p, (p, q), (p - 1, q))
 
     def vertical_connes(self, p, q):
-        return self._induced("Bv", p, q, p, q + 1)
+        return self._induced("Bv", self.cyl.column_module(p).sn_matrix,
+                             q, (p, q), (p, q + 1))
 
     def horizontal_connes(self, p, q):
-        return self._induced("Bh", p, q, p + 1, q)
+        return self._induced("Bh", self.cyl.row_module(q).sn_matrix,
+                             p, (p, q), (p + 1, q))
 
     def twist(self, p, q):
         """1 - (bB + Bb) of the vertical pair at (p, q)."""
@@ -554,24 +472,21 @@ class BinormalizedCylinder:
 
     def induced_vertical_twist(self, p, q):
         """The raw vertical rotation to the (q+1)-st power, induced."""
-        cyl = self.cyl
-        rot = self._matrix_of(lambda k: cyl.vrot(p, q, k), p, q, p, q)
-        acc = SparseMatrix.identity(self.field, cyl.dim(p, q))
+        rot = self.cyl.column_module(p).rotate_matrix(q)
+        acc = SparseMatrix.identity(self.field, rot.cols)
         for _ in range(q + 1):
             acc = rot.compose(acc)
-        res = induced_map(acc, self.quotients[(p, q)], self.quotients[(p, q)])
-        from ..exactlinalg import NotWellDefined
-        if isinstance(res, NotWellDefined):
-            raise MixedComplexError(
-                f"vertical twist not well defined at ({p},{q})")
-        return res
+        quotient = self.quotients[(p, q)]
+        return require_descent(
+            induced_map(acc, quotient, quotient), MixedComplexError,
+            f"vertical twist not well defined at ({p},{q})")
 
 
 def _components(n):
     return [(p, n - p) for p in range(n + 1)]
 
 
-def tot_mixed_complex(cyl, max_degree, binorm=None):
+def tot_mixed_complex(cyl, max_degree):
     """The total mixed complex on the binormalized cylinder.
 
     Degree n is the direct sum of the bidegrees with p + q = n (p
@@ -580,7 +495,7 @@ def tot_mixed_complex(cyl, max_degree, binorm=None):
     differential adds the twist-corrected horizontal Connes operator.
     The mixed-complex identities are verified and a failure aborts.
     """
-    bn = binorm or BinormalizedCylinder(cyl, max_degree + 2)
+    bn = BinormalizedCylinder(cyl, max_degree + 2)
     field = cyl.field
 
     def offsets(n):
@@ -602,15 +517,11 @@ def tot_mixed_complex(cyl, max_degree, binorm=None):
         for (p, q) in _components(n):
             co = src_offs[(p, q)]
             if q >= 1:
-                block = bn.vertical_boundary(p, q)
-                ro = dst_offs[(p, q - 1)]
-                for (i, j), c in block.entries.items():
-                    m.entries[(ro + i, co + j)] = c
+                m.add_block(bn.vertical_boundary(p, q),
+                            dst_offs[(p, q - 1)], co)
             if p >= 1:
-                block = bn.horizontal_boundary(p, q).scale(field.sign(q))
-                ro = dst_offs[(p - 1, q)]
-                for (i, j), c in block.entries.items():
-                    m.entries[(ro + i, co + j)] = c
+                m.add_block(bn.horizontal_boundary(p, q),
+                            dst_offs[(p - 1, q)], co, field.sign(q))
         b_mats[n] = m
     for n in range(max_degree + 1):
         src_offs, src_dim = offsets(n)
@@ -618,20 +529,9 @@ def tot_mixed_complex(cyl, max_degree, binorm=None):
         m = SparseMatrix.zero(field, dst_dim, src_dim)
         for (p, q) in _components(n):
             co = src_offs[(p, q)]
-            block = bn.vertical_connes(p, q)
-            ro = dst_offs[(p, q + 1)]
-            for (i, j), c in block.entries.items():
-                m.entries[(ro + i, co + j)] = c
-            block = bn.twist(p + 1, q).compose(
-                bn.horizontal_connes(p, q)).scale(field.sign(q))
-            ro = dst_offs[(p + 1, q)]
-            for (i, j), c in block.entries.items():
-                key = (ro + i, co + j)
-                s = m.entries.get(key, field.zero) + c
-                if s:
-                    m.entries[key] = s
-                elif key in m.entries:
-                    del m.entries[key]
+            m.add_block(bn.vertical_connes(p, q), dst_offs[(p, q + 1)], co)
+            m.add_block(bn.twist(p + 1, q).compose(bn.horizontal_connes(p, q)),
+                        dst_offs[(p + 1, q)], co, field.sign(q))
         B_mats[n] = m
     mx = MixedComplex(field, dims, b_mats, B_mats)
     bad = mx.verify(max_degree)
@@ -663,8 +563,8 @@ def crossed_to_diagonal(cyl, cp, n):
         a_part = flat[0::2]
         g_part = flat[1::2]
         out = {}
-        for coef, legs in _multi_legs(hopf, g_part,
-                                      [i + 2 for i in range(n + 1)]):
+        for coef, legs in hopf.sweedler_product(
+                zip(g_part, range(2, n + 3))):
             g_string = tuple(legs[i][i + 1] for i in range(n + 1))
             avecs = []
             for j in range(n + 1):
@@ -689,8 +589,7 @@ def diagonal_to_crossed(cyl, cp, n):
         gs = src.decode(k)[:n + 1]
         avs = src.decode(k)[n + 1:]
         out = {}
-        for coef, legs in _multi_legs(hopf, gs,
-                                      [i + 2 for i in range(n + 1)]):
+        for coef, legs in hopf.sweedler_product(zip(gs, range(2, n + 3))):
             pieces = []
             for i in range(n + 1):
                 w = hopf.product_of_basis(
@@ -715,22 +614,9 @@ def diagonal_to_crossed(cyl, cp, n):
     return SparseMatrix.from_columns(field, tgt_dim, cols)
 
 
-def _multi_legs(hopf, indices, counts):
-    lists = [hopf.sweedler(i, c) for i, c in zip(indices, counts)]
-    field_one = hopf.field.one
-    for combo in itertools.product(*lists):
-        coef = field_one
-        tups = []
-        for c, t in combo:
-            coef = coef * c
-            tups.append(t)
-        yield coef, tups
-
-
 def check_diagonal_isomorphism(cyl, cp, max_degree):
     """Mutual inverses plus intertwining of every cyclic operator, as
     exact matrix identities; None or a description of the first failure."""
-    from ..cycliccore import AlgebraCyclicModule
     natural = AlgebraCyclicModule(cp.product)
     diag = cyl.diagonal_module()
     for n in range(max_degree + 1):
@@ -741,35 +627,25 @@ def check_diagonal_isomorphism(cyl, cp, max_degree):
         if not phi.compose(psi) == SparseMatrix.identity(cyl.field, phi.rows):
             return f"phi o psi is not the identity in degree {n}"
         # rotation
-        lhs = _matrix_of_module_op(diag, "rotate", n).compose(phi)
-        rhs = phi.compose(_matrix_of_module_op(natural, "rotate", n))
+        lhs = diag.rotate_matrix(n).compose(phi)
+        rhs = phi.compose(natural.rotate_matrix(n))
         if lhs != rhs:
             return f"rotation intertwining fails in degree {n}"
         if n >= 1:
             phi_down = crossed_to_diagonal(cyl, cp, n - 1)
             for i in range(n + 1):
-                lhs = _matrix_of_module_op(diag, "face", n, i).compose(phi)
-                rhs = phi_down.compose(
-                    _matrix_of_module_op(natural, "face", n, i))
+                lhs = diag.face_matrix(n, i).compose(phi)
+                rhs = phi_down.compose(natural.face_matrix(n, i))
                 if lhs != rhs:
                     return f"face {i} intertwining fails in degree {n}"
         if n < max_degree:
             phi_up = crossed_to_diagonal(cyl, cp, n + 1)
             for i in range(n + 1):
-                lhs = _matrix_of_module_op(diag, "degeneracy", n, i).compose(phi)
-                rhs = phi_up.compose(
-                    _matrix_of_module_op(natural, "degeneracy", n, i))
+                lhs = diag.degeneracy_matrix(n, i).compose(phi)
+                rhs = phi_up.compose(natural.degeneracy_matrix(n, i))
                 if lhs != rhs:
                     return f"degeneracy {i} intertwining fails in degree {n}"
     return None
-
-
-def _matrix_of_module_op(module, kind, n, i=None):
-    if kind == "face":
-        return module.face_matrix(n, i)
-    if kind == "degeneracy":
-        return module.degeneracy_matrix(n, i)
-    return module.rotate_matrix(n)
 
 
 # ---------------------------------------------------------------------------
@@ -817,18 +693,14 @@ def shuffle_map(cyl, bn, diag_norm, p, q):
             vec_add_into(out, img, field.sign(inv + p * q))
         cols.append(out)
     raw = SparseMatrix.from_columns(field, cyl.dim(n, n), cols)
-    res = induced_map(raw, src_q, dst_q)
-    from ..exactlinalg import NotWellDefined
-    if isinstance(res, NotWellDefined):
-        raise MixedComplexError(
-            f"shuffle map does not respect normalization at ({p},{q})")
-    return res
+    return require_descent(
+        induced_map(raw, src_q, dst_q), MixedComplexError,
+        f"shuffle map does not respect normalization at ({p},{q})")
 
 
 def check_shuffle_chain_map(cyl, max_degree):
     """Verify that the shuffle map intertwines the total chain
     differential with the diagonal boundary through max_degree."""
-    from ..cycliccore import NormalizedComplex
     bn = BinormalizedCylinder(cyl, max_degree + 2)
     diag = cyl.diagonal_module()
     diag_norm = NormalizedComplex(diag, max_degree + 2)

@@ -343,6 +343,14 @@ class SparseMatrix:
                 out.entries[key] = c
         return out
 
+    def add_block(self, block, row_offset, col_offset, coeff=None):
+        """In place, self += coeff * block, with block's (0, 0) entry at
+        (row_offset, col_offset)."""
+        vec_add_into(self.entries,
+                     {(row_offset + i, col_offset + j): c
+                      for (i, j), c in block.entries.items()}, coeff)
+        self._bycol = None
+
     def scale(self, coeff):
         out = SparseMatrix(self.field, self.rows, self.cols)
         if coeff:
@@ -563,10 +571,6 @@ class QuotientSpace:
 
     def lift(self, coords):
         return {self.free_columns[t]: c for t, c in coords.items() if c}
-
-    def representative_vectors(self):
-        one = self.field.one
-        return [{f: one} for f in self.free_columns]
 
 
 def quotient_space(ambient_dim, denom):

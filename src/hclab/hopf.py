@@ -10,6 +10,7 @@ the long crossed-product formulas downstream mechanical.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import Violation, ground_algebra, group_algebra
@@ -28,9 +29,6 @@ class SweedlerExpansion:
 
     legs: int
     terms: list  # [(coefficient, tuple of basis indices)]
-
-    def sorted_terms(self):
-        return sorted(self.terms, key=lambda t: t[1])
 
 
 class HopfAlgebra:
@@ -101,6 +99,19 @@ class HopfAlgebra:
         result = [(c, t) for t, c in sorted(merged.items(), key=lambda kv: kv[0])]
         self._sweedler_cache[key] = result
         return result
+
+    def sweedler_product(self, factors):
+        """Iterate (coefficient, list of leg tuples) over the product of
+        the iterated coproducts of several basis elements, given as
+        (basis index, legs) pairs."""
+        lists = [self.sweedler(i, legs) for i, legs in factors]
+        for combo in itertools.product(*lists):
+            coef = self.field.one
+            tups = []
+            for c, t in combo:
+                coef = coef * c
+                tups.append(t)
+            yield coef, tups
 
     def sweedler_of_vector(self, vec, legs):
         merged = {}

@@ -23,20 +23,19 @@ from .cycliccore import (
     check_cyclic,
     cyclic_homology_mixed,
     cyclic_homology_of_algebra,
+    degeneracy_quotient,
     mixed_complex_of_cyclic,
+    require_descent,
 )
 from .cylinder.coefficients import (
     BimoduleMq,
     hopf_homology,
     twisted_left_module,
 )
-from .cylinder.core import BinormalizedCylinder, _components
 from .exactlinalg import (
     MathError,
-    NotWellDefined,
     SparseMatrix,
     Subspace,
-    full_quotient,
     induced_map,
     kernel_basis,
     quotient_space,
@@ -59,57 +58,6 @@ class SpectralPage:
         return self.entries[(p, q)]
 
 
-@dataclass
-class FiltrationReport:
-    checked_degrees: int
-    preserving: list                   # operator names mapping F^i into F^i
-    shifting: list                     # operator names mapping F^i into F^(i+1)
-
-    @property
-    def ok(self):
-        return True
-
-
-def filtration_check(cyl, max_degree):
-    """Componentwise bidegree bookkeeping of the four total-complex
-    operator families on the binormalized cylinder.
-
-    The filtration index is the coefficient degree q.  Both parts of the
-    chain differential preserve it (the vertical part lowers it, the
-    horizontal part fixes it), and the horizontal part of the
-    degree-raising differential fixes it too; the vertical Connes
-    operator raises it by exactly one, the shift the cyclic bicomplex
-    absorbs through its column grading.  Any other behaviour aborts.
-    """
-    bn = BinormalizedCylinder(cyl, max_degree + 2)
-    field = cyl.field
-    for n in range(max_degree + 1):
-        for (p, q) in _components(n):
-            checks = []
-            if q >= 1:
-                checks.append(("vertical boundary",
-                               bn.vertical_boundary(p, q), p, q - 1))
-            if p >= 1:
-                checks.append(("horizontal boundary",
-                               bn.horizontal_boundary(p, q), p - 1, q))
-            checks.append(("vertical Connes",
-                           bn.vertical_connes(p, q), p, q + 1))
-            checks.append(("twisted horizontal Connes",
-                           bn.twist(p + 1, q).compose(
-                               bn.horizontal_connes(p, q)), p + 1, q))
-            for name, mat, tp, tq in checks:
-                if mat.rows != bn.dim(tp, tq):
-                    raise SpectralError(
-                        f"{name} at ({p},{q}) does not land in ({tp},{tq})")
-                for k in range(bn.dim(p, q)):
-                    mat.apply({k: field.one})  # must not raise
-    return FiltrationReport(
-        checked_degrees=max_degree,
-        preserving=["vertical boundary", "horizontal boundary",
-                    "twisted horizontal Connes"],
-        shifting=["vertical Connes"])
-
-
 class RowComplexes:
     """Horizontally normalized rows with the vertical operators induced
     across the normalization (they commute with horizontal degeneracies),
@@ -124,63 +72,32 @@ class RowComplexes:
         self._induced = {}
         self._homology = {}
         for q in range(max_q + 1):
+            row = cyl.row_module(q)
             for p in range(max_p + 2):
-                self.quotients[(p, q)] = self._build_quotient(p, q)
-
-    def _build_quotient(self, p, q):
-        cyl = self.cyl
-        if p == 0:
-            return full_quotient(self.field, cyl.dim(0, q))
-        vectors = []
-        for i in range(p):
-            for k in range(cyl.dim(p - 1, q)):
-                vectors.append(cyl.hdeg(p - 1, q, i, k))
-        denom = Subspace.from_vectors(self.field, cyl.dim(p, q), vectors)
-        return quotient_space(cyl.dim(p, q), denom)
-
-    def _matrix(self, fn, p, q, tp, tq):
-        cols = [fn(k) for k in range(self.cyl.dim(p, q))]
-        return SparseMatrix.from_columns(self.field, self.cyl.dim(tp, tq),
-                                         cols)
+                self.quotients[(p, q)] = degeneracy_quotient([(row, p)])
 
     def induced(self, name, p, q):
         """An operator induced on the horizontally normalized spaces."""
         key = (name, p, q)
         if key in self._induced:
             return self._induced[key]
-        cyl = self.cyl
+        column = self.cyl.column_module(p)
         if name == "row_boundary":
-            cols = []
-            for k in range(cyl.dim(p, q)):
-                col = {}
-                for i in range(p + 1):
-                    vec_add_into(col, cyl.hface(p, q, i, k),
-                                 self.field.sign(i))
-                cols.append(col)
-            raw = SparseMatrix.from_columns(self.field, cyl.dim(p - 1, q),
-                                            cols)
-            res = induced_map(raw, self.quotients[(p, q)],
-                              self.quotients[(p - 1, q)])
+            raw, target = self.cyl.row_module(q).boundary_matrix(p), (p - 1, q)
         elif name.startswith("vface_"):
             i = int(name.split("_")[1])
-            raw = self._matrix(lambda k: cyl.vface(p, q, i, k), p, q, p, q - 1)
-            res = induced_map(raw, self.quotients[(p, q)],
-                              self.quotients[(p, q - 1)])
+            raw, target = column.face_matrix(q, i), (p, q - 1)
         elif name.startswith("vdeg_"):
             i = int(name.split("_")[1])
-            raw = self._matrix(lambda k: cyl.vdeg(p, q, i, k), p, q, p, q + 1)
-            res = induced_map(raw, self.quotients[(p, q)],
-                              self.quotients[(p, q + 1)])
+            raw, target = column.degeneracy_matrix(q, i), (p, q + 1)
         elif name == "vrot":
-            raw = self._matrix(lambda k: cyl.vrot(p, q, k), p, q, p, q)
-            res = induced_map(raw, self.quotients[(p, q)],
-                              self.quotients[(p, q)])
+            raw, target = column.rotate_matrix(q), (p, q)
         else:
             raise ValueError(name)
-        if isinstance(res, NotWellDefined):
-            raise SpectralError(
-                f"{name} does not descend to the normalized rows at "
-                f"({p},{q})")
+        res = require_descent(
+            induced_map(raw, self.quotients[(p, q)], self.quotients[target]),
+            SpectralError,
+            f"{name} does not descend to the normalized rows at ({p},{q})")
         self._induced[key] = res
         return res
 
@@ -225,11 +142,9 @@ class RowComplexes:
                 raise SpectralError(
                     f"{name} does not preserve row cycles at ({p},{q})")
         on_kernels = SparseMatrix.from_columns(self.field, ker_dst.dim, cols)
-        res = induced_map(on_kernels, quot_src, quot_dst)
-        if isinstance(res, NotWellDefined):
-            raise SpectralError(
-                f"{name} is not well defined on row homology at ({p},{q})")
-        return res
+        return require_descent(
+            induced_map(on_kernels, quot_src, quot_dst), SpectralError,
+            f"{name} is not well defined on row homology at ({p},{q})")
 
 
 def compute_E1(cyl, max_p, max_q):

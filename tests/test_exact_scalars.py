@@ -3,8 +3,9 @@
 Over Q a scalar is an `int` when it is integral and a `Fraction` when it
 is not; over F_p it is an `FpScalar`.  A true division of two ints would
 silently produce a float, so these tests walk every operator the spectral
-pipeline materializes and check the type of every entry, and run a
-scenario whose cocycle takes non-integral values through every layer.
+pipeline materializes, raw and induced, and check the type of every
+entry, and run a scenario whose cocycle takes non-integral values
+through every layer.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 
 from hclab.algebra import FiniteGroup
 from hclab.cli import emit_report, parse_scenario, run_command
-from hclab.cycliccore import MixedComplex
+from hclab.cycliccore import MixedComplex, ParacyclicModule
 from hclab.cylinder.core import BinormalizedCylinder
 from hclab.exactlinalg import FpScalar
 from hclab.spectral import RowComplexes
@@ -26,28 +27,44 @@ def read(name):
     return (SCENARIOS / name).read_text()
 
 
+# every raw operator matrix is built by one of these
+RAW_MATRICES = ("boundary_matrix", "face_matrix", "degeneracy_matrix",
+                "rotate_matrix", "sn_matrix")
+
+
 @pytest.fixture
 def built_instances(monkeypatch):
     """Every BinormalizedCylinder, RowComplexes and MixedComplex built
-    while the fixture is active, by class."""
-    made = {BinormalizedCylinder: [], RowComplexes: [], MixedComplex: []}
-    for cls, instances in made.items():
+    while the fixture is active, by class, and under "raw" every matrix
+    a ParacyclicModule method in RAW_MATRICES returned, with its label."""
+    made = {BinormalizedCylinder: [], RowComplexes: [], MixedComplex: [],
+            "raw": []}
+    for cls in (BinormalizedCylinder, RowComplexes, MixedComplex):
         original = cls.__init__
 
-        def init(self, *args, _original=original, _instances=instances,
+        def init(self, *args, _original=original, _instances=made[cls],
                  **kwargs):
             _original(self, *args, **kwargs)
             _instances.append(self)
 
         monkeypatch.setattr(cls, "__init__", init)
+    for name in RAW_MATRICES:
+        original = getattr(ParacyclicModule, name)
+
+        def record(self, *args, _original=original, _name=name):
+            m = _original(self, *args)
+            made["raw"].append((f"raw {type(self).__name__}.{_name}{args}",
+                                m))
+            return m
+
+        monkeypatch.setattr(ParacyclicModule, name, record)
     return made
 
 
 def operator_matrices(made):
     """(label, SparseMatrix) for every operator the instances hold."""
+    yield from made["raw"]
     for bn in made[BinormalizedCylinder]:
-        for key, m in bn._raw.items():
-            yield f"raw {key}", m
         for key, m in bn._ops.items():
             yield f"induced {key}", m
     for mx in made[MixedComplex]:
@@ -61,7 +78,7 @@ def operator_matrices(made):
 
 
 def assert_exact_entries(made, exact_types):
-    counts = {cls: len(instances) for cls, instances in made.items()}
+    counts = {kind: len(found) for kind, found in made.items()}
     checked = 0
     for label, m in operator_matrices(made):
         for c in m.entries.values():
@@ -90,6 +107,7 @@ def test_hc_operators_have_exact_entries_over_f3(built_instances):
     assert run_command("hc", scenario).passed
     counts = assert_exact_entries(built_instances, (FpScalar,))
     assert counts[BinormalizedCylinder] and counts[MixedComplex], counts
+    assert counts["raw"], counts
 
 
 def cohomologous_s2_values():

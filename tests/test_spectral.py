@@ -18,7 +18,6 @@ from hclab.spectral import (
     collapse_check,
     compute_E1,
     compute_E2,
-    filtration_check,
     induced_column_cyclic,
     invariant_complex_N0,
 )
@@ -59,13 +58,6 @@ def cylinder_s5():
     act = ActionMap(h, a, [[{0: QQ.one}, {1: QQ.one}],
                            [{0: QQ.one}, {1: QQ.of(-1)}]])
     return build_cylinder(h, act, trivial_cocycle(h))
-
-
-@pytest.mark.parametrize("factory", [cylinder_s1, cylinder_s2])
-def test_filtration_check(factory):
-    rep = filtration_check(factory(), 2)
-    assert rep.ok
-    assert rep.shifting == ["vertical Connes"]
 
 
 @pytest.mark.parametrize("factory", [cylinder_s1, cylinder_s2, cylinder_s3])
