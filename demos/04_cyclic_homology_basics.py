@@ -13,8 +13,8 @@ from hclab.algebra import (
     matrix_algebra, product_algebra,
 )
 from hclab.cycliccore import (
-    AlgebraCyclicModule, check_cyclic, cyclic_homology_of_algebra,
-    hochschild_homology_of_algebra, mixed_complex_of_cyclic, normalize,
+    AlgebraCyclicModule, NormalizedComplex, check_cyclic,
+    cyclic_homology_of_algebra, hochschild_homology, mixed_complex_of_cyclic,
 )
 
 qc2 = group_algebra(QQ, FiniteGroup.cyclic(2))
@@ -22,7 +22,7 @@ module = AlgebraCyclicModule(qc2)
 print("cyclic-module relations through degree 3:",
       check_cyclic(module, 3) is None)
 
-norm = normalize(module, 4)
+norm = NormalizedComplex(module, 4)
 print("normalized dimensions of Q[C2]:", norm.dims)
 
 mx = mixed_complex_of_cyclic(module, 3)
@@ -32,7 +32,7 @@ for label, algebra in [("Q", ground_algebra(QQ)),
                        ("Q[C2]", qc2),
                        ("M_2(Q)", matrix_algebra(QQ, 2)),
                        ("Q[x]/(x^2)", dual_numbers(QQ))]:
-    hh = hochschild_homology_of_algebra(algebra, 2)
+    hh = hochschild_homology(AlgebraCyclicModule(algebra), 2)
     hc = cyclic_homology_of_algebra(algebra, 2)
     print(f"{label:12s} HH = {hh.dims}   HC = {hc.dims}")
 

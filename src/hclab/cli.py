@@ -388,6 +388,11 @@ class Report:
     def add_check(self, name, ok, detail=""):
         self.checks.append((name, bool(ok), detail))
 
+    def add_violation(self, name, bad):
+        """The check line of a validator that returns None when the check
+        passes and its first violation otherwise, named in the detail."""
+        self.add_check(name, bad is None, "" if bad is None else str(bad))
+
     @property
     def passed(self):
         return all(ok for _, ok, _ in self.checks)
@@ -482,37 +487,34 @@ def _run_page(report, check_name, compute):
 
 def _run_verify(built, cyl, report):
     scenario = built.scenario
-    report.add_check("Hopf axioms", validate_hopf(built.hopf) is None)
+    report.add_violation("Hopf axioms", validate_hopf(built.hopf))
     report.add_check("cocommutativity", is_cocommutative(built.hopf))
-    bad = validate_weak_action(built.action)
-    report.add_check("weak action axioms", bad is None,
-                     "" if bad is None else str(bad))
-    bad = validate_cocycle(built.cocycle, built.action)
-    report.add_check("cocycle conditions and convolution inverse",
-                     bad is None, "" if bad is None else str(bad))
-    upgraded = verify_action_upgrade(built.action, built.cocycle)
-    report.add_check("module action upgrade", upgraded is None)
+    report.add_violation("weak action axioms",
+                         validate_weak_action(built.action))
+    report.add_violation("cocycle conditions and convolution inverse",
+                         validate_cocycle(built.cocycle, built.action))
+    report.add_violation("module action upgrade",
+                         verify_action_upgrade(built.action, built.cocycle))
     try:
         build_crossed_product(built.action, built.cocycle)
         report.add_check("crossed product associativity revalidated", True)
     except MathError as exc:
         report.add_check("crossed product associativity revalidated",
                          False, str(exc))
-    bad = check_cylindrical(cyl, scenario.max_p, scenario.max_q)
-    report.add_check(
+    report.add_violation(
         f"cylinder identities through ({scenario.max_p},{scenario.max_q})",
-        bad is None, "" if bad is None else str(bad))
+        check_cylindrical(cyl, scenario.max_p, scenario.max_q))
     try:
         tot_mixed_complex(cyl, scenario.max_degree)
         report.add_check("total mixed complex identities", True)
     except MathError as exc:
         report.add_check("total mixed complex identities", False, str(exc))
     ts = twisted_scalar_algebra(built.cocycle)
-    bad = check_row_identification(cyl, ts, 0, min(scenario.max_p, 2))
-    report.add_check("row = Hochschild complex of the twisted algebra",
-                     bad is None, "" if bad is None else str(bad))
-    bad = check_coefficient_action(cyl, 0)
-    report.add_check("coefficient action closed form", bad is None)
+    report.add_violation(
+        "row = Hochschild complex of the twisted algebra",
+        check_row_identification(cyl, ts, 0, min(scenario.max_p, 2)))
+    report.add_violation("coefficient action closed form",
+                         check_coefficient_action(cyl, 0))
 
 
 def _run_hc(built, cyl, report):

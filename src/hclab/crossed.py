@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .algebra import FinDimAlgebra, Violation, ground_algebra
 from .exactlinalg import (
-    MathError, SparseMatrix, exact_div, solve_linear, vec_add_into)
+    MathError, SparseMatrix, add_term, exact_div, expand, solve_linear,
+    vec_add_into)
 from .hopf import is_cocommutative
 
 
@@ -173,14 +174,7 @@ def convolution_inverse(hopf, values):
             row = {}
             for ch, (h1, h2) in hlegs:
                 for cl, (l1, l2) in llegs:
-                    c = ch * cl * values[h1][l1]
-                    if c:
-                        key = h2 * d + l2
-                        s = row.get(key, field.zero) + c
-                        if s:
-                            row[key] = s
-                        elif key in row:
-                            del row[key]
+                    add_term(row, h2 * d + l2, ch * cl * values[h1][l1])
             rows.append(row)
             target = hopf.counit[h] * hopf.counit[l]
             if target:
@@ -342,14 +336,9 @@ def build_crossed_product(act, coc, check=True):
                             if not w:
                                 continue
                             h_part = hopf.algebra.multiply_basis(h3, l2)
-                            for ai, ca in a_part.items():
-                                for hi, chh in h_part.items():
-                                    key = ai * dH + hi
-                                    s = out.get(key, field.zero) + w * ca * chh
-                                    if s:
-                                        out[key] = s
-                                    elif key in out:
-                                        del out[key]
+                            for (ai, hi), c in expand(
+                                    w, [a_part, h_part]).items():
+                                add_term(out, ai * dH + hi, c)
                     table[a * dH + h][b * dH + l] = out
     unit = {}
     for a, ca in alg.unit.items():
@@ -374,14 +363,8 @@ def smash_product_table_entry(act, a, h, b, l):
         hb = act.apply_basis(h1, b)
         a_part = alg.multiply({a: field.one}, hb)
         h_part = hopf.algebra.multiply_basis(h2, l)
-        for ai, ca in a_part.items():
-            for hi, chh in h_part.items():
-                key = ai * dH + hi
-                s = out.get(key, field.zero) + ch * ca * chh
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+        for (ai, hi), c in expand(ch, [a_part, h_part]).items():
+            add_term(out, ai * dH + hi, c)
     return out
 
 

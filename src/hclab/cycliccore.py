@@ -132,11 +132,6 @@ class ParacyclicModule:
     def rotate_available(self, n):
         return n >= 0
 
-    # -- vector-level application ------------------------------------------
-
-    def rotate_vec(self, n, vec):
-        return apply_linear(self.rotate, vec, n)
-
     # -- materialized matrices ---------------------------------------------
 
     def face_matrix(self, n, i):
@@ -510,11 +505,6 @@ class NormalizedComplex:
         return self._connes[n]
 
 
-def normalize(module, max_degree):
-    """The normalized complex of a (para)cyclic module."""
-    return NormalizedComplex(module, max_degree)
-
-
 def hochschild_homology(module, max_degree):
     """Dimensions of ker b / im b on the normalized complex."""
     norm = module if isinstance(module, NormalizedComplex) else \
@@ -633,8 +623,3 @@ def cyclic_homology_of_algebra(algebra, max_degree, cap=None):
     module = AlgebraCyclicModule(algebra, cap=cap)
     mx = mixed_complex_of_cyclic(module, max_degree + 1)
     return cyclic_homology_mixed(mx, max_degree)
-
-
-def hochschild_homology_of_algebra(algebra, max_degree, cap=None):
-    module = AlgebraCyclicModule(algebra, cap=cap)
-    return hochschild_homology(module, max_degree)

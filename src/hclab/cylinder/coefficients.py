@@ -13,7 +13,8 @@ homology with those twisted coefficients.
 from __future__ import annotations
 
 from ..cycliccore import HomologyReport, ParacyclicModule, TensorSpace
-from ..exactlinalg import MathError, SparseMatrix, mat_rank, vec_add_into
+from ..exactlinalg import (
+    MathError, SparseMatrix, add_term, expand, mat_rank, vec_add_into)
 
 
 class ModuleLawError(MathError):
@@ -80,10 +81,11 @@ class BimoduleMq(CoefficientBimodule):
                 if not w:
                     continue
                 head = self.hopf.algebra.multiply_basis(l[q + 1], g1)
-                acted = [self.cyl.action.apply_basis(l[j], avs[j])
-                         for j in range(q + 1)]
+                acted = tuple(self.cyl.action.apply_basis(l[j], avs[j])
+                              for j in range(q + 1))
                 for t, ct in head.items():
-                    self.cyl._emit(out, self.space, w * ct, (t,), acted)
+                    for term, c in expand(w * ct, (t,) + acted).items():
+                        add_term(out, self.space.encode(term), c)
         self._left_cache[key] = out
         return out
 
@@ -101,7 +103,7 @@ class BimoduleMq(CoefficientBimodule):
                     continue
                 head = self.hopf.algebra.multiply_basis(g1, h1)
                 for t, ct in head.items():
-                    self.cyl._emit(out, self.space, w * ct, (t,) + avs, ())
+                    add_term(out, self.space.encode((t,) + avs), w * ct)
         self._right_cache[key] = out
         return out
 
@@ -169,25 +171,16 @@ class HochschildComplex(ParacyclicModule):
         if i == 0:
             img = self.bimodule.right(m, hs[0])
             for mm, c in img.items():
-                _acc(out, dst.encode((mm,) + hs[1:]), c)
+                add_term(out, dst.encode((mm,) + hs[1:]), c)
         elif i < p:
             prod = self.ring.multiply_basis(hs[i - 1], hs[i])
             for t, c in prod.items():
-                _acc(out, dst.encode((m,) + hs[:i - 1] + (t,) + hs[i + 1:]), c)
+                add_term(out, dst.encode((m,) + hs[:i - 1] + (t,) + hs[i + 1:]), c)
         else:
             img = self.bimodule.left(hs[p - 1], m)
             for mm, c in img.items():
-                _acc(out, dst.encode((mm,) + hs[:p - 1]), c)
+                add_term(out, dst.encode((mm,) + hs[:p - 1]), c)
         return out
-
-
-def _acc(out, key, c):
-    s = out.get(key)
-    s = c if s is None else s + c
-    if s:
-        out[key] = s
-    elif key in out:
-        del out[key]
 
 
 def check_row_identification(cyl, twisted_algebra, q, max_p):
@@ -214,7 +207,7 @@ def check_row_identification(cyl, twisted_algebra, q, max_p):
                     tup = cyl.space(p - 1, q).decode(kk)
                     gs, avs = tup[:p], tup[p:]
                     m = bim.space.encode((gs[0],) + avs)
-                    _acc(lhs, hc.space(p - 1).encode((m,) + gs[1:]), c)
+                    add_term(lhs, hc.space(p - 1).encode((m,) + gs[1:]), c)
                 rhs = hc.face(p, i, reindex(k))
                 if lhs != rhs:
                     return (f"face {i} disagrees at row {q}, degree {p}, "
@@ -319,17 +312,15 @@ class HopfComplex(ParacyclicModule):
         hs, m = tup[:p], tup[p]
         out = {}
         if i == 0:
-            c = self.hopf.counit[hs[0]]
-            if c:
-                _acc(out, dst.encode(hs[1:] + (m,)), c)
+            add_term(out, dst.encode(hs[1:] + (m,)), self.hopf.counit[hs[0]])
         elif i < p:
             prod = self.hopf.algebra.multiply_basis(hs[i - 1], hs[i])
             for t, c in prod.items():
-                _acc(out, dst.encode(hs[:i - 1] + (t,) + hs[i + 1:] + (m,)), c)
+                add_term(out, dst.encode(hs[:i - 1] + (t,) + hs[i + 1:] + (m,)), c)
         else:
             img = self.act(hs[p - 1], m)
             for mm, c in img.items():
-                _acc(out, dst.encode(hs[:p - 1] + (mm,)), c)
+                add_term(out, dst.encode(hs[:p - 1] + (mm,)), c)
         return out
 
 
@@ -377,7 +368,7 @@ def hochschild_to_hopf(bimodule, p):
                 mv = bimodule.right_vec(mv, {l1: field.one})
             second = tuple(l2 for (_l1, l2) in legs)
             for mm, c in mv.items():
-                _acc(out, dst.encode(second + (mm,)), coef * c)
+                add_term(out, dst.encode(second + (mm,)), coef * c)
         cols.append(out)
     return SparseMatrix.from_columns(field, dst.size, cols)
 
@@ -410,7 +401,7 @@ def hopf_to_hochschild(bimodule, p):
                 mv = bimodule.right_vec(mv, hopf.antipode[l1])
             fourth = tuple(l4 for (_l1, _l2, _l3, l4) in legs)
             for mm, c in mv.items():
-                _acc(out, dst.encode((mm,) + fourth), w * c)
+                add_term(out, dst.encode((mm,) + fourth), w * c)
         cols.append(out)
     return SparseMatrix.from_columns(field, dst.size, cols)
 
@@ -482,10 +473,11 @@ def coefficient_action_matrix(cyl, q):
                     head = hopf.algebra.multiply(
                         hopf.algebra.multiply_basis(l[q + 7], g3),
                         hopf.antipode[l[0]])
-                    acted = [cyl.action.apply_basis(l[4 + j], avs[j])
-                             for j in range(q + 1)]
+                    acted = tuple(cyl.action.apply_basis(l[4 + j], avs[j])
+                                  for j in range(q + 1))
                     for t, ct in head.items():
-                        cyl._emit(out, bim.space, w * ct, (t,), acted)
+                        for term, c in expand(w * ct, (t,) + acted).items():
+                            add_term(out, bim.space.encode(term), c)
             cols.append(out)
         mats.append(SparseMatrix.from_columns(field, bim.dim, cols))
     return mats

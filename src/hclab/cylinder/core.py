@@ -38,7 +38,9 @@ from ..cycliccore import (
 from ..exactlinalg import (
     MathError,
     SparseMatrix,
+    add_term,
     check_dimension_cap,
+    expand,
     induced_map,
     vec_add_into,
 )
@@ -82,39 +84,6 @@ class HopfCrossedCylinder:
         tup = self.space(p, q).decode(k)
         return tup[:p + 1], tup[p + 1:]
 
-    # -- small helpers -------------------------------------------------------
-
-    def _emit(self, out, space, coef, gs, avecs_or_tuple):
-        """Accumulate coef * (gs | a-part) where the a-part may be a plain
-        tuple or a list of sparse vectors to be expanded multilinearly."""
-        if isinstance(avecs_or_tuple, tuple):
-            key = space.encode(gs + avecs_or_tuple)
-            s = out.get(key)
-            s = coef if s is None else s + coef
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-            return
-        partial = [(coef, ())]
-        for piece in avecs_or_tuple:
-            if isinstance(piece, int):
-                partial = [(c, t + (piece,)) for c, t in partial]
-                continue
-            nxt = []
-            for c, t in partial:
-                for b, cb in piece.items():
-                    nxt.append((c * cb, t + (b,)))
-            partial = nxt
-        for c, t in partial:
-            key = space.encode(gs + t)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-
     # -- vertical family (coefficient direction, degree q) --------------------
 
     def vface(self, p, q, i, k):
@@ -128,7 +97,7 @@ class HopfCrossedCylinder:
         out = {}
         prod = self.algebra.multiply_basis(avs[i], avs[i + 1])
         for t, c in prod.items():
-            self._emit(out, tgt, c, gs, avs[:i] + (t,) + avs[i + 2:])
+            add_term(out, tgt.encode(gs + avs[:i] + (t,) + avs[i + 2:]), c)
         return out
 
     def vface_last_direct(self, p, q, k):
@@ -143,7 +112,8 @@ class HopfCrossedCylinder:
             w = self.action.apply(su, {avs[q]: self.field.one})
             wa0 = self.algebra.multiply(w, {avs[0]: self.field.one})
             g2 = tuple(t[1] for t in legs)
-            self._emit(out, tgt, coef, g2, [wa0] + list(avs[1:q]))
+            for t, c in expand(coef, g2 + (wa0,) + avs[1:q]).items():
+                add_term(out, tgt.encode(t), c)
         return out
 
     def vdeg(self, p, q, i, k):
@@ -151,7 +121,8 @@ class HopfCrossedCylinder:
         tgt = self.space(p, q + 1)
         out = {}
         for u, cu in self.algebra.unit.items():
-            self._emit(out, tgt, cu, gs, avs[:i + 1] + (u,) + avs[i + 1:])
+            add_term(out, tgt.encode(gs + avs[:i + 1] + (u,) + avs[i + 1:]),
+                     cu)
         return out
 
     def vrot(self, p, q, k):
@@ -163,7 +134,8 @@ class HopfCrossedCylinder:
             su = self.hopf.antipode_of(u)
             w = self.action.apply(su, {avs[q]: self.field.one})
             g2 = tuple(t[1] for t in legs)
-            self._emit(out, tgt, coef, g2, [w] + list(avs[:q]))
+            for t, c in expand(coef, g2 + (w,) + avs[:q]).items():
+                add_term(out, tgt.encode(t), c)
         return out
 
     # -- horizontal family (Hopf direction, degree p) -------------------------
@@ -183,8 +155,8 @@ class HopfCrossedCylinder:
                     continue
                 prod = self.hopf.algebra.multiply_basis(x1, y1)
                 for t, ct in prod.items():
-                    self._emit(out, tgt, w * ct,
-                               gs[:i] + (t,) + gs[i + 2:], avs)
+                    add_term(out, tgt.encode(gs[:i] + (t,) + gs[i + 2:] + avs),
+                             w * ct)
         return out
 
     def hface_last_direct(self, p, q, k):
@@ -199,11 +171,12 @@ class HopfCrossedCylinder:
                 if not w:
                     continue
                 head = self.hopf.algebra.multiply_basis(m[q + 1], y1)
-                acted = [self.action.apply_basis(m[j], avs[j])
-                         for j in range(q + 1)]
+                acted = tuple(self.action.apply_basis(m[j], avs[j])
+                              for j in range(q + 1))
                 for t, ct in head.items():
-                    self._emit(out, tgt, w * ct,
-                               (t,) + gs[1:p], acted)
+                    for term, c in expand(w * ct,
+                                          (t,) + gs[1:p] + acted).items():
+                        add_term(out, tgt.encode(term), c)
         return out
 
     def hdeg(self, p, q, i, k):
@@ -211,7 +184,8 @@ class HopfCrossedCylinder:
         tgt = self.space(p + 1, q)
         out = {}
         for u, cu in self.hopf.algebra.unit.items():
-            self._emit(out, tgt, cu, gs[:i + 1] + (u,) + gs[i + 1:], avs)
+            add_term(out, tgt.encode(gs[:i + 1] + (u,) + gs[i + 1:] + avs),
+                     cu)
         return out
 
     def hrot(self, p, q, k):
@@ -219,9 +193,10 @@ class HopfCrossedCylinder:
         tgt = self.space(p, q)
         out = {}
         for c0, m in self.hopf.sweedler(gs[p], q + 2):
-            acted = [self.action.apply_basis(m[j], avs[j])
-                     for j in range(q + 1)]
-            self._emit(out, tgt, c0, (m[q + 1],) + gs[:p], acted)
+            acted = tuple(self.action.apply_basis(m[j], avs[j])
+                          for j in range(q + 1))
+            for t, c in expand(c0, (m[q + 1],) + gs[:p] + acted).items():
+                add_term(out, tgt.encode(t), c)
         return out
 
     # -- adapters ------------------------------------------------------------
@@ -572,7 +547,8 @@ def crossed_to_diagonal(cyl, cp, n):
                     [legs[m][m - j] for m in range(j, n + 1)])
                 su = hopf.antipode_of(u)
                 avecs.append(cyl.action.apply(su, {a_part[j]: field.one}))
-            cyl._emit(out, tgt, coef, g_string, avecs)
+            for t, c in expand(coef, g_string + tuple(avecs)).items():
+                add_term(out, tgt.encode(t), c)
         cols.append(out)
     return SparseMatrix.from_columns(field, tgt.size, cols)
 
@@ -590,26 +566,14 @@ def diagonal_to_crossed(cyl, cp, n):
         avs = src.decode(k)[n + 1:]
         out = {}
         for coef, legs in hopf.sweedler_product(zip(gs, range(2, n + 3))):
-            pieces = []
+            slots = []   # a_i, g_i, a_(i+1), ...: the crossed product's slots
             for i in range(n + 1):
                 w = hopf.product_of_basis(
                     [legs[m][i] for m in range(i, n + 1)])
-                pieces.append(cyl.action.apply(w, {avs[i]: field.one}))
-            partial = [(coef, ())]
-            for i in range(n + 1):
-                nxt = []
-                hleg = legs[i][i + 1]
-                for c, t in partial:
-                    for b, cb in pieces[i].items():
-                        nxt.append((c * cb, t + (b, hleg)))
-                partial = nxt
-            for c, t in partial:
-                key = pair.encode(t)
-                s = out.get(key, field.zero) + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                slots.append(cyl.action.apply(w, {avs[i]: field.one}))
+                slots.append(legs[i][i + 1])
+            for t, c in expand(coef, slots).items():
+                add_term(out, pair.encode(t), c)
         cols.append(out)
     return SparseMatrix.from_columns(field, tgt_dim, cols)
 

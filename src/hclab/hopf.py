@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import Violation, ground_algebra, group_algebra
 from .exactlinalg import (
-    SparseMatrix, kernel_basis, solve_linear, vec_add_into,
+    SparseMatrix, add_term, expand, kernel_basis, solve_linear, vec_add_into,
 )
 
 
@@ -29,6 +29,12 @@ class SweedlerExpansion:
 
     legs: int
     terms: list  # [(coefficient, tuple of basis indices)]
+
+
+def _sorted_terms(merged):
+    """A sparse vector keyed by leg tuples as a (coefficient, legs) term
+    list in increasing leg order."""
+    return [(c, t) for t, c in sorted(merged.items())]
 
 
 class HopfAlgebra:
@@ -78,25 +84,14 @@ class HopfAlgebra:
         if cached is not None:
             return cached
         if legs == 1:
-            terms = [(self.field.one, (basis_index,))]
+            merged = {(basis_index,): self.field.one}
         else:
             # split the first leg: legs-fold = (coproduct x 1) o (legs-1)-fold
-            prev = self.sweedler(basis_index, legs - 1)
-            terms = []
-            for coeff, tup in prev:
+            merged = {}
+            for coeff, tup in self.sweedler(basis_index, legs - 1):
                 for (a, b), c in self.coproduct[tup[0]].items():
-                    terms.append((coeff * c, (a, b) + tup[1:]))
-        merged = {}
-        for coeff, tup in terms:
-            if tup in merged:
-                s = merged[tup] + coeff
-                if s:
-                    merged[tup] = s
-                else:
-                    del merged[tup]
-            elif coeff:
-                merged[tup] = coeff
-        result = [(c, t) for t, c in sorted(merged.items(), key=lambda kv: kv[0])]
+                    add_term(merged, (a, b) + tup[1:], coeff * c)
+        result = _sorted_terms(merged)
         self._sweedler_cache[key] = result
         return result
 
@@ -117,16 +112,8 @@ class HopfAlgebra:
         merged = {}
         for i, x in vec.items():
             for coeff, tup in self.sweedler(i, legs):
-                c = x * coeff
-                if tup in merged:
-                    s = merged[tup] + c
-                    if s:
-                        merged[tup] = s
-                    else:
-                        del merged[tup]
-                elif c:
-                    merged[tup] = c
-        return [(c, t) for t, c in sorted(merged.items(), key=lambda kv: kv[0])]
+                add_term(merged, tup, x * coeff)
+        return _sorted_terms(merged)
 
     def __repr__(self):
         return f"HopfAlgebra(dim={self.dim}, field={self.field})"
@@ -143,43 +130,18 @@ def counit_collapse(hopf, expansion, leg):
     """Apply the counit to one leg of an expansion (one fewer leg)."""
     merged = {}
     for coeff, tup in expansion.terms:
-        c = coeff * hopf.counit[tup[leg]]
-        rest = tup[:leg] + tup[leg + 1:]
-        if rest in merged:
-            s = merged[rest] + c
-            if s:
-                merged[rest] = s
-            else:
-                del merged[rest]
-        elif c:
-            merged[rest] = c
-    return SweedlerExpansion(
-        expansion.legs - 1,
-        [(c, t) for t, c in sorted(merged.items(), key=lambda kv: kv[0])])
+        add_term(merged, tup[:leg] + tup[leg + 1:],
+                 coeff * hopf.counit[tup[leg]])
+    return SweedlerExpansion(expansion.legs - 1, _sorted_terms(merged))
 
 
 def _tensor_square_product(hopf, u, v):
     """Product in H (x) H of two sparse tensor-square vectors."""
+    mul = hopf.algebra.multiply_basis
     out = {}
     for (a1, b1), c1 in u.items():
         for (a2, b2), c2 in v.items():
-            coeff = c1 * c2
-            left = hopf.algebra.multiply_basis(a1, a2)
-            right = hopf.algebra.multiply_basis(b1, b2)
-            for la, ca in left.items():
-                for rb, cb in right.items():
-                    key = (la, rb)
-                    s = out.get(key)
-                    c = coeff * ca * cb
-                    if s is None:
-                        if c:
-                            out[key] = c
-                    else:
-                        s = s + c
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
+            vec_add_into(out, expand(c1 * c2, [mul(a1, a2), mul(b1, b2)]))
     return out
 
 
@@ -194,24 +156,12 @@ def validate_hopf(hopf):
 
     # coassociativity per basis vector
     for i in range(hopf.dim):
-        left = {}
+        left, right = {}, {}
         for (a, b), c in hopf.coproduct[i].items():
             for (a1, a2), c2 in hopf.coproduct[a].items():
-                key = (a1, a2, b)
-                s = left.get(key, field.zero) + c * c2
-                if s:
-                    left[key] = s
-                elif key in left:
-                    del left[key]
-        right = {}
-        for (a, b), c in hopf.coproduct[i].items():
+                add_term(left, (a1, a2, b), c * c2)
             for (b1, b2), c2 in hopf.coproduct[b].items():
-                key = (a, b1, b2)
-                s = right.get(key, field.zero) + c * c2
-                if s:
-                    right[key] = s
-                elif key in right:
-                    del right[key]
+                add_term(right, (a, b1, b2), c * c2)
         if left != right:
             return Violation("coassociativity", (i,))
 
@@ -219,8 +169,8 @@ def validate_hopf(hopf):
     for i in range(hopf.dim):
         left, right = {}, {}
         for (a, b), c in hopf.coproduct[i].items():
-            vec_add_into(left, {b: c * hopf.counit[a]})
-            vec_add_into(right, {a: c * hopf.counit[b]})
+            add_term(left, b, c * hopf.counit[a])
+            add_term(right, a, c * hopf.counit[b])
         e = {i: field.one}
         if left != e:
             return Violation("counit law (left)", (i,))
@@ -228,20 +178,10 @@ def validate_hopf(hopf):
             return Violation("counit law (right)", (i,))
 
     # coproduct and counit are algebra maps
-    unit_tensor = {}
-    for a, ca in alg.unit.items():
-        for b, cb in alg.unit.items():
-            if ca * cb:
-                unit_tensor[(a, b)] = ca * cb
     cop_unit = {}
     for i, c in alg.unit.items():
-        for key, c2 in hopf.coproduct[i].items():
-            s = cop_unit.get(key, field.zero) + c * c2
-            if s:
-                cop_unit[key] = s
-            elif key in cop_unit:
-                del cop_unit[key]
-    if cop_unit != unit_tensor:
+        vec_add_into(cop_unit, hopf.coproduct[i], c)
+    if cop_unit != expand(field.one, [alg.unit, alg.unit]):
         return Violation("coproduct of the unit", ())
     if hopf.counit_of(alg.unit) != field.one:
         return Violation("counit of the unit", ())
@@ -250,12 +190,7 @@ def validate_hopf(hopf):
             prod = alg.multiply_basis(i, j)
             lhs = {}
             for k, c in prod.items():
-                for key, c2 in hopf.coproduct[k].items():
-                    s = lhs.get(key, field.zero) + c * c2
-                    if s:
-                        lhs[key] = s
-                    elif key in lhs:
-                        del lhs[key]
+                vec_add_into(lhs, hopf.coproduct[k], c)
             rhs = _tensor_square_product(hopf, hopf.coproduct[i], hopf.coproduct[j])
             if lhs != rhs:
                 return Violation("coproduct is an algebra map", (i, j))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .crossed import build_crossed_product
 from .cycliccore import (
     MatrixParacyclicModule,
+    apply_linear,
     check_cyclic,
     cyclic_homology_mixed,
     cyclic_homology_of_algebra,
@@ -34,12 +35,12 @@ from .cylinder.coefficients import (
 )
 from .exactlinalg import (
     MathError,
+    NotInSubspace,
     SparseMatrix,
     Subspace,
     induced_map,
     kernel_basis,
     quotient_space,
-    vec_add_into,
 )
 from .hopf import find_normalized_integral, is_semisimple
 
@@ -132,16 +133,9 @@ class RowComplexes:
         verified (kernel preservation, then quotient well-definedness)."""
         ker_src, quot_src = self.homology(p, q)
         ker_dst, quot_dst = self.homology(p, tq)
-        mat = self.induced(name, p, q)
-        cols = []
-        for row in ker_src.rows:
-            img = mat.apply(row)
-            try:
-                cols.append(ker_dst.coords_of(img))
-            except Exception:
-                raise SpectralError(
-                    f"{name} does not preserve row cycles at ({p},{q})")
-        on_kernels = SparseMatrix.from_columns(self.field, ker_dst.dim, cols)
+        on_kernels = _map_rows(
+            ker_src, ker_dst, self.induced(name, p, q).apply,
+            f"{name} does not preserve row cycles at ({p},{q})")
         return require_descent(
             induced_map(on_kernels, quot_src, quot_dst), SpectralError,
             f"{name} is not well defined on row homology at ({p},{q})")
@@ -270,20 +264,23 @@ def invariant_complex_N0(cyl, max_q):
                 raise SpectralError(
                     f"averaging does not fix an invariant in degree {q}")
 
+    def restrict(op, q, tq, what, *index):
+        """A vertical operator of column 0 restricted to invariants."""
+        return _map_rows(
+            subspaces[q], subspaces[tq],
+            lambda vec: apply_linear(op, vec, 0, q, *index),
+            f"vertical {what} does not preserve invariants in degree {q}")
+
     faces, degens, rots = {}, {}, {}
     for q in range(max_q + 1):
-        rots[q] = _restrict(cyl, subspaces, q, q,
-                            lambda k: cyl.vrot(0, q, k), "rotation")
+        rots[q] = restrict(cyl.vrot, q, q, "rotation")
         if q >= 1:
             for i in range(q + 1):
-                faces[(q, i)] = _restrict(
-                    cyl, subspaces, q, q - 1,
-                    lambda k, i=i: cyl.vface(0, q, i, k), f"face {i}")
+                faces[(q, i)] = restrict(cyl.vface, q, q - 1, f"face {i}", i)
         if q < max_q:
             for i in range(q + 1):
-                degens[(q, i)] = _restrict(
-                    cyl, subspaces, q, q + 1,
-                    lambda k, i=i: cyl.vdeg(0, q, i, k), f"degeneracy {i}")
+                degens[(q, i)] = restrict(cyl.vdeg, q, q + 1,
+                                          f"degeneracy {i}", i)
     dims = [s.dim for s in subspaces]
     module = MatrixParacyclicModule(field, dims, faces, degens, rots)
     bad = check_cyclic(module, max_q - 1 if max_q >= 1 else 0)
@@ -292,22 +289,17 @@ def invariant_complex_N0(cyl, max_q):
     return InvariantComplex(dims=dims, subspaces=subspaces, module=module)
 
 
-def _restrict(cyl, subspaces, q, tq, op, what):
-    """Matrix of a vertical operator restricted to invariants; membership
-    of every image is verified."""
-    src, dst = subspaces[q], subspaces[tq]
-    field = cyl.field
+def _map_rows(src, dst, image, message):
+    """The matrix, in dst's basis, of image() on src's basis rows;
+    SpectralError(message) if an image is not in dst."""
     cols = []
     for row in src.rows:
-        img = {}
-        for k, c in row.items():
-            vec_add_into(img, op(k), c)
+        img = image(row)
         try:
             cols.append(dst.coords_of(img))
-        except Exception:
-            raise SpectralError(
-                f"vertical {what} does not preserve invariants in degree {q}")
-    return SparseMatrix.from_columns(field, dst.dim, cols)
+        except NotInSubspace:
+            raise SpectralError(message)
+    return SparseMatrix.from_columns(dst.field, dst.dim, cols)
 
 
 @dataclass

@@ -1,0 +1,144 @@
+"""The one sparse accumulator: `add_term`, `vec_add_into` and `expand`.
+
+A sparse vector never stores a zero.  These three functions in
+`exactlinalg` are the only code that adds into one, so they are the only
+code that drops a cancelled entry.  Each is compared here with a dense
+reference sum over Q, F_2 and F_3, and must never leave a zero value in
+its dict.  A source guard keeps every other module of hclab from
+dropping cancelled entries by hand.
+"""
+
+import ast
+import itertools
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hclab.exactlinalg import QQ, Field, add_term, expand, vec_add_into
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hclab"
+
+FIELDS = {"Q": QQ, "F2": Field(2), "F3": Field(3)}
+N = 4   # few keys, so that terms collide and cancel often
+
+SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def scalars(field):
+    """Small scalars, zero included."""
+    return st.integers(-2, 2).map(field.of)
+
+
+def sparse(field, n=N):
+    return st.dictionaries(st.integers(0, n - 1),
+                           scalars(field).filter(bool), max_size=n)
+
+
+@st.composite
+def field_and(draw, make):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    return field, draw(make(field))
+
+
+def dense_sum(field, start, terms):
+    """start + sum of the (key, scalar) terms, with zeros dropped at the
+    end only."""
+    total = dict.fromkeys(range(N), field.zero)
+    for k, c in itertools.chain(start.items(), terms):
+        total[k] = total[k] + c
+    return {k: c for k, c in total.items() if c}
+
+
+def assert_no_zero(vec):
+    assert all(vec.values()), vec
+
+
+@SETTINGS
+@given(field_and(lambda field: st.tuples(
+    sparse(field),
+    st.lists(st.tuples(st.integers(0, N - 1), scalars(field)),
+             max_size=12))))
+@example((QQ, ({0: 1}, [(0, -1), (1, 0), (1, 2), (1, -2)])))
+def test_add_term_matches_dense_sum(case):
+    field, (start, terms) = case
+    acc = dict(start)
+    for k, c in terms:
+        add_term(acc, k, c)
+        assert_no_zero(acc)
+    assert acc == dense_sum(field, start, terms)
+
+
+@SETTINGS
+@given(field_and(lambda field: st.tuples(
+    sparse(field), sparse(field), st.none() | scalars(field))))
+@example((QQ, ({0: 1, 1: 2}, {0: -1, 1: 1}, None)))
+@example((Field(3), ({0: Field(3).of(1)}, {0: Field(3).of(1)},
+                     Field(3).of(2))))
+def test_vec_add_into_matches_dense_sum(case):
+    field, (start, vec, coeff) = case
+    acc = dict(start)
+    vec_add_into(acc, vec, coeff)
+    assert_no_zero(acc)
+    scaled = [(k, c if coeff is None else coeff * c) for k, c in vec.items()]
+    assert acc == dense_sum(field, start, scaled)
+
+
+def slots(field):
+    """A mix of basis indices and sparse vectors, the empty vector too."""
+    return st.lists(st.integers(0, N - 1) | sparse(field), max_size=5)
+
+
+@SETTINGS
+@given(field_and(lambda field: st.tuples(scalars(field), slots(field))))
+@example((QQ, (3, [1, {0: 1, 2: -1}, 2, 0, {1: 2}])))
+@example((QQ, (0, [{0: 1}])))
+def test_expand_matches_dense_product(case):
+    field, (coef, pieces) = case
+    got = expand(coef, pieces)
+    assert_no_zero(got)
+    # every index tuple of the right shape, with coef times the product
+    # of the slot coefficients; fixed indices contribute a factor 1
+    want = {}
+    for key in itertools.product(range(N), repeat=len(pieces)):
+        c = coef
+        for k, piece in zip(key, pieces):
+            if isinstance(piece, int):
+                c = c if k == piece else field.zero
+            else:
+                c = c * piece.get(k, field.zero)
+        if c:
+            want[key] = c
+    assert got == want
+
+
+def deleted_subscripts(source, filename="<source>"):
+    """Line numbers of every `del x[...]` statement in the source."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Delete)
+        and any(isinstance(sub, ast.Subscript)
+                for target in node.targets for sub in ast.walk(target)))
+
+
+def test_guard_sees_a_hand_written_cancellation():
+    source = ("def acc(out, key, c):\n"
+              "    s = out.get(key, 0) + c\n"
+              "    if s:\n"
+              "        out[key] = s\n"
+              "    else:\n"
+              "        del out[key]\n")
+    assert deleted_subscripts(source) == [6]
+    assert deleted_subscripts("out.pop(key)\ndel out\n") == []
+
+
+def test_no_module_drops_a_cancelled_entry_by_hand():
+    """Only exactlinalg may delete a dict entry: everywhere else a sum
+    goes through add_term, vec_add_into or expand."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "exactlinalg.py":
+            continue
+        found += [f"{path.relative_to(SRC)}:{line}"
+                  for line in deleted_subscripts(path.read_text(), str(path))]
+    assert found == []

@@ -16,7 +16,8 @@ from hclab.cli import (
 from hclab.crossed import CrossedProductError
 from hclab.cycliccore import MixedComplexError, NormalizationError
 from hclab.cylinder import CylinderError, HopfComplexError, ModuleLawError
-from hclab.exactlinalg import DimensionCapExceeded, MathError
+from hclab.algebra import Violation
+from hclab.exactlinalg import DimensionCapExceeded, MathError, Subspace
 from hclab.spectral import SpectralError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -211,6 +212,46 @@ def test_programming_error_exits_4(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert "internal error: TypeError: unsupported operand" in captured.err
     assert "mathematical check failed" not in captured.err
+
+
+def test_programming_error_in_collapse_exits_4(tmp_path, capsys,
+                                               monkeypatch):
+    target = tmp_path / "s1.scn"
+    target.write_text(read("s1.scn"))
+    monkeypatch.setattr(Subspace, "coords_of",
+                        _raise(TypeError("unsupported operand")))
+    assert main(["collapse", str(target)]) == 4
+    captured = capsys.readouterr()
+    assert "internal error: TypeError: unsupported operand" in captured.err
+    assert "mathematical check failed" not in captured.err
+
+
+@pytest.mark.parametrize("validator,violation,detail", [
+    ("validate_hopf", Violation("coassociativity", (2,)),
+     "coassociativity fails at (2)"),
+    ("verify_action_upgrade", (1, 0, 1), "(1, 0, 1)"),
+    ("check_coefficient_action", (1, 3), "(1, 3)"),
+])
+def test_failed_verify_line_names_its_violation(validator, violation, detail,
+                                                monkeypatch):
+    name = {"validate_hopf": "Hopf axioms",
+            "verify_action_upgrade": "module action upgrade",
+            "check_coefficient_action": "coefficient action closed form",
+            }[validator]
+    scenario = parse_scenario(read("s1.scn"))
+    passing = run_command("verify", scenario)
+    assert (name, True, "") in passing.checks
+    # build_objects validates the Hopf algebra too: fail only the check
+    # line, after the objects are built
+    built = cli.build_objects(scenario)
+    cyl = cli.build_cylinder(built.hopf, built.action, built.cocycle,
+                             check=False)
+    report = cli.Report(scenario=scenario, command="verify")
+    monkeypatch.setattr(cli, validator, lambda *args: violation)
+    cli._run_verify(built, cyl, report)
+    assert (name, False, detail) in report.checks
+    assert ("check\t" + name + "\tFAIL " + detail + "\n"
+            in emit_report(report, machine=True))
 
 
 def test_math_error_subclass_exits_1(tmp_path, capsys, monkeypatch):

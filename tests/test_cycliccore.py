@@ -5,13 +5,14 @@ from hclab.algebra import (
 )
 from hclab.cycliccore import (
     AlgebraCyclicModule,
+    NormalizedComplex,
     TensorSpace,
+    apply_linear,
     check_cyclic,
     check_paracyclic,
     cyclic_homology_of_algebra,
-    hochschild_homology_of_algebra,
+    hochschild_homology,
     mixed_complex_of_cyclic,
-    normalize,
 )
 
 F2 = Field(2)
@@ -51,7 +52,7 @@ def test_rotation_order_degree_2():
     for k in range(m.dim(2)):
         v = {k: QQ.one}
         for _ in range(3):
-            v = m.rotate_vec(2, v)
+            v = apply_linear(m.rotate, v, 2)
         assert v == {k: QQ.one}
 
 
@@ -70,23 +71,23 @@ def test_scaled_rotation_breaks_paracyclic():
 
 def test_normalized_dims_dual_numbers():
     m = AlgebraCyclicModule(dual_numbers(QQ))
-    norm = normalize(m, 4)
+    norm = NormalizedComplex(m, 4)
     assert [norm.dim(n) for n in range(5)] == [2, 2, 2, 2, 2]
 
 
 def test_normalized_dims_ground():
-    norm = normalize(AlgebraCyclicModule(ground_algebra(QQ)), 4)
+    norm = NormalizedComplex(AlgebraCyclicModule(ground_algebra(QQ)), 4)
     assert [norm.dim(n) for n in range(5)] == [1, 0, 0, 0, 0]
 
 
 def test_normalized_dims_qc2():
     a = group_algebra(QQ, FiniteGroup.cyclic(2))
-    norm = normalize(AlgebraCyclicModule(a), 4)
+    norm = NormalizedComplex(AlgebraCyclicModule(a), 4)
     assert [norm.dim(n) for n in range(5)] == [2, 2, 2, 2, 2]
 
 
 def test_connes_boundary_ground_field_vanishes():
-    norm = normalize(AlgebraCyclicModule(ground_algebra(QQ)), 4)
+    norm = NormalizedComplex(AlgebraCyclicModule(ground_algebra(QQ)), 4)
     for n in range(3):
         assert norm.connes_matrix(n).is_zero()
 
@@ -101,7 +102,7 @@ def test_connes_boundary_degree0_qc2():
     # (1 - lambda) s N (g) = 1(x)g + g(x)1; modulo degeneracies this is
     # the class of 1(x)g
     assert raw.apply({1: QQ.one}) == {one_g: QQ.one, g_one: QQ.one}
-    norm = normalize(m, 2)
+    norm = NormalizedComplex(m, 2)
     cls = norm.connes_matrix(0).apply(norm.project(0, {1: QQ.one}))
     assert cls == norm.project(1, {one_g: QQ.one})
 
@@ -118,15 +119,15 @@ def test_mixed_complex_contract_m2():
 
 
 def test_hochschild_ground_field():
-    rep = hochschild_homology_of_algebra(ground_algebra(QQ), 3)
+    rep = hochschild_homology(AlgebraCyclicModule(ground_algebra(QQ)), 3)
     assert rep.dims == [1, 0, 0, 0]
 
 
 def test_hochschild_qc2():
     # HH_0 of a commutative algebra is the algebra itself; Q[C2] = Q x Q
     # is semisimple, so nothing above degree 0
-    rep = hochschild_homology_of_algebra(
-        group_algebra(QQ, FiniteGroup.cyclic(2)), 2)
+    rep = hochschild_homology(
+        AlgebraCyclicModule(group_algebra(QQ, FiniteGroup.cyclic(2))), 2)
     assert rep.dims == [2, 0, 0]
 
 
@@ -144,13 +145,13 @@ def test_hochschild_m2():
     comms = [{k: c for k, c in v.items() if c} for v in comms]
     m = SparseMatrix.from_row_list(QQ, comms, a.dim)
     assert a.dim - mat_rank(m) == 1
-    rep = hochschild_homology_of_algebra(a, 2)
+    rep = hochschild_homology(AlgebraCyclicModule(a), 2)
     assert rep.dims == [1, 0, 0]
 
 
 def test_hochschild_dual_numbers_char0():
     # k[x]/(x^2): classical dims 2, 1, 1, ... in characteristic 0
-    rep = hochschild_homology_of_algebra(dual_numbers(QQ), 3)
+    rep = hochschild_homology(AlgebraCyclicModule(dual_numbers(QQ)), 3)
     assert rep.dims == [2, 1, 1, 1]
 
 
@@ -198,7 +199,7 @@ def test_b_squared_zero_on_modules():
 
 
 def test_homology_report_shape():
-    rep = hochschild_homology_of_algebra(ground_algebra(QQ), 2)
+    rep = hochschild_homology(AlgebraCyclicModule(ground_algebra(QQ)), 2)
     assert rep.degrees == [0, 1, 2]
     assert rep.method == "hochschild"
     assert rep.as_pairs() == [(0, 1), (1, 0), (2, 0)]

@@ -10,7 +10,7 @@ from hclab.crossed import (
     sign_group_cocycle_table, trivial_action, trivial_cocycle,
     twisted_scalar_algebra,
 )
-from hclab.cycliccore import check_cyclic, cyclic_homology_mixed
+from hclab.cycliccore import apply_linear, check_cyclic, cyclic_homology_mixed
 from hclab.cylinder import (
     BimoduleMq,
     build_cylinder,
@@ -318,12 +318,12 @@ def test_rows_and_columns_paracyclic_but_not_cyclic():
     k = cyl.space(0, 1).encode((1, 1, 0))  # (g | x, 1)
     v = {k: QQ.one}
     for _ in range(2):
-        v = col.rotate_vec(1, v)
+        v = apply_linear(col.rotate, v, 1)
     assert v != {k: QQ.one}
     cyl3 = cylinder_s3()
     row = cyl3.row_module(0)
     k = cyl3.space(1, 0).encode((0, 1, 0))  # (e, g | d_e)
     v = {k: QQ.one}
     for _ in range(2):
-        v = row.rotate_vec(1, v)
+        v = apply_linear(row.rotate, v, 1)
     assert v != {k: QQ.one}

@@ -4,8 +4,8 @@ Over Q a scalar is an `int` when it is integral and a `Fraction` when it
 is not; over F_p it is an `FpScalar`.  A true division of two ints would
 silently produce a float, so these tests walk every operator the spectral
 pipeline materializes, raw and induced, and check the type of every
-entry, and run a scenario whose cocycle takes non-integral values
-through every layer.
+entry (and that no zero entry is stored), and run a scenario whose
+cocycle takes non-integral values through every layer.
 """
 
 from fractions import Fraction
@@ -83,6 +83,7 @@ def assert_exact_entries(made, exact_types):
     for label, m in operator_matrices(made):
         for c in m.entries.values():
             assert type(c) in exact_types, (label, c, type(c))
+            assert c, (label, "stores a zero entry")
             checked += 1
     assert checked, counts
     return counts

@@ -1,6 +1,6 @@
 import pytest
 
-from hclab.exactlinalg import Field, QQ
+from hclab.exactlinalg import Field, QQ, SparseMatrix, Subspace
 from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
 )
@@ -236,3 +236,41 @@ def test_invariants_trivial_hopf_is_everything():
     cyl = build_cylinder(h, trivial_action(h, a), trivial_cocycle(h))
     inv = invariant_complex_N0(cyl, 2)
     assert inv.dims == [cyl.dim(0, q) for q in range(3)]
+
+
+def _type_error(*args, **kwargs):
+    raise TypeError("unsupported operand")
+
+
+def test_programming_error_on_row_cycles_is_not_a_spectral_error(
+        monkeypatch):
+    rows = RowComplexes(cylinder_s5(), 2, 1)
+    rows.homology(1, 0)
+    monkeypatch.setattr(Subspace, "coords_of", _type_error)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        rows.induced_on_homology("vrot", 1, 0, 0)
+
+
+def test_operator_leaving_row_cycles_is_a_spectral_error():
+    rows = RowComplexes(cylinder_s5(), 2, 1)
+    ker, _ = rows.homology(1, 0)
+    dim = rows.quotients[(1, 0)].dim
+    outside = next(j for j in range(dim) if not ker.contains({j: QQ.one}))
+    # the first kernel row has entry 1 at its pivot and is sent outside
+    rows._induced[("vrot", 1, 0)] = SparseMatrix(
+        QQ, dim, dim, {(outside, ker.pivots[0]): QQ.one})
+    with pytest.raises(SpectralError,
+                       match=r"vrot does not preserve row cycles at \(1,0\)"):
+        rows.induced_on_homology("vrot", 1, 0, 0)
+
+
+def test_operator_leaving_invariants_is_a_spectral_error(monkeypatch):
+    cyl = cylinder_s3()
+    invariants = invariant_complex_N0(cyl, 1).subspaces[0]
+    assert not invariants.contains({0: QQ.one})
+    pivot = invariants.pivots[0]
+    monkeypatch.setattr(
+        cyl, "vrot", lambda p, q, k: {0: QQ.one} if k == pivot else {})
+    with pytest.raises(SpectralError, match="vertical rotation does not "
+                       "preserve invariants in degree 0"):
+        invariant_complex_N0(cyl, 1)
