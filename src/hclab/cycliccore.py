@@ -21,6 +21,7 @@ cyclic modules, which recovers the contract.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .exactlinalg import (
@@ -191,9 +192,6 @@ class HomologyReport:
     dims: list
     method: str
 
-    def as_pairs(self):
-        return list(zip(self.degrees, self.dims))
-
 
 @dataclass
 class RelationViolation:
@@ -287,38 +285,89 @@ class MatrixParacyclicModule(ParacyclicModule):
     def rotate(self, n, k):
         return self.rotations[n].apply({k: self.field.one})
 
-    def face_matrix(self, n, i):
-        return self.faces[(n, i)]
-
-    def degeneracy_matrix(self, n, i):
-        return self.degeneracies[(n, i)]
-
-    def rotate_matrix(self, n):
-        return self.rotations[n]
-
     def face_available(self, n):
-        return (n, 0) in self.faces or (n >= 1 and self.dim_known(n)
+        return (n, 0) in self.faces or (1 <= n <= self.max_degree
                                         and self.dims[n] == 0)
 
     def degeneracy_available(self, n):
-        return (n, 0) in self.degeneracies or (self.dim_known(n)
+        return (n, 0) in self.degeneracies or (0 <= n <= self.max_degree
                                                and self.dims[n] == 0)
 
     def rotate_available(self, n):
         return n in self.rotations
 
-    def dim_known(self, n):
-        return 0 <= n <= self.max_degree
+
+def first_violation(stages, one):
+    """The first relation that fails, as (name, basis index k), or None.
+
+    A relation is a row (name, lhs, rhs) of two words.  A word is a
+    sequence of (operator, args) steps applied in turn, op(*args, k)
+    being the image of basis vector k; the empty word is the identity.
+    A stage (dim, relations) is walked one basis vector at a time, every
+    relation on each, so the stages and their rows fix which failure
+    comes first.  Images are only compared, so providers may share them.
+    """
+    for dim, relations in stages:
+        # the distinct first steps of the stage, evaluated once per vector
+        heads = {}
+        rows = [(name, _compile(lhs, heads), _compile(rhs, heads))
+                for name, lhs, rhs in relations]
+        heads = tuple(heads)
+        for k in range(dim):
+            images = [op(*args, k) for op, args in heads]
+            for name, lhs, rhs in rows:
+                if _value(lhs, k, images, one) != _value(rhs, k, images,
+                                                          one):
+                    return name, k
+    return None
 
 
-def check_paracyclic(module, max_degree):
-    """Verify every simplicial and paracyclic relation on every basis
-    vector through max_degree; None, or the first violation found.
+def _compile(word, heads):
+    """(index of the word's first step in heads, the steps after it);
+    (None, ()) for the empty word."""
+    if not word:
+        return None, ()
+    return heads.setdefault(word[0], len(heads)), tuple(word[1:])
+
+
+def _value(word, k, images, one):
+    """A compiled word applied to basis vector k."""
+    head, rest = word
+    v = {k: one} if head is None else images[head]
+    for op, args in rest:
+        if len(v) == 1:
+            [(kk, c)] = v.items()
+            if c == one:
+                # a basis vector's image is the provider's image itself
+                v = op(*args, kk)
+                continue
+        out = {}
+        for kk, c in v.items():
+            vec_add_into(out, op(*args, kk), c)
+        v = out
+    return v
+
+
+def matrix_columns(build):
+    """The provider whose image of basis vector k, after the arguments
+    `head`, is column k of build(*head); each matrix is built once, on
+    first use."""
+    build = functools.cache(build)
+
+    def column(*args):
+        m = build(*args[:-1])
+        return m.apply({args[-1]: m.field.one})
+    return column
+
+
+def _paracyclic_stages(module, max_degree):
+    """Every simplicial and paracyclic relation on every basis vector,
+    one stage per degree n through max_degree, each row named
+    (relation, n).
 
     Relations whose composites land in degree max_degree + 1 are checked
     whenever the module has operators there (provider-backed modules
     always do; matrix-backed ones answer through their stored range).
-
     Every image in degrees through max_degree is computed once and
     reused by every relation that needs it.  Images in degree
     max_degree + 1 are recomputed: they are the most numerous and each is
@@ -327,97 +376,68 @@ def check_paracyclic(module, max_degree):
     def in_range(head):
         return head[0] <= max_degree
 
-    face = memoized(module.face, in_range)
-    rotate = memoized(module.rotate, in_range)
-    degeneracy = memoized(module.degeneracy, in_range)
+    face, degeneracy, rotate = (
+        memoized(op, in_range)
+        for op in (module.face, module.degeneracy, module.rotate))
+
+    def d(m, i):
+        return face, (m, i)
+
+    def s(m, i):
+        return degeneracy, (m, i)
+
+    def t(m):
+        return rotate, (m,)
+
     for n in range(max_degree + 1):
-        can_deg_n = module.degeneracy_available(n)
-        can_deg_up = module.degeneracy_available(n + 1)
-        can_face_up = module.face_available(n + 1)
-        can_rot_up = module.rotate_available(n + 1)
-        for k in range(module.dim(n)):
-            e = {k: module.field.one}
-            # faces against faces (composites land two degrees down)
-            if n >= 2:
-                for j in range(1, n + 1):
-                    fj = face(n, j, k)
-                    for i in range(j):
-                        lhs = apply_linear(face, fj, n - 1, i)
-                        rhs = apply_linear(face, face(n, i, k), n - 1, j - 1)
-                        if lhs != rhs:
-                            return RelationViolation(
-                                f"face_{i} face_{j} = face_{j-1} face_{i}",
-                                n, k)
-            # degeneracies against degeneracies
-            if can_deg_n and can_deg_up:
-                for j in range(n + 1):
-                    sj = degeneracy(n, j, k)
-                    for i in range(j + 1):
-                        lhs = apply_linear(degeneracy, sj, n + 1, i)
-                        rhs = apply_linear(degeneracy, degeneracy(n, i, k),
-                                           n + 1, j + 1)
-                        if lhs != rhs:
-                            return RelationViolation(
-                                f"deg_{i} deg_{j} = deg_{j+1} deg_{i}", n, k)
-            # faces against degeneracies
-            if can_deg_n and can_face_up:
-                for j in range(n + 1):
-                    sj = degeneracy(n, j, k)
-                    for i in range(n + 2):
-                        img = apply_linear(face, sj, n + 1, i)
-                        if i == j or i == j + 1:
-                            want = e
-                        elif i < j:
-                            want = apply_linear(degeneracy, face(n, i, k),
-                                                n - 1, j - 1)
-                        else:
-                            want = apply_linear(degeneracy,
-                                                face(n, i - 1, k), n - 1, j)
-                        if img != want:
-                            return RelationViolation(
-                                f"face_{i} deg_{j} mismatch", n, k)
-            # paracyclic relations
-            t = rotate(n, k)
-            if n >= 1:
-                if apply_linear(face, t, n, 0) != face(n, n, k):
-                    return RelationViolation("face_0 rotate = face_n", n, k)
-                for i in range(1, n + 1):
-                    lhs = apply_linear(face, t, n, i)
-                    rhs = apply_linear(rotate, face(n, i - 1, k), n - 1)
-                    if lhs != rhs:
-                        return RelationViolation(
-                            f"face_{i} rotate = rotate face_{i-1}", n, k)
-            if can_deg_n and can_rot_up:
-                for i in range(1, n + 1):
-                    lhs = apply_linear(degeneracy, t, n, i)
-                    rhs = apply_linear(rotate, degeneracy(n, i - 1, k), n + 1)
-                    if lhs != rhs:
-                        return RelationViolation(
-                            f"deg_{i} rotate = rotate deg_{i-1}", n, k)
-                lhs = apply_linear(degeneracy, t, n, 0)
-                rhs = apply_linear(
-                    rotate,
-                    apply_linear(rotate, degeneracy(n, n, k), n + 1), n + 1)
-                if lhs != rhs:
-                    return RelationViolation(
-                        "deg_0 rotate = rotate^2 deg_n", n, k)
-    return None
+        can_deg = module.degeneracy_available(n)
+        rows = []
+        if n >= 2:
+            rows += [(f"face_{i} face_{j} = face_{j-1} face_{i}",
+                      (d(n, j), d(n - 1, i)), (d(n, i), d(n - 1, j - 1)))
+                     for j in range(1, n + 1) for i in range(j)]
+        if can_deg and module.degeneracy_available(n + 1):
+            rows += [(f"deg_{i} deg_{j} = deg_{j+1} deg_{i}",
+                      (s(n, j), s(n + 1, i)), (s(n, i), s(n + 1, j + 1)))
+                     for j in range(n + 1) for i in range(j + 1)]
+        if can_deg and module.face_available(n + 1):
+            rows += [(f"face_{i} deg_{j} mismatch", (s(n, j), d(n + 1, i)),
+                      () if i in (j, j + 1) else
+                      (d(n, i), s(n - 1, j - 1)) if i < j else
+                      (d(n, i - 1), s(n - 1, j)))
+                     for j in range(n + 1) for i in range(n + 2)]
+        if n >= 1:
+            rows.append(("face_0 rotate = face_n", (t(n), d(n, 0)),
+                         (d(n, n),)))
+            rows += [(f"face_{i} rotate = rotate face_{i-1}",
+                      (t(n), d(n, i)), (d(n, i - 1), t(n - 1)))
+                     for i in range(1, n + 1)]
+        if can_deg and module.rotate_available(n + 1):
+            rows += [(f"deg_{i} rotate = rotate deg_{i-1}",
+                      (t(n), s(n, i)), (s(n, i - 1), t(n + 1)))
+                     for i in range(1, n + 1)]
+            rows.append(("deg_0 rotate = rotate^2 deg_n", (t(n), s(n, 0)),
+                         (s(n, n), t(n + 1), t(n + 1))))
+        yield module.dim(n), [((name, n), lhs, rhs) for name, lhs, rhs in rows]
+
+
+def check_paracyclic(module, max_degree):
+    """Verify every simplicial and paracyclic relation on every basis
+    vector through max_degree; None, or the first violation found."""
+    bad = first_violation(_paracyclic_stages(module, max_degree),
+                          module.field.one)
+    return None if bad is None else RelationViolation(*bad[0], bad[1])
 
 
 def check_cyclic(module, max_degree):
     """check_paracyclic plus rotate^(n+1) = id in every degree."""
-    bad = check_paracyclic(module, max_degree)
-    if bad is not None:
-        return bad
     rotate = memoized(module.rotate, lambda head: True)
-    for n in range(max_degree + 1):
-        for k in range(module.dim(n)):
-            v = {k: module.field.one}
-            for _ in range(n + 1):
-                v = apply_linear(rotate, v, n)
-            if v != {k: module.field.one}:
-                return RelationViolation("rotate^(n+1) = id", n, k)
-    return None
+    identities = [(module.dim(n), [(("rotate^(n+1) = id", n),
+                                    ((rotate, (n,)),) * (n + 1), ())])
+                  for n in range(max_degree + 1)]
+    bad = first_violation([*_paracyclic_stages(module, max_degree),
+                           *identities], module.field.one)
+    return None if bad is None else RelationViolation(*bad[0], bad[1])
 
 
 class NormalizationError(MathError):

@@ -12,7 +12,9 @@ homology with those twisted coefficients.
 
 from __future__ import annotations
 
-from ..cycliccore import HomologyReport, ParacyclicModule, TensorSpace
+from ..cycliccore import (
+    HomologyReport, ParacyclicModule, TensorSpace, first_violation,
+    matrix_columns, memoized)
 from ..exactlinalg import (
     MathError, SparseMatrix, add_term, expand, mat_rank, vec_add_into)
 
@@ -190,29 +192,20 @@ def check_row_identification(cyl, twisted_algebra, q, max_p):
     None, or the first mismatch."""
     bim = BimoduleMq(cyl, q)
     hc = HochschildComplex(twisted_algebra, bim)
-    for p in range(1, max_p + 1):
-        cyl_space = cyl.space(p, q)
-        hc_space = hc.space(p)
+    one = cyl.field.one
 
-        def reindex(k, p=p, cyl_space=cyl_space, hc_space=hc_space):
-            tup = cyl_space.decode(k)
-            gs, avs = tup[:p + 1], tup[p + 1:]
-            m = bim.space.encode((gs[0],) + avs)
-            return hc_space.encode((m,) + gs[1:])
+    def rebracket(p, k):
+        tup = cyl.space(p, q).decode(k)
+        m = bim.space.encode((tup[0],) + tup[p + 1:])
+        return {hc.space(p).encode((m,) + tup[1:p + 1]): one}
 
-        for k in range(cyl.dim(p, q)):
-            for i in range(p + 1):
-                lhs = {}
-                for kk, c in cyl.hface(p, q, i, k).items():
-                    tup = cyl.space(p - 1, q).decode(kk)
-                    gs, avs = tup[:p], tup[p:]
-                    m = bim.space.encode((gs[0],) + avs)
-                    add_term(lhs, hc.space(p - 1).encode((m,) + gs[1:]), c)
-                rhs = hc.face(p, i, reindex(k))
-                if lhs != rhs:
-                    return (f"face {i} disagrees at row {q}, degree {p}, "
-                            f"basis {k}")
-    return None
+    stages = ((cyl.dim(p, q), [
+        (f"face {i} disagrees at row {q}, degree {p}, basis {{k}}",
+         ((cyl.hface, (p, q, i)), (rebracket, (p - 1,))),
+         ((rebracket, (p,)), (hc.face, (p, i))))
+        for i in range(p + 1)]) for p in range(1, max_p + 1))
+    bad = first_violation(stages, one)
+    return None if bad is None else bad[0].format(k=bad[1])
 
 
 class TwistedLeftModule:
@@ -417,28 +410,27 @@ def check_maclane(cyl, twisted_algebra, q, max_p):
     mod = twisted_left_module(bim)
     hc = HochschildComplex(twisted_algebra, bim)
     hx = HopfComplex(cyl.hopf, mod.act, bim.dim)
-    field = cyl.field
-    for p in range(max_p + 1):
-        theta = hochschild_to_hopf(bim, p)
-        inv = hopf_to_hochschild(bim, p)
-        if theta.compose(inv) != SparseMatrix.identity(field, hx.dim(p)):
-            return f"theta o inverse is not the identity in degree {p}"
-        if inv.compose(theta) != SparseMatrix.identity(field, hc.dim(p)):
-            return f"inverse o theta is not the identity in degree {p}"
-        if p >= 1:
-            theta_down = hochschild_to_hopf(bim, p - 1)
-            for i in range(p + 1):
-                for k in range(hc.dim(p)):
-                    lhs = {}
-                    for kk, c in hc.face(p, i, k).items():
-                        vec_add_into(lhs, theta_down.apply({kk: field.one}), c)
-                    rhs = {}
-                    for kk, c in theta.apply({k: field.one}).items():
-                        vec_add_into(rhs, hx.face(p, i, kk), c)
-                    if lhs != rhs:
-                        return (f"face {i} intertwining fails in degree {p} "
-                                f"at basis {k}")
-    return None
+    theta = matrix_columns(lambda p: hochschild_to_hopf(bim, p))
+    inverse = matrix_columns(lambda p: hopf_to_hochschild(bim, p))
+    hopf_face = memoized(hx.face, lambda head: True)
+
+    def stages():
+        for p in range(max_p + 1):
+            yield hx.dim(p), [
+                (f"theta o inverse is not the identity in degree {p}",
+                 ((inverse, (p,)), (theta, (p,))), ())]
+            yield hc.dim(p), [
+                (f"inverse o theta is not the identity in degree {p}",
+                 ((theta, (p,)), (inverse, (p,))), ())]
+            for i in range(p + 1 if p >= 1 else 0):
+                yield hc.dim(p), [
+                    (f"face {i} intertwining fails in degree {p} "
+                     "at basis {k}",
+                     ((hc.face, (p, i)), (theta, (p - 1,))),
+                     ((theta, (p,)), (hopf_face, (p, i))))]
+
+    bad = first_violation(stages(), cyl.field.one)
+    return None if bad is None else bad[0].format(k=bad[1])
 
 
 def coefficient_action_matrix(cyl, q):

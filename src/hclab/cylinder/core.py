@@ -32,6 +32,8 @@ from ..cycliccore import (
     apply_linear,
     check_paracyclic,
     degeneracy_quotient,
+    first_violation,
+    matrix_columns,
     memoized,
     require_descent,
 )
@@ -295,16 +297,7 @@ def build_cylinder(hopf, action, cocycle, check=True, cap=None):
 def check_cylindrical(cyl, max_p, max_q):
     """Row and column paracyclicity, slotwise commutation of the two
     families, and the joint rotation identity, all on every basis vector;
-    None or the first failure, named.
-
-    The commutation and joint rotation checks at (p, q) read face and
-    rotation images at (p, q) and its four neighbours many times over;
-    each one inside (max_p, max_q) is computed once per bidegree checked.
-    Degeneracy images, which only insert a unit, and images outside the
-    range are recomputed, and no image is kept from one bidegree to the
-    next: that would save few evaluations but hold every bidegree's
-    images at once.
-    """
+    None or the first failure, named."""
     for q in range(max_q + 1):
         bad = check_paracyclic(cyl.row_module(q), max_p)
         if bad is not None:
@@ -313,64 +306,53 @@ def check_cylindrical(cyl, max_p, max_q):
         bad = check_paracyclic(cyl.column_module(p), max_q)
         if bad is not None:
             return f"column {p}: {bad}"
+    bad = first_violation(_cylindrical_stages(cyl, max_p, max_q),
+                          cyl.field.one)
+    return None if bad is None else f"{bad[0]} basis {bad[1]}"
 
+
+def _cylindrical_stages(cyl, max_p, max_q):
+    """At each bidegree (p, q), one stage per pair of a vertical operator
+    V and a horizontal one H: V at (hp, q) after H at (p, q) equals H at
+    (p, vq) after V at (p, q), where H lands in (hp, q) and V in (p, vq);
+    then one stage for the joint rotation identity.
+
+    These relations read images at (p, q) and its four neighbours many
+    times over; each one inside (max_p, max_q) is computed once per
+    bidegree checked.  Images outside the range are recomputed, and no
+    image is kept from one bidegree to the next: that would save few
+    evaluations but hold every bidegree's images at once.
+    """
     def in_range(head):
         return head[0] <= max_p and head[1] <= max_q
 
-    one = cyl.field.one
     for p in range(max_p + 1):
         for q in range(max_q + 1):
-            vface, vrot, hface, hrot = (
+            vface, vdeg, vrot, hface, hdeg, hrot = (
                 memoized(op, in_range)
-                for op in (cyl.vface, cyl.vrot, cyl.hface, cyl.hrot))
-            ops = (vface, cyl.vdeg, vrot, hface, cyl.hdeg, hrot)
-            bad = _check_commutation(ops, p, q, cyl.dim(p, q))
-            if bad is not None:
-                return bad
-            for k in range(cyl.dim(p, q)):
-                v = {k: one}
-                for _ in range(p + 1):
-                    v = apply_linear(hrot, v, p, q)
-                for _ in range(q + 1):
-                    v = apply_linear(vrot, v, p, q)
-                if v != {k: one}:
-                    return ("joint rotation identity fails at "
-                            f"({p},{q}) basis {k}")
-    return None
+                for op in (cyl.vface, cyl.vdeg, cyl.vrot,
+                           cyl.hface, cyl.hdeg, cyl.hrot))
+            dim = cyl.dim(p, q)
+            horizontals = _family("h", hface, hdeg, hrot, p)
+            for vname, v, vi, vq in _family("v", vface, vdeg, vrot, q):
+                for hname, h, hj, hp in horizontals:
+                    yield dim, [(
+                        f"{vname} and {hname} fail to commute at ({p},{q})",
+                        ((h, (p, q) + hj), (v, (hp, q) + vi)),
+                        ((v, (p, q) + vi), (h, (p, vq) + hj)))]
+            yield dim, [(f"joint rotation identity fails at ({p},{q})",
+                         ((hrot, (p, q)),) * (p + 1)
+                         + ((vrot, (p, q)),) * (q + 1), ())]
 
 
-def _check_commutation(ops, p, q, dim):
-    """Every vertical operator commutes with every horizontal one at
-    (p, q): V at (hp, q) after H at (p, q) equals H at (p, vq) after V at
-    (p, q), where H lands in (hp, q) and V in (p, vq).  The images at
-    (p, q) itself are computed once for all pairs."""
-    vface, vdeg, vrot, hface, hdeg, hrot = ops
-    # (label, provider, its index arguments, target degree)
-    verticals = []
-    if q >= 1:
-        verticals += [(f"vface_{i}", vface, (i,), q - 1)
-                      for i in range(q + 1)]
-    verticals += [(f"vdeg_{i}", vdeg, (i,), q + 1) for i in range(q + 1)]
-    verticals += [("vrot", vrot, (), q)]
-    horizontals = []
-    if p >= 1:
-        horizontals += [(f"hface_{j}", hface, (j,), p - 1)
-                        for j in range(p + 1)]
-    horizontals += [(f"hdeg_{j}", hdeg, (j,), p + 1) for j in range(p + 1)]
-    horizontals += [("hrot", hrot, (), p)]
-
-    h_here = [[h(p, q, *hj, k) for k in range(dim)]
-              for _, h, hj, _ in horizontals]
-    for vname, v, vi, vq in verticals:
-        v_here = [v(p, q, *vi, k) for k in range(dim)]
-        for (hname, h, hj, hp), h_images in zip(horizontals, h_here):
-            for k in range(dim):
-                lhs = apply_linear(v, h_images[k], hp, q, *vi)
-                rhs = apply_linear(h, v_here[k], p, vq, *hj)
-                if lhs != rhs:
-                    return (f"{vname} and {hname} fail to commute at "
-                            f"({p},{q}) basis {k}")
-    return None
+def _family(prefix, face, degeneracy, rotate, n):
+    """(label, provider, index arguments, degree it lands in) of each
+    operator of one family out of degree n."""
+    ops = [(f"{prefix}face_{i}", face, (i,), n - 1)
+           for i in range(n + 1) if n >= 1]
+    ops += [(f"{prefix}deg_{i}", degeneracy, (i,), n + 1)
+            for i in range(n + 1)]
+    return ops + [(f"{prefix}rot", rotate, (), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -580,36 +562,37 @@ def diagonal_to_crossed(cyl, cp, n):
 
 def check_diagonal_isomorphism(cyl, cp, max_degree):
     """Mutual inverses plus intertwining of every cyclic operator, as
-    exact matrix identities; None or a description of the first failure."""
+    exact identities on every basis vector; None or a description of the
+    first failure."""
     natural = AlgebraCyclicModule(cp.product)
     diag = cyl.diagonal_module()
-    for n in range(max_degree + 1):
-        phi = crossed_to_diagonal(cyl, cp, n)
-        psi = diagonal_to_crossed(cyl, cp, n)
-        if not psi.compose(phi) == SparseMatrix.identity(cyl.field, phi.cols):
-            return f"psi o phi is not the identity in degree {n}"
-        if not phi.compose(psi) == SparseMatrix.identity(cyl.field, phi.rows):
-            return f"phi o psi is not the identity in degree {n}"
-        # rotation
-        lhs = diag.rotate_matrix(n).compose(phi)
-        rhs = phi.compose(natural.rotate_matrix(n))
-        if lhs != rhs:
-            return f"rotation intertwining fails in degree {n}"
-        if n >= 1:
-            phi_down = crossed_to_diagonal(cyl, cp, n - 1)
-            for i in range(n + 1):
-                lhs = diag.face_matrix(n, i).compose(phi)
-                rhs = phi_down.compose(natural.face_matrix(n, i))
-                if lhs != rhs:
-                    return f"face {i} intertwining fails in degree {n}"
-        if n < max_degree:
-            phi_up = crossed_to_diagonal(cyl, cp, n + 1)
-            for i in range(n + 1):
-                lhs = diag.degeneracy_matrix(n, i).compose(phi)
-                rhs = phi_up.compose(natural.degeneracy_matrix(n, i))
-                if lhs != rhs:
-                    return f"degeneracy {i} intertwining fails in degree {n}"
-    return None
+    phi = matrix_columns(lambda n: crossed_to_diagonal(cyl, cp, n))
+    psi = matrix_columns(lambda n: diagonal_to_crossed(cyl, cp, n))
+    face, degeneracy, rotate = (
+        memoized(op, lambda head: True)
+        for op in (diag.face, diag.degeneracy, diag.rotate))
+
+    def stages():
+        for n in range(max_degree + 1):
+            dim = natural.dim(n)
+            yield dim, [(f"psi o phi is not the identity in degree {n}",
+                         ((phi, (n,)), (psi, (n,))), ())]
+            yield diag.dim(n), [
+                (f"phi o psi is not the identity in degree {n}",
+                 ((psi, (n,)), (phi, (n,))), ())]
+            # (name, diagonal operator, natural one, index, target degree)
+            ops = [("rotation", rotate, natural.rotate, (), n)]
+            ops += [(f"face {i}", face, natural.face, (i,), n - 1)
+                    for i in range(n + 1) if n >= 1]
+            ops += [(f"degeneracy {i}", degeneracy, natural.degeneracy, (i,),
+                     n + 1) for i in range(n + 1) if n < max_degree]
+            for name, op, op_natural, i, m in ops:
+                yield dim, [(f"{name} intertwining fails in degree {n}",
+                             ((phi, (n,)), (op, (n,) + i)),
+                             ((op_natural, (n,) + i), (phi, (m,))))]
+
+    bad = first_violation(stages(), cyl.field.one)
+    return None if bad is None else bad[0]
 
 
 # ---------------------------------------------------------------------------
@@ -665,37 +648,34 @@ def shuffle_map(cyl, bn, diag_norm, p, q):
 def check_shuffle_chain_map(cyl, max_degree):
     """Verify that the shuffle map intertwines the total chain
     differential with the diagonal boundary through max_degree."""
-    bn = BinormalizedCylinder(cyl, max_degree + 2)
-    diag = cyl.diagonal_module()
-    diag_norm = NormalizedComplex(diag, max_degree + 2)
+    bn = BinormalizedCylinder(cyl, max_degree)
+    diag_norm = NormalizedComplex(cyl.diagonal_module(), max_degree)
     field = cyl.field
+    shuffle = matrix_columns(
+        lambda p, q: shuffle_map(cyl, bn, diag_norm, p, q))
+    boundary = matrix_columns(diag_norm.boundary_matrix)
 
-    blocks = {}
-    for n in range(max_degree + 2):
-        for (p, q) in _components(n):
-            blocks[(p, q)] = shuffle_map(cyl, bn, diag_norm, p, q)
+    def total(p, q, k):
+        """The total chain differential of basis vector k at (p, q), in
+        the direct sum whose basis vectors are (bidegree, index) pairs."""
+        e, out = {k: field.one}, {}
+        if q >= 1:
+            for i, c in bn.vertical_boundary(p, q).apply(e).items():
+                out[((p, q - 1), i)] = c
+        if p >= 1:
+            for i, c in bn.horizontal_boundary(p, q).apply(e).items():
+                out[((p - 1, q), i)] = field.sign(q) * c
+        return out
 
-    for n in range(1, max_degree + 1):
-        for (p, q) in _components(n):
-            # f0 after the total differential
-            after = {}
-            bdim = bn.dim(p, q)
-            for col in range(bdim):
-                vec = {col: field.one}
-                acc = {}
-                if q >= 1:
-                    vec_add_into(acc, blocks[(p, q - 1)].apply(
-                        bn.vertical_boundary(p, q).apply(vec)))
-                if p >= 1:
-                    vec_add_into(acc, blocks[(p - 1, q)].apply(
-                        bn.horizontal_boundary(p, q).apply(vec)),
-                        field.sign(q))
-                after[col] = acc
-            before = blocks[(p, q)]
-            bmat = diag_norm.boundary_matrix(n)
-            for col in range(bdim):
-                lhs = bmat.apply(before.apply({col: field.one}))
-                if lhs != after[col]:
-                    return (f"shuffle map is not a chain map at ({p},{q}) "
-                            f"column {col}")
-    return None
+    def shuffle_sum(key):
+        """The shuffle map on that direct sum."""
+        (p, q), k = key
+        return shuffle(p, q, k)
+
+    stages = ((bn.dim(p, q), [
+        (f"shuffle map is not a chain map at ({p},{q}) column {{k}}",
+         ((shuffle, (p, q)), (boundary, (n,))),
+         ((total, (p, q)), (shuffle_sum, ())))])
+        for n in range(1, max_degree + 1) for (p, q) in _components(n))
+    bad = first_violation(stages, field.one)
+    return None if bad is None else bad[0].format(k=bad[1])

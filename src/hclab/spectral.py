@@ -115,11 +115,15 @@ class RowComplexes:
                  for j in range(self.quotients[(0, q)].dim)])
         else:
             ker = kernel_basis(self.induced("row_boundary", p, q))
-        img_cols = self.induced("row_boundary", p + 1, q).columns()
         img_in_ker = []
-        for col in img_cols:
+        for col in self.induced("row_boundary", p + 1, q).columns():
             if col:
-                img_in_ker.append(ker.coords_of(col))
+                try:
+                    img_in_ker.append(ker.coords_of(col))
+                except NotInSubspace:
+                    raise SpectralError(
+                        f"row boundary at ({p + 1},{q}) does not land in "
+                        f"the row cycles at ({p},{q})")
         denom = Subspace.from_vectors(self.field, ker.dim, img_in_ker)
         quot = quotient_space(ker.dim, denom)
         self._homology[key] = (ker, quot)

@@ -1,0 +1,155 @@
+"""Exact failure text of the identity checks that have no oracle.
+
+`check_row_identification`, `check_maclane`, `check_diagonal_isomorphism`
+and `check_shuffle_chain_map` each return None or the first relation that
+fails, named.  Each case
+injects one fault into a provider or a chain map the check reads, and
+pins the whole message: a rewrite of a check must keep both the order in
+which it walks its relations and the text it returns.  A provider fault
+adds one unit to the least coordinate of one image (coordinate 0 when
+the image is zero); a map fault adds one unit at entry (0, 0) of the
+map's matrix in one degree or bidegree.
+"""
+
+import pytest
+
+import hclab.cylinder.coefficients
+import hclab.cylinder.core
+from hclab.algebra import FiniteGroup, dual_numbers, ground_algebra
+from hclab.crossed import (
+    ActionMap, build_crossed_product, lift_group_cocycle,
+    sign_group_cocycle_table, trivial_action, trivial_cocycle,
+    twisted_scalar_algebra,
+)
+from hclab.cycliccore import NormalizedComplex
+from hclab.cylinder import (
+    BinormalizedCylinder, DiagonalModule, HochschildComplex,
+    HopfCrossedCylinder, build_cylinder, check_diagonal_isomorphism,
+    check_maclane, check_row_identification, check_shuffle_chain_map,
+)
+from hclab.exactlinalg import QQ, SparseMatrix
+from hclab.hopf import group_hopf
+
+
+def cylinder_s2():
+    h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
+    coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
+    return build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
+
+
+def cylinder_s5():
+    h = group_hopf(QQ, FiniteGroup.cyclic(2))
+    act = ActionMap(h, dual_numbers(QQ), [[{0: QQ.one}, {1: QQ.one}],
+                                          [{0: QQ.one}, {1: QQ.of(-1)}]])
+    return build_cylinder(h, act, trivial_cocycle(h))
+
+
+def corrupt_provider(cls, provider, at):
+    """`provider` of `cls` with one more unit in the least coordinate of
+    its image at the argument tuple `at`."""
+    original = getattr(cls, provider)
+
+    def wrong(self, *args):
+        image = dict(original(self, *args))
+        if args == at:
+            key = min(image, default=0)
+            image[key] = image.get(key, self.field.zero) + self.field.one
+        return image
+    return cls, provider, wrong
+
+
+def corrupt_map(owner, name, at):
+    """The map `name` of `owner` with one more unit at entry (0, 0) of its
+    matrix when its last arguments are `at` (a degree or a bidegree)."""
+    original = getattr(owner, name)
+
+    def wrong(source, *args):
+        m = original(source, *args)
+        if args[-len(at):] == at:
+            m = m.add(SparseMatrix(m.field, m.rows, m.cols,
+                                   {(0, 0): m.field.one}))
+        return m
+    return owner, name, wrong
+
+
+def row_identification(cyl, q):
+    return check_row_identification(
+        cyl, twisted_scalar_algebra(cyl.cocycle), q, 2)
+
+
+def maclane(cyl, q):
+    return check_maclane(cyl, twisted_scalar_algebra(cyl.cocycle), q, 2)
+
+
+def diagonal(cyl):
+    cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+    return check_diagonal_isomorphism(cyl, cp, 2)
+
+
+def shuffle(cyl):
+    return check_shuffle_chain_map(cyl, 2)
+
+
+# (cylinder, check, fault, exact message)
+CASES = {
+    "row identification, s5 row 0": (
+        cylinder_s5, lambda cyl: row_identification(cyl, 0),
+        corrupt_provider(HopfCrossedCylinder, "hface", (2, 0, 1, 5)),
+        "face 1 disagrees at row 0, degree 2, basis 5"),
+    "row identification, s2 row 1": (
+        cylinder_s2, lambda cyl: row_identification(cyl, 1),
+        corrupt_provider(HopfCrossedCylinder, "hface", (1, 1, 0, 3)),
+        "face 0 disagrees at row 1, degree 1, basis 3"),
+    "Mac Lane, Hochschild face": (
+        cylinder_s5, lambda cyl: maclane(cyl, 0),
+        corrupt_provider(HochschildComplex, "face", (2, 1, 6)),
+        "face 1 intertwining fails in degree 2 at basis 6"),
+    "Mac Lane, theta": (
+        cylinder_s2, lambda cyl: maclane(cyl, 0),
+        corrupt_map(hclab.cylinder.coefficients, "hochschild_to_hopf", (2,)),
+        "theta o inverse is not the identity in degree 2"),
+    "Mac Lane, inverse": (
+        cylinder_s5, lambda cyl: maclane(cyl, 1),
+        corrupt_map(hclab.cylinder.coefficients, "hopf_to_hochschild", (1,)),
+        "theta o inverse is not the identity in degree 1"),
+    "diagonal, phi": (
+        cylinder_s5, diagonal,
+        corrupt_map(hclab.cylinder.core, "crossed_to_diagonal", (1,)),
+        "degeneracy 0 intertwining fails in degree 0"),
+    "diagonal, psi": (
+        cylinder_s2, diagonal,
+        corrupt_map(hclab.cylinder.core, "diagonal_to_crossed", (2,)),
+        "psi o phi is not the identity in degree 2"),
+    "diagonal, rotation": (
+        cylinder_s5, diagonal,
+        corrupt_provider(DiagonalModule, "rotate", (1, 9)),
+        "rotation intertwining fails in degree 1"),
+    "diagonal, face": (
+        cylinder_s5, diagonal,
+        corrupt_provider(DiagonalModule, "face", (2, 2, 17)),
+        "face 2 intertwining fails in degree 2"),
+    "diagonal, degeneracy": (
+        cylinder_s2, diagonal,
+        corrupt_provider(DiagonalModule, "degeneracy", (1, 1, 3)),
+        "degeneracy 1 intertwining fails in degree 1"),
+    "shuffle, shuffle map": (
+        cylinder_s5, shuffle,
+        corrupt_map(hclab.cylinder.core, "shuffle_map", (1, 0)),
+        "shuffle map is not a chain map at (2,0) column 2"),
+    "shuffle, vertical boundary": (
+        cylinder_s5, shuffle,
+        corrupt_map(BinormalizedCylinder, "vertical_boundary", (1, 1)),
+        "shuffle map is not a chain map at (1,1) column 0"),
+    "shuffle, diagonal boundary": (
+        cylinder_s5, shuffle,
+        corrupt_map(NormalizedComplex, "boundary_matrix", (2,)),
+        "shuffle map is not a chain map at (0,2) column 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_first_failure_is_named(case, monkeypatch):
+    build, check, (owner, name, wrong), message = CASES[case]
+    assert check(build()) is None
+    monkeypatch.setattr(owner, name, wrong)
+    assert check(build()) == message

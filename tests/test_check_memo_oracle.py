@@ -20,13 +20,14 @@ from hclab.cli import build_objects, parse_scenario
 from hclab.crossed import Cocycle, sign_group_cocycle_table, trivial_action
 from hclab.cycliccore import (
     AlgebraCyclicModule,
+    MatrixParacyclicModule,
     RelationViolation,
     check_cyclic,
     check_paracyclic,
 )
 from hclab.cylinder import HopfCrossedCylinder, build_cylinder
 from hclab.cylinder.core import check_cylindrical
-from hclab.exactlinalg import QQ, exact_div, vec_add_into
+from hclab.exactlinalg import QQ, SparseMatrix, exact_div, vec_add_into
 from hclab.hopf import group_hopf
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -383,3 +384,43 @@ def test_every_single_corruption_matches_oracle(provider):
         assert check_cylindrical(cyl, 1, 1) == want, at
         caught += want is not None
     assert caught
+
+
+def matrix_module(top, corrupt):
+    """The cyclic module of Q[C2] stored as matrices through degree
+    `top` (faces and rotations through `top`, degeneracies below it, as
+    the induced column modules store them), with one unit added at entry
+    (0, 0) of the stored matrix named by `corrupt` (or none)."""
+    base = AlgebraCyclicModule(group_algebra(QQ, FiniteGroup.cyclic(2)))
+    faces = {(n, i): base.face_matrix(n, i)
+             for n in range(1, top + 1) for i in range(n + 1)}
+    degeneracies = {(n, i): base.degeneracy_matrix(n, i)
+                    for n in range(top) for i in range(n + 1)}
+    rotations = {n: base.rotate_matrix(n) for n in range(top + 1)}
+    stored = {"face": faces, "degeneracy": degeneracies,
+              "rotation": rotations}
+    if corrupt is not None:
+        kind, key = corrupt
+        m = stored[kind][key]
+        stored[kind][key] = m.add(SparseMatrix(QQ, m.rows, m.cols,
+                                               {(0, 0): QQ.one}))
+    return MatrixParacyclicModule(QQ, [base.dim(n) for n in range(top + 1)],
+                                  faces, degeneracies, rotations)
+
+
+# the top degree is only reached through the relations that read one
+# degree above the checked range, which the availability gates admit
+MATRIX_FAULTS = {
+    "none": None,
+    "top face": ("face", (3, 1)),
+    "top rotation": ("rotation", 3),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MATRIX_FAULTS))
+def test_matrix_module_matches_oracle(fault):
+    module = matrix_module(3, MATRIX_FAULTS[fault])
+    got = check_paracyclic(module, 2)
+    assert (got is None) == (fault == "none")
+    assert got == oracle_check_paracyclic(module, 2)
+    assert check_cyclic(module, 2) == oracle_check_cyclic(module, 2)

@@ -202,4 +202,4 @@ def test_homology_report_shape():
     rep = hochschild_homology(AlgebraCyclicModule(ground_algebra(QQ)), 2)
     assert rep.degrees == [0, 1, 2]
     assert rep.method == "hochschild"
-    assert rep.as_pairs() == [(0, 1), (1, 0), (2, 0)]
+    assert rep.dims == [1, 0, 0]

@@ -1,6 +1,6 @@
 import pytest
 
-from hclab.exactlinalg import Field, QQ, SparseMatrix, Subspace
+from hclab.exactlinalg import Field, QQ, SparseMatrix, Subspace, kernel_basis
 from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
 )
@@ -262,6 +262,19 @@ def test_operator_leaving_row_cycles_is_a_spectral_error():
     with pytest.raises(SpectralError,
                        match=r"vrot does not preserve row cycles at \(1,0\)"):
         rows.induced_on_homology("vrot", 1, 0, 0)
+
+
+def test_boundary_leaving_row_cycles_is_a_spectral_error():
+    rows = RowComplexes(cylinder_s5(), 2, 1)
+    ker = kernel_basis(rows.induced("row_boundary", 1, 0))
+    dim = rows.quotients[(1, 0)].dim
+    outside = next(j for j in range(dim) if not ker.contains({j: QQ.one}))
+    # a row boundary out of (2,0) whose first column leaves the cycles
+    rows._induced[("row_boundary", 2, 0)] = SparseMatrix(
+        QQ, dim, rows.quotients[(2, 0)].dim, {(outside, 0): QQ.one})
+    with pytest.raises(SpectralError, match=r"row boundary at \(2,0\) does "
+                       r"not land in the row cycles at \(1,0\)"):
+        rows.homology(1, 0)
 
 
 def test_operator_leaving_invariants_is_a_spectral_error(monkeypatch):
