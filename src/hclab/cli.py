@@ -524,7 +524,7 @@ def _run_hc(built, cyl, report):
                                         cap=scenario.cap)
     report.tables.append(("cyclic homology of the crossed product",
                           direct.dims))
-    tot = tot_mixed_complex(cyl, scenario.max_degree + 1)
+    tot = tot_mixed_complex(cyl, scenario.max_degree)
     via_tot = cyclic_homology_mixed(tot, scenario.max_degree)
     report.tables.append(("cyclic homology of the total complex",
                           via_tot.dims))

@@ -360,25 +360,28 @@ def matrix_columns(build):
     return column
 
 
-def _paracyclic_stages(module, max_degree):
+def _in_range_operators(module, max_degree):
+    """The module's face, degeneracy and rotation providers, each image
+    out of a degree through max_degree computed once.  Images in degree
+    max_degree + 1 are recomputed: they are the most numerous and each is
+    needed only about twice."""
+    def in_range(head):
+        return head[0] <= max_degree
+
+    return tuple(memoized(op, in_range)
+                 for op in (module.face, module.degeneracy, module.rotate))
+
+
+def _paracyclic_stages(module, max_degree, operators):
     """Every simplicial and paracyclic relation on every basis vector,
     one stage per degree n through max_degree, each row named
-    (relation, n).
+    (relation, n), read through `operators` (see _in_range_operators).
 
     Relations whose composites land in degree max_degree + 1 are checked
     whenever the module has operators there (provider-backed modules
     always do; matrix-backed ones answer through their stored range).
-    Every image in degrees through max_degree is computed once and
-    reused by every relation that needs it.  Images in degree
-    max_degree + 1 are recomputed: they are the most numerous and each is
-    needed only about twice.
     """
-    def in_range(head):
-        return head[0] <= max_degree
-
-    face, degeneracy, rotate = (
-        memoized(op, in_range)
-        for op in (module.face, module.degeneracy, module.rotate))
+    face, degeneracy, rotate = operators
 
     def d(m, i):
         return face, (m, i)
@@ -424,18 +427,23 @@ def _paracyclic_stages(module, max_degree):
 def check_paracyclic(module, max_degree):
     """Verify every simplicial and paracyclic relation on every basis
     vector through max_degree; None, or the first violation found."""
-    bad = first_violation(_paracyclic_stages(module, max_degree),
-                          module.field.one)
+    bad = first_violation(
+        _paracyclic_stages(module, max_degree,
+                           _in_range_operators(module, max_degree)),
+        module.field.one)
     return None if bad is None else RelationViolation(*bad[0], bad[1])
 
 
 def check_cyclic(module, max_degree):
-    """check_paracyclic plus rotate^(n+1) = id in every degree."""
-    rotate = memoized(module.rotate, lambda head: True)
+    """check_paracyclic plus rotate^(n+1) = id in every degree; both
+    read one memo of each operator, so every rotation image through
+    max_degree is evaluated once."""
+    operators = _in_range_operators(module, max_degree)
+    rotate = operators[2]
     identities = [(module.dim(n), [(("rotate^(n+1) = id", n),
                                     ((rotate, (n,)),) * (n + 1), ())])
                   for n in range(max_degree + 1)]
-    bad = first_violation([*_paracyclic_stages(module, max_degree),
+    bad = first_violation([*_paracyclic_stages(module, max_degree, operators),
                            *identities], module.field.one)
     return None if bad is None else RelationViolation(*bad[0], bad[1])
 
@@ -525,17 +533,22 @@ class NormalizedComplex:
         return self._connes[n]
 
 
+def homology_dims(dim, boundary, max_degree):
+    """dim(n) - rank boundary(n) - rank boundary(n + 1), the homology
+    dimensions of a chain complex through max_degree; boundary(n) leaves
+    degree n (the zero map for n = 0), and each rank is computed once."""
+    ranks = [mat_rank(boundary(n)) for n in range(max_degree + 2)]
+    return [dim(n) - ranks[n] - ranks[n + 1] for n in range(max_degree + 1)]
+
+
 def hochschild_homology(module, max_degree):
     """Dimensions of ker b / im b on the normalized complex."""
     norm = module if isinstance(module, NormalizedComplex) else \
         NormalizedComplex(module, max_degree + 1)
-    dims = []
-    for n in range(max_degree + 1):
-        bn = norm.boundary_matrix(n)
-        bn1 = norm.boundary_matrix(n + 1)
-        kdim = norm.dim(n) - mat_rank(bn)
-        dims.append(kdim - mat_rank(bn1))
-    return HomologyReport(list(range(max_degree + 1)), dims, "hochschild")
+    return HomologyReport(
+        list(range(max_degree + 1)),
+        homology_dims(norm.dim, norm.boundary_matrix, max_degree),
+        "hochschild")
 
 
 @dataclass
@@ -609,7 +622,7 @@ def cyclic_homology_mixed(mx, max_degree):
         return sum(mx.dims[m] for m in tot_components(n))
 
     def differential(n):
-        """Tot_n -> Tot_{n-1}."""
+        """Tot_n -> Tot_{n-1}; the zero map for n = 0."""
         src = tot_components(n)
         dst = tot_components(n - 1)
         dst_offset = {}
@@ -627,19 +640,13 @@ def cyclic_homology_mixed(mx, max_degree):
             col_off += mx.dims[m]
         return out
 
-    dims = []
-    for n in range(max_degree + 1):
-        dn = differential(n) if n >= 1 else SparseMatrix.zero(
-            mx.field, 0, tot_dim(0))
-        dn1 = differential(n + 1)
-        kdim = tot_dim(n) - mat_rank(dn)
-        dims.append(kdim - mat_rank(dn1))
-    return HomologyReport(list(range(max_degree + 1)), dims,
+    return HomologyReport(list(range(max_degree + 1)),
+                          homology_dims(tot_dim, differential, max_degree),
                           "cyclic-bicomplex")
 
 
 def cyclic_homology_of_algebra(algebra, max_degree, cap=None):
     """HC of an algebra through max_degree, via its cyclic module."""
     module = AlgebraCyclicModule(algebra, cap=cap)
-    mx = mixed_complex_of_cyclic(module, max_degree + 1)
+    mx = mixed_complex_of_cyclic(module, max_degree)
     return cyclic_homology_mixed(mx, max_degree)

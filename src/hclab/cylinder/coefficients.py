@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from ..cycliccore import (
     HomologyReport, ParacyclicModule, TensorSpace, first_violation,
-    matrix_columns, memoized)
+    homology_dims, matrix_columns, memoized)
 from ..exactlinalg import (
-    MathError, SparseMatrix, add_term, expand, mat_rank, vec_add_into)
+    MathError, SparseMatrix, add_term, expand, vec_add_into)
 
 
 class ModuleLawError(MathError):
@@ -330,11 +330,8 @@ def hopf_homology(hopf, act, carrier_dim, max_p):
         if not mats[p - 1].compose(mats[p]).is_zero():
             raise HopfComplexError(
                 f"differential does not square to zero out of degree {p}")
-    dims = []
-    for p in range(max_p + 1):
-        kdim = cx.dim(p) - mat_rank(mats[p])
-        dims.append(kdim - mat_rank(mats[p + 1]))
-    return HomologyReport(list(range(max_p + 1)), dims, "hopf")
+    return HomologyReport(list(range(max_p + 1)),
+                          homology_dims(cx.dim, mats.get, max_p), "hopf")
 
 
 # ---------------------------------------------------------------------------

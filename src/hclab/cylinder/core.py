@@ -364,9 +364,10 @@ class BinormalizedCylinder:
     the induced boundary and Connes operators of both directions.
 
     The raw operators come from the cylinder's row and column modules.
-    The twist T at each bidegree is computed literally as
-    1 - (bB + Bb) of the vertical pair; it also equals the induced
-    (q+1)-st power of the vertical rotation, which callers may check.
+    The twist T at each bidegree is the induced (q+1)-st power of the
+    vertical rotation, which reads no bidegree but its own.  Its literal
+    form 1 - (bB + Bb) of the vertical pair, which reads the bidegree
+    above, is kept as a certificate.
     """
 
     def __init__(self, cyl, top_total):
@@ -412,31 +413,30 @@ class BinormalizedCylinder:
                              p, (p, q), (p + 1, q))
 
     def twist(self, p, q):
-        """1 - (bB + Bb) of the vertical pair at (p, q)."""
-        key = ("T", p, q)
-        if key in self._ops:
-            return self._ops[key]
-        n = self.dim(p, q)
-        acc = SparseMatrix.identity(self.field, n)
+        """The literal twist 1 - (bB + Bb) of the vertical pair at (p, q);
+        it reads the quotient at (p, q + 1)."""
+        acc = SparseMatrix.identity(self.field, self.dim(p, q))
         bB = self.vertical_boundary(p, q + 1).compose(self.vertical_connes(p, q))
         acc = acc.add(bB, self.field.sign(1))
         if q >= 1:
             Bb = self.vertical_connes(p, q - 1).compose(
                 self.vertical_boundary(p, q))
             acc = acc.add(Bb, self.field.sign(1))
-        self._ops[key] = acc
         return acc
 
     def induced_vertical_twist(self, p, q):
         """The raw vertical rotation to the (q+1)-st power, induced."""
-        rot = self.cyl.column_module(p).rotate_matrix(q)
-        acc = SparseMatrix.identity(self.field, rot.cols)
-        for _ in range(q + 1):
-            acc = rot.compose(acc)
-        quotient = self.quotients[(p, q)]
-        return require_descent(
-            induced_map(acc, quotient, quotient), MixedComplexError,
-            f"vertical twist not well defined at ({p},{q})")
+        key = ("T", p, q)
+        if key not in self._ops:
+            rot = self.cyl.column_module(p).rotate_matrix(q)
+            acc = SparseMatrix.identity(self.field, rot.cols)
+            for _ in range(q + 1):
+                acc = rot.compose(acc)
+            quotient = self.quotients[(p, q)]
+            self._ops[key] = require_descent(
+                induced_map(acc, quotient, quotient), MixedComplexError,
+                f"vertical twist not well defined at ({p},{q})")
+        return self._ops[key]
 
 
 def _components(n):
@@ -447,13 +447,28 @@ def tot_mixed_complex(cyl, max_degree):
     """The total mixed complex on the binormalized cylinder.
 
     Degree n is the direct sum of the bidegrees with p + q = n (p
-    ascending).  The chain differential adds the horizontal boundary with
-    a sign depending on the vertical degree; the degree-raising
-    differential adds the twist-corrected horizontal Connes operator.
-    The mixed-complex identities are verified and a failure aborts.
+    ascending), built through degree max_degree + 1.  The chain
+    differential adds the horizontal boundary with a sign depending on
+    the vertical degree; the degree-raising differential adds the
+    horizontal Connes operator corrected by the twist, taken as the
+    induced power of the vertical rotation.
+
+    Two certificates run, and a failure of either aborts.  The twist
+    equals its literal form 1 - (bB + Bb) at every bidegree of total
+    degree <= max_degree where the Connes operator reads it (the literal
+    form there reads only quotients already built).  The twists at total
+    degree max_degree + 1 enter only B out of degree max_degree, which no
+    HC_n with n <= max_degree reads; the mixed-complex identities through
+    max_degree, checked next, read them.
     """
-    bn = BinormalizedCylinder(cyl, max_degree + 2)
+    bn = BinormalizedCylinder(cyl, max_degree + 1)
     field = cyl.field
+    for n in range(1, max_degree + 1):
+        for (p, q) in _components(n)[1:]:
+            if bn.twist(p, q) != bn.induced_vertical_twist(p, q):
+                raise MixedComplexError(
+                    f"total complex identities fail: the twist at ({p},{q}) "
+                    "is not 1 - (bB + Bb) of the vertical pair")
 
     def offsets(n):
         offs, total = {}, 0
@@ -487,7 +502,8 @@ def tot_mixed_complex(cyl, max_degree):
         for (p, q) in _components(n):
             co = src_offs[(p, q)]
             m.add_block(bn.vertical_connes(p, q), dst_offs[(p, q + 1)], co)
-            m.add_block(bn.twist(p + 1, q).compose(bn.horizontal_connes(p, q)),
+            m.add_block(bn.induced_vertical_twist(p + 1, q).compose(
+                            bn.horizontal_connes(p, q)),
                         dst_offs[(p + 1, q)], co, field.sign(q))
         B_mats[n] = m
     mx = MixedComplex(field, dims, b_mats, B_mats)

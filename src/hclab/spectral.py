@@ -193,13 +193,13 @@ def induced_column_cyclic(cyl, p, max_q, rows=None):
 
 def compute_E2(cyl, max_p, max_q):
     """The second page: cyclic homology of the induced column modules."""
-    depth = max_q + 2
-    rows = RowComplexes(cyl, max_p + 1, depth)
+    depth = max_q + 1
+    rows = RowComplexes(cyl, max_p, depth)
     e1, _ = compute_E1(cyl, max_p, max_q)
     entries = {}
     for p in range(max_p + 1):
         column = induced_column_cyclic(cyl, p, depth, rows=rows)
-        mx = mixed_complex_of_cyclic(column, max_q + 1)
+        mx = mixed_complex_of_cyclic(column, max_q)
         hc = cyclic_homology_mixed(mx, max_q)
         for q in range(max_q + 1):
             dim = hc.dims[q]
@@ -321,8 +321,8 @@ def collapse_check(cyl, max_degree):
     cyclic homology of the invariant complex; semisimple only."""
     cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
     direct = cyclic_homology_of_algebra(cp.product, max_degree)
-    inv = invariant_complex_N0(cyl, max_degree + 2)
-    mx = mixed_complex_of_cyclic(inv.module, max_degree + 1)
+    inv = invariant_complex_N0(cyl, max_degree + 1)
+    mx = mixed_complex_of_cyclic(inv.module, max_degree)
     via = cyclic_homology_mixed(mx, max_degree)
     return CollapseReport(direct=direct.dims, via_invariants=via.dims)
 

@@ -149,6 +149,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cap_applies_to_the_degrees_hc_builds(tmp_path, capsys):
+    """hc at degree 2 on s2 (C2 x C2 acting on Q) builds chain degrees
+    through 3, whose largest space is 4^4 = 256: that cap suffices, one
+    less names the space."""
+    target = tmp_path / "s2.scn"
+    target.write_text(read("s2.scn"))
+    args = ["hc", str(target), "--max-degree", "2"]
+    assert main(args + ["--cap", "256"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert main(args + ["--cap", "255"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("resource cap: chain space of dimension 256 exceeds the cap 255"
+            in captured.err)
+
+
 def test_cli_report_deterministic(tmp_path, capsys):
     target = tmp_path / "s5.scn"
     target.write_text(read("s5.scn"))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 from hclab.exactlinalg import Field, QQ, SparseMatrix, mat_rank
 from hclab.algebra import (
     FiniteGroup, dual_numbers, ground_algebra, group_algebra,
@@ -30,6 +32,25 @@ def test_ground_field_module():
     assert m.dim(3) == 1
     assert m.rotate(2, 0) == {0: QQ.one}
     assert check_cyclic(m, 3) is None
+
+
+def test_cyclic_check_evaluates_each_in_range_rotation_once():
+    """check_cyclic of Q[C2] through degree 3: the paracyclic relations
+    and rotate^(n+1) = id read one memo of the rotation, so each of the
+    30 images in degrees 0-3 is evaluated once; the relations one degree
+    up read the 31 images of degree 4 80 times."""
+    calls = Counter()
+
+    class Counted(AlgebraCyclicModule):
+        def rotate(self, n, k):
+            calls[(n, k)] += 1
+            return super().rotate(n, k)
+
+    module = Counted(group_algebra(QQ, FiniteGroup.cyclic(2)))
+    assert check_cyclic(module, 3) is None
+    assert sum(calls.values()) == 110
+    in_range = [c for (n, _), c in calls.items() if n <= 3]
+    assert len(in_range) == 30 and set(in_range) == {1}
 
 
 def test_qc2_wraparound_face():
