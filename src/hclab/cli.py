@@ -38,9 +38,10 @@ import argparse
 import sys
 import traceback
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .algebra import (
-    FiniteGroup, FinDimAlgebra, GroupTableError, dual_numbers,
+    FiniteGroup, GroupTableError, dual_numbers,
     function_algebra, ground_algebra, group_algebra, matrix_algebra,
     validate_algebra,
 )
@@ -246,12 +247,35 @@ def parse_scenario(text):
 
 @dataclass
 class BuiltScenario:
+    """A scenario's validated ingredients and one run's session: each
+    intermediate that two stages read is built when first read, and one
+    that raises is not kept, so the next reader fails the same way."""
     scenario: Scenario
-    field: Field
     hopf: object
-    algebra: FinDimAlgebra
     action: ActionMap
     cocycle: Cocycle
+
+    @cached_property
+    def cylinder(self):
+        return build_cylinder(self.hopf, self.action, self.cocycle,
+                              check=False, cap=self.scenario.cap)
+
+    @cached_property
+    def direct_hc(self):
+        """HC of the crossed product itself, through max_degree."""
+        cp = build_crossed_product(self.action, self.cocycle, check=False)
+        return cyclic_homology_of_algebra(
+            cp.product, self.scenario.max_degree, cap=self.scenario.cap)
+
+    @cached_property
+    def total_complex(self):
+        return tot_mixed_complex(self.cylinder, self.scenario.max_degree)
+
+    @cached_property
+    def first_page(self):
+        """(E1, the RowComplexes it was computed from)."""
+        return compute_E1(self.cylinder, self.scenario.max_p,
+                          self.scenario.max_q)
 
 
 def build_objects(scenario):
@@ -301,8 +325,7 @@ def build_objects(scenario):
     bad = validate_cocycle(cocycle, action)
     if bad is not None:
         raise MathCheckFailed(f"cocycle condition violation: {bad}")
-    return BuiltScenario(scenario=scenario, field=field, hopf=hopf,
-                         algebra=algebra, action=action, cocycle=cocycle)
+    return BuiltScenario(scenario, hopf, action, cocycle)
 
 
 def _build_action(scenario, field, hopf, algebra):
@@ -443,22 +466,19 @@ def emit_report(report, machine=False):
 def run_command(command, scenario):
     """Execute a command against a parsed scenario and report."""
     built = build_objects(scenario)
-    cyl = build_cylinder(built.hopf, built.action, built.cocycle,
-                         check=False, cap=scenario.cap)
     report = Report(scenario=scenario, command=command)
     if command in ("verify", "report"):
-        _run_verify(built, cyl, report)
+        _run_verify(built, report)
     if command in ("hc", "report"):
-        _run_hc(built, cyl, report)
+        _run_hc(built, report)
     if command in ("e1", "report"):
         _run_page(report, "first page: row homology = Hopf homology",
-                  lambda: compute_E1(cyl, scenario.max_p, scenario.max_q)[0])
+                  lambda: built.first_page[0])
     if command in ("e2", "report"):
         _run_page(report, "second page computed without well-definedness "
-                  "failures",
-                  lambda: compute_E2(cyl, scenario.max_p, scenario.max_q))
+                  "failures", lambda: compute_E2(*built.first_page))
     if command in ("collapse", "report"):
-        _run_collapse(built, cyl, scenario, report, command)
+        _run_collapse(built, report, command)
     return report
 
 
@@ -485,8 +505,8 @@ def _run_page(report, check_name, compute):
     report.add_check(check_name, True)
 
 
-def _run_verify(built, cyl, report):
-    scenario = built.scenario
+def _run_verify(built, report):
+    scenario, cyl = built.scenario, built.cylinder
     report.add_violation("Hopf axioms", validate_hopf(built.hopf))
     report.add_check("cocommutativity", is_cocommutative(built.hopf))
     report.add_violation("weak action axioms",
@@ -505,7 +525,7 @@ def _run_verify(built, cyl, report):
         f"cylinder identities through ({scenario.max_p},{scenario.max_q})",
         check_cylindrical(cyl, scenario.max_p, scenario.max_q))
     try:
-        tot_mixed_complex(cyl, scenario.max_degree)
+        built.total_complex
         report.add_check("total mixed complex identities", True)
     except MathError as exc:
         report.add_check("total mixed complex identities", False, str(exc))
@@ -517,22 +537,19 @@ def _run_verify(built, cyl, report):
                          check_coefficient_action(cyl, 0))
 
 
-def _run_hc(built, cyl, report):
-    scenario = built.scenario
-    cp = build_crossed_product(built.action, built.cocycle, check=False)
-    direct = cyclic_homology_of_algebra(cp.product, scenario.max_degree,
-                                        cap=scenario.cap)
+def _run_hc(built, report):
+    direct = built.direct_hc
     report.tables.append(("cyclic homology of the crossed product",
                           direct.dims))
-    tot = tot_mixed_complex(cyl, scenario.max_degree)
-    via_tot = cyclic_homology_mixed(tot, scenario.max_degree)
+    via_tot = cyclic_homology_mixed(built.total_complex,
+                                    built.scenario.max_degree)
     report.tables.append(("cyclic homology of the total complex",
                           via_tot.dims))
     report.add_check("total complex matches the crossed product",
                      direct.dims == via_tot.dims)
 
 
-def _run_collapse(built, cyl, scenario, report, command):
+def _run_collapse(built, report, command):
     try:
         semisimple = is_semisimple(built.hopf)
     except UnsupportedSemisimplicityQuery as exc:
@@ -547,7 +564,7 @@ def _run_collapse(built, cyl, scenario, report, command):
                          True, "not semisimple")
         return
     rep = _run_stage(report, "collapse comparison",
-                     lambda: collapse_check(cyl, scenario.max_degree))
+                     lambda: collapse_check(built.cylinder, built.direct_hc))
     if rep is None:
         return
     report.tables.append(("cyclic homology, direct", rep.direct))

@@ -15,15 +15,13 @@ crossed product's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
-from .crossed import build_crossed_product
 from .cycliccore import (
     MatrixParacyclicModule,
     apply_linear,
     check_cyclic,
     cyclic_homology_mixed,
-    cyclic_homology_of_algebra,
     degeneracy_quotient,
     mixed_complex_of_cyclic,
     require_descent,
@@ -53,7 +51,6 @@ class SpectralError(MathError):
 class SpectralPage:
     page: int
     entries: dict                      # (p, q) -> dimension
-    differentials: dict = dataclass_field(default_factory=dict)
 
     def entry(self, p, q):
         return self.entries[(p, q)]
@@ -62,20 +59,21 @@ class SpectralPage:
 class RowComplexes:
     """Horizontally normalized rows with the vertical operators induced
     across the normalization (they commute with horizontal degeneracies),
-    plus kernel/image data for row homology."""
+    plus kernel/image data for row homology; each built on first read."""
 
-    def __init__(self, cyl, max_p, max_q):
+    def __init__(self, cyl):
         self.cyl = cyl
         self.field = cyl.field
-        self.max_p = max_p
-        self.max_q = max_q
-        self.quotients = {}
+        self._quotients = {}
         self._induced = {}
         self._homology = {}
-        for q in range(max_q + 1):
-            row = cyl.row_module(q)
-            for p in range(max_p + 2):
-                self.quotients[(p, q)] = degeneracy_quotient([(row, p)])
+
+    def quotient(self, p, q):
+        """The horizontally normalized space at (p, q)."""
+        if (p, q) not in self._quotients:
+            self._quotients[(p, q)] = degeneracy_quotient(
+                [(self.cyl.row_module(q), p)])
+        return self._quotients[(p, q)]
 
     def induced(self, name, p, q):
         """An operator induced on the horizontally normalized spaces."""
@@ -96,7 +94,7 @@ class RowComplexes:
         else:
             raise ValueError(name)
         res = require_descent(
-            induced_map(raw, self.quotients[(p, q)], self.quotients[target]),
+            induced_map(raw, self.quotient(p, q), self.quotient(*target)),
             SpectralError,
             f"{name} does not descend to the normalized rows at ({p},{q})")
         self._induced[key] = res
@@ -109,10 +107,9 @@ class RowComplexes:
         if key in self._homology:
             return self._homology[key]
         if p == 0:
+            dim = self.quotient(0, q).dim
             ker = Subspace.from_vectors(
-                self.field, self.quotients[(0, q)].dim,
-                [{j: self.field.one}
-                 for j in range(self.quotients[(0, q)].dim)])
+                self.field, dim, [{j: self.field.one} for j in range(dim)])
         else:
             ker = kernel_basis(self.induced("row_boundary", p, q))
         img_in_ker = []
@@ -148,8 +145,8 @@ class RowComplexes:
 def compute_E1(cyl, max_p, max_q):
     """The first page, computed two independent ways that must agree:
     row homology of the normalized cylinder, and Hopf-algebra homology
-    with the twisted row coefficients."""
-    rows = RowComplexes(cyl, max_p, max_q)
+    with the twisted row coefficients.  Returns it and its RowComplexes."""
+    rows = RowComplexes(cyl)
     entries = {}
     for q in range(max_q + 1):
         bim = BimoduleMq(cyl, q)
@@ -166,12 +163,10 @@ def compute_E1(cyl, max_p, max_q):
     return SpectralPage(page=1, entries=entries), rows
 
 
-def induced_column_cyclic(cyl, p, max_q, rows=None):
+def induced_column_cyclic(rows, p, max_q):
     """The p-th column of the first page as a genuine cyclic module on
     row-homology classes; cyclicity of the induced rotation is verified.
     """
-    rows = rows or RowComplexes(cyl, p + 1, max_q)
-    field = cyl.field
     dims = [rows.homology_dim(p, q) for q in range(max_q + 1)]
     faces, degens, rots = {}, {}, {}
     for q in range(max_q + 1):
@@ -184,21 +179,20 @@ def induced_column_cyclic(cyl, p, max_q, rows=None):
             for i in range(q + 1):
                 degens[(q, i)] = rows.induced_on_homology(
                     f"vdeg_{i}", p, q, q + 1)
-    module = MatrixParacyclicModule(field, dims, faces, degens, rots)
+    module = MatrixParacyclicModule(rows.field, dims, faces, degens, rots)
     bad = check_cyclic(module, max_q - 1 if max_q >= 1 else 0)
     if bad is not None:
         raise SpectralError(f"induced column {p} is not cyclic: {bad}")
     return module
 
 
-def compute_E2(cyl, max_p, max_q):
-    """The second page: cyclic homology of the induced column modules."""
-    depth = max_q + 1
-    rows = RowComplexes(cyl, max_p, depth)
-    e1, _ = compute_E1(cyl, max_p, max_q)
+def compute_E2(e1, rows):
+    """The second page over the range of `e1`: cyclic homology of the
+    induced column modules on `rows`, the RowComplexes `e1` read."""
+    max_p, max_q = max(e1.entries)     # entries fill 0..max_p x 0..max_q
     entries = {}
     for p in range(max_p + 1):
-        column = induced_column_cyclic(cyl, p, depth, rows=rows)
+        column = induced_column_cyclic(rows, p, max_q + 1)
         mx = mixed_complex_of_cyclic(column, max_q)
         hc = cyclic_homology_mixed(mx, max_q)
         for q in range(max_q + 1):
@@ -316,11 +310,10 @@ class CollapseReport:
         return self.direct == self.via_invariants
 
 
-def collapse_check(cyl, max_degree):
-    """Cyclic homology of the crossed product computed directly, against
-    cyclic homology of the invariant complex; semisimple only."""
-    cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
-    direct = cyclic_homology_of_algebra(cp.product, max_degree)
+def collapse_check(cyl, direct):
+    """`direct`, the crossed product's own HC, against cyclic homology of
+    the invariant complex through the same degree; semisimple only."""
+    max_degree = direct.degrees[-1]
     inv = invariant_complex_N0(cyl, max_degree + 1)
     mx = mixed_complex_of_cyclic(inv.module, max_degree)
     via = cyclic_homology_mixed(mx, max_degree)

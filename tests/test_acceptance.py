@@ -147,7 +147,7 @@ def test_criterion_04_maclane_and_row_homology():
         for q in range(3):
             bad = check_maclane(cyl, ts, q, 2)
             assert bad is None, f"{name} q={q}: {bad}"
-        rows = RowComplexes(cyl, 2, 2)
+        rows = RowComplexes(cyl)
         for q in range(3):
             bim = BimoduleMq(cyl, q)
             mod = twisted_left_module(bim)
@@ -186,7 +186,8 @@ def test_criterion_06_semisimple_vanishing_and_collapse():
             for q in range(3):
                 assert page.entry(p, q) == 0, \
                     f"{name}: first page not zero at ({p},{q})"
-        rep = collapse_check(cyl, 2)
+        cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+        rep = collapse_check(cyl, cyclic_homology_of_algebra(cp.product, 2))
         assert rep.passed, (f"{name}: collapse mismatch "
                             f"{rep.direct} vs {rep.via_invariants}")
     _report("criterion 6 (semisimple vanishing and collapse, S1-S3): PASS")
@@ -248,9 +249,10 @@ def test_criterion_08_non_semisimple_pipeline():
 
     # the second page computes without well-definedness failures, and its
     # values are frozen as a regression baseline
+    rows = RowComplexes(cyl)
     for p in range(3):
-        induced_column_cyclic(cyl, p, 3)
-    page2 = compute_E2(cyl, 2, 2)
+        induced_column_cyclic(rows, p, 3)
+    page2 = compute_E2(*compute_E1(cyl, 2, 2))
     assert {k: v for k, v in sorted(page2.entries.items())} == {
         (0, 0): 2, (0, 1): 0, (0, 2): 2,
         (1, 0): 2, (1, 1): 0, (1, 2): 2,

@@ -1,10 +1,11 @@
+import dataclasses
 import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from hclab import cli
+from hclab import cli, spectral
 from hclab.cli import (
     MathCheckFailed,
     ScenarioError,
@@ -165,6 +166,22 @@ def test_cap_applies_to_the_degrees_hc_builds(tmp_path, capsys):
             in captured.err)
 
 
+def test_collapse_applies_the_cap_as_hc_does(tmp_path, capsys):
+    """collapse reads the crossed product's HC computed under the cap, as
+    hc does: on s2 at degree 2 that builds a chain space of dimension
+    4^4 = 256."""
+    target = tmp_path / "s2.scn"
+    target.write_text(read("s2.scn"))
+    for command in ("hc", "collapse"):
+        assert main([command, str(target), "--cap", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("resource cap: chain space of dimension 256 exceeds the "
+                "cap 100" in captured.err)
+    assert main(["collapse", str(target), "--cap", "256"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_cli_report_deterministic(tmp_path, capsys):
     target = tmp_path / "s5.scn"
     target.write_text(read("s5.scn"))
@@ -260,11 +277,9 @@ def test_failed_verify_line_names_its_violation(validator, violation, detail,
     # build_objects validates the Hopf algebra too: fail only the check
     # line, after the objects are built
     built = cli.build_objects(scenario)
-    cyl = cli.build_cylinder(built.hopf, built.action, built.cocycle,
-                             check=False)
     report = cli.Report(scenario=scenario, command="verify")
     monkeypatch.setattr(cli, validator, lambda *args: violation)
-    cli._run_verify(built, cyl, report)
+    cli._run_verify(built, report)
     assert (name, False, detail) in report.checks
     assert ("check\t" + name + "\tFAIL " + detail + "\n"
             in emit_report(report, machine=True))
@@ -291,32 +306,42 @@ def test_every_math_error_class_shares_the_base():
 
 
 def test_report_records_a_failed_first_page(tmp_path, capsys, monkeypatch):
+    """A first page whose two computations disagree fails its own line and
+    the second page's, which reads it; the collapse stage still runs."""
     target = tmp_path / "s1.scn"
     target.write_text(read("s1.scn"))
-    monkeypatch.setattr(cli, "compute_E1",
-                        _raise(SpectralError("first-page mismatch at (1,0)")))
+    hopf_homology = spectral.hopf_homology
+
+    def off_by_one(*args):
+        rep = hopf_homology(*args)
+        return dataclasses.replace(rep, dims=[d + 1 for d in rep.dims])
+
+    monkeypatch.setattr(spectral, "hopf_homology", off_by_one)
+    detail = "first-page mismatch at (0,0): row homology 2, Hopf homology 3"
     scenario = parse_scenario(read("s1.scn"))
     report = run_command("report", scenario)
     checks = {name: (ok, detail) for name, ok, detail in report.checks}
     assert checks["first page: row homology = Hopf homology"] == (
-        False, "first-page mismatch at (1,0)")
-    # the stages after the first page still ran and passed
+        False, detail)
     assert checks["second page computed without well-definedness "
-                  "failures"] == (True, "")
+                  "failures"] == (False, detail)
+    # the stage after the pages still ran and passed
     assert checks["collapse comparison"] == (True, "")
-    assert {page for page, _, _, _ in report.pages} == {2}
+    assert report.pages == []
     assert not report.passed
 
     assert main(["report", str(target), "--machine"]) == 1
     out = capsys.readouterr().out
     assert ("check\tfirst page: row homology = Hopf homology\tFAIL "
-            "first-page mismatch at (1,0)\n") in out
+            + detail + "\n") in out
+    assert ("check\tsecond page computed without well-definedness "
+            "failures\tFAIL " + detail + "\n") in out
     assert out.endswith("overall FAIL\n")
 
     assert main(["e1", str(target)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "mathematical check failed: first-page mismatch" in captured.err
+    assert "mathematical check failed: " + detail in captured.err
 
 
 def test_report_records_a_failed_collapse(tmp_path, capsys, monkeypatch):

@@ -83,7 +83,7 @@ def qc2_normalized():
 
 
 def row_complexes_s2():
-    rows = RowComplexes(cylinder_s2(), 1, 0)
+    rows = RowComplexes(cylinder_s2())
     # everything induced_on_homology reads except its own descent
     rows.induced("vrot", 0, 0)
     rows.homology(0, 0)
@@ -129,19 +129,19 @@ CASES = {
         lambda bn: bn.induced_vertical_twist(1, 0), MixedComplexError,
         "vertical twist not well defined at (1,0)"),
     "row boundary": (
-        lambda: RowComplexes(cylinder_s1(), 2, 1),
+        lambda: RowComplexes(cylinder_s1()),
         lambda rows: rows.induced("row_boundary", 2, 0), SpectralError,
         "row_boundary does not descend to the normalized rows at (2,0)"),
     "row vface": (
-        lambda: RowComplexes(cylinder_s1(), 2, 1),
+        lambda: RowComplexes(cylinder_s1()),
         lambda rows: rows.induced("vface_0", 1, 1), SpectralError,
         "vface_0 does not descend to the normalized rows at (1,1)"),
     "row vdeg": (
-        lambda: RowComplexes(cylinder_s1(), 2, 1),
+        lambda: RowComplexes(cylinder_s1()),
         lambda rows: rows.induced("vdeg_0", 1, 0), SpectralError,
         "vdeg_0 does not descend to the normalized rows at (1,0)"),
     "row vrot": (
-        lambda: RowComplexes(cylinder_s1(), 2, 1),
+        lambda: RowComplexes(cylinder_s1()),
         lambda rows: rows.induced("vrot", 1, 1), SpectralError,
         "vrot does not descend to the normalized rows at (1,1)"),
     "row homology": (

@@ -60,6 +60,13 @@ def cylinder_s5():
     return build_cylinder(h, act, trivial_cocycle(h))
 
 
+def collapse(cyl):
+    """The collapse comparison through degree 2, against the crossed
+    product's own HC."""
+    cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+    return collapse_check(cyl, cyclic_homology_of_algebra(cp.product, 2))
+
+
 @pytest.mark.parametrize("factory", [cylinder_s1, cylinder_s2, cylinder_s3])
 def test_e1_semisimple_vanishing(factory):
     page, _ = compute_E1(factory(), 2, 2)
@@ -101,13 +108,13 @@ def test_induced_column_trivial_hopf_is_algebra_module():
     h = trivial_hopf(QQ)
     a = dual_numbers(QQ)
     cyl = build_cylinder(h, trivial_action(h, a), trivial_cocycle(h))
-    col = induced_column_cyclic(cyl, 0, 3)
+    col = induced_column_cyclic(RowComplexes(cyl), 0, 3)
     assert [col.dim(q) for q in range(4)] == [a.dim ** (q + 1)
                                               for q in range(4)]
 
 
 def test_induced_column_cyclicity_s2():
-    col = induced_column_cyclic(cylinder_s2(), 0, 3)
+    col = induced_column_cyclic(RowComplexes(cylinder_s2()), 0, 3)
     for q in range(3):
         m = col.rotate_matrix(q)
         acc = m
@@ -119,14 +126,14 @@ def test_induced_column_cyclicity_s2():
 
 def test_induced_column_s4_well_defined():
     for p in range(3):
-        induced_column_cyclic(cylinder_s4(), p, 3)
+        induced_column_cyclic(RowComplexes(cylinder_s4()), p, 3)
 
 
 def test_e2_trivial_hopf_is_algebra_hc():
     h = trivial_hopf(QQ)
     a = dual_numbers(QQ)
     cyl = build_cylinder(h, trivial_action(h, a), trivial_cocycle(h))
-    page = compute_E2(cyl, 1, 2)
+    page = compute_E2(*compute_E1(cyl, 1, 2))
     hc = cyclic_homology_of_algebra(a, 2)
     for q in range(3):
         assert page.entry(0, q) == hc.dims[q]
@@ -135,7 +142,7 @@ def test_e2_trivial_hopf_is_algebra_hc():
 
 @pytest.mark.parametrize("factory", [cylinder_s1, cylinder_s2])
 def test_e2_semisimple_vanishes_off_column_zero(factory):
-    page = compute_E2(factory(), 2, 2)
+    page = compute_E2(*compute_E1(factory(), 2, 2))
     for p in range(1, 3):
         for q in range(3):
             assert page.entry(p, q) == 0
@@ -144,7 +151,7 @@ def test_e2_semisimple_vanishes_off_column_zero(factory):
 def test_e2_s4_regression_baseline():
     # frozen output of the full pipeline over F2; guarded by the
     # well-definedness checks inside
-    page = compute_E2(cylinder_s4(), 2, 2)
+    page = compute_E2(*compute_E1(cylinder_s4(), 2, 2))
     assert {k: v for k, v in sorted(page.entries.items())} == {
         (0, 0): 2, (0, 1): 0, (0, 2): 2,
         (1, 0): 2, (1, 1): 0, (1, 2): 2,
@@ -155,8 +162,8 @@ def test_e2_s4_regression_baseline():
 def test_e2_never_exceeds_e1():
     for factory in (cylinder_s1, cylinder_s2, cylinder_s4):
         cyl = factory()
-        e1, _ = compute_E1(cyl, 2, 2)
-        e2 = compute_E2(cyl, 2, 2)
+        e1, rows = compute_E1(cyl, 2, 2)
+        e2 = compute_E2(e1, rows)
         for key in e2.entries:
             assert e2.entries[key] <= e1.entries[key]
 
@@ -191,12 +198,12 @@ def test_invariants_refused_non_semisimple():
 
 
 def test_collapse_s1():
-    rep = collapse_check(cylinder_s1(), 2)
+    rep = collapse(cylinder_s1())
     assert rep.passed and rep.direct == [2, 0, 2]
 
 
 def test_collapse_s2_morita():
-    rep = collapse_check(cylinder_s2(), 2)
+    rep = collapse(cylinder_s2())
     assert rep.passed and rep.direct == [1, 0, 1]
     # independent cross-check: the crossed product is a 4-dim algebra
     # with the cyclic homology of 2x2 matrices
@@ -206,14 +213,14 @@ def test_collapse_s2_morita():
 
 
 def test_collapse_s3_morita():
-    rep = collapse_check(cylinder_s3(), 2)
+    rep = collapse(cylinder_s3())
     assert rep.passed and rep.direct == [1, 0, 1]
 
 
 def test_convergence_sanity_semisimple():
     for factory in (cylinder_s1, cylinder_s2):
         cyl = factory()
-        page = compute_E2(cyl, 2, 2)
+        page = compute_E2(*compute_E1(cyl, 2, 2))
         cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
         hc = cyclic_homology_of_algebra(cp.product, 2)
         for n in range(3):
@@ -225,7 +232,7 @@ def test_row_homology_equals_hochschild_of_twisted_algebra():
     # row homology at q=0 for the sign-cocycle scenario is the Hochschild
     # homology of the twisted group algebra, which is Morita-trivial
     cyl = cylinder_s2()
-    rows = RowComplexes(cyl, 2, 0)
+    rows = RowComplexes(cyl)
     assert [rows.homology_dim(p, 0) for p in range(3)] == [1, 0, 0]
 
 
@@ -244,7 +251,7 @@ def _type_error(*args, **kwargs):
 
 def test_programming_error_on_row_cycles_is_not_a_spectral_error(
         monkeypatch):
-    rows = RowComplexes(cylinder_s5(), 2, 1)
+    rows = RowComplexes(cylinder_s5())
     rows.homology(1, 0)
     monkeypatch.setattr(Subspace, "coords_of", _type_error)
     with pytest.raises(TypeError, match="unsupported operand"):
@@ -252,9 +259,9 @@ def test_programming_error_on_row_cycles_is_not_a_spectral_error(
 
 
 def test_operator_leaving_row_cycles_is_a_spectral_error():
-    rows = RowComplexes(cylinder_s5(), 2, 1)
+    rows = RowComplexes(cylinder_s5())
     ker, _ = rows.homology(1, 0)
-    dim = rows.quotients[(1, 0)].dim
+    dim = rows.quotient(1, 0).dim
     outside = next(j for j in range(dim) if not ker.contains({j: QQ.one}))
     # the first kernel row has entry 1 at its pivot and is sent outside
     rows._induced[("vrot", 1, 0)] = SparseMatrix(
@@ -265,13 +272,13 @@ def test_operator_leaving_row_cycles_is_a_spectral_error():
 
 
 def test_boundary_leaving_row_cycles_is_a_spectral_error():
-    rows = RowComplexes(cylinder_s5(), 2, 1)
+    rows = RowComplexes(cylinder_s5())
     ker = kernel_basis(rows.induced("row_boundary", 1, 0))
-    dim = rows.quotients[(1, 0)].dim
+    dim = rows.quotient(1, 0).dim
     outside = next(j for j in range(dim) if not ker.contains({j: QQ.one}))
     # a row boundary out of (2,0) whose first column leaves the cycles
     rows._induced[("row_boundary", 2, 0)] = SparseMatrix(
-        QQ, dim, rows.quotients[(2, 0)].dim, {(outside, 0): QQ.one})
+        QQ, dim, rows.quotient(2, 0).dim, {(outside, 0): QQ.one})
     with pytest.raises(SpectralError, match=r"row boundary at \(2,0\) does "
                        r"not land in the row cycles at \(1,0\)"):
         rows.homology(1, 0)
