@@ -5,6 +5,15 @@ plus providers sending a basis index to the sparse image under each
 face, degeneracy and the cyclic rotation.  Operators are materialized
 to matrices only per degree, inside rank computations.
 
+Identity checks never materialize: each relation is a row of two
+operator words, walked on every basis vector by first_violation, and
+each check reads every operator through one OperatorTable of its own.
+A table keeps an image that is a single basis vector with coefficient
+one as its int index and a zero image as the shared ZERO, everywhere,
+and any other image only inside the checked range; the evaluator applies
+the next operator to an index directly and compares an index with its
+sparse form as the same vector.
+
 Sign conventions, pinned once and exercised by the mixed-complex
 contract (b*b = 0, B*B = 0, bB + Bb = 0 on normalized cyclic modules):
 
@@ -29,6 +38,7 @@ from .exactlinalg import (
     NotWellDefined,
     SparseMatrix,
     Subspace,
+    add_term,
     check_dimension_cap,
     full_quotient,
     induced_map,
@@ -76,29 +86,73 @@ def apply_linear(op, vec, *args):
     return out
 
 
-def memoized(op, keep):
-    """op(*head, k), computing each image once for every head (the
-    arguments before the basis index k) that keep(head) accepts.
+# the zero image of every operator table; shared, so never mutated
+ZERO = {}
 
-    Identity checks build their own, so the images live no longer than
-    the check.  Callers share the kept images and must not mutate them.
+
+class OperatorTable:
+    """One operator's images op(*head, k), read through one table per
+    head (the arguments before the basis index k), indexed by k < dim(head)
+    and filled on first read.
+
+    An image that is a single basis vector with coefficient one is kept
+    as its int index, and a zero image as ZERO, for every head.  Any other
+    image is kept only where keep(head) holds and is recomputed elsewhere,
+    which bounds the table by what the checked range reads.  An identity
+    check builds its own tables, so no image outlives the check; readers
+    share the kept images and must not mutate them.
     """
-    # images[head][k]: one key tuple per head, not one per basis vector
-    images = {}
 
-    def call(*args):
-        head = args[:-1]
-        row = images.get(head)
-        if row is None:
-            if not keep(head):
-                return op(*args)
-            row = images[head] = {}
-        k = args[-1]
-        image = row.get(k)
-        if image is None:
-            image = row[k] = op(*args)
-        return image
-    return call
+    # index-table entries: 0 unread, j + 1 for basis index j, or a marker
+    _ZERO, _KEPT = -1, -2
+
+    def __init__(self, op, one, dim, keep):
+        self.op = op
+        self.one = one
+        self.dim = dim
+        self.keep = keep
+        self._readers = {}
+
+    def reader(self, head):
+        """op(*head, k) as a function of k alone: an int basis index,
+        ZERO or a sparse vector."""
+        read = self._readers.get(head)
+        if read is None:
+            read = self._readers[head] = self._reader(head)
+        return read
+
+    def _reader(self, head):
+        op, one, keep = self.op, self.one, self.keep(head)
+        zero, kept_here = self._ZERO, self._KEPT
+        # one machine int an entry, four bytes wherever the indices fit,
+        # in a builtin buffer (the array module is an extension to load)
+        dim = self.dim(head)
+        width, code = (4, "i") if dim < 2 ** 31 else (8, "q")
+        index = memoryview(bytearray(width * dim)).cast(code)
+        kept = {}
+
+        def read(k):
+            j = index[k]
+            if j > 0:
+                return j - 1
+            if j == zero:
+                return ZERO
+            if j == kept_here:
+                return kept[k]
+            image = op(*head, k)
+            if not image:
+                index[k] = zero
+                return ZERO
+            if len(image) == 1:
+                [(j, c)] = image.items()
+                if c == one:
+                    index[k] = j + 1
+                    return j
+            if keep:
+                index[k] = kept_here
+                kept[k] = image
+            return image
+        return read
 
 
 class ParacyclicModule:
@@ -132,6 +186,24 @@ class ParacyclicModule:
 
     def rotate_available(self, n):
         return n >= 0
+
+    def operator_steps(self, max_degree):
+        """(d, s, t) for the relation table: d(n, i), s(n, i) and t(n) are
+        the (operator, args) steps of face_i, deg_i and the rotation out
+        of degree n, read through one OperatorTable per operator that
+        keeps the images out of degrees through max_degree."""
+        def dim(head):
+            return self.dim(head[0])
+
+        def in_range(head):
+            return head[0] <= max_degree
+
+        face, degeneracy, rotate = (
+            OperatorTable(op, self.field.one, dim, in_range)
+            for op in (self.face, self.degeneracy, self.rotate))
+        return (lambda n, i: (face, (n, i)),
+                lambda n, i: (degeneracy, (n, i)),
+                lambda n: (rotate, (n,)))
 
     # -- materialized matrices ---------------------------------------------
 
@@ -303,49 +375,75 @@ def first_violation(stages, one):
     A relation is a row (name, lhs, rhs) of two words.  A word is a
     sequence of (operator, args) steps applied in turn, op(*args, k)
     being the image of basis vector k; the empty word is the identity.
-    A stage (dim, relations) is walked one basis vector at a time, every
-    relation on each, so the stages and their rows fix which failure
-    comes first.  Images are only compared, so providers may share them.
+    An operator is a provider returning a sparse vector, an int basis
+    index for a single basis vector with coefficient one, or an
+    OperatorTable read at the head args.  A stage (dim, relations) is
+    walked one basis vector at a time, every relation on each, so the
+    stages and their rows fix which failure comes first.  Images are only
+    compared, so providers may share them.
     """
     for dim, relations in stages:
         # the distinct first steps of the stage, evaluated once per vector
         heads = {}
         rows = [(name, _compile(lhs, heads), _compile(rhs, heads))
                 for name, lhs, rhs in relations]
-        heads = tuple(heads)
+        heads = [_step(*step) for step in heads]
         for k in range(dim):
-            images = [op(*args, k) for op, args in heads]
+            images = [read(k) for read in heads]
             for name, lhs, rhs in rows:
-                if _value(lhs, k, images, one) != _value(rhs, k, images,
-                                                          one):
+                if not _same(_value(lhs, k, images),
+                             _value(rhs, k, images), one):
                     return name, k
     return None
 
 
+def _step(op, args):
+    """The step (op, args) as a function of the basis index alone."""
+    if isinstance(op, OperatorTable):
+        return op.reader(args)
+    return functools.partial(op, *args)
+
+
 def _compile(word, heads):
-    """(index of the word's first step in heads, the steps after it);
-    (None, ()) for the empty word."""
+    """(index of the word's first step in heads, the steps after it as
+    functions of the basis index); (None, ()) for the empty word."""
     if not word:
         return None, ()
-    return heads.setdefault(word[0], len(heads)), tuple(word[1:])
+    return (heads.setdefault(word[0], len(heads)),
+            tuple(_step(*step) for step in word[1:]))
 
 
-def _value(word, k, images, one):
-    """A compiled word applied to basis vector k."""
+def _value(word, k, images):
+    """A compiled word applied to basis vector k: an int basis index or a
+    sparse vector."""
     head, rest = word
-    v = {k: one} if head is None else images[head]
-    for op, args in rest:
-        if len(v) == 1:
-            [(kk, c)] = v.items()
-            if c == one:
-                # a basis vector's image is the provider's image itself
-                v = op(*args, kk)
-                continue
+    v = k if head is None else images[head]
+    for step in rest:
+        if type(v) is int:
+            # a basis vector's image is the step's image itself
+            v = step(v)
+            continue
         out = {}
         for kk, c in v.items():
-            vec_add_into(out, op(*args, kk), c)
+            image = step(kk)
+            if type(image) is int:
+                add_term(out, image, c)
+            else:
+                vec_add_into(out, image, c)
         v = out
     return v
+
+
+def _same(u, v, one):
+    """Whether two images, each an int basis index or a sparse vector,
+    are the same vector."""
+    if type(u) is int:
+        if type(v) is int:
+            return u == v
+        u, v = v, u
+    elif type(v) is not int:
+        return u == v
+    return len(u) == 1 and u.get(v) == one
 
 
 def matrix_columns(build):
@@ -360,38 +458,16 @@ def matrix_columns(build):
     return column
 
 
-def _in_range_operators(module, max_degree):
-    """The module's face, degeneracy and rotation providers, each image
-    out of a degree through max_degree computed once.  Images in degree
-    max_degree + 1 are recomputed: they are the most numerous and each is
-    needed only about twice."""
-    def in_range(head):
-        return head[0] <= max_degree
-
-    return tuple(memoized(op, in_range)
-                 for op in (module.face, module.degeneracy, module.rotate))
-
-
-def _paracyclic_stages(module, max_degree, operators):
+def _paracyclic_stages(module, max_degree, steps):
     """Every simplicial and paracyclic relation on every basis vector,
     one stage per degree n through max_degree, each row named
-    (relation, n), read through `operators` (see _in_range_operators).
+    (relation, n), read through the steps module.operator_steps gave.
 
     Relations whose composites land in degree max_degree + 1 are checked
     whenever the module has operators there (provider-backed modules
     always do; matrix-backed ones answer through their stored range).
     """
-    face, degeneracy, rotate = operators
-
-    def d(m, i):
-        return face, (m, i)
-
-    def s(m, i):
-        return degeneracy, (m, i)
-
-    def t(m):
-        return rotate, (m,)
-
+    d, s, t = steps
     for n in range(max_degree + 1):
         can_deg = module.degeneracy_available(n)
         rows = []
@@ -427,23 +503,22 @@ def _paracyclic_stages(module, max_degree, operators):
 def check_paracyclic(module, max_degree):
     """Verify every simplicial and paracyclic relation on every basis
     vector through max_degree; None, or the first violation found."""
-    bad = first_violation(
-        _paracyclic_stages(module, max_degree,
-                           _in_range_operators(module, max_degree)),
-        module.field.one)
+    steps = module.operator_steps(max_degree)
+    bad = first_violation(_paracyclic_stages(module, max_degree, steps),
+                          module.field.one)
     return None if bad is None else RelationViolation(*bad[0], bad[1])
 
 
 def check_cyclic(module, max_degree):
     """check_paracyclic plus rotate^(n+1) = id in every degree; both
-    read one memo of each operator, so every rotation image through
+    read one table of each operator, so every rotation image through
     max_degree is evaluated once."""
-    operators = _in_range_operators(module, max_degree)
-    rotate = operators[2]
+    steps = module.operator_steps(max_degree)
+    t = steps[2]
     identities = [(module.dim(n), [(("rotate^(n+1) = id", n),
-                                    ((rotate, (n,)),) * (n + 1), ())])
+                                    (t(n),) * (n + 1), ())])
                   for n in range(max_degree + 1)]
-    bad = first_violation([*_paracyclic_stages(module, max_degree, operators),
+    bad = first_violation([*_paracyclic_stages(module, max_degree, steps),
                            *identities], module.field.one)
     return None if bad is None else RelationViolation(*bad[0], bad[1])
 

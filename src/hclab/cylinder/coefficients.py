@@ -13,8 +13,8 @@ homology with those twisted coefficients.
 from __future__ import annotations
 
 from ..cycliccore import (
-    HomologyReport, ParacyclicModule, TensorSpace, first_violation,
-    homology_dims, matrix_columns, memoized)
+    HomologyReport, OperatorTable, ParacyclicModule, TensorSpace,
+    first_violation, homology_dims, matrix_columns)
 from ..exactlinalg import (
     MathError, SparseMatrix, add_term, expand, vec_add_into)
 
@@ -192,19 +192,19 @@ def check_row_identification(cyl, twisted_algebra, q, max_p):
     None, or the first mismatch."""
     bim = BimoduleMq(cyl, q)
     hc = HochschildComplex(twisted_algebra, bim)
-    one = cyl.field.one
 
     def rebracket(p, k):
+        """The basis index that basis vector k of (p, q) rebrackets to."""
         tup = cyl.space(p, q).decode(k)
         m = bim.space.encode((tup[0],) + tup[p + 1:])
-        return {hc.space(p).encode((m,) + tup[1:p + 1]): one}
+        return hc.space(p).encode((m,) + tup[1:p + 1])
 
     stages = ((cyl.dim(p, q), [
         (f"face {i} disagrees at row {q}, degree {p}, basis {{k}}",
          ((cyl.hface, (p, q, i)), (rebracket, (p - 1,))),
          ((rebracket, (p,)), (hc.face, (p, i))))
         for i in range(p + 1)]) for p in range(1, max_p + 1))
-    bad = first_violation(stages, one)
+    bad = first_violation(stages, cyl.field.one)
     return None if bad is None else bad[0].format(k=bad[1])
 
 
@@ -409,7 +409,8 @@ def check_maclane(cyl, twisted_algebra, q, max_p):
     hx = HopfComplex(cyl.hopf, mod.act, bim.dim)
     theta = matrix_columns(lambda p: hochschild_to_hopf(bim, p))
     inverse = matrix_columns(lambda p: hopf_to_hochschild(bim, p))
-    hopf_face = memoized(hx.face, lambda head: True)
+    hopf_face = OperatorTable(hx.face, cyl.field.one,
+                              lambda head: hx.dim(head[0]), lambda head: True)
 
     def stages():
         for p in range(max_p + 1):

@@ -27,6 +27,7 @@ from ..cycliccore import (
     MixedComplex,
     MixedComplexError,
     NormalizedComplex,
+    OperatorTable,
     ParacyclicModule,
     TensorSpace,
     apply_linear,
@@ -34,7 +35,6 @@ from ..cycliccore import (
     degeneracy_quotient,
     first_violation,
     matrix_columns,
-    memoized,
     require_descent,
 )
 from ..exactlinalg import (
@@ -214,12 +214,15 @@ class HopfCrossedCylinder:
 
 
 class _RowModule(ParacyclicModule):
-    """The q-th row: degree p with the horizontal family."""
+    """The q-th row: degree p with the horizontal family.  Its checks
+    read the cylinder's operator tables `tables` (see operator_tables),
+    or tables of their own."""
 
-    def __init__(self, cyl, q):
+    def __init__(self, cyl, q, tables=None):
         self.cyl = cyl
         self.q = q
         self.field = cyl.field
+        self.tables = tables
 
     def dim(self, n):
         return self.cyl.dim(n, self.q)
@@ -233,14 +236,21 @@ class _RowModule(ParacyclicModule):
     def rotate(self, n, k):
         return self.cyl.hrot(n, self.q, k)
 
+    def operator_steps(self, max_degree):
+        tables = self.tables or operator_tables(self.cyl, max_degree, self.q)
+        return _family_steps(tables, "h", lambda n: (n, self.q))
+
 
 class _ColumnModule(ParacyclicModule):
-    """The p-th column: degree q with the vertical family."""
+    """The p-th column: degree q with the vertical family.  Its checks
+    read the cylinder's operator tables `tables` (see operator_tables),
+    or tables of their own."""
 
-    def __init__(self, cyl, p):
+    def __init__(self, cyl, p, tables=None):
         self.cyl = cyl
         self.p = p
         self.field = cyl.field
+        self.tables = tables
 
     def dim(self, n):
         return self.cyl.dim(self.p, n)
@@ -253,6 +263,20 @@ class _ColumnModule(ParacyclicModule):
 
     def rotate(self, n, k):
         return self.cyl.vrot(self.p, n, k)
+
+    def operator_steps(self, max_degree):
+        tables = self.tables or operator_tables(self.cyl, self.p, max_degree)
+        return _family_steps(tables, "v", lambda n: (self.p, n))
+
+
+def _family_steps(tables, prefix, bidegree):
+    """ParacyclicModule.operator_steps for one family of the cylinder,
+    read through its operator tables; bidegree(n) places degree n."""
+    face, degeneracy, rotate = (tables[prefix + name]
+                                for name in ("face", "deg", "rot"))
+    return (lambda n, i: (face, bidegree(n) + (i,)),
+            lambda n, i: (degeneracy, bidegree(n) + (i,)),
+            lambda n: (rotate, bidegree(n)))
 
 
 class DiagonalModule(ParacyclicModule):
@@ -294,44 +318,56 @@ def build_cylinder(hopf, action, cocycle, check=True, cap=None):
     return HopfCrossedCylinder(hopf, action, cocycle, cap=cap)
 
 
+def operator_tables(cyl, max_p, max_q):
+    """One OperatorTable per cylinder provider, by provider name, keeping
+    every image out of a bidegree through (max_p, max_q)."""
+    def dim(head):
+        return cyl.dim(head[0], head[1])
+
+    def in_range(head):
+        return head[0] <= max_p and head[1] <= max_q
+
+    return {name: OperatorTable(getattr(cyl, name), cyl.field.one, dim,
+                                in_range)
+            for name in ("vface", "vdeg", "vrot", "hface", "hdeg", "hrot")}
+
+
 def check_cylindrical(cyl, max_p, max_q):
     """Row and column paracyclicity, slotwise commutation of the two
     families, and the joint rotation identity, all on every basis vector;
-    None or the first failure, named."""
+    None or the first failure, named.  Every stage reads one set of
+    operator tables, so each image is computed once per check (images
+    outside the range that are not a basis vector or zero excepted)."""
+    tables = operator_tables(cyl, max_p, max_q)
     for q in range(max_q + 1):
-        bad = check_paracyclic(cyl.row_module(q), max_p)
+        bad = check_paracyclic(_RowModule(cyl, q, tables), max_p)
         if bad is not None:
             return f"row {q}: {bad}"
     for p in range(max_p + 1):
-        bad = check_paracyclic(cyl.column_module(p), max_q)
+        bad = check_paracyclic(_ColumnModule(cyl, p, tables), max_q)
         if bad is not None:
             return f"column {p}: {bad}"
-    bad = first_violation(_cylindrical_stages(cyl, max_p, max_q),
+    bad = first_violation(_cylindrical_stages(cyl, max_p, max_q, tables),
                           cyl.field.one)
     return None if bad is None else f"{bad[0]} basis {bad[1]}"
 
 
-def _cylindrical_stages(cyl, max_p, max_q):
+def _cylindrical_stages(cyl, max_p, max_q, tables):
     """At each bidegree (p, q), one stage per pair of a vertical operator
     V and a horizontal one H: V at (hp, q) after H at (p, q) equals H at
     (p, vq) after V at (p, q), where H lands in (hp, q) and V in (p, vq);
     then one stage for the joint rotation identity.
 
     These relations read images at (p, q) and its four neighbours many
-    times over; each one inside (max_p, max_q) is computed once per
-    bidegree checked.  Images outside the range are recomputed, and no
-    image is kept from one bidegree to the next: that would save few
-    evaluations but hold every bidegree's images at once.
+    times over, through the check's operator tables: an image is computed
+    once per check, unless it lies outside (max_p, max_q) and is neither a
+    basis vector nor zero, in which case it is recomputed.
     """
-    def in_range(head):
-        return head[0] <= max_p and head[1] <= max_q
-
+    vface, vdeg, vrot, hface, hdeg, hrot = (
+        tables[name]
+        for name in ("vface", "vdeg", "vrot", "hface", "hdeg", "hrot"))
     for p in range(max_p + 1):
         for q in range(max_q + 1):
-            vface, vdeg, vrot, hface, hdeg, hrot = (
-                memoized(op, in_range)
-                for op in (cyl.vface, cyl.vdeg, cyl.vrot,
-                           cyl.hface, cyl.hdeg, cyl.hrot))
             dim = cyl.dim(p, q)
             horizontals = _family("h", hface, hdeg, hrot, p)
             for vname, v, vi, vq in _family("v", vface, vdeg, vrot, q):
@@ -447,19 +483,19 @@ def tot_mixed_complex(cyl, max_degree):
     """The total mixed complex on the binormalized cylinder.
 
     Degree n is the direct sum of the bidegrees with p + q = n (p
-    ascending), built through degree max_degree + 1.  The chain
-    differential adds the horizontal boundary with a sign depending on
-    the vertical degree; the degree-raising differential adds the
-    horizontal Connes operator corrected by the twist, taken as the
-    induced power of the vertical rotation.
+    ascending), with b built through degree max_degree + 1 and B out of
+    degrees below max_degree: HC_n for n <= max_degree reads nothing
+    more.  The chain differential adds the horizontal boundary with a
+    sign depending on the vertical degree; the degree-raising
+    differential adds the horizontal Connes operator corrected by the
+    twist, taken as the induced power of the vertical rotation.
 
-    Two certificates run, and a failure of either aborts.  The twist
-    equals its literal form 1 - (bB + Bb) at every bidegree of total
-    degree <= max_degree where the Connes operator reads it (the literal
-    form there reads only quotients already built).  The twists at total
-    degree max_degree + 1 enter only B out of degree max_degree, which no
-    HC_n with n <= max_degree reads; the mixed-complex identities through
-    max_degree, checked next, read them.
+    Two certificates run, and a failure of either aborts.  First, the
+    twist equals its literal form 1 - (bB + Bb) at every bidegree of
+    total degree <= max_degree where the Connes operator reads it (the
+    literal form there reads only quotients already built); B reads no
+    twist above that degree.  Then the mixed-complex identities hold
+    wherever the built b and B compose.
     """
     bn = BinormalizedCylinder(cyl, max_degree + 1)
     field = cyl.field
@@ -495,7 +531,7 @@ def tot_mixed_complex(cyl, max_degree):
                 m.add_block(bn.horizontal_boundary(p, q),
                             dst_offs[(p - 1, q)], co, field.sign(q))
         b_mats[n] = m
-    for n in range(max_degree + 1):
+    for n in range(max_degree):
         src_offs, src_dim = offsets(n)
         dst_offs, dst_dim = offsets(n + 1)
         m = SparseMatrix.zero(field, dst_dim, src_dim)
@@ -585,7 +621,8 @@ def check_diagonal_isomorphism(cyl, cp, max_degree):
     phi = matrix_columns(lambda n: crossed_to_diagonal(cyl, cp, n))
     psi = matrix_columns(lambda n: diagonal_to_crossed(cyl, cp, n))
     face, degeneracy, rotate = (
-        memoized(op, lambda head: True)
+        OperatorTable(op, cyl.field.one, lambda head: diag.dim(head[0]),
+                      lambda head: True)
         for op in (diag.face, diag.degeneracy, diag.rotate))
 
     def stages():

@@ -4,7 +4,9 @@
 words.  Every check of a simplicial, cyclic, cylindrical or intertwining
 identity must reach it, so that none keeps a compare loop of its own.
 The guard wraps the evaluator in every hclab namespace that imports it
-and runs each check on s1.
+and runs each check on s1.  The evaluator reads an image as an int basis
+index or as a sparse vector, and must compare the two forms of one
+vector as equal, and of different vectors as different.
 """
 
 import sys
@@ -19,12 +21,14 @@ from hclab.crossed import (
     build_crossed_product, trivial_action, trivial_cocycle,
     twisted_scalar_algebra,
 )
-from hclab.cycliccore import check_cyclic, check_paracyclic
+from hclab.cycliccore import (
+    ZERO, OperatorTable, check_cyclic, check_paracyclic, first_violation,
+)
 from hclab.cylinder import (
     build_cylinder, check_cylindrical, check_diagonal_isomorphism,
     check_maclane, check_row_identification, check_shuffle_chain_map,
 )
-from hclab.exactlinalg import QQ
+from hclab.exactlinalg import QQ, Field, add_term
 from hclab.hopf import group_hopf
 
 
@@ -81,3 +85,87 @@ def test_check_reaches_the_evaluator(check, evaluator_calls):
 
 def test_no_hand_written_commutation_loop():
     assert not hasattr(hclab.cylinder.core, "_check_commutation")
+
+
+# -- images as basis indices and as sparse vectors ---------------------------
+
+FIELDS = {"Q": QQ, "F2": Field(2)}
+DIM = 3
+
+
+def successor(k):
+    """The basis vector after k (cyclically), as its index."""
+    return (k + 1) % DIM
+
+
+def successor_vector(field):
+    """The same operator, as sparse vectors."""
+    return lambda k: {successor(k): field.one}
+
+
+def table_of(op, field):
+    return OperatorTable(op, field.one, lambda head: DIM, lambda head: True)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_index_and_vector_forms_of_one_image_agree(field):
+    field = FIELDS[field]
+    vector = successor_vector(field)
+    table = table_of(vector, field)
+    words = {
+        "index": ((successor, ()),),
+        "vector": ((vector, ()),),
+        "table": ((table, ()),),
+        "index then vector": ((successor, ()), (vector, ())),
+        "vector then table": ((vector, ()), (table, ())),
+        "table then index": ((table, ()), (successor, ())),
+    }
+    rows = [(f"{a} = {b}", words[a], words[b])
+            for a in words for b in words
+            if len(words[a]) == len(words[b])]
+    assert first_violation([(DIM, rows)], field.one) is None
+    assert table.reader(())(0) == 1
+    # three steps of the successor are the identity, the empty word
+    assert first_violation([(DIM, [("cube", ((table, ()),) * 3, ())])],
+                           field.one) is None
+
+
+def differing_at(field, bad_k, wrong):
+    """The successor as sparse vectors, with image bad_k replaced by
+    wrong(field, successor(bad_k))."""
+    def op(k):
+        if k == bad_k:
+            return wrong(field, successor(k))
+        return {successor(k): field.one}
+    return op
+
+
+def doubled(field, j):
+    out = {}
+    add_term(out, j, field.one + field.one)   # zero over F_2
+    return out
+
+
+WRONG_IMAGES = {
+    "doubled": (1, doubled),
+    "another index": (2, lambda field, j: {(j + 1) % DIM: field.one}),
+    "zero": (0, lambda field, j: ZERO),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("wrong", sorted(WRONG_IMAGES))
+def test_a_different_vector_fails_at_its_basis_vector(field, wrong):
+    field = FIELDS[field]
+    bad_k, make = WRONG_IMAGES[wrong]
+    op = differing_at(field, bad_k, make)
+    good = ("agrees", ((successor, ()),), ((successor_vector(field), ()),))
+    for against in (op, table_of(op, field)):
+        row = (wrong, ((successor, ()),), ((against, ()),))
+        assert first_violation([(DIM, [good, row])], field.one) == (
+            wrong, bad_k)
+        # the same vector, one step into a word
+        row = (wrong, ((successor, ()), (successor, ())),
+               ((successor, ()), (against, ())))
+        assert first_violation([(DIM, [row])], field.one) == (
+            wrong, (bad_k - 1) % DIM)

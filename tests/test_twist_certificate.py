@@ -6,14 +6,15 @@ literal form 1 - (bB + Bb) that reads only built quotients -- every
 bidegree (p, q) with p >= 1 and p + q <= max_degree -- the two must
 agree; a mismatch names the bidegree, exits 1 from `hc` and is the FAIL
 detail of the `verify` line.  Each case adds one unit at entry (0, 0)
-of the twist at one bidegree of s5 (max_degree 2).
+of the twist at one bidegree of s5 (max_degree 2).  No twist above
+max_degree is built, so every twist B reads is certified.
 """
 
 from pathlib import Path
 
 import pytest
 
-from hclab.cli import main, parse_scenario, run_command
+from hclab.cli import build_objects, main, parse_scenario, run_command
 from hclab.cylinder.core import BinormalizedCylinder
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -59,13 +60,22 @@ def test_verify_line_fails_with_the_same_detail(corrupt_twist, at):
     assert checks["total mixed complex identities"] == (False, message(*at))
 
 
-def test_twist_above_max_degree_is_read_by_the_identities(corrupt_twist,
-                                                          capsys):
-    """The twist at total degree max_degree + 1 has no literal form
-    within the built quotients; B B = 0 out of degree 1 reads the one at
-    (2,1)."""
-    corrupt_twist((2, 1))
-    assert main(["hc", str(SCENARIOS / "s5.scn")]) == 1
-    assert capsys.readouterr().err == (
-        "mathematical check failed: total complex identities fail: "
-        "B B != 0 out of degree 1\n")
+def test_no_twist_above_max_degree_is_built(monkeypatch):
+    """B ends at degree max_degree - 1, because no HC_n with
+    n <= max_degree reads B out of max_degree.  So the twists at total
+    degree max_degree + 1, which have no literal form within the built
+    quotients, are never built and no uncertified block enters B."""
+    built_at = []
+    original = BinormalizedCylinder.induced_vertical_twist
+
+    def recording(self, p, q):
+        built_at.append((p, q))
+        return original(self, p, q)
+    monkeypatch.setattr(BinormalizedCylinder, "induced_vertical_twist",
+                        recording)
+    scenario = parse_scenario((SCENARIOS / "s5.scn").read_text())
+    top = scenario.max_degree
+    mx = build_objects(scenario).total_complex
+    assert top not in mx.B_mats
+    assert sorted(mx.B_mats) == list(range(top))
+    assert built_at and max(p + q for p, q in built_at) == top
