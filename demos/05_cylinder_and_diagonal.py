@@ -45,7 +45,7 @@ mx = tot_mixed_complex(cyl, 2)
 print("total mixed complex dims:", mx.dims)
 
 # the two presentations of the crossed product's cyclic homology agree
-cp = build_crossed_product(act, coc, check=False)
+cp = build_crossed_product(act, coc)
 print("diagonal isomorphism through degree 3:",
       check_diagonal_isomorphism(cyl, cp, 3) is None)
 

@@ -25,7 +25,7 @@ from hclab.spectral import (
 
 def collapse(cyl, max_degree):
     """The collapse comparison against the crossed product's own HC."""
-    cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+    cp = build_crossed_product(cyl.action, cyl.cocycle)
     direct = cyclic_homology_of_algebra(cp.product, max_degree)
     return collapse_check(cyl, direct)
 

@@ -23,13 +23,18 @@ Scenario files are line-oriented sectioned key-value text::
     max_q = 2
     cap = 200000
 
-Scalars are integers or fractions 'a/b'.  Every construction-time axiom
-check (Hopf axioms, cocommutativity, weak action, the three cocycle
-conditions, convolution invertibility) runs at ingestion; a violation is
-an input error.  Commands: verify, hc, e1, e2, collapse, report.  Exit
-codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
-input, 3 resource cap exceeded, 4 internal error (a programming error,
-never a mathematical verdict).
+Scalars are integers or fractions 'a/b'.  Parsing checks syntax,
+scalars and sizes only.  Each input axiom (Hopf axioms, cocommutativity,
+algebra axioms, weak action, the three cocycle conditions and the
+convolution inverse) is checked once per run, when `run_command` builds
+the objects, and `verify` prints the verdicts of that one pass.  A
+violation exits 1 from every command; under `verify` and `report` the
+Hopf, cocommutativity, weak-action and cocycle verdicts are check lines,
+so one of those violations is that line's FAIL and the report stops
+there.  Commands: verify, hc, e1, e2, collapse, report.  Exit codes: 0
+all checks pass, 1 a mathematical check failed, 2 invalid input, 3
+resource cap exceeded, 4 internal error (a programming error, never a
+mathematical verdict).
 """
 
 from __future__ import annotations
@@ -83,6 +88,15 @@ class MathCheckFailed(MathError):
     with the violated identity named."""
 
 
+class InputCheckFailed(MathCheckFailed):
+    """An input axiom with a `verify` line failed; `checks` holds the
+    input check lines through the failing one."""
+
+    def __init__(self, message, checks):
+        super().__init__(message)
+        self.checks = checks
+
+
 @dataclass
 class Scenario:
     field_characteristic: int
@@ -130,7 +144,8 @@ class Scenario:
 
 
 def parse_scenario(text):
-    """Parse and semantically validate a scenario; raises ScenarioError."""
+    """Parse a scenario: syntax, scalars and sizes; raises ScenarioError.
+    The objects are built and validated by `run_command`."""
     section = None
     data = {"": {}, "hopf": {}, "algebra": {}, "action": {},
             "cocycle": {}, "compute": {}}
@@ -226,7 +241,7 @@ def parse_scenario(text):
             return number
         return default
 
-    scenario = Scenario(
+    return Scenario(
         field_characteristic=char,
         hopf_kind=hopf_kind,
         hopf_group=hopf_group,
@@ -241,31 +256,36 @@ def parse_scenario(text):
         max_q=int_opt("max_q", 2),
         cap=int_opt("cap", 200_000),
     )
-    build_objects(scenario)  # ingestion-time axiom checks
-    return scenario
 
 
 @dataclass
 class BuiltScenario:
-    """A scenario's validated ingredients and one run's session: each
-    intermediate that two stages read is built when first read, and one
-    that raises is not kept, so the next reader fails the same way."""
+    """A scenario's validated ingredients, the passing input check lines
+    of their one validation, and one run's session: each intermediate
+    that two stages read is built when first read, and one that raises is
+    not kept, so the next reader fails the same way."""
     scenario: Scenario
     hopf: object
     action: ActionMap
     cocycle: Cocycle
+    input_checks: list
 
     @cached_property
     def cylinder(self):
         return build_cylinder(self.hopf, self.action, self.cocycle,
-                              check=False, cap=self.scenario.cap)
+                              cap=self.scenario.cap)
+
+    @cached_property
+    def crossed_product(self):
+        """A #_sigma H."""
+        return build_crossed_product(self.action, self.cocycle)
 
     @cached_property
     def direct_hc(self):
         """HC of the crossed product itself, through max_degree."""
-        cp = build_crossed_product(self.action, self.cocycle, check=False)
         return cyclic_homology_of_algebra(
-            cp.product, self.scenario.max_degree, cap=self.scenario.cap)
+            self.crossed_product.product, self.scenario.max_degree,
+            cap=self.scenario.cap)
 
     @cached_property
     def total_complex(self):
@@ -279,19 +299,26 @@ class BuiltScenario:
 
 
 def build_objects(scenario):
-    """Construct and validate every ingredient; ScenarioError on any
-    semantic violation, with the axiom named."""
+    """Construct every ingredient and check each input axiom, the one
+    validation of a run.  ScenarioError on malformed input; on a violated
+    axiom, MathCheckFailed with the axiom named, an InputCheckFailed when
+    the axiom has a `verify` line."""
+    checks = []
+
+    def record(name, bad, prefix=""):
+        checks.append((name, bad is None, "" if bad is None else str(bad)))
+        if bad is not None:
+            raise InputCheckFailed(f"{prefix}{bad}", checks)
+
     field = Field(scenario.field_characteristic)
     try:
         group = FiniteGroup.named(scenario.hopf_group)
     except (GroupTableError, ValueError) as exc:
         raise ScenarioError(f"bad group: {exc}")
     hopf = group_hopf(field, group)
-    bad = validate_hopf(hopf)
-    if bad is not None:
-        raise MathCheckFailed(f"Hopf axiom violation: {bad}")
-    if not is_cocommutative(hopf):
-        raise MathCheckFailed("the Hopf algebra is not cocommutative")
+    record("Hopf axioms", validate_hopf(hopf), "Hopf axiom violation: ")
+    record("cocommutativity", None if is_cocommutative(hopf) else
+           "the Hopf algebra is not cocommutative")
 
     kind, arg = scenario.algebra_kind, scenario.algebra_arg
     if kind == "ground":
@@ -317,15 +344,13 @@ def build_objects(scenario):
         raise MathCheckFailed(f"algebra axiom violation: {bad}")
 
     action = _build_action(scenario, field, hopf, algebra)
-    bad = validate_weak_action(action)
-    if bad is not None:
-        raise MathCheckFailed(f"action axiom violation: {bad}")
+    record("weak action axioms", validate_weak_action(action),
+           "action axiom violation: ")
 
     cocycle = _build_cocycle(scenario, field, hopf, action)
-    bad = validate_cocycle(cocycle, action)
-    if bad is not None:
-        raise MathCheckFailed(f"cocycle condition violation: {bad}")
-    return BuiltScenario(scenario, hopf, action, cocycle)
+    record("cocycle conditions and convolution inverse",
+           validate_cocycle(cocycle, action), "cocycle condition violation: ")
+    return BuiltScenario(scenario, hopf, action, cocycle, checks)
 
 
 def _build_action(scenario, field, hopf, algebra):
@@ -464,9 +489,17 @@ def emit_report(report, machine=False):
 
 
 def run_command(command, scenario):
-    """Execute a command against a parsed scenario and report."""
-    built = build_objects(scenario)
+    """Build and validate a parsed scenario's objects, execute a command
+    against them and report.  Under `verify` and `report` a failed input
+    check line ends the report there."""
     report = Report(scenario=scenario, command=command)
+    try:
+        built = build_objects(scenario)
+    except InputCheckFailed as exc:
+        if command not in ("verify", "report"):
+            raise
+        report.checks.extend(exc.checks)
+        return report
     if command in ("verify", "report"):
         _run_verify(built, report)
     if command in ("hc", "report"):
@@ -507,20 +540,13 @@ def _run_page(report, check_name, compute):
 
 def _run_verify(built, report):
     scenario, cyl = built.scenario, built.cylinder
-    report.add_violation("Hopf axioms", validate_hopf(built.hopf))
-    report.add_check("cocommutativity", is_cocommutative(built.hopf))
-    report.add_violation("weak action axioms",
-                         validate_weak_action(built.action))
-    report.add_violation("cocycle conditions and convolution inverse",
-                         validate_cocycle(built.cocycle, built.action))
+    report.checks.extend(built.input_checks)
     report.add_violation("module action upgrade",
                          verify_action_upgrade(built.action, built.cocycle))
-    try:
-        build_crossed_product(built.action, built.cocycle)
-        report.add_check("crossed product associativity revalidated", True)
-    except MathError as exc:
-        report.add_check("crossed product associativity revalidated",
-                         False, str(exc))
+    bad = built.crossed_product.product.validate()
+    report.add_check("crossed product associativity revalidated",
+                     bad is None, "" if bad is None else
+                     f"crossed product failed revalidation: {bad}")
     report.add_violation(
         f"cylinder identities through ({scenario.max_p},{scenario.max_q})",
         check_cylindrical(cyl, scenario.max_p, scenario.max_q))

@@ -65,6 +65,12 @@ def trivial_action(hopf, algebra):
 def validate_weak_action(act):
     """None iff the three weak-action axioms and the module axiom hold on
     all basis tuples; otherwise the first violation, named."""
+    bad = _weak_axioms(act)
+    return bad if bad is not None else _module_axiom(act)
+
+
+def _weak_axioms(act):
+    """The first violation of the weak-action axioms 1)-3), or None."""
     hopf, alg = act.hopf, act.algebra
     field = hopf.field
     # 2) h(1) = counit(h) 1
@@ -93,7 +99,13 @@ def validate_weak_action(act):
                 if lhs != rhs:
                     return Violation("weak action: h(ab) = h1(a) h2(b)",
                                      (h, a, b))
-    # module axiom h(l(a)) = (hl)(a)
+    return None
+
+
+def _module_axiom(act):
+    """The first violation of h(l(a)) = (hl)(a), or None."""
+    hopf, alg = act.hopf, act.algebra
+    field = hopf.field
     for h in range(hopf.dim):
         for l in range(hopf.dim):
             hl = hopf.algebra.multiply_basis(h, l)
@@ -293,25 +305,16 @@ class CrossedProductAlgebra:
         return out
 
 
-def build_crossed_product(act, coc, check=True):
+def build_crossed_product(act, coc):
     """The crossed product of the action's algebra by its Hopf algebra.
 
-    Preconditions (verified unless check=False): the weak action and the
-    cocycle validate, and the Hopf algebra is cocommutative.  The result
-    is revalidated as an associative unital algebra, independently of
-    the cocycle conditions that guarantee it.
+    The weak action and the cocycle are taken as validated, and the Hopf
+    algebra as cocommutative; `product.validate()` revalidates the result
+    as an associative unital algebra, independently of the cocycle
+    conditions that guarantee it.
     """
     hopf, alg = act.hopf, act.algebra
     field = hopf.field
-    if check:
-        bad = validate_weak_action(act)
-        if bad is not None:
-            raise CrossedProductError(f"weak action invalid: {bad}")
-        bad = validate_cocycle(coc, act)
-        if bad is not None:
-            raise CrossedProductError(f"cocycle invalid: {bad}")
-        if not is_cocommutative(hopf):
-            raise CrossedProductError("the Hopf algebra is not cocommutative")
     dA, dH = alg.dim, hopf.dim
     dim = dA * dH
     labels = [f"{la}#{lh}" for la in alg.basis_labels
@@ -345,11 +348,6 @@ def build_crossed_product(act, coc, check=True):
         for h, ch in hopf.algebra.unit.items():
             unit[a * dH + h] = ca * ch
     product = FinDimAlgebra(field, labels, table, unit)
-    if check:
-        bad = product.validate()
-        if bad is not None:
-            raise CrossedProductError(
-                f"crossed product failed revalidation: {bad}")
     return CrossedProductAlgebra(product=product, action=act, cocycle=coc)
 
 
@@ -409,53 +407,16 @@ def verify_action_upgrade(act, coc):
     """Confirm instance-by-instance that an invertible scalar cocycle
     upgrades the weak action to a module action: h(l(a)) = (hl)(a) on all
     basis triples.  Returns None, or the first counterexample triple."""
-    hopf, alg = act.hopf, act.algebra
-    field = hopf.field
-    bad = _weak_axioms_only(act)
+    hopf = act.hopf
+    bad = _weak_axioms(act)
     if bad is not None:
         raise CrossedProductError(f"weak-action axioms fail: {bad}")
     if not is_cocommutative(hopf):
         raise CrossedProductError("the Hopf algebra is not cocommutative")
     if convolution_inverse(hopf, coc.values) is None:
         raise CrossedProductError("the cocycle is not convolution invertible")
-    for h in range(hopf.dim):
-        for l in range(hopf.dim):
-            hl = hopf.algebra.multiply_basis(h, l)
-            for a in range(alg.dim):
-                lhs = act.apply({h: field.one}, act.apply_basis(l, a))
-                rhs = act.apply(hl, {a: field.one})
-                if lhs != rhs:
-                    return (h, l, a)
-    return None
-
-
-def _weak_axioms_only(act):
-    """Axioms 1)-3) without the module axiom."""
-    hopf, alg = act.hopf, act.algebra
-    field = hopf.field
-    for h in range(hopf.dim):
-        img = act.apply({h: field.one}, alg.unit)
-        want = {k: hopf.counit[h] * c for k, c in alg.unit.items()
-                if hopf.counit[h] * c}
-        if img != want:
-            return Violation("weak action: h(1) = counit(h) 1", (h,))
-    for a in range(alg.dim):
-        if act.apply(hopf.algebra.unit, {a: field.one}) != {a: field.one}:
-            return Violation("weak action: 1(a) = a", (a,))
-    for h in range(hopf.dim):
-        legs = hopf.sweedler(h, 2)
-        for a in range(alg.dim):
-            for b in range(alg.dim):
-                lhs = act.apply({h: field.one}, alg.multiply_basis(a, b))
-                rhs = {}
-                for coeff, (h1, h2) in legs:
-                    vec_add_into(rhs, alg.multiply(act.apply_basis(h1, a),
-                                                   act.apply_basis(h2, b)),
-                                 coeff)
-                if lhs != rhs:
-                    return Violation("weak action: h(ab) = h1(a) h2(b)",
-                                     (h, a, b))
-    return None
+    bad = _module_axiom(act)
+    return None if bad is None else bad.location
 
 
 def twisted_scalar_algebra(coc):
@@ -464,7 +425,7 @@ def twisted_scalar_algebra(coc):
     hopf = coc.hopf
     ground = ground_algebra(hopf.field)
     act = trivial_action(hopf, ground)
-    return build_crossed_product(act, coc, check=False).product
+    return build_crossed_product(act, coc).product
 
 
 def sign_group_cocycle_table(hopf):

@@ -34,6 +34,7 @@ import functools
 from dataclasses import dataclass
 
 from .exactlinalg import (
+    DEFAULT_DIMENSION_CAP,
     MathError,
     NotWellDefined,
     SparseMatrix,
@@ -285,14 +286,11 @@ class AlgebraCyclicModule(ParacyclicModule):
         self.algebra = algebra
         self.field = algebra.field
         self._spaces = {}
-        self.cap = cap
+        self.cap = DEFAULT_DIMENSION_CAP if cap is None else cap
 
     def space(self, n):
         if n not in self._spaces:
-            if self.cap is None:
-                check_dimension_cap(self.algebra.dim ** (n + 1))
-            else:
-                check_dimension_cap(self.algebra.dim ** (n + 1), self.cap)
+            check_dimension_cap(self.algebra.dim ** (n + 1), self.cap)
             self._spaces[n] = TensorSpace([self.algebra.dim] * (n + 1))
         return self._spaces[n]
 

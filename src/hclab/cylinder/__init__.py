@@ -10,7 +10,6 @@ Mac Lane isomorphism, and computes Hopf-algebra homology.
 """
 
 from .core import (
-    CylinderError,
     HopfCrossedCylinder,
     DiagonalModule,
     BinormalizedCylinder,

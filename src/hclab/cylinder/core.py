@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 
-from ..crossed import validate_cocycle, validate_weak_action
 from ..cycliccore import (
     AlgebraCyclicModule,
     MixedComplex,
@@ -38,7 +37,7 @@ from ..cycliccore import (
     require_descent,
 )
 from ..exactlinalg import (
-    MathError,
+    DEFAULT_DIMENSION_CAP,
     SparseMatrix,
     add_term,
     check_dimension_cap,
@@ -46,11 +45,6 @@ from ..exactlinalg import (
     induced_map,
     vec_add_into,
 )
-from ..hopf import is_cocommutative
-
-
-class CylinderError(MathError):
-    pass
 
 
 class HopfCrossedCylinder:
@@ -62,7 +56,7 @@ class HopfCrossedCylinder:
         self.algebra = action.algebra
         self.cocycle = cocycle
         self.field = hopf.field
-        self.cap = cap
+        self.cap = DEFAULT_DIMENSION_CAP if cap is None else cap
         self._spaces = {}
 
     # -- spaces --------------------------------------------------------------
@@ -71,10 +65,7 @@ class HopfCrossedCylinder:
         key = (p, q)
         if key not in self._spaces:
             dim = self.hopf.dim ** (p + 1) * self.algebra.dim ** (q + 1)
-            if self.cap is None:
-                check_dimension_cap(dim)
-            else:
-                check_dimension_cap(dim, self.cap)
+            check_dimension_cap(dim, self.cap)
             self._spaces[key] = TensorSpace(
                 [self.hopf.dim] * (p + 1) + [self.algebra.dim] * (q + 1))
         return self._spaces[key]
@@ -304,17 +295,9 @@ class DiagonalModule(ParacyclicModule):
         return apply_linear(self.cyl.vrot, self.cyl.hrot(n, n, k), n, n)
 
 
-def build_cylinder(hopf, action, cocycle, check=True, cap=None):
-    """Construct the cylinder after verifying its standing hypotheses."""
-    if check:
-        bad = validate_weak_action(action)
-        if bad is not None:
-            raise CylinderError(f"weak action invalid: {bad}")
-        bad = validate_cocycle(cocycle, action)
-        if bad is not None:
-            raise CylinderError(f"cocycle invalid: {bad}")
-        if not is_cocommutative(hopf):
-            raise CylinderError("the Hopf algebra is not cocommutative")
+def build_cylinder(hopf, action, cocycle, cap=None):
+    """The cylinder of a validated weak action and cocycle of a
+    cocommutative Hopf algebra."""
     return HopfCrossedCylinder(hopf, action, cocycle, cap=cap)
 
 

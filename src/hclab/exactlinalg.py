@@ -46,7 +46,7 @@ class MathError(RuntimeError):
 
 
 def check_dimension_cap(dim, cap=DEFAULT_DIMENSION_CAP):
-    if cap is not None and dim > cap:
+    if dim > cap:
         raise DimensionCapExceeded(
             f"chain space of dimension {dim} exceeds the cap {cap}")
 

@@ -23,11 +23,11 @@ from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
     group_algebra, matrix_algebra, product_algebra,
 )
-from hclab.hopf import group_hopf
+from hclab.hopf import group_hopf, is_cocommutative
 from hclab.crossed import (
     ActionMap, Cocycle, build_crossed_product, lift_group_cocycle,
     sign_group_cocycle_table, trivial_action, trivial_cocycle,
-    twisted_scalar_algebra, validate_cocycle,
+    twisted_scalar_algebra, validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import (
     AlgebraCyclicModule, TensorSpace, cyclic_homology_mixed,
@@ -93,12 +93,19 @@ def _report(line):
 
 
 def test_criterion_01_axiom_and_identity_suite():
-    """verify passes exactly on every reference scenario."""
+    """verify passes exactly on every reference scenario, and the inputs
+    of this file's cylinders meet the hypotheses build_cylinder takes for
+    granted."""
     for name in ("s1", "s2", "s3", "s4", "s5"):
         scenario = parse_scenario((SCENARIOS / f"{name}.scn").read_text())
         report = run_command("verify", scenario)
         failed = [n for n, ok, _ in report.checks if not ok]
         assert not failed, f"{name}: failing checks {failed}"
+    for name, factory in ALL:
+        cyl = factory()
+        assert validate_weak_action(cyl.action) is None, name
+        assert validate_cocycle(cyl.cocycle, cyl.action) is None, name
+        assert is_cocommutative(cyl.hopf), name
     _report("criterion 1 (axiom and identity suite, S1-S5, exact): PASS")
 
 
@@ -123,7 +130,7 @@ def test_criterion_02_mutation_sensitivity():
                 assert bad.axiom == "cocycle property"
                 # the commuting-horizontal-face identity of the cylinder
                 # depends on the cocycle property; it must break too
-                cyl = build_cylinder(h, act, coc, check=False)
+                cyl = build_cylinder(h, act, coc)
                 violation = check_cylindrical(cyl, 2, 2)
                 assert violation is not None, \
                     f"flip at ({i},{j}) left the cylinder identities intact"
@@ -133,7 +140,7 @@ def test_criterion_02_mutation_sensitivity():
 def test_criterion_03_diagonal_isomorphism_through_degree_3():
     for name, factory in ALL:
         cyl = factory()
-        cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+        cp = build_crossed_product(cyl.action, cyl.cocycle)
         bad = check_diagonal_isomorphism(cyl, cp, 3)
         assert bad is None, f"{name}: {bad}"
     _report("criterion 3 (mutually inverse cyclic isomorphisms, "
@@ -170,7 +177,7 @@ def test_criterion_05_cyclic_homology_baselines():
     m2 = cyclic_homology_of_algebra(matrix_algebra(QQ, 2), 2)
     assert m2.dims == [1, 0, 1]
     cyl = cylinder_s2()
-    cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+    cp = build_crossed_product(cyl.action, cyl.cocycle)
     s2_hc = cyclic_homology_of_algebra(cp.product, 2)
     assert s2_hc.dims == m2.dims
     _report("criterion 5 (cyclic homology baselines with Wedderburn and "
@@ -186,7 +193,7 @@ def test_criterion_06_semisimple_vanishing_and_collapse():
             for q in range(3):
                 assert page.entry(p, q) == 0, \
                     f"{name}: first page not zero at ({p},{q})"
-        cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+        cp = build_crossed_product(cyl.action, cyl.cocycle)
         rep = collapse_check(cyl, cyclic_homology_of_algebra(cp.product, 2))
         assert rep.passed, (f"{name}: collapse mismatch "
                             f"{rep.direct} vs {rep.via_invariants}")
@@ -289,7 +296,7 @@ def test_criterion_08_non_semisimple_pipeline():
 def test_criterion_09_mixed_complex_contract():
     for name, factory in ALL:
         cyl = factory()
-        cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+        cp = build_crossed_product(cyl.action, cyl.cocycle)
         mx = mixed_complex_of_cyclic(AlgebraCyclicModule(cp.product), 3)
         assert mx.verify(3) is None, name
         tot = tot_mixed_complex(cyl, 2)

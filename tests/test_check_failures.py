@@ -19,7 +19,7 @@ from hclab.algebra import FiniteGroup, dual_numbers, ground_algebra
 from hclab.crossed import (
     ActionMap, build_crossed_product, lift_group_cocycle,
     sign_group_cocycle_table, trivial_action, trivial_cocycle,
-    twisted_scalar_algebra,
+    twisted_scalar_algebra, validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import NormalizedComplex
 from hclab.cylinder import (
@@ -28,7 +28,7 @@ from hclab.cylinder import (
     check_maclane, check_row_identification, check_shuffle_chain_map,
 )
 from hclab.exactlinalg import QQ, SparseMatrix
-from hclab.hopf import group_hopf
+from hclab.hopf import group_hopf, is_cocommutative
 
 
 def cylinder_s2():
@@ -42,6 +42,16 @@ def cylinder_s5():
     act = ActionMap(h, dual_numbers(QQ), [[{0: QQ.one}, {1: QQ.one}],
                                           [{0: QQ.one}, {1: QQ.of(-1)}]])
     return build_cylinder(h, act, trivial_cocycle(h))
+
+
+@pytest.mark.parametrize("factory", [cylinder_s2, cylinder_s5])
+def test_factory_inputs_meet_the_standing_hypotheses(factory):
+    """build_cylinder takes a valid weak action and cocycle of a
+    cocommutative Hopf algebra for granted; the fixtures supply them."""
+    cyl = factory()
+    assert validate_weak_action(cyl.action) is None
+    assert validate_cocycle(cyl.cocycle, cyl.action) is None
+    assert is_cocommutative(cyl.hopf)
 
 
 def corrupt_provider(cls, provider, at):
@@ -82,7 +92,7 @@ def maclane(cyl, q):
 
 
 def diagonal(cyl):
-    cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+    cp = build_crossed_product(cyl.action, cyl.cocycle)
     return check_diagonal_isomorphism(cyl, cp, 2)
 
 

@@ -283,7 +283,7 @@ def test_flipped_cocycle_sign_matches_oracle():
     inv = [[exact_div(QQ.one, table[i][j]) for j in range(4)]
            for i in range(4)]
     cyl = build_cylinder(h, trivial_action(h, ground_algebra(QQ)),
-                         Cocycle(h, table, inv), check=False)
+                         Cocycle(h, table, inv))
     got = check_cylindrical(cyl, 2, 2)
     assert got is not None
     assert got == oracle_check_cylindrical(cyl, 2, 2)

@@ -5,7 +5,7 @@ from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
     validate_algebra,
 )
-from hclab.hopf import group_hopf
+from hclab.hopf import group_hopf, is_cocommutative
 from hclab.crossed import (
     ActionMap,
     Cocycle,
@@ -57,6 +57,17 @@ def translation_action():
     table = [[{a_idx: QQ.one} for a_idx in range(2)],
              [{g.op(1, a_idx): QQ.one} for a_idx in range(2)]]
     return ActionMap(h, a, table)
+
+
+def crossed_product(act, coc):
+    """A #_sigma H, after the checks build_crossed_product takes for
+    granted, and revalidated as an associative unital algebra."""
+    assert validate_weak_action(act) is None
+    assert validate_cocycle(coc, act) is None
+    assert is_cocommutative(act.hopf)
+    cp = build_crossed_product(act, coc)
+    assert cp.product.validate() is None
+    return cp
 
 
 def test_trivial_action_valid():
@@ -157,7 +168,7 @@ def test_not_invertible_zero_on_group_likes():
 def test_crossed_product_s1_is_group_algebra():
     h = c2_hopf()
     act = trivial_action(h, ground_algebra(QQ))
-    cp = build_crossed_product(act, trivial_cocycle(h))
+    cp = crossed_product(act, trivial_cocycle(h))
     assert cp.product.dim == 2
     assert validate_algebra(cp.product) is None
     g = cp.embed_hopf(h.algebra.element(1))
@@ -167,7 +178,7 @@ def test_crossed_product_s1_is_group_algebra():
 def test_crossed_product_s2_anticommuting_units():
     h, coc = s2_cocycle()
     act = trivial_action(h, ground_algebra(QQ))
-    cp = build_crossed_product(act, coc)
+    cp = crossed_product(act, coc)
     assert cp.product.dim == 4
     u = cp.embed_hopf(h.algebra.element(1))
     v = cp.embed_hopf(h.algebra.element(2))
@@ -181,7 +192,7 @@ def test_crossed_product_s2_anticommuting_units():
 
 def test_crossed_product_s3_orthogonal_idempotents():
     act = translation_action()
-    cp = build_crossed_product(act, trivial_cocycle(act.hopf))
+    cp = crossed_product(act, trivial_cocycle(act.hopf))
     assert cp.product.dim == 4
     # (delta_e # g)(delta_e # e) = delta_e . g(delta_e) # g = 0
     de_g = {cp.pair_index(0, 1): QQ.one}
@@ -191,7 +202,7 @@ def test_crossed_product_s3_orthogonal_idempotents():
 
 def test_crossed_product_s5():
     act = dual_number_action()
-    cp = build_crossed_product(act, trivial_cocycle(act.hopf))
+    cp = crossed_product(act, trivial_cocycle(act.hopf))
     assert validate_algebra(cp.product) is None
     # g x g^{-1} = g(x) g g = -x (x # e means coefficient side)
     g = cp.embed_hopf(act.hopf.algebra.element(1))
@@ -202,7 +213,7 @@ def test_crossed_product_s5():
 
 def test_trivial_sigma_matches_smash_product():
     act = dual_number_action()
-    cp = build_crossed_product(act, trivial_cocycle(act.hopf))
+    cp = crossed_product(act, trivial_cocycle(act.hopf))
     dA, dH = 2, 2
     for a in range(dA):
         for h in range(dH):
@@ -248,5 +259,5 @@ def test_action_upgrade_counterexample():
 def test_f2_crossed_product():
     h = c2_hopf(Field(2))
     act = trivial_action(h, ground_algebra(Field(2)))
-    cp = build_crossed_product(act, trivial_cocycle(h))
+    cp = crossed_product(act, trivial_cocycle(h))
     assert validate_algebra(cp.product) is None

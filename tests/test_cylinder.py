@@ -4,11 +4,11 @@ from hclab.exactlinalg import Field, QQ, SparseMatrix, exact_div
 from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
 )
-from hclab.hopf import group_hopf, trivial_hopf
+from hclab.hopf import group_hopf, is_cocommutative, trivial_hopf
 from hclab.crossed import (
     ActionMap, Cocycle, build_crossed_product, lift_group_cocycle,
     sign_group_cocycle_table, trivial_action, trivial_cocycle,
-    twisted_scalar_algebra,
+    twisted_scalar_algebra, validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import apply_linear, check_cyclic, cyclic_homology_mixed
 from hclab.cylinder import (
@@ -71,6 +71,16 @@ ALL_SCENARIOS = [
 ]
 
 
+@pytest.mark.parametrize("name,factory", ALL_SCENARIOS)
+def test_factory_inputs_meet_the_standing_hypotheses(name, factory):
+    """build_cylinder takes a valid weak action and cocycle of a
+    cocommutative Hopf algebra for granted; the fixtures supply them."""
+    cyl = factory()
+    assert validate_weak_action(cyl.action) is None
+    assert validate_cocycle(cyl.cocycle, cyl.action) is None
+    assert is_cocommutative(cyl.hopf)
+
+
 def test_chain_space_dims_s2():
     cyl = cylinder_s2()
     for p in range(3):
@@ -126,8 +136,7 @@ def test_mutated_cocycle_breaks_cylinder_identities():
     inv = [[exact_div(QQ.one, table[i][j]) for j in range(4)]
            for i in range(4)]
     coc = Cocycle(h, table, inv)
-    cyl = build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc,
-                         check=False)
+    cyl = build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
     assert check_cylindrical(cyl, 2, 2) is not None
 
 
@@ -158,7 +167,7 @@ def test_tot_unnormalized_dim_arithmetic_s2():
 def test_diagonal_isomorphism(name, factory):
     cyl = factory()
     act, coc = cyl.action, cyl.cocycle
-    cp = build_crossed_product(act, coc, check=False)
+    cp = build_crossed_product(act, coc)
     assert check_diagonal_isomorphism(cyl, cp, 3) is None
 
 

@@ -22,7 +22,7 @@ from hclab.algebra import (
 )
 from hclab.crossed import (
     ActionMap, lift_group_cocycle, sign_group_cocycle_table,
-    trivial_action, trivial_cocycle,
+    trivial_action, trivial_cocycle, validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import (
     AlgebraCyclicModule, MixedComplexError, NormalizationError,
@@ -31,7 +31,7 @@ from hclab.cycliccore import (
 from hclab.cylinder import build_cylinder
 from hclab.cylinder.core import BinormalizedCylinder, shuffle_map
 from hclab.exactlinalg import QQ, SparseMatrix
-from hclab.hopf import group_hopf
+from hclab.hopf import group_hopf, is_cocommutative
 from hclab.spectral import RowComplexes, SpectralError
 
 
@@ -75,6 +75,16 @@ def cylinder_s5():
     act = ActionMap(h, dual_numbers(QQ), [[{0: QQ.one}, {1: QQ.one}],
                                           [{0: QQ.one}, {1: QQ.of(-1)}]])
     return build_cylinder(h, act, trivial_cocycle(h))
+
+
+@pytest.mark.parametrize("factory", [cylinder_s1, cylinder_s2, cylinder_s5])
+def test_factory_inputs_meet_the_standing_hypotheses(factory):
+    """build_cylinder takes a valid weak action and cocycle of a
+    cocommutative Hopf algebra for granted; the fixtures supply them."""
+    cyl = factory()
+    assert validate_weak_action(cyl.action) is None
+    assert validate_cocycle(cyl.cocycle, cyl.action) is None
+    assert is_cocommutative(cyl.hopf)
 
 
 def qc2_normalized():

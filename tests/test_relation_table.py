@@ -19,7 +19,7 @@ import hclab.cylinder.core
 from hclab.algebra import FiniteGroup, ground_algebra
 from hclab.crossed import (
     build_crossed_product, trivial_action, trivial_cocycle,
-    twisted_scalar_algebra,
+    twisted_scalar_algebra, validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import (
     ZERO, OperatorTable, check_cyclic, check_paracyclic, first_violation,
@@ -29,7 +29,7 @@ from hclab.cylinder import (
     check_maclane, check_row_identification, check_shuffle_chain_map,
 )
 from hclab.exactlinalg import QQ, Field, add_term
-from hclab.hopf import group_hopf
+from hclab.hopf import group_hopf, is_cocommutative
 
 
 def cylinder_s1():
@@ -38,8 +38,18 @@ def cylinder_s1():
                           trivial_cocycle(h))
 
 
+@pytest.mark.parametrize("factory", [cylinder_s1])
+def test_factory_inputs_meet_the_standing_hypotheses(factory):
+    """build_cylinder takes a valid weak action and cocycle of a
+    cocommutative Hopf algebra for granted; the fixtures supply them."""
+    cyl = factory()
+    assert validate_weak_action(cyl.action) is None
+    assert validate_cocycle(cyl.cocycle, cyl.action) is None
+    assert is_cocommutative(cyl.hopf)
+
+
 def diagonal_isomorphism(cyl):
-    cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+    cp = build_crossed_product(cyl.action, cyl.cocycle)
     return check_diagonal_isomorphism(cyl, cp, 2)
 
 

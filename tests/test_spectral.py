@@ -4,10 +4,11 @@ from hclab.exactlinalg import Field, QQ, SparseMatrix, Subspace, kernel_basis
 from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
 )
-from hclab.hopf import group_hopf, trivial_hopf
+from hclab.hopf import group_hopf, is_cocommutative, trivial_hopf
 from hclab.crossed import (
     ActionMap, build_crossed_product, lift_group_cocycle,
     sign_group_cocycle_table, trivial_action, trivial_cocycle,
+    validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import cyclic_homology_of_algebra
 from hclab.cylinder import build_cylinder
@@ -60,10 +61,21 @@ def cylinder_s5():
     return build_cylinder(h, act, trivial_cocycle(h))
 
 
+@pytest.mark.parametrize("factory", [cylinder_s1, cylinder_s2, cylinder_s3,
+                                     cylinder_s4, cylinder_s5])
+def test_factory_inputs_meet_the_standing_hypotheses(factory):
+    """build_cylinder takes a valid weak action and cocycle of a
+    cocommutative Hopf algebra for granted; the fixtures supply them."""
+    cyl = factory()
+    assert validate_weak_action(cyl.action) is None
+    assert validate_cocycle(cyl.cocycle, cyl.action) is None
+    assert is_cocommutative(cyl.hopf)
+
+
 def collapse(cyl):
     """The collapse comparison through degree 2, against the crossed
     product's own HC."""
-    cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+    cp = build_crossed_product(cyl.action, cyl.cocycle)
     return collapse_check(cyl, cyclic_homology_of_algebra(cp.product, 2))
 
 
@@ -221,7 +233,7 @@ def test_convergence_sanity_semisimple():
     for factory in (cylinder_s1, cylinder_s2):
         cyl = factory()
         page = compute_E2(*compute_E1(cyl, 2, 2))
-        cp = build_crossed_product(cyl.action, cyl.cocycle, check=False)
+        cp = build_crossed_product(cyl.action, cyl.cocycle)
         hc = cyclic_homology_of_algebra(cp.product, 2)
         for n in range(3):
             total = sum(page.entries[(p, n - p)] for p in range(n + 1))
