@@ -607,8 +607,8 @@ def main(argv=None):
                         choices=["verify", "hc", "e1", "e2", "collapse",
                                  "report"])
     parser.add_argument("scenario", help="path to a scenario file")
-    parser.add_argument("--max-degree", type=int, default=None)
-    parser.add_argument("--cap", type=int, default=None)
+    for option in ("--max-degree", "--max-p", "--max-q", "--cap"):
+        parser.add_argument(option, type=int, default=None)
     parser.add_argument("--machine", action="store_true",
                         help="machine-readable output")
     args = parser.parse_args(argv)
@@ -619,16 +619,17 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        for option, value in (("--max-degree", args.max_degree),
-                              ("--cap", args.cap)):
-            if value is not None and value < 0:
+        overrides = {key: getattr(args, key)
+                     for key in ("max_degree", "max_p", "max_q", "cap")
+                     if getattr(args, key) is not None}
+        for key, value in overrides.items():
+            if value < 0:
+                option = "--" + key.replace("_", "-")
                 raise ScenarioError(
                     f"{option} must not be negative, got {value}")
         scenario = parse_scenario(text)
-        if args.max_degree is not None:
-            scenario.max_degree = args.max_degree
-        if args.cap is not None:
-            scenario.cap = args.cap
+        for key, value in overrides.items():
+            setattr(scenario, key, value)
         report = run_command(args.command, scenario)
     except ScenarioError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -78,6 +78,23 @@ class TensorSpace:
         return tuple(out)
 
 
+def merge_slots(k, stride, d, pairs):
+    """Basis index k with its slots x (stride d * stride) and y (stride
+    `stride`), both of size d, merged into the vector pairs[x * d + y]."""
+    hi, rest = divmod(k, d * d * stride)
+    pair, lo = divmod(rest, stride)
+    base = hi * d * stride + lo
+    return {base + t * stride: c for t, c in pairs[pair].items()}
+
+
+def insert_slot(k, stride, d, unit):
+    """Basis index k with a slot of size d holding `unit` inserted at
+    stride `stride`."""
+    hi, lo = divmod(k, stride)
+    base = hi * d * stride + lo
+    return {base + u * stride: c for u, c in unit.items()}
+
+
 def apply_linear(op, vec, *args):
     """The image of a sparse vector under the operator whose image of
     basis vector k is op(*args, k)."""
@@ -287,6 +304,7 @@ class AlgebraCyclicModule(ParacyclicModule):
         self.field = algebra.field
         self._spaces = {}
         self.cap = DEFAULT_DIMENSION_CAP if cap is None else cap
+        self._pairs = [v for row in algebra.mul_table for v in row]
 
     def space(self, n):
         if n not in self._spaces:
@@ -300,35 +318,19 @@ class AlgebraCyclicModule(ParacyclicModule):
     def face(self, n, i, k):
         if n < 1:
             raise ValueError("no faces in degree 0")
-        src, dst = self.space(n), self.space(n - 1)
-        tup = src.decode(k)
-        if i < n:
-            prod = self.algebra.multiply_basis(tup[i], tup[i + 1])
-            rest = tup[:i] + (None,) + tup[i + 2:]
-            out = {}
-            for t, c in prod.items():
-                slot = rest[:i] + (t,) + rest[i + 1:]
-                out[dst.encode(slot)] = c
-            return out
-        prod = self.algebra.multiply_basis(tup[n], tup[0])
-        out = {}
-        for t, c in prod.items():
-            out[dst.encode((t,) + tup[1:n])] = c
-        return out
+        d = self.algebra.dim
+        if i == n:
+            # the wrap-around face is face_0 after the rotation
+            k, i = k % d * d ** n + k // d, 0
+        return merge_slots(k, d ** (n - 1 - i), d, self._pairs)
 
     def degeneracy(self, n, i, k):
-        src, dst = self.space(n), self.space(n + 1)
-        tup = src.decode(k)
-        out = {}
-        for u, c in self.algebra.unit.items():
-            slot = tup[:i + 1] + (u,) + tup[i + 1:]
-            out[dst.encode(slot)] = c
-        return out
+        d = self.algebra.dim
+        return insert_slot(k, d ** (n - i), d, self.algebra.unit)
 
     def rotate(self, n, k):
-        src = self.space(n)
-        tup = src.decode(k)
-        return {src.encode((tup[n],) + tup[:n]): self.field.one}
+        d = self.algebra.dim
+        return {k % d * d ** n + k // d: self.field.one}
 
 
 class MatrixParacyclicModule(ParacyclicModule):

@@ -63,8 +63,8 @@ class BimoduleMq(CoefficientBimodule):
         self.algebra = cyl.algebra
         self.cocycle = cyl.cocycle
         self.field = cyl.field
-        self.space = TensorSpace(
-            [self.hopf.dim] + [self.algebra.dim] * (q + 1))
+        # the cylinder's space at (0, q): the same slots, under its cap
+        self.space = cyl.space(0, q)
         self.dim = self.space.size
         self._left_cache = {}
         self._right_cache = {}

@@ -2,14 +2,15 @@
 
 Chain space at bidegree (p, q): the (p+1)-fold tensor power of the Hopf
 algebra against the (q+1)-fold tensor power of the coefficient algebra,
-indexed as tuples (g_0..g_p, a_0..a_q).  The vertical family
-(faces/degeneracies/rotation in q) multiplies coefficient slots; its
-rotation conjugates the incoming slot by the antipode of the product of
-first legs.  The horizontal family (in p) merges Hopf slots at the price
-of a cocycle scalar; its rotation pushes the last Hopf slot around while
-acting on every coefficient slot.  Both wrap-around faces are defined as
-face_0 composed with the rotation, which the paracyclic relations force;
-the closed forms are exposed separately so the two can be compared.
+with basis tuples (g_0..g_p, a_0..a_q), each kept as its flat index.
+The vertical family (faces/degeneracies/rotation in q) multiplies
+coefficient slots; its rotation conjugates the incoming slot by the
+antipode of the product of first legs.  The horizontal family (in p)
+merges Hopf slots at the price of a cocycle scalar; its rotation pushes
+the last Hopf slot around while acting on every coefficient slot.  Both
+wrap-around faces are defined as face_0 composed with the rotation,
+which the paracyclic relations force; the closed forms are exposed
+separately so the two can be compared.
 
 The cylindricity contract, verified exhaustively: rows and columns are
 paracyclic, the families commute slotwise, and the vertical rotation to
@@ -19,6 +20,7 @@ the (q+1)-st power composed with the horizontal rotation to the
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from ..cycliccore import (
@@ -33,7 +35,9 @@ from ..cycliccore import (
     check_paracyclic,
     degeneracy_quotient,
     first_violation,
+    insert_slot,
     matrix_columns,
+    merge_slots,
     require_descent,
 )
 from ..exactlinalg import (
@@ -48,7 +52,11 @@ from ..exactlinalg import (
 
 
 class HopfCrossedCylinder:
-    """Bigraded chain spaces with the two commuting operator families."""
+    """Bigraded chain spaces with the two commuting operator families.
+
+    Basis index k at (p, q) is G * dA^(q+1) + a, G indexing the Hopf
+    string g_0..g_p and a the coefficients a_0..a_q, first slot most
+    significant.  Providers compute target indices from k by strides."""
 
     def __init__(self, hopf, action, cocycle, cap=None):
         self.hopf = hopf
@@ -58,6 +66,12 @@ class HopfCrossedCylinder:
         self.field = hopf.field
         self.cap = DEFAULT_DIMENSION_CAP if cap is None else cap
         self._spaces = {}
+        self._vpairs = [v for row in self.algebra.mul_table for v in row]
+        self._hpairs = _twisted_products(hopf, cocycle)
+        self._vrot_terms = functools.cache(
+            functools.partial(_conjugation_terms, hopf, action))
+        self._hrot_terms = functools.cache(
+            functools.partial(_pushed_terms, hopf, action))
 
     # -- spaces --------------------------------------------------------------
 
@@ -73,10 +87,6 @@ class HopfCrossedCylinder:
     def dim(self, p, q):
         return self.space(p, q).size
 
-    def split(self, p, q, k):
-        tup = self.space(p, q).decode(k)
-        return tup[:p + 1], tup[p + 1:]
-
     # -- vertical family (coefficient direction, degree q) --------------------
 
     def vface(self, p, q, i, k):
@@ -85,18 +95,14 @@ class HopfCrossedCylinder:
         if i == q:
             # the wrap-around face is face_0 composed with the rotation
             return apply_linear(self.vface, self.vrot(p, q, k), p, q, 0)
-        gs, avs = self.split(p, q, k)
-        tgt = self.space(p, q - 1)
-        out = {}
-        prod = self.algebra.multiply_basis(avs[i], avs[i + 1])
-        for t, c in prod.items():
-            add_term(out, tgt.encode(gs + avs[:i] + (t,) + avs[i + 2:]), c)
-        return out
+        dA = self.algebra.dim
+        return merge_slots(k, dA ** (q - 1 - i), dA, self._vpairs)
 
     def vface_last_direct(self, p, q, k):
         """Closed form of the vertical wrap-around face; must agree with
         face_0 composed with the rotation."""
-        gs, avs = self.split(p, q, k)
+        tup = self.space(p, q).decode(k)
+        gs, avs = tup[:p + 1], tup[p + 1:]
         tgt = self.space(p, q - 1)
         out = {}
         for coef, legs in self.hopf.sweedler_product([(g, 2) for g in gs]):
@@ -110,26 +116,16 @@ class HopfCrossedCylinder:
         return out
 
     def vdeg(self, p, q, i, k):
-        gs, avs = self.split(p, q, k)
-        tgt = self.space(p, q + 1)
-        out = {}
-        for u, cu in self.algebra.unit.items():
-            add_term(out, tgt.encode(gs + avs[:i + 1] + (u,) + avs[i + 1:]),
-                     cu)
-        return out
+        dA = self.algebra.dim
+        return insert_slot(k, dA ** (q - i), dA, self.algebra.unit)
 
     def vrot(self, p, q, k):
-        gs, avs = self.split(p, q, k)
-        tgt = self.space(p, q)
-        out = {}
-        for coef, legs in self.hopf.sweedler_product([(g, 2) for g in gs]):
-            u = self.hopf.product_of_basis([t[0] for t in legs])
-            su = self.hopf.antipode_of(u)
-            w = self.action.apply(su, {avs[q]: self.field.one})
-            g2 = tuple(t[1] for t in legs)
-            for t, c in expand(coef, g2 + (w,) + avs[:q]).items():
-                add_term(out, tgt.encode(t), c)
-        return out
+        dA = self.algebra.dim
+        low = dA ** q
+        hopf_string, a = divmod(k, low * dA)
+        rest, last = divmod(a, dA)
+        return {m * low + rest: c
+                for m, c in self._vrot_terms(p, hopf_string)[last]}
 
     # -- horizontal family (Hopf direction, degree p) -------------------------
 
@@ -138,24 +134,15 @@ class HopfCrossedCylinder:
             raise ValueError("no horizontal faces in row degree 0")
         if i == p:
             return apply_linear(self.hface, self.hrot(p, q, k), p, q, 0)
-        gs, avs = self.split(p, q, k)
-        tgt = self.space(p - 1, q)
-        out = {}
-        for c1, (x1, x2) in self.hopf.sweedler(gs[i], 2):
-            for c2, (y1, y2) in self.hopf.sweedler(gs[i + 1], 2):
-                w = c1 * c2 * self.cocycle.values[x2][y2]
-                if not w:
-                    continue
-                prod = self.hopf.algebra.multiply_basis(x1, y1)
-                for t, ct in prod.items():
-                    add_term(out, tgt.encode(gs[:i] + (t,) + gs[i + 2:] + avs),
-                             w * ct)
-        return out
+        dH = self.hopf.dim
+        return merge_slots(k, dH ** (p - 1 - i) * self.algebra.dim ** (q + 1),
+                           dH, self._hpairs)
 
     def hface_last_direct(self, p, q, k):
         """Closed form of the horizontal wrap-around face; must agree with
         face_0 composed with the rotation."""
-        gs, avs = self.split(p, q, k)
+        tup = self.space(p, q).decode(k)
+        gs, avs = tup[:p + 1], tup[p + 1:]
         tgt = self.space(p - 1, q)
         out = {}
         for c0, m in self.hopf.sweedler(gs[p], q + 3):
@@ -173,24 +160,18 @@ class HopfCrossedCylinder:
         return out
 
     def hdeg(self, p, q, i, k):
-        gs, avs = self.split(p, q, k)
-        tgt = self.space(p + 1, q)
-        out = {}
-        for u, cu in self.hopf.algebra.unit.items():
-            add_term(out, tgt.encode(gs[:i + 1] + (u,) + gs[i + 1:] + avs),
-                     cu)
-        return out
+        dH = self.hopf.dim
+        return insert_slot(k, dH ** (p - i) * self.algebra.dim ** (q + 1),
+                           dH, self.hopf.algebra.unit)
 
     def hrot(self, p, q, k):
-        gs, avs = self.split(p, q, k)
-        tgt = self.space(p, q)
-        out = {}
-        for c0, m in self.hopf.sweedler(gs[p], q + 2):
-            acted = tuple(self.action.apply_basis(m[j], avs[j])
-                          for j in range(q + 1))
-            for t, c in expand(c0, (m[q + 1],) + gs[:p] + acted).items():
-                add_term(out, tgt.encode(t), c)
-        return out
+        dH = self.hopf.dim
+        size = self.algebra.dim ** (q + 1)
+        hopf_string, a = divmod(k, size)
+        head, last = divmod(hopf_string, dH)
+        lead, base = dH ** p * size, head * size
+        return {h * lead + base + b: c
+                for (h, b), c in self._hrot_terms(q, last, a)}
 
     # -- adapters ------------------------------------------------------------
 
@@ -293,6 +274,54 @@ class DiagonalModule(ParacyclicModule):
 
     def rotate(self, n, k):
         return apply_linear(self.cyl.vrot, self.cyl.hrot(n, n, k), n, n)
+
+
+def _twisted_products(hopf, cocycle):
+    """The merged Hopf slot of each pair x * dH + y: the sum of
+    c1 c2 sigma(x2, y2) x1 y1 over the coproducts of x and y."""
+    table = []
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            out = {}
+            for c1, (x1, x2) in hopf.sweedler(x, 2):
+                for c2, (y1, y2) in hopf.sweedler(y, 2):
+                    vec_add_into(out, hopf.algebra.multiply_basis(x1, y1),
+                                 c1 * c2 * cocycle.values[x2][y2])
+            table.append(out)
+    return table
+
+
+def _conjugation_terms(hopf, action, p, hopf_string):
+    """vrot's terms (m, c) for the Hopf string hopf_string at degree p, per
+    last coefficient slot a_q: m indexes the second legs, then a_q acted
+    on by the antipode of the product of the first legs."""
+    dH, dA, one = hopf.dim, action.algebra.dim, hopf.field.one
+    merged = [{} for _ in range(dA)]
+    gs = [hopf_string // dH ** e % dH for e in range(p, -1, -1)]
+    for coef, legs in hopf.sweedler_product([(g, 2) for g in gs]):
+        su = hopf.antipode_of(hopf.product_of_basis([t[0] for t in legs]))
+        second = sum(t[1] * dH ** (p - j) for j, t in enumerate(legs))
+        for last, terms in enumerate(merged):
+            for w, cw in action.apply(su, {last: one}).items():
+                add_term(terms, second * dA + w, coef * cw)
+    return [tuple(terms.items()) for terms in merged]
+
+
+def _pushed_terms(hopf, action, q, g, a):
+    """The horizontal rotation's terms for the last Hopf slot g and the
+    coefficient string with index a in degree q: ((h, b), c) with h the
+    leg that moves to the front and b the index of the acted string."""
+    dA = action.algebra.dim
+    avs = [a // dA ** e % dA for e in range(q, -1, -1)]
+    merged = {}
+    for c0, m in hopf.sweedler(g, q + 2):
+        terms = [(0, c0)]
+        for leg, x in zip(m, avs):
+            terms = [(b * dA + y, c * cy) for b, c in terms
+                     for y, cy in action.apply_basis(leg, x).items()]
+        for b, c in terms:
+            add_term(merged, (m[q + 1], b), c)
+    return tuple(merged.items())
 
 
 def build_cylinder(hopf, action, cocycle, cap=None):
@@ -404,15 +433,21 @@ class BinormalizedCylinder:
     def dim(self, p, q):
         return self.quotients[(p, q)].dim
 
-    def _induced(self, kind, raw, n, src, dst):
-        """raw(n), the raw operator from bidegree src to dst, induced."""
+    def _induced(self, kind, raw, n, src, dst, message=None):
+        """raw(n), the raw operator from bidegree src to dst, induced; zero,
+        with raw(n) never built, into a zero quotient."""
         key = (kind,) + src
         if key not in self._ops:
-            self._ops[key] = require_descent(
-                induced_map(raw(n), self.quotients[src], self.quotients[dst]),
-                MixedComplexError,
-                f"{kind} not well defined on the normalization at "
-                f"({src[0]},{src[1]})")
+            if self.dim(*dst) == 0:
+                self._ops[key] = SparseMatrix.zero(self.field, 0,
+                                                   self.dim(*src))
+            else:
+                self._ops[key] = require_descent(
+                    induced_map(raw(n), self.quotients[src],
+                                self.quotients[dst]),
+                    MixedComplexError,
+                    message or f"{kind} not well defined on the "
+                    f"normalization at ({src[0]},{src[1]})")
         return self._ops[key]
 
     def vertical_boundary(self, p, q):
@@ -445,17 +480,14 @@ class BinormalizedCylinder:
 
     def induced_vertical_twist(self, p, q):
         """The raw vertical rotation to the (q+1)-st power, induced."""
-        key = ("T", p, q)
-        if key not in self._ops:
-            rot = self.cyl.column_module(p).rotate_matrix(q)
+        def power(n):
+            rot = self.cyl.column_module(p).rotate_matrix(n)
             acc = SparseMatrix.identity(self.field, rot.cols)
-            for _ in range(q + 1):
+            for _ in range(n + 1):
                 acc = rot.compose(acc)
-            quotient = self.quotients[(p, q)]
-            self._ops[key] = require_descent(
-                induced_map(acc, quotient, quotient), MixedComplexError,
-                f"vertical twist not well defined at ({p},{q})")
-        return self._ops[key]
+            return acc
+        return self._induced("T", power, q, (p, q), (p, q),
+                             f"vertical twist not well defined at ({p},{q})")
 
 
 def _components(n):

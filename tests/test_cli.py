@@ -223,7 +223,8 @@ def test_negative_size_in_scenario_exits_2(tmp_path, capsys, key):
     assert f"line {len(text.splitlines())}:" in captured.err
 
 
-@pytest.mark.parametrize("option", ["--max-degree", "--cap"])
+@pytest.mark.parametrize("option",
+                         ["--max-degree", "--max-p", "--max-q", "--cap"])
 def test_negative_size_option_exits_2(tmp_path, capsys, option):
     target = tmp_path / "s1.scn"
     target.write_text(read("s1.scn"))
@@ -231,6 +232,26 @@ def test_negative_size_option_exits_2(tmp_path, capsys, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{option} must not be negative, got -1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["e1", "e2"])
+def test_page_size_options_match_the_compute_section(tmp_path, capsys,
+                                                     command):
+    """--max-p and --max-q reach the pages as the [compute] keys do."""
+    flagged = tmp_path / "flagged.scn"
+    flagged.write_text(read("s5.scn"))
+    assert main([command, str(flagged), "--max-p", "3", "--max-q", "1",
+                 "--machine"]) == 0
+    by_flags = capsys.readouterr().out
+    edited = tmp_path / "edited.scn"
+    edited.write_text(read("s5.scn").replace("max_p = 2", "max_p = 3")
+                      .replace("max_q = 2", "max_q = 1"))
+    assert main([command, str(edited), "--machine"]) == 0
+    by_file = capsys.readouterr().out
+    assert by_flags == by_file
+    assert "max_p = 3\nmax_q = 1\n" in by_flags
+    assert main([command, str(flagged), "--machine"]) == 0
+    assert capsys.readouterr().out != by_flags
 
 
 def _raise(exc):

@@ -69,3 +69,47 @@ def test_e2_builds_through_max_p_plus_1_and_max_q_plus_1(requested, max_p,
     run_s5("e2", max_p=max_p, max_q=max_q)
     assert max(p for p, _ in requested["cylinder"]) == max_p + 1
     assert max(q for _, q in requested["cylinder"]) == max_q + 1
+
+
+PROVIDERS = ("vface", "vdeg", "vrot", "hface", "hdeg", "hrot")
+
+
+@pytest.fixture
+def provider_calls(monkeypatch):
+    """Calls of each cylinder provider, by (name, row q)."""
+    calls = {}
+    for name in PROVIDERS:
+        def counted(self, p, q, *rest, _name=name,
+                    _op=getattr(HopfCrossedCylinder, name)):
+            calls[(_name, q)] = calls.get((_name, q), 0) + 1
+            return _op(self, p, q, *rest)
+        monkeypatch.setattr(HopfCrossedCylinder, name, counted)
+    return calls
+
+
+def test_no_operator_is_built_into_a_zero_quotient(provider_calls):
+    """s4's algebra is the ground field, so every bidegree (p, q >= 1)
+    normalizes to zero.  The map into a zero quotient is the zero map,
+    and no raw operator is built for it: no horizontal face is read at a
+    row q >= 1.  The vertical boundary from (p, 1) into (p, 0), whose
+    target is not zero, still runs its descent check."""
+    scenario = parse_scenario((SCENARIOS / "s4.scn").read_text())
+    scenario.max_degree = 7
+    report = run_command("hc", scenario)
+    assert report.passed
+    assert dict(report.tables) == {
+        "cyclic homology of the crossed product": [2, 1, 3, 2, 4, 3, 5, 4],
+        "cyclic homology of the total complex": [2, 1, 3, 2, 4, 3, 5, 4]}
+    assert sum(n for (name, q), n in provider_calls.items()
+               if name == "hface" and q >= 1) == 0
+    assert provider_calls[("vface", 1)] > 0
+
+
+def test_nonzero_quotients_read_every_provider_as_before(provider_calls):
+    """On s5 no quotient is zero, and hc reads the providers exactly as
+    often as it did before maps into zero quotients were skipped."""
+    run_s5("hc")
+    totals = {name: sum(n for (op, _), n in provider_calls.items()
+                        if op == name) for name in PROVIDERS}
+    assert totals == {"vface": 520, "vdeg": 176, "vrot": 332,
+                      "hface": 520, "hdeg": 144, "hrot": 196}

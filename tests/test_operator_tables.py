@@ -6,8 +6,11 @@ table keeps an image that is a basis vector as its index and a zero
 image as the shared empty vector everywhere, and any other image only
 inside the checked range, so what it holds is bounded by what the
 relation table reads there.  The memory guard measures that bound on
-the deepest benchmarked check; the source guard keeps the per-stage
-memos that the tables replaced from coming back beside them.
+the deepest benchmarked check, and a second guard measures the total
+mixed complex of the deepest benchmarked `hc`.  The source guards keep
+the per-stage memos that the tables replaced from coming back beside
+them, and keep the operator providers on index arithmetic: none of them
+decodes a basis index into a tuple of slots or encodes one back.
 """
 
 import ast
@@ -18,26 +21,42 @@ import pytest
 
 from hclab.cli import build_objects, parse_scenario
 from hclab.cylinder import HopfCrossedCylinder
-from hclab.cylinder.core import check_cylindrical
+from hclab.cylinder.core import check_cylindrical, tot_mixed_complex
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hclab"
 REPLACED = {"memoized", "_in_range_operators"}
+MEBIBYTE = 2 ** 20
 
 
-@pytest.mark.parametrize("name", ["s3", "s5"])
-def test_deep_check_stays_under_two_mebibytes(name):
-    """check_cylindrical at (3,3), traced from a fresh cylinder."""
+def traced_peak(name, run):
+    """The traced peak of run(cyl) on a fresh cylinder of scenario name."""
     built = build_objects(parse_scenario(
         (ROOT / "scenarios" / f"{name}.scn").read_text()))
     cyl = HopfCrossedCylinder(built.hopf, built.action, built.cocycle)
     tracemalloc.start()
     try:
-        assert check_cylindrical(cyl, 3, 3) is None
-        peak = tracemalloc.get_traced_memory()[1]
+        run(cyl)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("name", ["s3", "s5"])
+def test_deep_check_stays_under_two_mebibytes(name):
+    """check_cylindrical at (3,3), traced from a fresh cylinder."""
+    def check(cyl):
+        assert check_cylindrical(cyl, 3, 3) is None
+    peak = traced_peak(name, check)
+    assert peak < 2 * MEBIBYTE, peak
+
+
+def test_deep_total_complex_stays_under_one_and_a_half_mebibytes():
+    """tot_mixed_complex on s4 (F_2) at degree 7, the deepest `hc`
+    benchmarked: what the providers keep per Hopf string must not
+    outgrow the images they no longer build."""
+    peak = traced_peak("s4", lambda cyl: tot_mixed_complex(cyl, 7))
+    assert peak < 1.5 * MEBIBYTE, peak
 
 
 def replaced_names(source, filename="<source>"):
@@ -72,3 +91,73 @@ def test_no_module_defines_or_imports_a_replaced_memo():
              for path in sorted(SRC.rglob("*.py"))
              for line, name in replaced_names(path.read_text(), str(path))]
     assert found == []
+
+
+# the providers of each class, which compute target indices by strides
+PROVIDERS = {
+    "cycliccore.py": {"AlgebraCyclicModule": {"face", "degeneracy",
+                                              "rotate"}},
+    "cylinder/core.py": {"HopfCrossedCylinder": {
+        "vface", "vdeg", "vrot", "hface", "hdeg", "hrot"}},
+}
+TUPLE_INDEXING = {"decode", "encode", "split"}
+
+
+def tuple_indexing_calls(source, providers, filename="<source>"):
+    """(function, line, name) of every call of decode, encode or split
+    in a provider, or in a method or module function that one calls by
+    name, directly or through others."""
+    tree = ast.parse(source, filename)
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    todo = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in providers:
+            methods = {f.name: f for f in node.body
+                       if isinstance(f, ast.FunctionDef)}
+            functions.update(methods)
+            todo += [methods[name] for name in sorted(providers[node.name])]
+    found, seen = [], set()
+    while todo:
+        function = todo.pop()
+        if function.name in seen:
+            continue
+        seen.add(function.name)
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = (callee.attr if isinstance(callee, ast.Attribute)
+                    else callee.id if isinstance(callee, ast.Name) else None)
+            if name in TUPLE_INDEXING:
+                found.append((function.name, node.lineno, name))
+            elif name in functions:
+                todo.append(functions[name])
+    return sorted(found)
+
+
+def test_guard_sees_tuple_indexing_in_a_provider_or_its_helper():
+    source = ("class M:\n"
+              "    def face(self, n, i, k):\n"
+              "        return _slots(self.space(n), k)\n"
+              "    def rotate(self, n, k):\n"
+              "        return {k: 1}\n"
+              "    def unrelated(self, k):\n"
+              "        return self.space(0).decode(k)\n"
+              "def _slots(space, k):\n"
+              "    return space.encode(space.decode(k))\n")
+    providers = {"M": {"face", "rotate"}}
+    assert tuple_indexing_calls(source, providers) == [
+        ("_slots", 9, "decode"), ("_slots", 9, "encode")]
+    assert tuple_indexing_calls("class M:\n    def face(self):\n"
+                                "        return self.split(0, 0, 1)\n",
+                                {"M": {"face"}}) == [("face", 3, "split")]
+
+
+def test_no_provider_decodes_or_encodes_a_basis_index():
+    found = [f"{path}:{line} {function} calls {name}"
+             for path, providers in PROVIDERS.items()
+             for function, line, name in tuple_indexing_calls(
+                 (SRC / path).read_text(), providers, path)]
+    assert found == []
+    assert not hasattr(HopfCrossedCylinder, "split")
