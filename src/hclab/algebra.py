@@ -9,9 +9,11 @@ group, matrix algebras, dual numbers and the ground field itself.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
-from .exactlinalg import DimensionMismatch, vec_add_into
+from .exactlinalg import DimensionCapExceeded, DimensionMismatch, vec_add_into
 
 
 class GroupTableError(ValueError):
@@ -100,22 +102,23 @@ class FiniteGroup:
         return cls(labels, table)
 
     @classmethod
-    def named(cls, name):
-        """C{n}, C{n}xC{m} (iterated), or S3."""
+    def named(cls, name, cap=None):
+        """C{n}, C{n}xC{m} (iterated), or S3.  Under a cap, a group whose
+        multiplication table has more entries than the cap is refused
+        before any table is built."""
         name = name.strip()
+        parts = [] if name == "S3" else [p.strip() for p in name.split("x")]
+        if not all(p[:1] == "C" and p[1:].isdecimal() and int(p[1:]) >= 1
+                   for p in parts):
+            raise GroupTableError(f"unknown group name {name!r}")
+        orders = [int(p[1:]) for p in parts]
+        entries = (6 if name == "S3" else math.prod(orders)) ** 2
+        if cap is not None and entries > cap:
+            raise DimensionCapExceeded(
+                f"group {name}: {entries} table entries exceed the cap {cap}")
         if name == "S3":
             return cls.symmetric3()
-        parts = name.split("x")
-        groups = []
-        for part in parts:
-            part = part.strip()
-            if not part.startswith("C"):
-                raise GroupTableError(f"unknown group name {name!r}")
-            groups.append(cls.cyclic(int(part[1:])))
-        g = groups[0]
-        for h in groups[1:]:
-            g = cls.product(g, h)
-        return g
+        return functools.reduce(cls.product, map(cls.cyclic, orders))
 
 
 @dataclass

@@ -9,7 +9,7 @@ Scenario files are line-oriented sectioned key-value text::
     group = C2xC2              # C{n}, C{n}xC{m}..., S3
     [algebra]
     kind = ground              # ground | group G | functions G |
-                               # dual_numbers | matrix n | table ...
+                               # dual_numbers | matrix n
     [action]
     kind = trivial             # trivial | permutation | table
     # permutation lines:  perm = H_INDEX : j0 j1 ...
@@ -143,20 +143,26 @@ class Scenario:
         return "\n".join(lines) + "\n"
 
 
+# the keys of each section; [action] also takes `perm` and `map` lines
+SECTION_KEYS = {"": {"field"}, "hopf": {"kind", "group"}, "algebra": {"kind"},
+                "action": {"kind"}, "cocycle": {"kind", "values"},
+                "compute": {"max_degree", "max_p", "max_q", "cap"}}
+
+
 def parse_scenario(text):
-    """Parse a scenario: syntax, scalars and sizes; raises ScenarioError.
-    The objects are built and validated by `run_command`."""
+    """Parse a scenario: syntax, scalars and sizes; raises ScenarioError,
+    also for a key its section does not define.  A repeated key keeps its
+    last value.  The objects are built and validated by `run_command`."""
     section = None
-    data = {"": {}, "hopf": {}, "algebra": {}, "action": {},
-            "cocycle": {}, "compute": {}}
-    extra = {"action": [], "cocycle": []}
+    data = {sec: {} for sec in SECTION_KEYS}
+    action_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in data:
+            if section not in SECTION_KEYS:
                 raise ScenarioError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in line:
@@ -164,21 +170,19 @@ def parse_scenario(text):
         key, value = (s.strip() for s in line.split("=", 1))
         sec = section or ""
         if key in ("perm", "map") and sec == "action":
-            extra["action"].append((lineno, f"{key} = {value}"))
-        elif key in ("mul", "unit", "labels", "dim", "table") and \
-                sec == "algebra":
-            data["algebra"].setdefault("_lines", []).append(
-                (lineno, key, value))
-        else:
+            action_lines.append(f"{key} = {value}")
+        elif key in SECTION_KEYS[sec]:
             data[sec][key] = (lineno, value)
+        else:
+            raise ScenarioError(f"unknown key '{key}' in section [{sec}]",
+                                lineno)
 
     def take(sec, key, default=None):
         if key in data[sec]:
             return data[sec][key][1]
         if default is not None:
             return default
-        lineno = None
-        raise ScenarioError(f"missing '{key}' in section [{sec}]", lineno)
+        raise ScenarioError(f"missing '{key}' in section [{sec}]")
 
     field_spec = take("", "field")
     if field_spec == "Q":
@@ -212,7 +216,6 @@ def parse_scenario(text):
         raise ScenarioError(f"unknown algebra kind {algebra_kind!r}")
 
     action_kind = take("action", "kind", "trivial")
-    action_lines = tuple(t for _, t in extra["action"])
     cocycle_kind = take("cocycle", "kind", "trivial")
     cocycle_values = ()
     if cocycle_kind in ("group_table", "table"):
@@ -248,7 +251,7 @@ def parse_scenario(text):
         algebra_kind=algebra_kind,
         algebra_arg=algebra_arg,
         action_kind=action_kind,
-        action_lines=action_lines,
+        action_lines=tuple(action_lines),
         cocycle_kind=cocycle_kind,
         cocycle_values=cocycle_values,
         max_degree=int_opt("max_degree", 2),
@@ -310,12 +313,15 @@ def build_objects(scenario):
         if bad is not None:
             raise InputCheckFailed(f"{prefix}{bad}", checks)
 
+    def named_group(name):
+        """FiniteGroup.named under the cap; ScenarioError for a bad name."""
+        try:
+            return FiniteGroup.named(name, scenario.cap)
+        except GroupTableError as exc:
+            raise ScenarioError(f"bad group: {exc}")
+
     field = Field(scenario.field_characteristic)
-    try:
-        group = FiniteGroup.named(scenario.hopf_group)
-    except (GroupTableError, ValueError) as exc:
-        raise ScenarioError(f"bad group: {exc}")
-    hopf = group_hopf(field, group)
+    hopf = group_hopf(field, named_group(scenario.hopf_group))
     record("Hopf axioms", validate_hopf(hopf), "Hopf axiom violation: ")
     record("cocommutativity", None if is_cocommutative(hopf) else
            "the Hopf algebra is not cocommutative")
@@ -324,11 +330,10 @@ def build_objects(scenario):
     if kind == "ground":
         algebra = ground_algebra(field)
     elif kind == "group":
-        algebra = group_algebra(field, FiniteGroup.named(arg or
-                                                         scenario.hopf_group))
+        algebra = group_algebra(field, named_group(arg or scenario.hopf_group))
     elif kind == "functions":
-        algebra = function_algebra(field, FiniteGroup.named(
-            arg or scenario.hopf_group))
+        algebra = function_algebra(field,
+                                   named_group(arg or scenario.hopf_group))
     elif kind == "dual_numbers":
         algebra = dual_numbers(field)
     elif kind == "matrix":
@@ -615,8 +620,9 @@ def main(argv=None):
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"invalid input: cannot read {args.scenario}: {exc}",
+              file=sys.stderr)
         return 2
     try:
         overrides = {key: getattr(args, key)

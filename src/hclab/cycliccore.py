@@ -554,6 +554,32 @@ def degeneracy_quotient(pieces):
     return quotient_space(dim, Subspace.from_vectors(field, dim, vectors))
 
 
+class QuotientStore:
+    """The quotients of one normalization, by key, each built as
+    build(key) on first read, and the operators induced between them, by
+    key, each built once.  Into a zero quotient an operator is the zero
+    map and its raw matrix is never built (descent holds vacuously); any
+    other raw matrix must descend, or error(message) is raised."""
+
+    def __init__(self, build, error):
+        self.quotient = functools.cache(build)
+        self.error = error
+        self.operators = {}
+
+    def induced(self, key, src, dst, raw, message):
+        """raw(), the raw operator from quotient src to dst, induced."""
+        op = self.operators.get(key)
+        if op is None:
+            source, target = self.quotient(src), self.quotient(dst)
+            if target.dim == 0:
+                op = SparseMatrix.zero(source.field, 0, source.dim)
+            else:
+                op = require_descent(induced_map(raw(), source, target),
+                                     self.error, message)
+            self.operators[key] = op
+        return op
+
+
 class NormalizedComplex:
     """Degreewise quotient by the span of all degeneracy images.
 
@@ -565,47 +591,30 @@ class NormalizedComplex:
     def __init__(self, base, max_degree):
         self.base = base
         self.field = base.field
-        self.max_degree = max_degree
-        self.quotients = [degeneracy_quotient([(base, n)])
-                          for n in range(max_degree + 1)]
-        self.dims = [q.dim for q in self.quotients]
-        self._boundaries = {}
-        self._connes = {}
+        self.store = QuotientStore(
+            lambda n: degeneracy_quotient([(base, n)]), NormalizationError)
+        self.dims = [self.dim(n) for n in range(max_degree + 1)]
 
     def dim(self, n):
-        return self.dims[n]
+        return self.store.quotient(n).dim
 
     def project(self, n, vec):
-        return self.quotients[n].project(vec)
-
-    def lift(self, n, coords):
-        return self.quotients[n].lift(coords)
-
-    def _induced(self, raw, n, target, what):
-        return require_descent(
-            induced_map(raw, self.quotients[n], self.quotients[target]),
-            NormalizationError,
-            f"induced operator not well defined: {what}; "
-            "offending vector {basis_vector}")
+        return self.store.quotient(n).project(vec)
 
     def boundary_matrix(self, n):
-        if n not in self._boundaries:
-            if n == 0:
-                self._boundaries[n] = SparseMatrix.zero(
-                    self.field, 0, self.dim(0))
-            else:
-                self._boundaries[n] = self._induced(
-                    self.base.boundary_matrix(n), n, n - 1,
-                    f"boundary in degree {n}")
-        return self._boundaries[n]
+        if n == 0:
+            return SparseMatrix.zero(self.field, 0, self.dim(0))
+        return self.store.induced(
+            ("b", n), n, n - 1, lambda: self.base.boundary_matrix(n),
+            f"induced operator not well defined: boundary in degree {n}; "
+            "offending vector {basis_vector}")
 
     def connes_matrix(self, n):
         """s N induced on the quotients (consults base degree n+1)."""
-        if n not in self._connes:
-            self._connes[n] = self._induced(
-                self.base.sn_matrix(n), n, n + 1,
-                f"Connes boundary in degree {n}")
-        return self._connes[n]
+        return self.store.induced(
+            ("B", n), n, n + 1, lambda: self.base.sn_matrix(n),
+            "induced operator not well defined: Connes boundary in degree "
+            f"{n}; offending vector {{basis_vector}}")
 
 
 def homology_dims(dim, boundary, max_degree):
@@ -618,8 +627,7 @@ def homology_dims(dim, boundary, max_degree):
 
 def hochschild_homology(module, max_degree):
     """Dimensions of ker b / im b on the normalized complex."""
-    norm = module if isinstance(module, NormalizedComplex) else \
-        NormalizedComplex(module, max_degree + 1)
+    norm = NormalizedComplex(module, max_degree + 1)
     return HomologyReport(
         list(range(max_degree + 1)),
         homology_dims(norm.dim, norm.boundary_matrix, max_degree),
@@ -667,8 +675,7 @@ class MixedComplexError(MathError):
 def mixed_complex_of_cyclic(module, max_degree):
     """The normalized mixed complex of a cyclic module, with the contract
     identities verified through max_degree."""
-    norm = module if isinstance(module, NormalizedComplex) else \
-        NormalizedComplex(module, max_degree + 1)
+    norm = NormalizedComplex(module, max_degree + 1)
     dims = [norm.dim(n) for n in range(max_degree + 2)]
     b_mats = {n: norm.boundary_matrix(n) for n in range(1, max_degree + 2)}
     B_mats = {n: norm.connes_matrix(n) for n in range(0, max_degree + 1)}

@@ -30,6 +30,7 @@ from ..cycliccore import (
     NormalizedComplex,
     OperatorTable,
     ParacyclicModule,
+    QuotientStore,
     TensorSpace,
     apply_linear,
     check_paracyclic,
@@ -421,50 +422,40 @@ class BinormalizedCylinder:
     def __init__(self, cyl, top_total):
         self.cyl = cyl
         self.field = cyl.field
-        self.top_total = top_total
-        self.quotients = {}
-        self._ops = {}
+        self.store = QuotientStore(
+            lambda pq: degeneracy_quotient([(cyl.column_module(pq[0]), pq[1]),
+                                            (cyl.row_module(pq[1]), pq[0])]),
+            MixedComplexError)
         for total in range(top_total + 1):
             for p in range(total + 1):
-                q = total - p
-                self.quotients[(p, q)] = degeneracy_quotient(
-                    [(cyl.column_module(p), q), (cyl.row_module(q), p)])
+                self.store.quotient((p, total - p))
 
     def dim(self, p, q):
-        return self.quotients[(p, q)].dim
-
-    def _induced(self, kind, raw, n, src, dst, message=None):
-        """raw(n), the raw operator from bidegree src to dst, induced; zero,
-        with raw(n) never built, into a zero quotient."""
-        key = (kind,) + src
-        if key not in self._ops:
-            if self.dim(*dst) == 0:
-                self._ops[key] = SparseMatrix.zero(self.field, 0,
-                                                   self.dim(*src))
-            else:
-                self._ops[key] = require_descent(
-                    induced_map(raw(n), self.quotients[src],
-                                self.quotients[dst]),
-                    MixedComplexError,
-                    message or f"{kind} not well defined on the "
-                    f"normalization at ({src[0]},{src[1]})")
-        return self._ops[key]
+        return self.store.quotient((p, q)).dim
 
     def vertical_boundary(self, p, q):
-        return self._induced("bv", self.cyl.column_module(p).boundary_matrix,
-                             q, (p, q), (p, q - 1))
+        return self.store.induced(
+            ("bv", p, q), (p, q), (p, q - 1),
+            lambda: self.cyl.column_module(p).boundary_matrix(q),
+            f"bv not well defined on the normalization at ({p},{q})")
 
     def horizontal_boundary(self, p, q):
-        return self._induced("bh", self.cyl.row_module(q).boundary_matrix,
-                             p, (p, q), (p - 1, q))
+        return self.store.induced(
+            ("bh", p, q), (p, q), (p - 1, q),
+            lambda: self.cyl.row_module(q).boundary_matrix(p),
+            f"bh not well defined on the normalization at ({p},{q})")
 
     def vertical_connes(self, p, q):
-        return self._induced("Bv", self.cyl.column_module(p).sn_matrix,
-                             q, (p, q), (p, q + 1))
+        return self.store.induced(
+            ("Bv", p, q), (p, q), (p, q + 1),
+            lambda: self.cyl.column_module(p).sn_matrix(q),
+            f"Bv not well defined on the normalization at ({p},{q})")
 
     def horizontal_connes(self, p, q):
-        return self._induced("Bh", self.cyl.row_module(q).sn_matrix,
-                             p, (p, q), (p + 1, q))
+        return self.store.induced(
+            ("Bh", p, q), (p, q), (p + 1, q),
+            lambda: self.cyl.row_module(q).sn_matrix(p),
+            f"Bh not well defined on the normalization at ({p},{q})")
 
     def twist(self, p, q):
         """The literal twist 1 - (bB + Bb) of the vertical pair at (p, q);
@@ -480,14 +471,15 @@ class BinormalizedCylinder:
 
     def induced_vertical_twist(self, p, q):
         """The raw vertical rotation to the (q+1)-st power, induced."""
-        def power(n):
-            rot = self.cyl.column_module(p).rotate_matrix(n)
+        def power():
+            rot = self.cyl.column_module(p).rotate_matrix(q)
             acc = SparseMatrix.identity(self.field, rot.cols)
-            for _ in range(n + 1):
+            for _ in range(q + 1):
                 acc = rot.compose(acc)
             return acc
-        return self._induced("T", power, q, (p, q), (p, q),
-                             f"vertical twist not well defined at ({p},{q})")
+        return self.store.induced(
+            ("T", p, q), (p, q), (p, q), power,
+            f"vertical twist not well defined at ({p},{q})")
 
 
 def _components(n):
@@ -689,8 +681,8 @@ def shuffle_map(cyl, bn, diag_norm, p, q):
     """
     n = p + q
     field = cyl.field
-    src_q = bn.quotients[(p, q)]
-    dst_q = diag_norm.quotients[n]
+    src_q = bn.store.quotient((p, q))
+    dst_q = diag_norm.store.quotient(n)
     cols = []
     for k in range(cyl.dim(p, q)):
         out = {}

@@ -16,9 +16,11 @@ crossed product's own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .cycliccore import (
     MatrixParacyclicModule,
+    QuotientStore,
     apply_linear,
     check_cyclic,
     cyclic_homology_mixed,
@@ -64,41 +66,30 @@ class RowComplexes:
     def __init__(self, cyl):
         self.cyl = cyl
         self.field = cyl.field
-        self._quotients = {}
-        self._induced = {}
+        self.store = QuotientStore(
+            lambda pq: degeneracy_quotient([(cyl.row_module(pq[1]), pq[0])]),
+            SpectralError)
         self._homology = {}
 
     def quotient(self, p, q):
         """The horizontally normalized space at (p, q)."""
-        if (p, q) not in self._quotients:
-            self._quotients[(p, q)] = degeneracy_quotient(
-                [(self.cyl.row_module(q), p)])
-        return self._quotients[(p, q)]
+        return self.store.quotient((p, q))
 
     def induced(self, name, p, q):
-        """An operator induced on the horizontally normalized spaces."""
-        key = (name, p, q)
-        if key in self._induced:
-            return self._induced[key]
-        column = self.cyl.column_module(p)
-        if name == "row_boundary":
-            raw, target = self.cyl.row_module(q).boundary_matrix(p), (p - 1, q)
-        elif name.startswith("vface_"):
-            i = int(name.split("_")[1])
-            raw, target = column.face_matrix(q, i), (p, q - 1)
-        elif name.startswith("vdeg_"):
-            i = int(name.split("_")[1])
-            raw, target = column.degeneracy_matrix(q, i), (p, q + 1)
-        elif name == "vrot":
-            raw, target = column.rotate_matrix(q), (p, q)
-        else:
-            raise ValueError(name)
-        res = require_descent(
-            induced_map(raw, self.quotient(p, q), self.quotient(*target)),
-            SpectralError,
+        """An operator induced on the horizontally normalized spaces: its
+        raw matrix and the bidegree it lands in are read by name from the
+        table of the operators out of (p, q)."""
+        row, col = self.cyl.row_module(q), self.cyl.column_module(p)
+        ops = {"row_boundary": (partial(row.boundary_matrix, p), (p - 1, q)),
+               "vrot": (partial(col.rotate_matrix, q), (p, q))}
+        for i in range(q + 1):
+            ops[f"vdeg_{i}"] = partial(col.degeneracy_matrix, q, i), (p, q + 1)
+            if q >= 1:
+                ops[f"vface_{i}"] = partial(col.face_matrix, q, i), (p, q - 1)
+        raw, target = ops[name]
+        return self.store.induced(
+            (name, p, q), (p, q), target, raw,
             f"{name} does not descend to the normalized rows at ({p},{q})")
-        self._induced[key] = res
-        return res
 
     def homology(self, p, q):
         """(kernel subspace, quotient space of homology classes) of the

@@ -18,7 +18,7 @@ from hclab.cli import (
 from hclab.crossed import CrossedProductError
 from hclab.cycliccore import MixedComplexError, NormalizationError
 from hclab.cylinder import HopfComplexError, ModuleLawError
-from hclab.algebra import Violation
+from hclab.algebra import FiniteGroup, Violation
 from hclab.exactlinalg import DimensionCapExceeded, MathError, Subspace
 from hclab.spectral import SpectralError
 
@@ -404,3 +404,68 @@ def test_report_records_a_failed_collapse(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "mathematical check failed: collapse mismatch" in captured.err
+
+
+@pytest.mark.parametrize("section,key", [
+    ("", "fields"), ("[hopf]", "groups"), ("[algebra]", "kinds"),
+    ("[action]", "kinds"), ("[cocycle]", "value"),
+    ("[compute]", "max_degre")])
+def test_unknown_key_exits_2_with_its_line(tmp_path, capsys, section, key):
+    """A misspelt key is refused where it stands, not filed and ignored."""
+    lines = read("s2.scn").splitlines()
+    at = lines.index(section) + 1 if section else 0
+    lines.insert(at, f"{key} = 3")
+    target = tmp_path / "misspelt.scn"
+    target.write_text("\n".join(lines) + "\n")
+    assert main(["hc", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = section.strip("[]")
+    assert (f"invalid input: line {at + 1}: unknown key '{key}' in section "
+            f"[{name}]") in captured.err
+
+
+def test_undecodable_scenario_exits_2(tmp_path, capsys):
+    target = tmp_path / "utf16.scn"
+    target.write_bytes(b"\xff\xfe" + read("s1.scn").encode("utf-16-le"))
+    assert main(["hc", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid input: cannot read {target}: 'utf-8' codec" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("old,new,built", [
+    ("group = C2", "group = C20", []),
+    ("kind = ground", "kind = group C20", [2]),
+])
+def test_group_over_the_cap_is_refused_before_its_table(
+        tmp_path, capsys, monkeypatch, old, new, built):
+    """C20 has a table of 400 entries: under --cap 300 it exits 3 before
+    any table of it is built (only the Hopf group C2's, in the coefficient
+    case); at the cap its table is built and a chain space is refused."""
+    cyclic = FiniteGroup.cyclic.__func__
+    orders = []
+    monkeypatch.setattr(FiniteGroup, "cyclic", classmethod(
+        lambda cls, n: orders.append(n) or cyclic(cls, n)))
+    target = tmp_path / "large.scn"
+    target.write_text(read("s1.scn").replace(old, new))
+    assert main(["hc", str(target), "--cap", "300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("resource cap: group C20: 400 table entries exceed the cap 300"
+            in captured.err)
+    assert orders == built
+    assert main(["hc", str(target), "--cap", "400"]) == 3
+    assert "resource cap: chain space of dimension" in capsys.readouterr().err
+    assert 20 in orders
+
+
+def test_bad_coefficient_group_exits_2(tmp_path, capsys):
+    target = tmp_path / "bad-group.scn"
+    target.write_text(read("s3.scn").replace("kind = functions C2",
+                                             "kind = functions D3"))
+    assert main(["hc", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: bad group: unknown group name 'D3'" in captured.err

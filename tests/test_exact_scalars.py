@@ -65,7 +65,7 @@ def operator_matrices(made):
     """(label, SparseMatrix) for every operator the instances hold."""
     yield from made["raw"]
     for bn in made[BinormalizedCylinder]:
-        for key, m in bn._ops.items():
+        for key, m in bn.store.operators.items():
             yield f"induced {key}", m
     for mx in made[MixedComplex]:
         for n, m in mx.b_mats.items():
@@ -73,7 +73,7 @@ def operator_matrices(made):
         for n, m in mx.B_mats.items():
             yield f"B_{n}", m
     for rows in made[RowComplexes]:
-        for key, m in rows._induced.items():
+        for key, m in rows.store.operators.items():
             yield f"row {key}", m
 
 

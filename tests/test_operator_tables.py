@@ -10,7 +10,10 @@ the deepest benchmarked check, and a second guard measures the total
 mixed complex of the deepest benchmarked `hc`.  The source guards keep
 the per-stage memos that the tables replaced from coming back beside
 them, and keep the operator providers on index arithmetic: none of them
-decodes a basis index into a tuple of slots or encodes one back.
+decodes a basis index into a tuple of slots or encodes one back.  A last
+guard keeps every normalization's induced operators in its
+`cycliccore.QuotientStore`: only the store, and the two maps between
+spaces that no store owns, call `induced_map`.
 """
 
 import ast
@@ -161,3 +164,58 @@ def test_no_provider_decodes_or_encodes_a_basis_index():
                  (SRC / path).read_text(), providers, path)]
     assert found == []
     assert not hasattr(HopfCrossedCylinder, "split")
+
+
+# the only callers of induced_map: the store every normalization keeps its
+# induced operators in, and the two maps between spaces no store owns
+INDUCED_MAP_CALLERS = {
+    "cycliccore.py": {"QuotientStore.induced"},
+    "spectral.py": {"RowComplexes.induced_on_homology"},
+    "cylinder/core.py": {"shuffle_map"},
+}
+
+
+def induced_map_callers(source, filename="<source>"):
+    """(enclosing class and function names, line) of every call of
+    induced_map, by name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = (callee.attr if isinstance(callee, ast.Attribute)
+                        else callee.id if isinstance(callee, ast.Name)
+                        else None)
+                if name == "induced_map":
+                    found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source, filename), ())
+    return found
+
+
+def test_guard_sees_every_induced_map_call():
+    source = ("class Rows:\n"
+              "    def induced(self, raw):\n"
+              "        def build():\n"
+              "            return exactlinalg.induced_map(raw, 0, 1)\n"
+              "        return require_descent(induced_map(build(), 0, 1))\n"
+              "x = induced_map(None, 0, 1)\n")
+    assert induced_map_callers(source) == [
+        ("Rows.induced.build", 4), ("Rows.induced", 5), ("", 6)]
+    assert induced_map_callers("from .exactlinalg import induced_map\n"
+                               "def induced_map(f, src, dst):\n"
+                               "    return f\n") == []
+
+
+def test_only_the_store_and_the_two_cross_maps_call_induced_map():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        for scope, line in induced_map_callers(path.read_text(), str(path)):
+            found.setdefault(name, set()).add(scope)
+    assert found == INDUCED_MAP_CALLERS

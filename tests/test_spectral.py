@@ -276,7 +276,7 @@ def test_operator_leaving_row_cycles_is_a_spectral_error():
     dim = rows.quotient(1, 0).dim
     outside = next(j for j in range(dim) if not ker.contains({j: QQ.one}))
     # the first kernel row has entry 1 at its pivot and is sent outside
-    rows._induced[("vrot", 1, 0)] = SparseMatrix(
+    rows.store.operators[("vrot", 1, 0)] = SparseMatrix(
         QQ, dim, dim, {(outside, ker.pivots[0]): QQ.one})
     with pytest.raises(SpectralError,
                        match=r"vrot does not preserve row cycles at \(1,0\)"):
@@ -289,7 +289,7 @@ def test_boundary_leaving_row_cycles_is_a_spectral_error():
     dim = rows.quotient(1, 0).dim
     outside = next(j for j in range(dim) if not ker.contains({j: QQ.one}))
     # a row boundary out of (2,0) whose first column leaves the cycles
-    rows._induced[("row_boundary", 2, 0)] = SparseMatrix(
+    rows.store.operators[("row_boundary", 2, 0)] = SparseMatrix(
         QQ, dim, rows.quotient(2, 0).dim, {(outside, 0): QQ.one})
     with pytest.raises(SpectralError, match=r"row boundary at \(2,0\) does "
                        r"not land in the row cycles at \(1,0\)"):
