@@ -1,0 +1,5 @@
+"""`python -m hclab`: the hclab command line."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,8 +6,9 @@ face, degeneracy and the cyclic rotation.  Operators are materialized
 to matrices only per degree, inside rank computations.
 
 Identity checks never materialize: each relation is a row of two
-operator words, walked on every basis vector by first_violation, and
-each check reads every operator through one OperatorTable of its own.
+operator words, evaluated by first_violation over a stage's whole basis
+at once, and each check reads every operator through one OperatorTable
+of its own.
 A table keeps an image that is a single basis vector with coefficient
 one as its int index and a zero image as the shared ZERO, everywhere,
 and any other image only inside the checked range; the evaluator applies
@@ -97,10 +98,14 @@ def insert_slot(k, stride, d, unit):
 
 def apply_linear(op, vec, *args):
     """The image of a sparse vector under the operator whose image of
-    basis vector k is op(*args, k)."""
+    basis vector k is op(*args, k): a sparse vector or an int basis index."""
     out = {}
     for k, c in vec.items():
-        vec_add_into(out, op(*args, k), c)
+        image = op(*args, k)
+        if type(image) is int:
+            add_term(out, image, c)
+        else:
+            vec_add_into(out, image, c)
     return out
 
 
@@ -378,22 +383,26 @@ def first_violation(stages, one):
     An operator is a provider returning a sparse vector, an int basis
     index for a single basis vector with coefficient one, or an
     OperatorTable read at the head args.  A stage (dim, relations) is
-    walked one basis vector at a time, every relation on each, so the
-    stages and their rows fix which failure comes first.  Images are only
-    compared, so providers may share them.
+    evaluated over all k < dim at once, a list of images per word, so the
+    failure is the first failing stage's least failing k and the earliest
+    row failing there: what a walk of the rows on one basis vector after
+    another meets first.  Images are only compared, so may be shared.
     """
     for dim, relations in stages:
-        # the distinct first steps of the stage, evaluated once per vector
+        # the distinct first steps of the stage, each read once per vector
         heads = {}
         rows = [(name, _compile(lhs, heads), _compile(rhs, heads))
                 for name, lhs, rhs in relations]
-        heads = [_step(*step) for step in heads]
-        for k in range(dim):
-            images = [read(k) for read in heads]
-            for name, lhs, rhs in rows:
-                if not _same(_value(lhs, k, images),
-                             _value(rhs, k, images), one):
-                    return name, k
+        heads = [list(map(_step(*step), range(dim))) for step in heads]
+        first = None
+        for name, lhs, rhs in rows:
+            k = _first_difference(_images(lhs, dim, heads),
+                                  _images(rhs, dim, heads),
+                                  dim if first is None else first[1], one)
+            if k is not None:
+                first = name, k
+        if first is not None:
+            return first
     return None
 
 
@@ -413,25 +422,21 @@ def _compile(word, heads):
             tuple(_step(*step) for step in word[1:]))
 
 
-def _value(word, k, images):
-    """A compiled word applied to basis vector k: an int basis index or a
-    sparse vector."""
+def _images(word, dim, heads):
+    """The list of a compiled word's images of basis vectors 0..dim-1."""
     head, rest = word
-    v = k if head is None else images[head]
+    images = list(range(dim)) if head is None else heads[head]
     for step in rest:
-        if type(v) is int:
-            # a basis vector's image is the step's image itself
-            v = step(v)
-            continue
-        out = {}
-        for kk, c in v.items():
-            image = step(kk)
-            if type(image) is int:
-                add_term(out, image, c)
-            else:
-                vec_add_into(out, image, c)
-        v = out
-    return v
+        # a zero image stays the zero it is
+        images = [step(v) if type(v) is int else v and apply_linear(step, v)
+                  for v in images]
+    return images
+
+
+def _first_difference(u, v, end, one):
+    """The least k < end where the image lists u and v differ, or None."""
+    return None if u == v else next(
+        (k for k in range(end) if not _same(u[k], v[k], one)), None)
 
 
 def _same(u, v, one):

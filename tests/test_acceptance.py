@@ -12,6 +12,7 @@ stated before belongs to the one-dimensional trivial module, which the
 trivial-module bar complex built in this file still checks.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,9 @@ def test_criterion_09_mixed_complex_contract():
 
 
 def test_criterion_10_determinism():
+    # the child finds hclab in the checkout's src, installed or not
+    paths = [str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     for name in ("s1", "s5"):
         path = SCENARIOS / f"{name}.scn"
         outs = []
@@ -315,7 +319,7 @@ def test_criterion_10_determinism():
             proc = subprocess.run(
                 [sys.executable, "-m", "hclab.cli", "report", str(path),
                  "--machine"],
-                capture_output=True, cwd=str(SCENARIOS.parent))
+                capture_output=True, cwd=str(SCENARIOS.parent), env=env)
             assert proc.returncode == 0, proc.stderr.decode()
             outs.append(proc.stdout)
         assert outs[0] == outs[1], f"{name}: reports differ between runs"

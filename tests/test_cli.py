@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -152,6 +154,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     capped.write_text(read("s2.scn"))
     assert main(["report", str(capped), "--cap", "3"]) == 3
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    """`python -m hclab` from a checkout, with only `src` on the path,
+    prints what main() prints and exits as it does."""
+    argv = ["hc", str(SCENARIOS / "s1.scn"), "--machine"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    root = SCENARIOS.parent
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(root / "src")
+    run = subprocess.run([sys.executable, "-m", "hclab", *argv], cwd=root,
+                         env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == want
 
 
 def test_cap_applies_to_the_degrees_hc_builds(tmp_path, capsys):

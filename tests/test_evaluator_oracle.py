@@ -1,0 +1,208 @@
+"""The whole-stage evaluator against the walk one basis vector at a time.
+
+`cycliccore.first_violation` evaluates a stage of relations over its
+whole basis at once and reports the first failing stage, its smallest
+failing basis index k, and the earliest row failing at k.  The reference
+below is the evaluator as it was before: it walks every row on basis
+vector 0, then on basis vector 1, and so on, and returns the first row
+that fails.  Both must return the same (name, k) on every stage list any
+check hands the evaluator: on s1-s5 as shipped, under every fault that
+`test_check_failures` injects, and under the cylinder faults of
+`test_check_memo_oracle`.  `check_coefficient_action` compares two
+matrices of its own and never reaches the evaluator, so it is not here.
+"""
+
+import functools
+import sys
+from pathlib import Path
+
+import pytest
+
+import hclab.cli  # noqa: F401  (imports every hclab module)
+from hclab.cli import build_objects, parse_scenario
+from hclab.crossed import twisted_scalar_algebra
+from hclab.cycliccore import (
+    OperatorTable, check_cyclic, check_paracyclic, first_violation,
+)
+from hclab.cylinder import (
+    check_cylindrical, check_diagonal_isomorphism, check_maclane,
+    check_row_identification, check_shuffle_chain_map,
+)
+from hclab.exactlinalg import QQ, add_term, vec_add_into
+from test_check_failures import CASES
+from test_check_memo_oracle import FAULTS, corrupted, scenario_cylinder
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+# -- the reference: one basis vector at a time --------------------------------
+
+
+def reference_first_violation(stages, one):
+    """The first relation that fails, walking every row of a stage on one
+    basis vector after another; (name, k) or None."""
+    for dim, relations in stages:
+        heads = {}
+        rows = [(name, _compile(lhs, heads), _compile(rhs, heads))
+                for name, lhs, rhs in relations]
+        heads = [_step(*step) for step in heads]
+        for k in range(dim):
+            images = [read(k) for read in heads]
+            for name, lhs, rhs in rows:
+                if not _same(_value(lhs, k, images),
+                             _value(rhs, k, images), one):
+                    return name, k
+    return None
+
+
+def _step(op, args):
+    if isinstance(op, OperatorTable):
+        return op.reader(args)
+    return functools.partial(op, *args)
+
+
+def _compile(word, heads):
+    if not word:
+        return None, ()
+    return (heads.setdefault(word[0], len(heads)),
+            tuple(_step(*step) for step in word[1:]))
+
+
+def _value(word, k, images):
+    head, rest = word
+    v = k if head is None else images[head]
+    for step in rest:
+        if type(v) is int:
+            v = step(v)
+            continue
+        out = {}
+        for kk, c in v.items():
+            image = step(kk)
+            if type(image) is int:
+                add_term(out, image, c)
+            else:
+                vec_add_into(out, image, c)
+        v = out
+    return v
+
+
+def _same(u, v, one):
+    if type(u) is int:
+        if type(v) is int:
+            return u == v
+        u, v = v, u
+    elif type(v) is not int:
+        return u == v
+    return len(u) == 1 and u.get(v) == one
+
+
+# -- both evaluators on every stage list a check builds ----------------------
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """Every call of the evaluator, in every hclab namespace, also runs the
+    reference on the same stages and must agree with it; the list of
+    results, one per call."""
+    results = []
+
+    def both(stages, one):
+        stages = list(stages)
+        got = first_violation(stages, one)
+        assert got == reference_first_violation(stages, one)
+        results.append(got)
+        return got
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("hclab.")
+                and getattr(module, "first_violation", None)
+                is first_violation):
+            monkeypatch.setattr(module, "first_violation", both)
+    return results
+
+
+def scenario_checks(name):
+    """(label, check) of every check that reaches the evaluator, on the
+    objects of scenario `name`."""
+    built = build_objects(parse_scenario(
+        (SCENARIOS / f"{name}.scn").read_text()))
+    cyl = built.cylinder
+    ts = twisted_scalar_algebra(built.cocycle)
+    return [
+        ("paracyclic row 1", lambda: check_paracyclic(cyl.row_module(1), 2)),
+        ("cyclic diagonal", lambda: check_cyclic(cyl.diagonal_module(), 2)),
+        ("cylindrical", lambda: check_cylindrical(cyl, 2, 2)),
+        ("diagonal", lambda: check_diagonal_isomorphism(
+            cyl, built.crossed_product, 2)),
+        ("row identification", lambda: check_row_identification(
+            cyl, ts, 1, 2)),
+        ("Mac Lane", lambda: check_maclane(cyl, ts, 1, 2)),
+        ("shuffle", lambda: check_shuffle_chain_map(cyl, 2)),
+    ]
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "s3", "s4", "s5"])
+def test_every_check_agrees_on_the_shipped_scenarios(name, compared):
+    for label, check in scenario_checks(name):
+        calls = len(compared)
+        assert check() is None, (name, label)
+        assert len(compared) > calls, (name, label)
+    assert compared and all(got is None for got in compared)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_injected_fault_agrees(case, monkeypatch, compared):
+    build, check, (owner, name, wrong), message = CASES[case]
+    monkeypatch.setattr(owner, name, wrong)
+    assert check(build()) == message
+    assert compared
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_every_cylinder_fault_agrees(fault, compared):
+    provider, where = FAULTS[fault]
+    at = where(scenario_cylinder("s5"))
+    cyl = scenario_cylinder("s5", corrupted(provider, at))
+    assert check_cylindrical(cyl, 2, 2) is not None
+    assert any(got is not None for got in compared)
+
+
+# -- the order of failures within a stage -----------------------------------
+
+DIM = 5
+
+
+def identity(k):
+    return k
+
+
+def wrong_at(*bad):
+    """The identity as sparse vectors, doubled at the basis indices bad."""
+    def op(k):
+        return {k: QQ.of(2) if k in bad else QQ.one}
+    return op
+
+
+def row(name, *bad):
+    return name, ((identity, ()),), ((wrong_at(*bad), ()),)
+
+
+TIE_BREAKS = {
+    # b, a later row failing at a smaller k, comes before a; at that k,
+    # b comes before c, the later row
+    "smaller k, then earlier row": (
+        [[row("a", 3), row("b", 1, 4), row("c", 1)]], ("b", 1)),
+    "smaller k wins": ([[row("early", 3), row("late", 1)]], ("late", 1)),
+    "equal k": ([[row("early", 2), row("late", 2)]], ("early", 2)),
+    # an earlier stage comes first, even failing at a larger k
+    "earlier stage wins": ([[row("first", 4)], [row("second", 0)]],
+                           ("first", 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIE_BREAKS))
+def test_first_failure_order_within_a_stage(case):
+    stages, want = TIE_BREAKS[case]
+    stages = [(DIM, rows) for rows in stages]
+    assert first_violation(stages, QQ.one) == want
+    assert reference_first_violation(stages, QQ.one) == want
