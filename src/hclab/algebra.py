@@ -216,10 +216,15 @@ def group_algebra(field, group):
                          {group.identity: one})
 
 
-def matrix_algebra(field, n):
-    """M_n(k) on the matrix-unit basis e_ij, e_ij e_kl = delta_jk e_il."""
+def matrix_algebra(field, n, cap=None):
+    """M_n(k) on the matrix-unit basis e_ij, e_ij e_kl = delta_jk e_il.
+    Under a cap, an algebra whose validation visits more basis triples,
+    (n^2)^3, than the cap is refused before any table is built."""
     if n < 1:
         raise ValueError("matrix size must be at least 1")
+    if cap is not None and n ** 6 > cap:
+        raise DimensionCapExceeded(
+            f"matrix algebra M{n}: {n ** 6} basis triples exceed the cap {cap}")
     labels = [f"e{i}{j}" for i in range(n) for j in range(n)]
     one = field.one
 

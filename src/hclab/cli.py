@@ -338,7 +338,9 @@ def build_objects(scenario):
         algebra = dual_numbers(field)
     elif kind == "matrix":
         try:
-            algebra = matrix_algebra(field, int(arg))
+            algebra = matrix_algebra(field, int(arg), scenario.cap)
+        except DimensionCapExceeded:
+            raise
         except ValueError:
             raise ScenarioError("matrix algebra needs a size, "
                                 "e.g. 'kind = matrix 2'")

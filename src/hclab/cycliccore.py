@@ -10,10 +10,10 @@ operator words, evaluated by first_violation over a stage's whole basis
 at once, and each check reads every operator through one OperatorTable
 of its own.
 A table keeps an image that is a single basis vector with coefficient
-one as its int index and a zero image as the shared ZERO, everywhere,
-and any other image only inside the checked range; the evaluator applies
-the next operator to an index directly and compares an index with its
-sparse form as the same vector.
+one as its int index and a zero image as the shared ZERO, and inside the
+checked range every image of a head in one list; the evaluator takes
+that list as a word's first step, maps indices through a step with one
+builtin map, and compares an index with its sparse form as one vector.
 
 Sign conventions, pinned once and exercised by the mixed-complex
 contract (b*b = 0, B*B = 0, bB + Bb = 0 on normalized cyclic modules):
@@ -113,67 +113,77 @@ def apply_linear(op, vec, *args):
 ZERO = {}
 
 
+def _normal(image, one):
+    """An image as a table keeps it: its int index if it is a single
+    basis vector with coefficient one, ZERO if it is zero, else itself."""
+    if not image:
+        return ZERO
+    if len(image) == 1:
+        [(j, c)] = image.items()
+        if c == one:
+            return j
+    return image
+
+
 class OperatorTable:
     """One operator's images op(*head, k), read through one table per
-    head (the arguments before the basis index k), indexed by k < dim(head)
-    and filled on first read.
+    head (the arguments before the basis index k), indexed by k < dim(head).
 
-    An image that is a single basis vector with coefficient one is kept
-    as its int index, and a zero image as ZERO, for every head.  Any other
-    image is kept only where keep(head) holds and is recomputed elsewhere,
-    which bounds the table by what the checked range reads.  An identity
-    check builds its own tables, so no image outlives the check; readers
-    share the kept images and must not mutate them.
+    Where keep(head) holds, the head's images are computed together on
+    first use and kept as one list, each in _normal form.  Elsewhere a
+    buffer filled on first read keeps only the index and zero images and
+    any other image is recomputed, which bounds the table by what the
+    checked range reads.  An identity check builds its own tables, so no
+    image outlives the check; readers share the lists and must not mutate
+    them or the images in them.
     """
-
-    # index-table entries: 0 unread, j + 1 for basis index j, or a marker
-    _ZERO, _KEPT = -1, -2
 
     def __init__(self, op, one, dim, keep):
         self.op = op
         self.one = one
         self.dim = dim
         self.keep = keep
+        self._columns = {}
         self._readers = {}
+
+    def column(self, head):
+        """(the list of every image of a head where keep(head) holds,
+        whether all of them are int indices)."""
+        if head not in self._columns:
+            images = [_normal(self.op(*head, k), self.one)
+                      for k in range(self.dim(head))]
+            self._columns[head] = images, set(map(type, images)) <= {int}
+        return self._columns[head]
 
     def reader(self, head):
         """op(*head, k) as a function of k alone: an int basis index,
         ZERO or a sparse vector."""
         read = self._readers.get(head)
         if read is None:
-            read = self._readers[head] = self._reader(head)
+            read = self._readers[head] = (
+                self.column(head)[0].__getitem__ if self.keep(head)
+                else self._reader(head))
         return read
 
     def _reader(self, head):
-        op, one, keep = self.op, self.one, self.keep(head)
-        zero, kept_here = self._ZERO, self._KEPT
-        # one machine int an entry, four bytes wherever the indices fit,
-        # in a builtin buffer (the array module is an extension to load)
+        op, one = self.op, self.one
+        # 0 unread, j + 1 for basis index j, -1 for zero: four bytes an
+        # entry where they fit, in a builtin buffer (array is an extension)
         dim = self.dim(head)
         width, code = (4, "i") if dim < 2 ** 31 else (8, "q")
         index = memoryview(bytearray(width * dim)).cast(code)
-        kept = {}
 
         def read(k):
             j = index[k]
             if j > 0:
                 return j - 1
-            if j == zero:
+            if j:
                 return ZERO
-            if j == kept_here:
-                return kept[k]
-            image = op(*head, k)
-            if not image:
-                index[k] = zero
-                return ZERO
-            if len(image) == 1:
-                [(j, c)] = image.items()
-                if c == one:
-                    index[k] = j + 1
-                    return j
-            if keep:
-                index[k] = kept_here
-                kept[k] = image
+            image = _normal(op(*head, k), one)
+            if type(image) is int:
+                index[k] = image + 1
+            elif image is ZERO:
+                index[k] = -1
             return image
         return read
 
@@ -393,11 +403,11 @@ def first_violation(stages, one):
         heads = {}
         rows = [(name, _compile(lhs, heads), _compile(rhs, heads))
                 for name, lhs, rhs in relations]
-        heads = [list(map(_step(*step), range(dim))) for step in heads]
+        heads = [_column(*step, dim) for step in heads]
         first = None
         for name, lhs, rhs in rows:
-            k = _first_difference(_images(lhs, dim, heads),
-                                  _images(rhs, dim, heads),
+            k = _first_difference(_images(lhs, dim, heads)[0],
+                                  _images(rhs, dim, heads)[0],
                                   dim if first is None else first[1], one)
             if k is not None:
                 first = name, k
@@ -406,16 +416,25 @@ def first_violation(stages, one):
     return None
 
 
+def _column(op, args, dim):
+    """The images of basis vectors 0..dim-1 under the first step (op, args)
+    and whether all are int indices: an in-range table's own list."""
+    if isinstance(op, OperatorTable) and op.keep(args):
+        return op.column(args)
+    return _images((None, (_step(op, args),)), dim, ())
+
+
 def _step(op, args):
-    """The step (op, args) as a function of the basis index alone."""
+    """The step (op, args) as (a function of the basis index alone,
+    whether it is known to send every basis vector to an int index)."""
     if isinstance(op, OperatorTable):
-        return op.reader(args)
-    return functools.partial(op, *args)
+        return op.reader(args), op.keep(args) and op.column(args)[1]
+    return functools.partial(op, *args), False
 
 
 def _compile(word, heads):
     """(index of the word's first step in heads, the steps after it as
-    functions of the basis index); (None, ()) for the empty word."""
+    _step gives them); (None, ()) for the empty word."""
     if not word:
         return None, ()
     return (heads.setdefault(word[0], len(heads)),
@@ -423,14 +442,20 @@ def _compile(word, heads):
 
 
 def _images(word, dim, heads):
-    """The list of a compiled word's images of basis vectors 0..dim-1."""
+    """(the list of a compiled word's images of basis vectors 0..dim-1,
+    whether all are int indices): one builtin map through a step while
+    every image is an index."""
     head, rest = word
-    images = list(range(dim)) if head is None else heads[head]
-    for step in rest:
-        # a zero image stays the zero it is
-        images = [step(v) if type(v) is int else v and apply_linear(step, v)
-                  for v in images]
-    return images
+    images, indices = (list(range(dim)), True) if head is None else heads[head]
+    for step, to_indices in rest:
+        if indices:
+            images = list(map(step, images))
+            indices = to_indices or set(map(type, images)) <= {int}
+        else:
+            # a zero image stays the zero it is
+            images = [step(v) if type(v) is int
+                      else v and apply_linear(step, v) for v in images]
+    return images, indices
 
 
 def _first_difference(u, v, end, one):

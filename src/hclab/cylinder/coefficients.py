@@ -475,12 +475,11 @@ def coefficient_action_matrix(cyl, q):
 
 def check_coefficient_action(cyl, q):
     """The closed form must coincide with the bimodule conversion on
-    every basis pair; None or the first mismatch."""
+    every basis pair; None or the first mismatch (h, m), one stage per
+    Hopf basis vector h."""
     bim = BimoduleMq(cyl, q)
     mod = twisted_left_module(bim)
-    mats = coefficient_action_matrix(cyl, q)
-    for h in range(cyl.hopf.dim):
-        for m in range(bim.dim):
-            if mats[h].apply({m: cyl.field.one}) != mod.act(h, m):
-                return (h, m)
-    return None
+    closed = matrix_columns(coefficient_action_matrix(cyl, q).__getitem__)
+    stages = ((bim.dim, [(h, ((closed, (h,)),), ((mod.act, (h,)),))])
+              for h in range(cyl.hopf.dim))
+    return first_violation(stages, cyl.field.one)

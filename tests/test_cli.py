@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -478,6 +479,36 @@ def test_group_over_the_cap_is_refused_before_its_table(
     assert main(["hc", str(target), "--cap", "400"]) == 3
     assert "resource cap: chain space of dimension" in capsys.readouterr().err
     assert 20 in orders
+
+
+def test_matrix_algebra_over_the_cap_is_refused_before_its_table(
+        tmp_path, capsys):
+    """Validating M_n visits its (n^2)^3 basis triples, so M20's 64,000,000
+    are refused under the default cap before its table is built or
+    validated: exit 3 within a second, naming the count."""
+    target = tmp_path / "m20.scn"
+    target.write_text(read("s1.scn").replace("kind = ground",
+                                             "kind = matrix 20"))
+    start = time.perf_counter()
+    assert main(["hc", str(target)]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("resource cap: matrix algebra M20: 64000000 basis triples "
+            "exceed the cap 200000" in captured.err)
+
+
+def test_matrix_2_runs_under_the_cap(tmp_path, capsys):
+    """M_2 has 64 basis triples.  With the trivial action and cocycle its
+    crossed product is M_2(Q[C2]), whose HC is Q[C2]'s (Morita
+    invariance): the same dims as s1."""
+    target = tmp_path / "m2.scn"
+    target.write_text(read("s1.scn").replace("kind = ground",
+                                             "kind = matrix 2"))
+    assert main(["hc", "--machine", str(target)]) == 0
+    out = capsys.readouterr().out
+    assert "dims\tcyclic homology of the crossed product\t2 0 2\n" in out
+    assert "overall PASS" in out
 
 
 def test_bad_coefficient_group_exits_2(tmp_path, capsys):

@@ -8,8 +8,8 @@ vector 0, then on basis vector 1, and so on, and returns the first row
 that fails.  Both must return the same (name, k) on every stage list any
 check hands the evaluator: on s1-s5 as shipped, under every fault that
 `test_check_failures` injects, and under the cylinder faults of
-`test_check_memo_oracle`.  `check_coefficient_action` compares two
-matrices of its own and never reaches the evaluator, so it is not here.
+`test_check_memo_oracle`.  A constructed stage pins the switch from
+mapping whole lists of indices to the walk one image at a time.
 """
 
 import functools
@@ -19,16 +19,17 @@ from pathlib import Path
 import pytest
 
 import hclab.cli  # noqa: F401  (imports every hclab module)
+import hclab.cylinder.coefficients
 from hclab.cli import build_objects, parse_scenario
 from hclab.crossed import twisted_scalar_algebra
 from hclab.cycliccore import (
     OperatorTable, check_cyclic, check_paracyclic, first_violation,
 )
 from hclab.cylinder import (
-    check_cylindrical, check_diagonal_isomorphism, check_maclane,
-    check_row_identification, check_shuffle_chain_map,
+    check_coefficient_action, check_cylindrical, check_diagonal_isomorphism,
+    check_maclane, check_row_identification, check_shuffle_chain_map,
 )
-from hclab.exactlinalg import QQ, add_term, vec_add_into
+from hclab.exactlinalg import QQ, SparseMatrix, add_term, vec_add_into
 from test_check_failures import CASES
 from test_check_memo_oracle import FAULTS, corrupted, scenario_cylinder
 
@@ -138,6 +139,7 @@ def scenario_checks(name):
             cyl, ts, 1, 2)),
         ("Mac Lane", lambda: check_maclane(cyl, ts, 1, 2)),
         ("shuffle", lambda: check_shuffle_chain_map(cyl, 2)),
+        ("coefficient action", lambda: check_coefficient_action(cyl, 0)),
     ]
 
 
@@ -165,6 +167,27 @@ def test_every_cylinder_fault_agrees(fault, compared):
     cyl = scenario_cylinder("s5", corrupted(provider, at))
     assert check_cylindrical(cyl, 2, 2) is not None
     assert any(got is not None for got in compared)
+
+
+def test_coefficient_action_names_the_first_wrong_pair(monkeypatch, compared):
+    """Faults in the closed form at (h, m) = (1, 0) and (0, 3) on s5's
+    row-0 coefficients: the check returns (0, 3), the pair its stages (one
+    per h, over every m) meet first, as the loop over h and then m did."""
+    original = hclab.cylinder.coefficients.coefficient_action_matrix
+
+    def wrong(cyl, q):
+        mats = original(cyl, q)
+        for h, m in ((1, 0), (0, 3)):
+            mats[h] = mats[h].add(SparseMatrix(
+                mats[h].field, mats[h].rows, mats[h].cols, {(0, m): QQ.one}))
+        return mats
+
+    cyl = scenario_cylinder("s5")
+    assert check_coefficient_action(cyl, 0) is None
+    monkeypatch.setattr(hclab.cylinder.coefficients,
+                        "coefficient_action_matrix", wrong)
+    assert check_coefficient_action(cyl, 0) == (0, 3)
+    assert compared[-1] == (0, 3)
 
 
 # -- the order of failures within a stage -----------------------------------
@@ -206,3 +229,41 @@ def test_first_failure_order_within_a_stage(case):
     stages = [(DIM, rows) for rows in stages]
     assert first_violation(stages, QQ.one) == want
     assert reference_first_violation(stages, QQ.one) == want
+
+
+# -- a word that leaves the index path partway through ----------------------
+
+
+def scaled_at(bad, scale):
+    """The identity, with basis vector bad sent to scale times itself."""
+    return lambda k: {k: QQ.of(scale) if k == bad else QQ.one}
+
+
+def test_a_word_switches_from_indices_to_a_column_holding_a_vector():
+    """Both words of a row start on whole lists of indices and map them
+    through the successor's table, whose column holds indices only.  Then
+    one reaches a column holding a sparse vector, and from there on its
+    images are pushed through one at a time.  Two sign flips at basis
+    vector 2 cancel to a sparse form of an index, which must compare
+    equal to that index; a doubling at basis vector 3 must fail at the
+    basis vector the successor sends to 3.  A word whose first step is
+    such a column is walked one image at a time from the start."""
+    def table(op):
+        return OperatorTable(op, QQ.one, lambda head: DIM, lambda head: True)
+
+    succ = table(lambda k: {(k + 1) % DIM: QQ.one})
+    flip, double = table(scaled_at(2, -1)), table(scaled_at(3, 2))
+    assert succ.column(())[1] is True
+    assert flip.column(())[1] is False and double.column(())[1] is False
+    step = {"s": (succ, ()), "f": (flip, ()), "d": (double, ())}
+
+    def word(letters):
+        return tuple(step[c] for c in letters)
+
+    agreeing = [("flips cancel", word("sffs"), word("ss")),
+                ("flips cancel from the first step", word("ffs"), word("s"))]
+    doubled = ("doubled", word("sds"), word("ss"))
+    for evaluate in (first_violation, reference_first_violation):
+        assert evaluate([(DIM, agreeing)], QQ.one) is None
+        assert evaluate([(DIM, [*agreeing, doubled])], QQ.one) == (
+            "doubled", 2)

@@ -2,18 +2,20 @@
 
 An identity check reads every operator image through one
 `cycliccore.OperatorTable` per provider, built for that check alone.  A
-table keeps an image that is a basis vector as its index and a zero
-image as the shared empty vector everywhere, and any other image only
-inside the checked range, so what it holds is bounded by what the
-relation table reads there.  The memory guard measures that bound on
-the deepest benchmarked check, and a second guard measures the total
-mixed complex of the deepest benchmarked `hc`.  The source guards keep
-the per-stage memos that the tables replaced from coming back beside
-them, and keep the operator providers on index arithmetic: none of them
-decodes a basis index into a tuple of slots or encodes one back.  A last
-guard keeps every normalization's induced operators in its
-`cycliccore.QuotientStore`: only the store, and the two maps between
-spaces that no store owns, call `induced_map`.
+table keeps every image of a head inside the checked range in one list,
+and outside it only the images that are a basis vector (as its index)
+or zero (as the shared empty vector), so what it holds is bounded by
+what the relation table reads there.  An oracle compares what fresh
+tables hold with the raw providers, since the evaluator oracle reads
+the same tables and cannot see a wrong one.  The memory guard measures
+that bound on the deepest benchmarked check, and a second guard
+measures the total mixed complex of the deepest benchmarked `hc`.  The
+source guards keep the per-stage memos that the tables replaced from
+coming back beside them, and keep the operator providers on index
+arithmetic: none of them decodes a basis index into a tuple of slots or
+encodes one back.  A last guard keeps every normalization's induced
+operators in its `cycliccore.QuotientStore`: only the store, and the
+two maps between spaces that no store owns, call `induced_map`.
 """
 
 import ast
@@ -23,8 +25,11 @@ from pathlib import Path
 import pytest
 
 from hclab.cli import build_objects, parse_scenario
+from hclab.cycliccore import ZERO
 from hclab.cylinder import HopfCrossedCylinder
-from hclab.cylinder.core import check_cylindrical, tot_mixed_complex
+from hclab.cylinder.core import (
+    check_cylindrical, operator_tables, tot_mixed_complex,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hclab"
@@ -60,6 +65,64 @@ def test_deep_total_complex_stays_under_one_and_a_half_mebibytes():
     outgrow the images they no longer build."""
     peak = traced_peak("s4", lambda cyl: tot_mixed_complex(cyl, 7))
     assert peak < 1.5 * MEBIBYTE, peak
+
+
+# the checked range of each scenario's fresh tables
+TABLE_RANGES = {"s1": (2, 2), "s2": (2, 2), "s3": (3, 3), "s4": (2, 2),
+                "s5": (3, 3)}
+
+
+def heads(name, p, q):
+    """Every head of cylinder provider `name` out of bidegree (p, q)."""
+    n = q if name.startswith("v") else p
+    if name.endswith("rot"):
+        return [(p, q)]
+    return [(p, q, i) for i in range(n + 1 if n or "deg" in name else 0)]
+
+
+def same_image(got, raw, one):
+    """Whether a table's image is the raw provider's as the table keeps
+    it: the index of a basis vector, ZERO for zero, else an equal dict."""
+    if not raw:
+        return got is ZERO
+    if len(raw) == 1 and next(iter(raw.values())) == one:
+        return type(got) is int and raw == {got: one}
+    return type(got) is dict and got == raw
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_RANGES))
+def test_fresh_tables_hold_the_raw_provider_images(name):
+    """Every in-range column entry, and every read one bidegree out of
+    range (first read and, from the buffer, second), is the raw image."""
+    built = build_objects(parse_scenario(
+        (ROOT / "scenarios" / f"{name}.scn").read_text()))
+    cyl = built.cylinder
+    max_p, max_q = TABLE_RANGES[name]
+    tables = operator_tables(cyl, max_p, max_q)
+    one = cyl.field.one
+    checked = {"in": 0, "out": 0}
+    for provider, table in sorted(tables.items()):
+        raw = getattr(cyl, provider)
+        for p in range(max_p + 2):
+            for q in range(max_q + 2 if p <= max_p else max_q + 1):
+                for head in heads(provider, p, q):
+                    if p <= max_p and q <= max_q:
+                        images, indices = table.column(head)
+                        assert len(images) == cyl.dim(p, q)
+                        assert indices == all(type(v) is int for v in images)
+                        reads = [images]
+                        checked["in"] += len(images)
+                    else:
+                        read = table.reader(head)
+                        reads = [[read(k) for k in range(cyl.dim(p, q))]
+                                 for _ in range(2)]
+                        checked["out"] += len(reads[0])
+                    for k in range(cyl.dim(p, q)):
+                        want = raw(*head, k)
+                        for got in reads:
+                            assert same_image(got[k], want, one), (
+                                provider, head, k, got[k], want)
+    assert checked["in"] and checked["out"]
 
 
 def replaced_names(source, filename="<source>"):

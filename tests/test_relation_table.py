@@ -25,8 +25,9 @@ from hclab.cycliccore import (
     ZERO, OperatorTable, check_cyclic, check_paracyclic, first_violation,
 )
 from hclab.cylinder import (
-    build_cylinder, check_cylindrical, check_diagonal_isomorphism,
-    check_maclane, check_row_identification, check_shuffle_chain_map,
+    build_cylinder, check_coefficient_action, check_cylindrical,
+    check_diagonal_isomorphism, check_maclane, check_row_identification,
+    check_shuffle_chain_map,
 )
 from hclab.exactlinalg import QQ, Field, add_term
 from hclab.hopf import group_hopf, is_cocommutative
@@ -63,6 +64,7 @@ CHECKS = {
     "check_maclane": lambda cyl: check_maclane(
         cyl, twisted_scalar_algebra(cyl.cocycle), 1, 2),
     "check_shuffle_chain_map": lambda cyl: check_shuffle_chain_map(cyl, 2),
+    "check_coefficient_action": lambda cyl: check_coefficient_action(cyl, 0),
 }
 
 
