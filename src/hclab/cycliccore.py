@@ -257,9 +257,11 @@ class ParacyclicModule:
         if n == 0:
             return SparseMatrix.zero(self.field, 0, self.dim(0))
         b = SparseMatrix.zero(self.field, self.dim(n - 1), self.dim(n))
+        one = self.field.one
         for i in range(n + 1):
+            sign = self.field.sign(i)
             vec_add_into(b.entries, self.face_matrix(n, i).entries,
-                         self.field.sign(i))
+                         None if sign is one else sign)
         return b
 
     def signed_rotation_matrix(self, n):

@@ -10,6 +10,15 @@ coordinate index to a nonzero scalar; matrices store nonzero entries
 sparsely and carry their field.  All canonical forms are reduced row
 echelon forms, so every representative choice made downstream is
 deterministic and two identical runs produce bit-identical results.
+
+Units cost no arithmetic.  Scalars are immutable and shared (a `Field`
+builds its zero, one and -1 once), so an operation may return one of its
+operands: an `FpScalar` product with a factor 1 is the other factor,
+negation over F_2 returns its operand, and Field(2)'s -1 is its one.  A
+matrix applied to one basis vector with coefficient one is a copy of
+that column.  Reducing by a unit RREF row {pivot: 1} deletes the pivot
+coordinate; that deletion is a reduction inside this module, which the
+no-stored-zero rule below already exempts.
 """
 
 from __future__ import annotations
@@ -67,9 +76,17 @@ class FpScalar:
         return FpScalar(self.p, self.v - other.v)
 
     def __mul__(self, other):
+        # a factor 1 returns the other factor itself: scalars are never
+        # mutated, and over F_2 every nonzero product is of this kind
+        if self.v == 1:
+            return other
+        if other.v == 1:
+            return self
         return FpScalar(self.p, self.v * other.v)
 
     def __neg__(self):
+        if self.p == 2:
+            return self
         return FpScalar(self.p, -self.v)
 
     def __truediv__(self, other):
@@ -112,7 +129,7 @@ class Field:
         # scalars are never mutated, so every caller may share these
         self.zero = self.of(0)
         self.one = self.of(1)
-        self._minus_one = self.of(-1)
+        self._minus_one = -self.one   # over F_2 that is one itself
 
     @property
     def kind(self):
@@ -190,7 +207,8 @@ def exact_div(a, b):
 #
 # A sparse vector never stores a zero.  `add_term`, `vec_add_into` and
 # `expand` are the only code that adds into one, so they are the only
-# code that has to drop a cancelled entry.
+# code that has to drop a cancelled entry; `Subspace` reductions by a
+# unit row delete the pivot entry they cancel.
 
 def add_term(acc, key, c):
     """acc[key] += c, in place, dropping the entry if it cancels."""
@@ -337,6 +355,13 @@ class SparseMatrix:
     def apply(self, vec):
         """Matrix times sparse coordinate vector (keyed by column index)."""
         bycol = self._columns_cached()
+        if len(vec) == 1:
+            # one basis vector with coefficient one: a copy of its column
+            (j, x), = vec.items()
+            if x is self.field.one:
+                if not 0 <= j < self.cols:
+                    raise DimensionMismatch("vector index out of range")
+                return dict(bycol.get(j, ()))
         out = {}
         for j, x in vec.items():
             if not 0 <= j < self.cols:
@@ -491,11 +516,18 @@ class Subspace:
                       if k in position)
 
     def reduce(self, vec):
-        """Subtract the projection onto this subspace along its pivots."""
+        """Subtract the projection onto this subspace along its pivots.
+
+        A unit row {pivot: 1} only cancels the pivot coordinate, so that
+        coordinate is deleted without arithmetic."""
         out = dict(vec)
-        rows = self.rows
+        rows, pivots = self.rows, self.pivots
         for t, coeff in self._pivot_entries(vec):
-            vec_add_into(out, rows[t], -coeff)
+            row = rows[t]
+            if len(row) == 1:
+                del out[pivots[t]]
+            else:
+                vec_add_into(out, row, -coeff)
         return out
 
     def contains(self, vec):
@@ -505,10 +537,14 @@ class Subspace:
         """Coordinates of a member vector in the RREF basis (reads pivots)."""
         residual = dict(vec)
         coords = {}
-        rows = self.rows
+        rows, pivots = self.rows, self.pivots
         for t, coeff in self._pivot_entries(vec):
             coords[t] = coeff
-            vec_add_into(residual, rows[t], -coeff)
+            row = rows[t]
+            if len(row) == 1:
+                del residual[pivots[t]]
+            else:
+                vec_add_into(residual, row, -coeff)
         if residual:
             raise NotInSubspace("vector is not in the subspace")
         return coords

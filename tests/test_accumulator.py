@@ -3,9 +3,10 @@
 A sparse vector never stores a zero.  These three functions in
 `exactlinalg` are the only code that adds into one, so they are the only
 code that drops a cancelled entry.  Each is compared here with a dense
-reference sum over Q, F_2 and F_3, and must never leave a zero value in
-its dict.  A source guard keeps every other module of hclab from
-dropping cancelled entries by hand.
+reference sum over Q, F_2, F_3 and F_7, and must never leave a zero
+value in its dict.  F_7 is there for its scalars other than 0 and ±1.
+A source guard keeps every other module of hclab from dropping
+cancelled entries by hand.
 """
 
 import ast
@@ -19,7 +20,7 @@ from hclab.exactlinalg import QQ, Field, add_term, expand, vec_add_into
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hclab"
 
-FIELDS = {"Q": QQ, "F2": Field(2), "F3": Field(3)}
+FIELDS = {"Q": QQ, "F2": Field(2), "F3": Field(3), "F7": Field(7)}
 N = 4   # few keys, so that terms collide and cancel often
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)

@@ -7,6 +7,8 @@ operations walk every basis row, reading each row's pivot as its least
 column.  RREF is unique, so the two kernels must agree exactly on the
 pivots, the rows, every reduction, every coordinate vector and every
 quotient projection.  sympy's rank is a third, independent oracle over Q.
+F_7 is among the fields because F_2 and F_3 have no nonzero scalar
+other than ±1, and the kernel skips the arithmetic with units.
 
 Over Q hclab keeps integral scalars as ints, and the oracles divide with
 `/`, so they are given `Fraction` copies of their input rows: their
@@ -31,7 +33,7 @@ from hclab.exactlinalg import (
 )
 
 
-FIELDS = {"Q": QQ, "F2": Field(2), "F3": Field(3)}
+FIELDS = {"Q": QQ, "F2": Field(2), "F3": Field(3), "F7": Field(7)}
 
 
 def exact_copy(row):
@@ -213,10 +215,35 @@ def test_rref_matches_oracle(case):
                                            ).rank()
 
 
+@st.composite
+def subspace_cases(draw):
+    """sparse_rows, a vector to reduce and coefficients of a member."""
+    field, n, rows = draw(sparse_rows())
+    vec = draw(vectors(field, n))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                           max_size=len(rows)))
+    return field, n, rows, vec, coeffs
+
+
+F7 = FIELDS["F7"]
+
+# unit RREF rows {p: 1} (pivots 0 and 2) beside multi-entry rows, and a
+# vector with weight on every pivot and off the span
+MIXED_UNIT_ROWS = (
+    F7, 5,
+    [{0: F7.of(3)}, {1: F7.of(2), 3: F7.of(5)}, {2: F7.one},
+     {1: F7.one, 4: F7.of(3)}],
+    {0: F7.of(3), 1: F7.of(4), 2: F7.of(6), 3: F7.one, 4: F7.of(2)},
+    [1, -2, 3, 1])
+
+
 @ORACLE_SETTINGS
-@given(st.data())
-def test_subspace_operations_match_oracle(data):
-    field, n, rows = data.draw(sparse_rows())
+@given(subspace_cases())
+@example(MIXED_UNIT_ROWS)
+@example((QQ, 4, [{3: 2}, {0: 1, 2: -1}, {1: 5}], {0: 2, 1: 3, 3: 1},
+          [1, 1, -1]))
+def test_subspace_operations_match_oracle(case):
+    field, n, rows, vec, coeffs = case
     sub = Subspace.from_vectors(field, n, rows)
     _, basis_rows = oracle_rref(exact_copies(rows))
     assert sub.rows == basis_rows
@@ -224,7 +251,6 @@ def test_subspace_operations_match_oracle(data):
     quotient = quotient_space(n, sub)
     assert sub.dim + quotient.dim == n
 
-    vec = data.draw(vectors(field, n))
     exact_vec = exact_copy(vec)
     reduced = sub.reduce(vec)
     assert_exact_scalars(field, reduced)
@@ -242,8 +268,6 @@ def test_subspace_operations_match_oracle(data):
         assert_exact_scalars(field, coords)
         assert coords == want
 
-    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
-                                max_size=len(rows)))
     member = combine(field, rows, coeffs)
     assert sub.reduce(member) == {}
     coords = sub.coords_of(member)
