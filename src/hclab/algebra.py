@@ -175,14 +175,24 @@ class FinDimAlgebra:
                 return Violation("unit law (left)", (i,))
             if self.multiply(e, self.unit) != e:
                 return Violation("unit law (right)", (i,))
+        # (e_i e_j) e_k and e_i (e_j e_k) are summed straight from the
+        # table rows, so every product's coordinates are checked once here
+        table = self.mul_table
+        for row in table:
+            for v in row:
+                if any(not 0 <= k < self.dim for k in v):
+                    raise DimensionMismatch("element coordinates out of range")
         for i in range(self.dim):
+            left = table[i]
             for j in range(self.dim):
-                ij = self.mul_table[i][j]
+                ij, right = left[j], table[j]
                 for k in range(self.dim):
-                    e = {k: self.field.one}
-                    lhs = self.multiply(ij, e)
-                    rhs = self.multiply({i: self.field.one},
-                                        self.mul_table[j][k])
+                    lhs = {}
+                    for m, c in ij.items():
+                        vec_add_into(lhs, table[m][k], c)
+                    rhs = {}
+                    for m, c in right[k].items():
+                        vec_add_into(rhs, left[m], c)
                     if lhs != rhs:
                         return Violation("associativity", (i, j, k))
         return None

@@ -19,6 +19,12 @@ matrix applied to one basis vector with coefficient one is a copy of
 that column.  Reducing by a unit RREF row {pivot: 1} deletes the pivot
 coordinate; that deletion is a reduction inside this module, which the
 no-stored-zero rule below already exempts.
+
+Coordinate subspaces cost no elimination.  A span of unit basis vectors,
+such as the degeneracy images of a unit that is a basis vector, is
+reduced by deleting coordinates: `rref` skips a single-entry row whose
+column holds a stored unit row, and a `Subspace` whose rows are all unit
+rows reduces and reads coordinates with one pass over the vector.
 """
 
 from __future__ import annotations
@@ -427,10 +433,17 @@ def rref(row_dicts):
     Every stored row is zero on the other pivot columns, so an incoming
     row is reduced by one pass over its own pivot entries, and a new pivot
     column is cleared from the stored rows that `holders` says hold it.
+    A stored unit row {k: 1} is in no `holders` set, so it never changes,
+    and an incoming single-entry row {k: c} reduces to zero against it:
+    such a row is skipped without a copy or any arithmetic.
     """
     row_of = {}    # pivot column -> its reduced row
     holders = {}   # non-pivot column -> pivot columns of rows nonzero there
     for row in row_dicts:
+        if len(row) == 1:
+            k, = row
+            if len(row_of.get(k, ())) == 1:
+                continue
         row = dict(row)
         for pcol, coeff in [(k, c) for k, c in row.items() if k in row_of]:
             vec_add_into(row, row_of[pcol], -coeff)
@@ -480,7 +493,8 @@ class Subspace:
     modify them.
     """
 
-    __slots__ = ("field", "ambient_dim", "pivots", "rows", "_position")
+    __slots__ = ("field", "ambient_dim", "pivots", "rows", "_position",
+                 "_coordinate")
 
     def __init__(self, field, ambient_dim, pivots, rows):
         self.field = field
@@ -488,6 +502,7 @@ class Subspace:
         self.pivots = pivots
         self.rows = rows
         self._position = {p: t for t, p in enumerate(pivots)}
+        self._coordinate = all(len(row) == 1 for row in rows)
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -501,6 +516,12 @@ class Subspace:
     @property
     def dim(self):
         return len(self.rows)
+
+    @property
+    def is_coordinate(self):
+        """True when every basis row is a unit row {pivot: 1}: the span of
+        those standard basis vectors, reduced by deleting coordinates."""
+        return self._coordinate
 
     @property
     def basis(self):
@@ -520,6 +541,9 @@ class Subspace:
 
         A unit row {pivot: 1} only cancels the pivot coordinate, so that
         coordinate is deleted without arithmetic."""
+        if self._coordinate:
+            position = self._position
+            return {k: c for k, c in vec.items() if k not in position}
         out = dict(vec)
         rows, pivots = self.rows, self.pivots
         for t, coeff in self._pivot_entries(vec):
@@ -535,6 +559,12 @@ class Subspace:
 
     def coords_of(self, vec):
         """Coordinates of a member vector in the RREF basis (reads pivots)."""
+        if self._coordinate:
+            position = self._position
+            try:
+                return {position[k]: c for k, c in vec.items()}
+            except KeyError:
+                raise NotInSubspace("vector is not in the subspace") from None
         residual = dict(vec)
         coords = {}
         rows, pivots = self.rows, self.pivots

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hclab.exactlinalg import (
-    Field, QQ, SparseMatrix, kernel_basis,
+    DimensionMismatch, Field, QQ, SparseMatrix, kernel_basis,
 )
 from hclab.algebra import (
     FinDimAlgebra,
@@ -70,6 +70,28 @@ def test_unit_law_violation_detected():
     bad = FinDimAlgebra(QQ, ["u"], [[{0: two}]], {0: QQ.one})
     v = validate_algebra(bad)
     assert v is not None and "unit" in v.axiom
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3)], ids=repr)
+def test_associativity_violation_names_the_first_triple(field):
+    """Basis 1, x, y with x x = x y = 0, y x = 2x and y y = x.  The unit
+    laws hold and every triple before (2,2,1) associates, but
+    (y y) x = x x = 0 while y (y x) = 4x, which is x over F_3."""
+    one, two = field.one, field.of(2)
+    table = [[{0: one}, {1: one}, {2: one}],
+             [{1: one}, {}, {}],
+             [{2: one}, {1: two}, {1: one}]]
+    bad = FinDimAlgebra(field, ["1", "x", "y"], table, {0: one})
+    v = validate_algebra(bad)
+    assert (v.axiom, v.location) == ("associativity", (2, 2, 1))
+    assert str(v) == "associativity fails at (2,2,1)"
+
+
+def test_structure_constant_out_of_range_is_refused():
+    one = QQ.one
+    table = [[{0: one}, {1: one}], [{1: one}, {-1: one}]]
+    with pytest.raises(DimensionMismatch):
+        FinDimAlgebra(QQ, ["1", "x"], table, {0: one}).validate()
 
 
 def test_matrix_algebra():

@@ -9,6 +9,10 @@ added entry is the target's first representative, which lies outside
 the target's denominator, so that first vector is the one reported.
 The perturbation is applied where the raw matrix meets `induced_map`,
 which makes the test independent of how the raw operators are built.
+
+Every case here normalizes by degeneracy images of a unit that is a basis
+vector, so both denominators are coordinate subspaces, which reduce by
+deleting coordinates; the failure must name the same vector regardless.
 """
 
 import pytest
@@ -30,7 +34,7 @@ from hclab.cycliccore import (
 )
 from hclab.cylinder import build_cylinder
 from hclab.cylinder.core import BinormalizedCylinder, shuffle_map
-from hclab.exactlinalg import QQ, SparseMatrix
+from hclab.exactlinalg import QQ, NotWellDefined, SparseMatrix
 from hclab.hopf import group_hopf, is_cocommutative
 from hclab.spectral import RowComplexes, SpectralError
 
@@ -38,24 +42,33 @@ from hclab.spectral import RowComplexes, SpectralError
 @pytest.fixture
 def perturb_next(monkeypatch):
     """perturb_next() arms a one-shot perturbation of the next raw
-    matrix that reaches induced_map, in any module that calls it."""
+    matrix that reaches induced_map, in any module that calls it, and
+    returns a list that then receives that call's (src, dst, result)."""
     original = hclab.exactlinalg.induced_map
     armed = []
+    perturbed = []
 
     def induced_map(f, src, dst):
-        if armed:
-            armed.clear()
-            k = src.denominator.pivots[0]
-            t = dst.free_columns[0]
-            f = f.add(SparseMatrix(f.field, f.rows, f.cols,
-                                   {(t, k): f.field.one}))
-        return original(f, src, dst)
+        if not armed:
+            return original(f, src, dst)
+        armed.clear()
+        k = src.denominator.pivots[0]
+        t = dst.free_columns[0]
+        f = f.add(SparseMatrix(f.field, f.rows, f.cols,
+                               {(t, k): f.field.one}))
+        result = original(f, src, dst)
+        perturbed.append((src, dst, result))
+        return result
 
     for module in (hclab.exactlinalg, hclab.cycliccore, hclab.cylinder.core,
                    hclab.spectral):
         if hasattr(module, "induced_map"):
             monkeypatch.setattr(module, "induced_map", induced_map)
-    return lambda: armed.append(True)
+
+    def arm():
+        armed.append(True)
+        return perturbed
+    return arm
 
 
 def cylinder_s1():
@@ -172,7 +185,12 @@ def test_non_descending_operator_is_named(case, perturb_next):
     built = build()
     call(built)  # unperturbed, it descends
     built = build()
-    perturb_next()
+    perturbed = perturb_next()
     with pytest.raises(error) as info:
         call(built)
     assert str(info.value) == message
+    (src, dst, marker), = perturbed
+    assert src.denominator.is_coordinate and dst.denominator.is_coordinate
+    assert isinstance(marker, NotWellDefined)
+    assert (marker.basis_vector == src.denominator.rows[0]
+            == {src.denominator.pivots[0]: QQ.one})

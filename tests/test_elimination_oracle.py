@@ -243,7 +243,12 @@ MIXED_UNIT_ROWS = (
 @example((QQ, 4, [{3: 2}, {0: 1, 2: -1}, {1: 5}], {0: 2, 1: 3, 3: 1},
           [1, 1, -1]))
 def test_subspace_operations_match_oracle(case):
-    field, n, rows, vec, coeffs = case
+    assert_subspace_matches_oracle(*case)
+
+
+def assert_subspace_matches_oracle(field, n, rows, vec, coeffs):
+    """reduce, contains, coords_of and project on the span of rows, for
+    vec and for the member sum coeffs[i] * rows[i], against the oracles."""
     sub = Subspace.from_vectors(field, n, rows)
     _, basis_rows = oracle_rref(exact_copies(rows))
     assert sub.rows == basis_rows
@@ -274,6 +279,65 @@ def test_subspace_operations_match_oracle(case):
     assert_exact_scalars(field, coords)
     assert coords == oracle_coords_of(basis_rows, exact_copy(member))
     assert quotient.project(member) == {}
+
+
+@st.composite
+def coordinate_cases(draw):
+    """subspace_cases whose rows are single entries {k: c}, c = ±1 or ±2,
+    in columns repeated often enough that most rows duplicate an earlier
+    one up to a multiple, so `rref` meets stored unit rows."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.integers(1, 9))
+    multiples = st.sampled_from([1, -1, 2, -2]).map(field.of).filter(bool)
+    single = st.builds(lambda k, c: {k: c}, st.integers(0, n - 1), multiples)
+    rows = draw(st.lists(single, max_size=12))
+    if rows:
+        rows += [dict(row) for row in draw(st.lists(st.sampled_from(rows),
+                                                      max_size=6))]
+    rows = draw(st.permutations(rows))
+    vec = draw(vectors(field, n))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                           max_size=len(rows)))
+    return field, n, rows, vec, coeffs
+
+
+F3 = FIELDS["F3"]
+
+
+@ORACLE_SETTINGS
+@given(coordinate_cases())
+# a unit row {1: 1} arriving after the non-unit row {0: 1, 1: 1} that
+# holds its column, then multiples of both, now stored unit rows
+@example((QQ, 3, [{0: 1, 1: 1}, {1: 1}, {0: 2}, {1: -1}], {0: 1, 1: 2, 2: 3},
+          [1, 2, -1, 1]))
+# {0: 3} against the stored pivot row {0: 1, 2: 1}, which is not a unit
+# row, so it must be eliminated and leaves the pivot {2: 1}
+@example((F7, 3, [{0: F7.one, 2: F7.one}, {0: F7.of(3)}],
+          {0: F7.of(3), 1: F7.one}, [2, 1]))
+# duplicate rows {k: -1} over F_3
+@example((F3, 3, [{1: F3.of(-1)}, {1: F3.of(-1)}, {0: F3.of(-1)},
+                  {1: F3.of(-1)}], {0: F3.one, 1: F3.of(2), 2: F3.one},
+          [1, 1, 2, 0]))
+def test_coordinate_subspaces_match_oracle(case):
+    """Single-entry rows span a coordinate subspace: `rref` skips the rows
+    a stored unit row already covers, and the subspace reduces, tests
+    membership, reads coordinates and projects by deleting coordinates,
+    all exactly as the oracles do."""
+    field, n, rows, vec, coeffs = case
+    before = [dict(row) for row in rows]
+    pivots, reduced = rref(rows)
+    assert rows == before
+    want_pivots, want_rows = oracle_rref(exact_copies(rows))
+    assert (pivots, reduced) == (want_pivots, want_rows)
+    for row in reduced:
+        assert_exact_scalars(field, row)
+    sub = Subspace.from_vectors(field, n, rows)
+    assert sub.is_coordinate == all(len(row) == 1 for row in reduced)
+    if all(len(row) == 1 for row in rows):
+        assert sub.is_coordinate
+        assert reduced == [{p: field.one} for p in sorted({min(row)
+                                                           for row in rows})]
+    assert_subspace_matches_oracle(field, n, rows, vec, coeffs)
 
 
 def free_column_walk_project(quotient, vec):
