@@ -185,21 +185,18 @@ def parse_scenario(text):
         raise ScenarioError(f"missing '{key}' in section [{sec}]")
 
     field_spec = take("", "field")
-    if field_spec == "Q":
+    spec, field_line = field_spec.split(), data[""]["field"][0]
+    if spec == ["Q"]:
         char = 0
-    elif field_spec.startswith("Fp"):
-        try:
-            char = int(field_spec.split()[1])
-        except (IndexError, ValueError):
-            raise ScenarioError("expected 'field = Fp <prime>'",
-                                data[""]["field"][0])
+    elif len(spec) == 2 and spec[0] == "Fp" and spec[1].isdecimal():
+        char = int(spec[1])
         try:
             Field(char)
         except ExactLinalgError as exc:
-            raise ScenarioError(str(exc), data[""]["field"][0])
+            raise ScenarioError(str(exc), field_line)
     else:
-        raise ScenarioError(f"unknown field {field_spec!r}",
-                            data[""]["field"][0])
+        raise ScenarioError("expected 'field = Q' or 'field = Fp <prime>', "
+                            f"got {field_spec!r}", field_line)
 
     hopf_kind = take("hopf", "kind")
     if hopf_kind != "group":
@@ -208,12 +205,16 @@ def parse_scenario(text):
                             "scope")
     hopf_group = take("hopf", "group")
 
-    algebra_spec = take("algebra", "kind").split()
-    algebra_kind = algebra_spec[0]
-    algebra_arg = " ".join(algebra_spec[1:])
+    algebra_kind, *algebra_args = take("algebra", "kind").split() or [""]
+    algebra_arg = " ".join(algebra_args)
+    kind_line = data["algebra"]["kind"][0]
     if algebra_kind not in ("ground", "group", "functions", "dual_numbers",
                             "matrix"):
-        raise ScenarioError(f"unknown algebra kind {algebra_kind!r}")
+        raise ScenarioError(f"unknown algebra kind {algebra_kind!r}",
+                            kind_line)
+    if algebra_arg and algebra_kind in ("ground", "dual_numbers"):
+        raise ScenarioError(f"algebra kind {algebra_kind!r} takes no "
+                            f"argument, got {algebra_arg!r}", kind_line)
 
     action_kind = take("action", "kind", "trivial")
     cocycle_kind = take("cocycle", "kind", "trivial")
@@ -373,7 +374,7 @@ def _build_action(scenario, field, hopf, algebra):
                 imgs = [int(x) for x in images.split()]
             except ValueError:
                 raise ScenarioError(f"bad permutation line {line!r}")
-            if h >= hopf.dim or len(imgs) != algebra.dim or \
+            if not 0 <= h < hopf.dim or \
                     sorted(imgs) != list(range(algebra.dim)):
                 raise ScenarioError(f"bad permutation line {line!r}")
             table[h] = [{imgs[a]: field.one} for a in range(algebra.dim)]
@@ -391,7 +392,8 @@ def _build_action(scenario, field, hopf, algebra):
                 vec = [field.parse(c) for c in coords.split()]
             except (ValueError, ExactLinalgError):
                 raise ScenarioError(f"bad action table line {line!r}")
-            if h >= hopf.dim or a >= algebra.dim or len(vec) != algebra.dim:
+            if not (0 <= h < hopf.dim and 0 <= a < algebra.dim) or \
+                    len(vec) != algebra.dim:
                 raise ScenarioError(f"bad action table line {line!r}")
             table[h][a] = {i: c for i, c in enumerate(vec) if c}
         for h in range(hopf.dim):

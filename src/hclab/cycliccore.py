@@ -41,6 +41,7 @@ from .exactlinalg import (
     SparseMatrix,
     Subspace,
     add_term,
+    block_matrix,
     check_dimension_cap,
     full_quotient,
     induced_map,
@@ -239,30 +240,29 @@ class ParacyclicModule:
                 lambda n: (rotate, (n,)))
 
     # -- materialized matrices ---------------------------------------------
+    # (the images are read one at a time, so each is dropped once copied)
 
     def face_matrix(self, n, i):
-        cols = [self.face(n, i, k) for k in range(self.dim(n))]
+        cols = (self.face(n, i, k) for k in range(self.dim(n)))
         return SparseMatrix.from_columns(self.field, self.dim(n - 1), cols)
 
     def degeneracy_matrix(self, n, i):
-        cols = [self.degeneracy(n, i, k) for k in range(self.dim(n))]
+        cols = (self.degeneracy(n, i, k) for k in range(self.dim(n)))
         return SparseMatrix.from_columns(self.field, self.dim(n + 1), cols)
 
     def rotate_matrix(self, n):
-        cols = [self.rotate(n, k) for k in range(self.dim(n))]
+        cols = (self.rotate(n, k) for k in range(self.dim(n)))
         return SparseMatrix.from_columns(self.field, self.dim(n), cols)
 
     def boundary_matrix(self, n):
         """b = alternating sum of the faces; the zero map for n = 0."""
         if n == 0:
             return SparseMatrix.zero(self.field, 0, self.dim(0))
-        b = SparseMatrix.zero(self.field, self.dim(n - 1), self.dim(n))
-        one = self.field.one
-        for i in range(n + 1):
-            sign = self.field.sign(i)
-            vec_add_into(b.entries, self.face_matrix(n, i).entries,
-                         None if sign is one else sign)
-        return b
+        # every face is one block at the same place, materialized in turn
+        return block_matrix(
+            self.field, {0: self.dim(n - 1)}, {0: self.dim(n)},
+            ((0, 0, self.face_matrix(n, i), self.field.sign(i))
+             for i in range(n + 1)))
 
     def signed_rotation_matrix(self, n):
         return self.rotate_matrix(n).scale(self.field.sign(n))
@@ -366,13 +366,13 @@ class MatrixParacyclicModule(ParacyclicModule):
         return self.dims[n]
 
     def face(self, n, i, k):
-        return self.faces[(n, i)].apply({k: self.field.one})
+        return self.faces[(n, i)].columns[k]
 
     def degeneracy(self, n, i, k):
-        return self.degeneracies[(n, i)].apply({k: self.field.one})
+        return self.degeneracies[(n, i)].columns[k]
 
     def rotate(self, n, k):
-        return self.rotations[n].apply({k: self.field.one})
+        return self.rotations[n].columns[k]
 
     def face_available(self, n):
         return (n, 0) in self.faces or (1 <= n <= self.max_degree
@@ -485,8 +485,7 @@ def matrix_columns(build):
     build = functools.cache(build)
 
     def column(*args):
-        m = build(*args[:-1])
-        return m.apply({args[-1]: m.field.one})
+        return build(*args[:-1]).columns[args[-1]]
     return column
 
 
@@ -737,22 +736,15 @@ def cyclic_homology_mixed(mx, max_degree):
 
     def differential(n):
         """Tot_n -> Tot_{n-1}; the zero map for n = 0."""
-        src = tot_components(n)
-        dst = tot_components(n - 1)
-        dst_offset = {}
-        off = 0
-        for m in dst:
-            dst_offset[m] = off
-            off += mx.dims[m]
-        out = SparseMatrix.zero(mx.field, off, tot_dim(n))
-        col_off = 0
+        src = {m: mx.dims[m] for m in tot_components(n)}
+        dst = {m: mx.dims[m] for m in tot_components(n - 1)}
+        blocks = []
         for m in src:
-            if m >= 1 and (m - 1) in dst_offset:
-                out.add_block(mx.b_mats[m], dst_offset[m - 1], col_off)
-            if (m + 1) in dst_offset and m in mx.B_mats:
-                out.add_block(mx.B_mats[m], dst_offset[m + 1], col_off)
-            col_off += mx.dims[m]
-        return out
+            if m >= 1 and (m - 1) in dst:
+                blocks.append((m - 1, m, mx.b_mats[m], None))
+            if (m + 1) in dst and m in mx.B_mats:
+                blocks.append((m + 1, m, mx.B_mats[m], None))
+        return block_matrix(mx.field, dst, src, blocks)
 
     return HomologyReport(list(range(max_degree + 1)),
                           homology_dims(tot_dim, differential, max_degree),

@@ -57,9 +57,9 @@ class BimoduleMq(CoefficientBimodule):
     """
 
     def __init__(self, cyl, q):
-        self.cyl = cyl
         self.q = q
         self.hopf = cyl.hopf
+        self.action = cyl.action
         self.algebra = cyl.algebra
         self.cocycle = cyl.cocycle
         self.field = cyl.field
@@ -83,7 +83,7 @@ class BimoduleMq(CoefficientBimodule):
                 if not w:
                     continue
                 head = self.hopf.algebra.multiply_basis(l[q + 1], g1)
-                acted = tuple(self.cyl.action.apply_basis(l[j], avs[j])
+                acted = tuple(self.action.apply_basis(l[j], avs[j])
                               for j in range(q + 1))
                 for t, ct in head.items():
                     for term, c in expand(w * ct, (t,) + acted).items():
@@ -190,7 +190,7 @@ def check_row_identification(cyl, twisted_algebra, q, max_p):
     scalar algebra with coefficients in the row bimodule, facewise, under
     the rebracketing (g_0..g_p | a_0..a_q) -> ((g_0, a_0..a_q), g_1..g_p).
     None, or the first mismatch."""
-    bim = BimoduleMq(cyl, q)
+    bim = cyl.row_coefficients(q).bimodule
     hc = HochschildComplex(twisted_algebra, bim)
 
     def rebracket(p, k):
@@ -399,12 +399,13 @@ def hopf_to_hochschild(bimodule, p):
 def check_maclane(cyl, twisted_algebra, q, max_p):
     """Mutual inverses and facewise intertwining of the Mac Lane pair on
     the q-th row coefficients, through degree max_p; None or the first
-    failure."""
-    bim = BimoduleMq(cyl, q)
+    failure.  The cylinder's module for row q is read first, so a module
+    law failure raises ModuleLawError before the bimodule laws run."""
+    mod = cyl.row_coefficients(q)
+    bim = mod.bimodule
     bad = bim.verify(twisted_algebra)
     if bad is not None:
         return f"bimodule laws fail: {bad}"
-    mod = twisted_left_module(bim)
     hc = HochschildComplex(twisted_algebra, bim)
     hx = HopfComplex(cyl.hopf, mod.act, bim.dim)
     theta = matrix_columns(lambda p: hochschild_to_hopf(bim, p))
@@ -438,12 +439,12 @@ def coefficient_action_matrix(cyl, q):
     hopf = cyl.hopf
     coc = cyl.cocycle
     field = cyl.field
-    bim = BimoduleMq(cyl, q)
+    space = cyl.space(0, q)
     mats = []
     for h in range(hopf.dim):
         cols = []
-        for m in range(bim.dim):
-            tup = bim.space.decode(m)
+        for m in range(space.size):
+            tup = space.decode(m)
             g, avs = tup[0], tup[1:]
             out = {}
             for c0, l in hopf.sweedler(h, q + 8):
@@ -467,9 +468,9 @@ def coefficient_action_matrix(cyl, q):
                                   for j in range(q + 1))
                     for t, ct in head.items():
                         for term, c in expand(w * ct, (t,) + acted).items():
-                            add_term(out, bim.space.encode(term), c)
+                            add_term(out, space.encode(term), c)
             cols.append(out)
-        mats.append(SparseMatrix.from_columns(field, bim.dim, cols))
+        mats.append(SparseMatrix.from_columns(field, space.size, cols))
     return mats
 
 
@@ -477,9 +478,8 @@ def check_coefficient_action(cyl, q):
     """The closed form must coincide with the bimodule conversion on
     every basis pair; None or the first mismatch (h, m), one stage per
     Hopf basis vector h."""
-    bim = BimoduleMq(cyl, q)
-    mod = twisted_left_module(bim)
+    mod = cyl.row_coefficients(q)
     closed = matrix_columns(coefficient_action_matrix(cyl, q).__getitem__)
-    stages = ((bim.dim, [(h, ((closed, (h,)),), ((mod.act, (h,)),))])
+    stages = ((mod.dim, [(h, ((closed, (h,)),), ((mod.act, (h,)),))])
               for h in range(cyl.hopf.dim))
     return first_violation(stages, cyl.field.one)

@@ -45,11 +45,13 @@ from ..exactlinalg import (
     DEFAULT_DIMENSION_CAP,
     SparseMatrix,
     add_term,
+    block_matrix,
     check_dimension_cap,
     expand,
     induced_map,
     vec_add_into,
 )
+from .coefficients import BimoduleMq, twisted_left_module
 
 
 class HopfCrossedCylinder:
@@ -73,6 +75,7 @@ class HopfCrossedCylinder:
             functools.partial(_conjugation_terms, hopf, action))
         self._hrot_terms = functools.cache(
             functools.partial(_pushed_terms, hopf, action))
+        self._coefficients = {}
 
     # -- spaces --------------------------------------------------------------
 
@@ -175,6 +178,16 @@ class HopfCrossedCylinder:
                 for (h, b), c in self._hrot_terms(q, last, a)}
 
     # -- adapters ------------------------------------------------------------
+
+    def row_coefficients(self, q):
+        """The twisted left module of row q's coefficients (its `bimodule`
+        is M_q), built with its module law verified once per cylinder.  A
+        module that fails the law raises ModuleLawError and is not kept."""
+        mod = self._coefficients.get(q)
+        if mod is None:
+            mod = self._coefficients[q] = twisted_left_module(
+                BimoduleMq(self, q))
+        return mod
 
     def row_module(self, q):
         return _RowModule(self, q)
@@ -513,42 +526,29 @@ def tot_mixed_complex(cyl, max_degree):
                     f"total complex identities fail: the twist at ({p},{q}) "
                     "is not 1 - (bB + Bb) of the vertical pair")
 
-    def offsets(n):
-        offs, total = {}, 0
-        for (p, q) in _components(n):
-            offs[(p, q)] = total
-            total += bn.dim(p, q)
-        return offs, total
+    def sizes(n):
+        """The bidegrees of total degree n and their dimensions, in order."""
+        return {(p, q): bn.dim(p, q) for (p, q) in _components(n)}
 
-    dims = []
-    b_mats = {}
-    B_mats = {}
-    for n in range(max_degree + 2):
-        dims.append(offsets(n)[1])
-    for n in range(1, max_degree + 2):
-        src_offs, src_dim = offsets(n)
-        dst_offs, dst_dim = offsets(n - 1)
-        m = SparseMatrix.zero(field, dst_dim, src_dim)
+    def b_blocks(n):
         for (p, q) in _components(n):
-            co = src_offs[(p, q)]
             if q >= 1:
-                m.add_block(bn.vertical_boundary(p, q),
-                            dst_offs[(p, q - 1)], co)
+                yield (p, q - 1), (p, q), bn.vertical_boundary(p, q), None
             if p >= 1:
-                m.add_block(bn.horizontal_boundary(p, q),
-                            dst_offs[(p - 1, q)], co, field.sign(q))
-        b_mats[n] = m
-    for n in range(max_degree):
-        src_offs, src_dim = offsets(n)
-        dst_offs, dst_dim = offsets(n + 1)
-        m = SparseMatrix.zero(field, dst_dim, src_dim)
+                yield ((p - 1, q), (p, q), bn.horizontal_boundary(p, q),
+                       field.sign(q))
+
+    def B_blocks(n):
         for (p, q) in _components(n):
-            co = src_offs[(p, q)]
-            m.add_block(bn.vertical_connes(p, q), dst_offs[(p, q + 1)], co)
-            m.add_block(bn.induced_vertical_twist(p + 1, q).compose(
-                            bn.horizontal_connes(p, q)),
-                        dst_offs[(p + 1, q)], co, field.sign(q))
-        B_mats[n] = m
+            yield (p, q + 1), (p, q), bn.vertical_connes(p, q), None
+            yield ((p + 1, q), (p, q), bn.induced_vertical_twist(p + 1, q)
+                   .compose(bn.horizontal_connes(p, q)), field.sign(q))
+
+    dims = [sum(sizes(n).values()) for n in range(max_degree + 2)]
+    b_mats = {n: block_matrix(field, sizes(n - 1), sizes(n), b_blocks(n))
+              for n in range(1, max_degree + 2)}
+    B_mats = {n: block_matrix(field, sizes(n + 1), sizes(n), B_blocks(n))
+              for n in range(max_degree)}
     mx = MixedComplex(field, dims, b_mats, B_mats)
     bad = mx.verify(max_degree)
     if bad is not None:
@@ -718,12 +718,12 @@ def check_shuffle_chain_map(cyl, max_degree):
     def total(p, q, k):
         """The total chain differential of basis vector k at (p, q), in
         the direct sum whose basis vectors are (bidegree, index) pairs."""
-        e, out = {k: field.one}, {}
+        out = {}
         if q >= 1:
-            for i, c in bn.vertical_boundary(p, q).apply(e).items():
+            for i, c in bn.vertical_boundary(p, q).columns[k].items():
                 out[((p, q - 1), i)] = c
         if p >= 1:
-            for i, c in bn.horizontal_boundary(p, q).apply(e).items():
+            for i, c in bn.horizontal_boundary(p, q).columns[k].items():
                 out[((p - 1, q), i)] = field.sign(q) * c
         return out
 

@@ -6,10 +6,13 @@ is a Python `int` when it is integral and a `fractions.Fraction` when it
 is not; mod p it is an `FpScalar`.  Mixed int/`Fraction` arithmetic is
 exact, and `exact_div` is the one place scalars are divided, so there is
 no floating point anywhere.  Vectors are plain dicts mapping a
-coordinate index to a nonzero scalar; matrices store nonzero entries
-sparsely and carry their field.  All canonical forms are reduced row
-echelon forms, so every representative choice made downstream is
-deterministic and two identical runs produce bit-identical results.
+coordinate index to a nonzero scalar.  A matrix carries its field and
+is stored as its list of columns, column j the sparse image of basis
+vector j; `block_matrix` assembles one from blocks placed by key and is
+the one place block offsets are computed.  All canonical forms are
+reduced row echelon forms, so every representative choice made
+downstream is deterministic and two identical runs produce bit-identical
+results.
 
 Units cost no arithmetic.  Scalars are immutable and shared (a `Field`
 builds its zero, one and -1 once), so an operation may return one of its
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 
 DEFAULT_DIMENSION_CAP = 200_000
@@ -175,9 +179,6 @@ class Field:
             value = int(text)
         return self.of(value)
 
-    def format(self, scalar):
-        return str(scalar)
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.characteristic == other.characteristic
 
@@ -189,7 +190,6 @@ class Field:
 
 
 QQ = Field(0)
-GF2 = Field(2)
 
 
 def exact_div(a, b):
@@ -272,109 +272,97 @@ def expand(coef, slots):
 
 
 class SparseMatrix:
-    """A rows x cols matrix over a field, storing only nonzero entries.
+    """A rows x cols matrix over a field, stored as its list of columns.
 
-    Convention: the matrix of an operator f has entry (i, j) equal to the
-    e_i-coefficient of f(e_j); `apply` evaluates f on a sparse vector.
+    Convention: `columns[j]` is the image f(e_j) of basis vector j under
+    the operator f the matrix represents, a sparse vector keyed by row
+    index that stores no zero; `cols` is the number of columns.  (i, j)
+    entries are accepted by the constructor only, and converted there.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_bycol")
+    __slots__ = ("field", "rows", "columns")
 
     def __init__(self, field, rows, cols, entries=None):
         self.field = field
         self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        self._bycol = None
+        self.columns = columns = [{} for _ in range(cols)]
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (i, j), c in items:
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise DimensionMismatch(f"entry ({i},{j}) out of range")
                 if c:
-                    if (i, j) in self.entries:
+                    if i in columns[j]:
                         raise ExactLinalgError(f"duplicate entry at ({i},{j})")
-                    self.entries[(i, j)] = c
+                    columns[j][i] = c
+
+    @property
+    def cols(self):
+        return len(self.columns)
+
+    @classmethod
+    def _of(cls, field, rows, columns):
+        """The matrix of these fresh columns, which store no zero."""
+        m = cls(field, rows, 0)
+        m.columns = columns
+        return m
 
     @classmethod
     def from_columns(cls, field, rows, columns):
-        m = cls(field, rows, len(columns))
-        for j, col in enumerate(columns):
-            for i, c in col.items():
-                if c:
-                    m.entries[(i, j)] = c
-        return m
+        """A matrix of copies of the given columns, so it never shares a
+        dict with its caller."""
+        return cls._of(field, rows, [
+            dict(col) if all(col.values())
+            else {i: c for i, c in col.items() if c} for col in columns])
 
     @classmethod
     def from_row_list(cls, field, row_dicts, cols):
         m = cls(field, len(row_dicts), cols)
+        columns = m.columns
         for i, row in enumerate(row_dicts):
             for j, c in row.items():
                 if c:
-                    m.entries[(i, j)] = c
+                    columns[j][i] = c
         return m
 
     @classmethod
     def from_dense(cls, field, dense):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        m = cls(field, rows, cols)
-        for i, row in enumerate(dense):
-            for j, val in enumerate(row):
-                c = val if isinstance(val, (Fraction, FpScalar)) else field.of(val)
-                if c:
-                    m.entries[(i, j)] = c
-        return m
+        return cls.from_row_list(field, [
+            {j: v if isinstance(v, (Fraction, FpScalar)) else field.of(v)
+             for j, v in enumerate(row)} for row in dense],
+            len(dense[0]) if dense else 0)
 
     @classmethod
     def identity(cls, field, n):
-        m = cls(field, n, n)
         one = field.one
-        for i in range(n):
-            m.entries[(i, i)] = one
-        return m
+        return cls._of(field, n, [{i: one} for i in range(n)])
 
     @classmethod
     def zero(cls, field, rows, cols):
         return cls(field, rows, cols)
 
     def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), c in self.entries.items():
-            rows[i][j] = c
+        rows = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, c in col.items():
+                rows[i][j] = c
         return rows
-
-    def columns(self):
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), c in self.entries.items():
-            cols[j][i] = c
-        return cols
-
-    def _columns_cached(self):
-        if self._bycol is None:
-            bycol = {}
-            for (i, j), c in self.entries.items():
-                bycol.setdefault(j, {})[i] = c
-            self._bycol = bycol
-        return self._bycol
 
     def apply(self, vec):
         """Matrix times sparse coordinate vector (keyed by column index)."""
-        bycol = self._columns_cached()
+        columns = self.columns
         if len(vec) == 1:
             # one basis vector with coefficient one: a copy of its column
             (j, x), = vec.items()
             if x is self.field.one:
-                if not 0 <= j < self.cols:
+                if not 0 <= j < len(columns):
                     raise DimensionMismatch("vector index out of range")
-                return dict(bycol.get(j, ()))
+                return dict(columns[j])
         out = {}
         for j, x in vec.items():
-            if not 0 <= j < self.cols:
+            if not 0 <= j < len(columns):
                 raise DimensionMismatch("vector index out of range")
-            col = bycol.get(j)
-            if col:
-                vec_add_into(out, col, x)
+            vec_add_into(out, columns[j], x)
         return out
 
     def compose(self, other):
@@ -383,44 +371,69 @@ class SparseMatrix:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with "
                 f"{other.rows}x{other.cols}")
-        out = SparseMatrix(self.field, self.rows, other.cols)
-        for j, col in enumerate(other.columns()):
-            for i, c in self.apply(col).items():
-                out.entries[(i, j)] = c
-        return out
+        return SparseMatrix._of(self.field, self.rows,
+                                [self.apply(col) for col in other.columns])
 
     def add(self, other, coeff=None):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        out = SparseMatrix(self.field, self.rows, self.cols)
-        out.entries = dict(self.entries)
-        vec_add_into(out.entries, other.entries, coeff)
+        out = SparseMatrix._of(self.field, self.rows,
+                               [dict(col) for col in self.columns])
+        out.add_block(other, 0, 0, coeff)
         return out
 
     def add_block(self, block, row_offset, col_offset, coeff=None):
         """In place, self += coeff * block, with block's (0, 0) entry at
         (row_offset, col_offset)."""
-        vec_add_into(self.entries,
-                     {(row_offset + i, col_offset + j): c
-                      for (i, j), c in block.entries.items()}, coeff)
-        self._bycol = None
+        if not (0 <= row_offset <= self.rows - block.rows
+                and 0 <= col_offset <= self.cols - block.cols):
+            raise DimensionMismatch(
+                f"a {block.rows}x{block.cols} block at ({row_offset},"
+                f"{col_offset}) does not fit a {self.rows}x{self.cols} matrix")
+        if coeff is self.field.one:
+            coeff = None
+        columns = self.columns
+        for j, col in enumerate(block.columns, col_offset):
+            if row_offset:
+                col = {row_offset + i: c for i, c in col.items()}
+            vec_add_into(columns[j], col, coeff)
 
     def scale(self, coeff):
-        out = SparseMatrix(self.field, self.rows, self.cols)
-        if coeff:
-            out.entries = {k: coeff * c for k, c in self.entries.items()}
-        return out
+        if not coeff:
+            return SparseMatrix(self.field, self.rows, self.cols)
+        return SparseMatrix._of(self.field, self.rows, [
+            {i: coeff * c for i, c in col.items()} for col in self.columns])
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.columns)
 
     def __eq__(self, other):
-        return (isinstance(other, SparseMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+        return (isinstance(other, SparseMatrix) and self.rows == other.rows
+                and self.columns == other.columns)
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nz)"
+        nnz = sum(map(len, self.columns))
+        return f"SparseMatrix({self.rows}x{self.cols}, {nnz} nz)"
+
+
+def block_matrix(field, row_blocks, col_blocks, blocks):
+    """The matrix assembled from blocks, the one place block offsets are
+    computed.  `row_blocks` and `col_blocks` map each block key to its
+    size, in block order; `blocks` yields (row key, column key, matrix,
+    coefficient) placements, each added as coefficient * matrix (None
+    for one) at its block's offsets, in the order given."""
+    row_offset, col_offset = (
+        dict(zip(sizes, accumulate(sizes.values(), initial=0)))
+        for sizes in (row_blocks, col_blocks))
+    out = SparseMatrix(field, sum(row_blocks.values()),
+                       sum(col_blocks.values()))
+    for r, c, block, coeff in blocks:
+        if (block.rows, block.cols) != (row_blocks[r], col_blocks[c]):
+            raise DimensionMismatch(
+                f"block {block.rows}x{block.cols} does not fit at "
+                f"({r!r}, {c!r})")
+        out.add_block(block, row_offset[r], col_offset[c], coeff)
+    return out
 
 
 def rref(row_dicts):
@@ -620,7 +633,7 @@ def solve_linear(m, rhs):
 
 def image_subspace(m):
     """Column space of m, as a canonical subspace of the target."""
-    return Subspace.from_vectors(m.field, m.rows, m.columns())
+    return Subspace.from_vectors(m.field, m.rows, m.columns)
 
 
 @dataclass
@@ -699,6 +712,5 @@ def induced_map(f, src, dst):
         img = f.apply(row)
         if not dst.denominator.contains(img):
             return NotWellDefined(basis_vector=dict(row), image=img)
-    one = f.field.one
-    columns = [dst.project(f.apply({fcol: one})) for fcol in src.free_columns]
+    columns = [dst.project(f.columns[fcol]) for fcol in src.free_columns]
     return SparseMatrix.from_columns(f.field, dst.dim, columns)

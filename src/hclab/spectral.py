@@ -28,11 +28,7 @@ from .cycliccore import (
     mixed_complex_of_cyclic,
     require_descent,
 )
-from .cylinder.coefficients import (
-    BimoduleMq,
-    hopf_homology,
-    twisted_left_module,
-)
+from .cylinder.coefficients import hopf_homology
 from .exactlinalg import (
     MathError,
     NotInSubspace,
@@ -104,7 +100,7 @@ class RowComplexes:
         else:
             ker = kernel_basis(self.induced("row_boundary", p, q))
         img_in_ker = []
-        for col in self.induced("row_boundary", p + 1, q).columns():
+        for col in self.induced("row_boundary", p + 1, q).columns:
             if col:
                 try:
                     img_in_ker.append(ker.coords_of(col))
@@ -140,9 +136,8 @@ def compute_E1(cyl, max_p, max_q):
     rows = RowComplexes(cyl)
     entries = {}
     for q in range(max_q + 1):
-        bim = BimoduleMq(cyl, q)
-        mod = twisted_left_module(bim)
-        via_hopf = hopf_homology(cyl.hopf, mod.act, bim.dim, max_p)
+        mod = cyl.row_coefficients(q)
+        via_hopf = hopf_homology(cyl.hopf, mod.act, mod.dim, max_p)
         for p in range(max_p + 1):
             d_row = rows.homology_dim(p, q)
             d_hopf = via_hopf.dims[p]
@@ -222,30 +217,27 @@ def invariant_complex_N0(cyl, max_q):
         raise SpectralError("no normalized integral; not semisimple")
 
     subspaces = []
-    actions = []
     for q in range(max_q + 1):
-        bim = BimoduleMq(cyl, q)
-        mod = twisted_left_module(bim)
-        actions.append(mod)
+        mod = cyl.row_coefficients(q)
         rows = []
         for h in range(hopf.dim):
             eps = hopf.counit[h]
-            for target in range(bim.dim):
+            for target in range(mod.dim):
                 row = {}
-                for m in range(bim.dim):
+                for m in range(mod.dim):
                     c = mod.act(h, m).get(target, field.zero)
                     if m == target:
                         c = c - eps
                     if c:
                         row[m] = c
                 rows.append(row)
-        stacked = SparseMatrix.from_row_list(field, rows, bim.dim)
+        stacked = SparseMatrix.from_row_list(field, rows, mod.dim)
         subspaces.append(kernel_basis(stacked))
 
     # averaging projection onto invariants must hit every invariant and
     # identify them with the coinvariants
     for q in range(max_q + 1):
-        mod = actions[q]
+        mod = cyl.row_coefficients(q)
         sub = subspaces[q]
         for row in sub.rows:
             averaged = mod.act_vec(integral, row)
@@ -316,8 +308,7 @@ def coinvariant_dims(cyl, max_q):
     module (the degree-zero column entries, for any Hopf algebra)."""
     dims = []
     for q in range(max_q + 1):
-        bim = BimoduleMq(cyl, q)
-        mod = twisted_left_module(bim)
-        rep = hopf_homology(cyl.hopf, mod.act, bim.dim, 0)
+        mod = cyl.row_coefficients(q)
+        rep = hopf_homology(cyl.hopf, mod.act, mod.dim, 0)
         dims.append(rep.dims[0])
     return dims

@@ -519,3 +519,50 @@ def test_bad_coefficient_group_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input: bad group: unknown group name 'D3'" in captured.err
+
+
+@pytest.mark.parametrize("base,old,new", [
+    ("s3.scn", "perm = 1 : 1 0", "perm = -1 : 1 0"),
+    ("s5.scn", "map = 1 1 : 0 -1", "map = 1 -1 : 0 -1"),
+    ("s5.scn", "map = 1 1 : 0 -1", "map = -1 1 : 0 -1"),
+])
+def test_negative_action_index_exits_2_naming_its_line(tmp_path, capsys,
+                                                       base, old, new):
+    """A negative Hopf or algebra index would wrap round to another basis
+    element and fill its slot; the line is refused and named instead."""
+    text = read(base)
+    assert old in text
+    target = tmp_path / "negative-index.scn"
+    target.write_text(text.replace(old, new))
+    assert main(["hc", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(new) in captured.err
+
+
+@pytest.mark.parametrize("base,old,new", [
+    ("s1.scn", "field = Q", "field = Fpq 3"),
+    ("s1.scn", "field = Q", "field = Fp 3 junk"),
+    ("s1.scn", "field = Q", "field = Q junk"),
+    ("s1.scn", "field = Q", "field = Fp"),
+    ("s1.scn", "field = Q", "field = Fp -3"),
+    ("s1.scn", "kind = ground", "kind = ground junk"),
+    ("s5.scn", "kind = dual_numbers", "kind = dual_numbers 7"),
+    ("s5.scn", "kind = dual_numbers", "kind ="),
+])
+def test_stray_tokens_exit_2_with_their_line(tmp_path, capsys, base, old,
+                                             new):
+    """The field is `Q` or `Fp <p>` and `ground` and `dual_numbers` take
+    no argument: any other token is refused where it stands, not
+    dropped."""
+    lines = read(base).splitlines()
+    at = lines.index(old)
+    lines[at] = new
+    target = tmp_path / "stray.scn"
+    target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioError):
+        parse_scenario(target.read_text())
+    assert main(["hc", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid input: line {at + 1}: " in captured.err

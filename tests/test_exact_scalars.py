@@ -81,7 +81,7 @@ def assert_exact_entries(made, exact_types):
     counts = {kind: len(found) for kind, found in made.items()}
     checked = 0
     for label, m in operator_matrices(made):
-        for c in m.entries.values():
+        for c in (c for col in m.columns for c in col.values()):
             assert type(c) in exact_types, (label, c, type(c))
             assert c, (label, "stores a zero entry")
             checked += 1
@@ -149,7 +149,7 @@ def test_fractional_cocycle_reports_like_s2(built_instances):
     assert_exact_entries(built_instances, (int, Fraction))
     assert any(type(c) is Fraction
                for _, m in operator_matrices(built_instances)
-               for c in m.entries.values())
+               for col in m.columns for c in col.values())
     text = emit_report(report, machine=True)
     unscaled = emit_report(run_command("report", parse_scenario(base)),
                            machine=True)
