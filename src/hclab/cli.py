@@ -97,6 +97,16 @@ class InputCheckFailed(MathCheckFailed):
         self.checks = checks
 
 
+@dataclass(frozen=True)
+class ActionLine:
+    """One `perm` or `map` line of [action] and the line number it stands
+    on, which equality ignores: a scenario equals the scenario its
+    canonical text parses to."""
+
+    text: str
+    lineno: int = dc_field(default=None, compare=False)
+
+
 @dataclass
 class Scenario:
     field_characteristic: int
@@ -129,8 +139,8 @@ class Scenario:
             lines.append(f"kind = {self.algebra_kind}")
         lines.append("[action]")
         lines.append(f"kind = {self.action_kind}")
-        for raw in self.action_lines:
-            lines.append(raw)
+        for line in self.action_lines:
+            lines.append(line.text)
         lines.append("[cocycle]")
         lines.append(f"kind = {self.cocycle_kind}")
         if self.cocycle_values:
@@ -170,7 +180,7 @@ def parse_scenario(text):
         key, value = (s.strip() for s in line.split("=", 1))
         sec = section or ""
         if key in ("perm", "map") and sec == "action":
-            action_lines.append(f"{key} = {value}")
+            action_lines.append(ActionLine(f"{key} = {value}", lineno))
         elif key in SECTION_KEYS[sec]:
             data[sec][key] = (lineno, value)
         else:
@@ -217,6 +227,9 @@ def parse_scenario(text):
                             f"argument, got {algebra_arg!r}", kind_line)
 
     action_kind = take("action", "kind", "trivial")
+    if action_kind not in ("trivial", "permutation", "table"):
+        raise ScenarioError(f"unknown action kind {action_kind!r}",
+                            data["action"]["kind"][0])
     cocycle_kind = take("cocycle", "kind", "trivial")
     cocycle_values = ()
     if cocycle_kind in ("group_table", "table"):
@@ -230,7 +243,8 @@ def parse_scenario(text):
                 raise ScenarioError(f"bad cocycle scalar: {exc}",
                                     data["cocycle"]["values"][0])
     elif cocycle_kind != "trivial":
-        raise ScenarioError(f"unknown cocycle kind {cocycle_kind!r}")
+        raise ScenarioError(f"unknown cocycle kind {cocycle_kind!r}",
+                            data["cocycle"]["kind"][0])
 
     def int_opt(key, default):
         if key in data["compute"]:
@@ -367,16 +381,18 @@ def _build_action(scenario, field, hopf, algebra):
     if scenario.action_kind == "permutation":
         table = [None] * hopf.dim
         for line in scenario.action_lines:
-            body = line.split("=", 1)[1].strip()
+            body = line.text.split("=", 1)[1].strip()
             head, _, images = body.partition(":")
+            bad = ScenarioError(f"bad permutation line {line.text!r}",
+                                line.lineno)
             try:
                 h = int(head)
                 imgs = [int(x) for x in images.split()]
             except ValueError:
-                raise ScenarioError(f"bad permutation line {line!r}")
+                raise bad
             if not 0 <= h < hopf.dim or \
                     sorted(imgs) != list(range(algebra.dim)):
-                raise ScenarioError(f"bad permutation line {line!r}")
+                raise bad
             table[h] = [{imgs[a]: field.one} for a in range(algebra.dim)]
         if any(row is None for row in table):
             raise ScenarioError("permutation action must cover every "
@@ -385,16 +401,18 @@ def _build_action(scenario, field, hopf, algebra):
     if scenario.action_kind == "table":
         table = [[None] * algebra.dim for _ in range(hopf.dim)]
         for line in scenario.action_lines:
-            body = line.split("=", 1)[1].strip()
+            body = line.text.split("=", 1)[1].strip()
             head, _, coords = body.partition(":")
+            bad = ScenarioError(f"bad action table line {line.text!r}",
+                                line.lineno)
             try:
                 h, a = (int(x) for x in head.split())
                 vec = [field.parse(c) for c in coords.split()]
             except (ValueError, ExactLinalgError):
-                raise ScenarioError(f"bad action table line {line!r}")
+                raise bad
             if not (0 <= h < hopf.dim and 0 <= a < algebra.dim) or \
                     len(vec) != algebra.dim:
-                raise ScenarioError(f"bad action table line {line!r}")
+                raise bad
             table[h][a] = {i: c for i, c in enumerate(vec) if c}
         for h in range(hopf.dim):
             for a in range(algebra.dim):

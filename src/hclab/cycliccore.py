@@ -1,19 +1,21 @@
 """Paracyclic modules, mixed complexes and their homology.
 
 A paracyclic module is presented operationally: per-degree dimensions
-plus providers sending a basis index to the sparse image under each
-face, degeneracy and the cyclic rotation.  Operators are materialized
-to matrices only per degree, inside rank computations.
+plus providers, one per face, degeneracy and the cyclic rotation out of
+a degree, each returning a column: the list of the images of every basis
+vector, indexed by basis index.  An image is kept in one normal form,
+`normal_image`: an int index if it is a single basis vector with
+coefficient one, the shared ZERO if it is zero, else a sparse vector.
+Operators are materialized to matrices only per degree, inside rank
+computations, by copying those same columns.
 
 Identity checks never materialize: each relation is a row of two
 operator words, evaluated by first_violation over a stage's whole basis
 at once, and each check reads every operator through one OperatorTable
-of its own.
-A table keeps an image that is a single basis vector with coefficient
-one as its int index and a zero image as the shared ZERO, and inside the
-checked range every image of a head in one list; the evaluator takes
-that list as a word's first step, maps indices through a step with one
-builtin map, and compares an index with its sparse form as one vector.
+of its own, which keeps each column it reads.  The evaluator takes a
+word's first column as its images, maps indices through a later step's
+column with one builtin map, and compares an index with its sparse form
+as one vector.
 
 Sign conventions, pinned once and exercised by the mixed-complex
 contract (b*b = 0, B*B = 0, bB + Bb = 0 on normalized cyclic modules):
@@ -80,43 +82,14 @@ class TensorSpace:
         return tuple(out)
 
 
-def merge_slots(k, stride, d, pairs):
-    """Basis index k with its slots x (stride d * stride) and y (stride
-    `stride`), both of size d, merged into the vector pairs[x * d + y]."""
-    hi, rest = divmod(k, d * d * stride)
-    pair, lo = divmod(rest, stride)
-    base = hi * d * stride + lo
-    return {base + t * stride: c for t, c in pairs[pair].items()}
-
-
-def insert_slot(k, stride, d, unit):
-    """Basis index k with a slot of size d holding `unit` inserted at
-    stride `stride`."""
-    hi, lo = divmod(k, stride)
-    base = hi * d * stride + lo
-    return {base + u * stride: c for u, c in unit.items()}
-
-
-def apply_linear(op, vec, *args):
-    """The image of a sparse vector under the operator whose image of
-    basis vector k is op(*args, k): a sparse vector or an int basis index."""
-    out = {}
-    for k, c in vec.items():
-        image = op(*args, k)
-        if type(image) is int:
-            add_term(out, image, c)
-        else:
-            vec_add_into(out, image, c)
-    return out
-
-
-# the zero image of every operator table; shared, so never mutated
+# the zero image of every column; shared, so never mutated
 ZERO = {}
 
 
-def _normal(image, one):
-    """An image as a table keeps it: its int index if it is a single
-    basis vector with coefficient one, ZERO if it is zero, else itself."""
+def normal_image(image, one):
+    """A sparse vector in the form columns hold it: its int index if it
+    is a single basis vector with coefficient one, ZERO if it is zero,
+    else itself."""
     if not image:
         return ZERO
     if len(image) == 1:
@@ -126,73 +99,90 @@ def _normal(image, one):
     return image
 
 
+def slot_images(image, base, stride):
+    """The images of the `stride` basis vectors base + lo, lo < stride,
+    when a slot of stride `stride` receives `image` (in normal form): the
+    term t of image lands at base + lo + t * stride.  One basis vector
+    gives a range."""
+    if type(image) is int:
+        start = base + image * stride
+        return range(start, start + stride)
+    if image is ZERO:
+        return [ZERO] * stride
+    return [{b + t * stride: c for t, c in image.items()}
+            for b in range(base, base + stride)]
+
+
+def merge_column(dim, stride, d, pairs):
+    """The column, over the dim basis vectors of the source, of the
+    operator merging the slots x (stride d * stride) and y (stride
+    `stride`), both of size d, into the slot holding pairs[x * d + y]."""
+    out = []
+    for base in range(0, dim // d, d * stride):
+        for pair in pairs:
+            out.extend(slot_images(pair, base, stride))
+    return out
+
+
+def insert_column(dim, stride, d, unit):
+    """The column, over the dim basis vectors of the source, of the
+    operator inserting a slot of size d holding `unit` at stride
+    `stride`."""
+    out = []
+    for base in range(0, dim * d, d * stride):
+        out.extend(slot_images(unit, base, stride))
+    return out
+
+
+def apply_linear(column, vec):
+    """The image of a sparse vector under the operator whose image of
+    basis vector k is column[k]: a sparse vector or an int basis index."""
+    out = {}
+    for k, c in vec.items():
+        image = column[k]
+        if type(image) is int:
+            add_term(out, image, c)
+        else:
+            vec_add_into(out, image, c)
+    return out
+
+
+def compose_columns(outer, inner, one):
+    """The column of outer after inner, in normal form."""
+    return [outer[v] if type(v) is int
+            else v and normal_image(apply_linear(outer, v), one)
+            for v in inner]
+
+
 class OperatorTable:
-    """One operator's images op(*head, k), read through one table per
-    head (the arguments before the basis index k), indexed by k < dim(head).
+    """One operator's columns op(*head), one per head (the arguments that
+    place the operator), each computed on first read and kept with
+    whether all its images are int indices.
 
-    Where keep(head) holds, the head's images are computed together on
-    first use and kept as one list, each in _normal form.  Elsewhere a
-    buffer filled on first read keeps only the index and zero images and
-    any other image is recomputed, which bounds the table by what the
-    checked range reads.  An identity check builds its own tables, so no
-    image outlives the check; readers share the lists and must not mutate
-    them or the images in them.
-    """
+    An identity check builds its own tables, so no column outlives the
+    check; readers share the lists and must not mutate them or the
+    images in them."""
 
-    def __init__(self, op, one, dim, keep):
+    def __init__(self, op):
         self.op = op
-        self.one = one
-        self.dim = dim
-        self.keep = keep
         self._columns = {}
-        self._readers = {}
 
     def column(self, head):
-        """(the list of every image of a head where keep(head) holds,
-        whether all of them are int indices)."""
-        if head not in self._columns:
-            images = [_normal(self.op(*head, k), self.one)
-                      for k in range(self.dim(head))]
-            self._columns[head] = images, set(map(type, images)) <= {int}
-        return self._columns[head]
-
-    def reader(self, head):
-        """op(*head, k) as a function of k alone: an int basis index,
-        ZERO or a sparse vector."""
-        read = self._readers.get(head)
-        if read is None:
-            read = self._readers[head] = (
-                self.column(head)[0].__getitem__ if self.keep(head)
-                else self._reader(head))
-        return read
-
-    def _reader(self, head):
-        op, one = self.op, self.one
-        # 0 unread, j + 1 for basis index j, -1 for zero: four bytes an
-        # entry where they fit, in a builtin buffer (array is an extension)
-        dim = self.dim(head)
-        width, code = (4, "i") if dim < 2 ** 31 else (8, "q")
-        index = memoryview(bytearray(width * dim)).cast(code)
-
-        def read(k):
-            j = index[k]
-            if j > 0:
-                return j - 1
-            if j:
-                return ZERO
-            image = _normal(op(*head, k), one)
-            if type(image) is int:
-                index[k] = image + 1
-            elif image is ZERO:
-                index[k] = -1
-            return image
-        return read
+        """(the list of every image of a head, whether all are int
+        indices)."""
+        got = self._columns.get(head)
+        if got is None:
+            images = self.op(*head)
+            got = self._columns[head] = (
+                images, set(map(type, images)) <= {int})
+        return got
 
 
 class ParacyclicModule:
-    """Base class; subclasses provide dims and the operator families.
+    """Base class; subclasses provide dims and the operator families,
+    each as the column of one operator out of one degree.
 
-    Every raw operator matrix is built here, from the providers, and is
+    Every raw operator matrix is built here, from those columns, and is
     not kept: its users keep what they induce from it.  A module with
     faces only inherits b."""
 
@@ -201,13 +191,13 @@ class ParacyclicModule:
     def dim(self, n):
         raise NotImplementedError
 
-    def face(self, n, i, k):
+    def face(self, n, i):
         raise NotImplementedError
 
-    def degeneracy(self, n, i, k):
+    def degeneracy(self, n, i):
         raise NotImplementedError
 
-    def rotate(self, n, k):
+    def rotate(self, n):
         raise NotImplementedError
 
     # matrix-backed modules only know finitely many degrees; provider
@@ -221,38 +211,30 @@ class ParacyclicModule:
     def rotate_available(self, n):
         return n >= 0
 
-    def operator_steps(self, max_degree):
+    def operator_steps(self):
         """(d, s, t) for the relation table: d(n, i), s(n, i) and t(n) are
         the (operator, args) steps of face_i, deg_i and the rotation out
-        of degree n, read through one OperatorTable per operator that
-        keeps the images out of degrees through max_degree."""
-        def dim(head):
-            return self.dim(head[0])
-
-        def in_range(head):
-            return head[0] <= max_degree
-
+        of degree n, read through one OperatorTable per operator."""
         face, degeneracy, rotate = (
-            OperatorTable(op, self.field.one, dim, in_range)
+            OperatorTable(op)
             for op in (self.face, self.degeneracy, self.rotate))
         return (lambda n, i: (face, (n, i)),
                 lambda n, i: (degeneracy, (n, i)),
                 lambda n: (rotate, (n,)))
 
     # -- materialized matrices ---------------------------------------------
-    # (the images are read one at a time, so each is dropped once copied)
 
     def face_matrix(self, n, i):
-        cols = (self.face(n, i, k) for k in range(self.dim(n)))
-        return SparseMatrix.from_columns(self.field, self.dim(n - 1), cols)
+        return SparseMatrix.from_columns(self.field, self.dim(n - 1),
+                                         self.face(n, i))
 
     def degeneracy_matrix(self, n, i):
-        cols = (self.degeneracy(n, i, k) for k in range(self.dim(n)))
-        return SparseMatrix.from_columns(self.field, self.dim(n + 1), cols)
+        return SparseMatrix.from_columns(self.field, self.dim(n + 1),
+                                         self.degeneracy(n, i))
 
     def rotate_matrix(self, n):
-        cols = (self.rotate(n, k) for k in range(self.dim(n)))
-        return SparseMatrix.from_columns(self.field, self.dim(n), cols)
+        return SparseMatrix.from_columns(self.field, self.dim(n),
+                                         self.rotate(n))
 
     def boundary_matrix(self, n):
         """b = alternating sum of the faces; the zero map for n = 0."""
@@ -321,7 +303,10 @@ class AlgebraCyclicModule(ParacyclicModule):
         self.field = algebra.field
         self._spaces = {}
         self.cap = DEFAULT_DIMENSION_CAP if cap is None else cap
-        self._pairs = [v for row in algebra.mul_table for v in row]
+        one = self.field.one
+        self._pairs = [normal_image(v, one)
+                       for row in algebra.mul_table for v in row]
+        self._unit = normal_image(algebra.unit, one)
 
     def space(self, n):
         if n not in self._spaces:
@@ -332,22 +317,33 @@ class AlgebraCyclicModule(ParacyclicModule):
     def dim(self, n):
         return self.space(n).size
 
-    def face(self, n, i, k):
+    def face(self, n, i):
         if n < 1:
             raise ValueError("no faces in degree 0")
         d = self.algebra.dim
         if i == n:
             # the wrap-around face is face_0 after the rotation
-            k, i = k % d * d ** n + k // d, 0
-        return merge_slots(k, d ** (n - 1 - i), d, self._pairs)
+            return list(map(self.face(n, 0).__getitem__,
+                            _rotation_column(self.dim(n), d)))
+        return merge_column(self.dim(n), d ** (n - 1 - i), d, self._pairs)
 
-    def degeneracy(self, n, i, k):
+    def degeneracy(self, n, i):
         d = self.algebra.dim
-        return insert_slot(k, d ** (n - i), d, self.algebra.unit)
+        return insert_column(self.dim(n), d ** (n - i), d, self._unit)
 
-    def rotate(self, n, k):
-        d = self.algebra.dim
-        return {k % d * d ** n + k // d: self.field.one}
+    def rotate(self, n):
+        return _rotation_column(self.dim(n), self.algebra.dim)
+
+
+def _rotation_column(dim, d):
+    """The column of indices of the rotation that moves the last slot, of
+    size d, of a tensor power of dimension dim to the front: basis vector
+    a * d + r goes to r * (dim / d) + a."""
+    low = dim // d
+    out = [0] * dim
+    for r in range(d):
+        out[r::d] = range(r * low, (r + 1) * low)
+    return out
 
 
 class MatrixParacyclicModule(ParacyclicModule):
@@ -365,14 +361,22 @@ class MatrixParacyclicModule(ParacyclicModule):
     def dim(self, n):
         return self.dims[n]
 
-    def face(self, n, i, k):
-        return self.faces[(n, i)].columns[k]
+    def face(self, n, i):
+        return self._column(self.faces, (n, i), n)
 
-    def degeneracy(self, n, i, k):
-        return self.degeneracies[(n, i)].columns[k]
+    def degeneracy(self, n, i):
+        return self._column(self.degeneracies, (n, i), n)
 
-    def rotate(self, n, k):
-        return self.rotations[n].columns[k]
+    def rotate(self, n):
+        return self._column(self.rotations, n, n)
+
+    def _column(self, matrices, key, n):
+        """The stored matrix's columns in normal form; out of a zero space
+        none, where no matrix need be stored."""
+        if key not in matrices and self.dims[n] == 0:
+            return []
+        one = self.field.one
+        return [normal_image(col, one) for col in matrices[key].columns]
 
     def face_available(self, n):
         return (n, 0) in self.faces or (1 <= n <= self.max_degree
@@ -390,26 +394,25 @@ def first_violation(stages, one):
     """The first relation that fails, as (name, basis index k), or None.
 
     A relation is a row (name, lhs, rhs) of two words.  A word is a
-    sequence of (operator, args) steps applied in turn, op(*args, k)
-    being the image of basis vector k; the empty word is the identity.
-    An operator is a provider returning a sparse vector, an int basis
-    index for a single basis vector with coefficient one, or an
-    OperatorTable read at the head args.  A stage (dim, relations) is
-    evaluated over all k < dim at once, a list of images per word, so the
-    failure is the first failing stage's least failing k and the earliest
-    row failing there: what a walk of the rows on one basis vector after
-    another meets first.  Images are only compared, so may be shared.
+    sequence of (operator, args) steps applied in turn; the empty word is
+    the identity.  An operator is an OperatorTable, read at the head
+    args, or a function whose op(*args) is the column the step reads:
+    the list of the images of every basis vector, each an int basis index
+    for a single basis vector with coefficient one or a sparse vector.  A
+    stage (dim, relations) is evaluated over all k < dim at once, a list
+    of images per word, so the failure is the first failing stage's least
+    failing k and the earliest row failing there: what a walk of the
+    rows on one basis vector after another meets first.  Images are only
+    compared, so may be shared.
     """
     for dim, relations in stages:
-        # the distinct first steps of the stage, each read once per vector
-        heads = {}
-        rows = [(name, _compile(lhs, heads), _compile(rhs, heads))
+        # the distinct steps of the stage, each column read once
+        steps = {}
+        rows = [(name, _compile(lhs, steps), _compile(rhs, steps))
                 for name, lhs, rhs in relations]
-        heads = [_column(*step, dim) for step in heads]
         first = None
         for name, lhs, rhs in rows:
-            k = _first_difference(_images(lhs, dim, heads)[0],
-                                  _images(rhs, dim, heads)[0],
+            k = _first_difference(_images(lhs, dim), _images(rhs, dim),
                                   dim if first is None else first[1], one)
             if k is not None:
                 first = name, k
@@ -418,46 +421,39 @@ def first_violation(stages, one):
     return None
 
 
-def _column(op, args, dim):
-    """The images of basis vectors 0..dim-1 under the first step (op, args)
-    and whether all are int indices: an in-range table's own list."""
-    if isinstance(op, OperatorTable) and op.keep(args):
-        return op.column(args)
-    return _images((None, (_step(op, args),)), dim, ())
+def _compile(word, steps):
+    """The word's steps, each as (its column, whether all its images are
+    int indices), read once per stage through `steps`."""
+    out = []
+    for step in word:
+        column = steps.get(step)
+        if column is None:
+            op, args = step
+            if isinstance(op, OperatorTable):
+                column = op.column(args)
+            else:
+                images = op(*args)
+                column = images, set(map(type, images)) <= {int}
+            steps[step] = column
+        out.append(column)
+    return out
 
 
-def _step(op, args):
-    """The step (op, args) as (a function of the basis index alone,
-    whether it is known to send every basis vector to an int index)."""
-    if isinstance(op, OperatorTable):
-        return op.reader(args), op.keep(args) and op.column(args)[1]
-    return functools.partial(op, *args), False
-
-
-def _compile(word, heads):
-    """(index of the word's first step in heads, the steps after it as
-    _step gives them); (None, ()) for the empty word."""
+def _images(word, dim):
+    """The list of a compiled word's images of basis vectors 0..dim-1:
+    one builtin map through a step while every image is an index."""
     if not word:
-        return None, ()
-    return (heads.setdefault(word[0], len(heads)),
-            tuple(_step(*step) for step in word[1:]))
-
-
-def _images(word, dim, heads):
-    """(the list of a compiled word's images of basis vectors 0..dim-1,
-    whether all are int indices): one builtin map through a step while
-    every image is an index."""
-    head, rest = word
-    images, indices = (list(range(dim)), True) if head is None else heads[head]
-    for step, to_indices in rest:
+        return list(range(dim))
+    (images, indices), *rest = word
+    for column, to_indices in rest:
         if indices:
-            images = list(map(step, images))
+            images = list(map(column.__getitem__, images))
             indices = to_indices or set(map(type, images)) <= {int}
         else:
             # a zero image stays the zero it is
-            images = [step(v) if type(v) is int
-                      else v and apply_linear(step, v) for v in images]
-    return images, indices
+            images = [column[v] if type(v) is int
+                      else v and apply_linear(column, v) for v in images]
+    return images
 
 
 def _first_difference(u, v, end, one):
@@ -479,14 +475,14 @@ def _same(u, v, one):
 
 
 def matrix_columns(build):
-    """The provider whose image of basis vector k, after the arguments
-    `head`, is column k of build(*head); each matrix is built once, on
-    first use."""
+    """The column function whose column at the arguments `head` is the
+    list of columns of build(*head); each matrix is built once, on first
+    use."""
     build = functools.cache(build)
 
-    def column(*args):
-        return build(*args[:-1]).columns[args[-1]]
-    return column
+    def columns(*head):
+        return build(*head).columns
+    return columns
 
 
 def _paracyclic_stages(module, max_degree, steps):
@@ -534,7 +530,7 @@ def _paracyclic_stages(module, max_degree, steps):
 def check_paracyclic(module, max_degree):
     """Verify every simplicial and paracyclic relation on every basis
     vector through max_degree; None, or the first violation found."""
-    steps = module.operator_steps(max_degree)
+    steps = module.operator_steps()
     bad = first_violation(_paracyclic_stages(module, max_degree, steps),
                           module.field.one)
     return None if bad is None else RelationViolation(*bad[0], bad[1])
@@ -544,7 +540,7 @@ def check_cyclic(module, max_degree):
     """check_paracyclic plus rotate^(n+1) = id in every degree; both
     read one table of each operator, so every rotation image through
     max_degree is evaluated once."""
-    steps = module.operator_steps(max_degree)
+    steps = module.operator_steps()
     t = steps[2]
     identities = [(module.dim(n), [(("rotate^(n+1) = id", n),
                                     (t(n),) * (n + 1), ())])
@@ -578,8 +574,8 @@ def degeneracy_quotient(pieces):
     vectors = []
     for module, n in pieces:
         for i in range(n):
-            vectors.extend(module.degeneracy(n - 1, i, k)
-                           for k in range(module.dim(n - 1)))
+            vectors.extend({v: field.one} if type(v) is int else v
+                           for v in module.degeneracy(n - 1, i))
     if not vectors:
         return full_quotient(field, dim)
     return quotient_space(dim, Subspace.from_vectors(field, dim, vectors))

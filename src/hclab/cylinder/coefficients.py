@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..cycliccore import (
     HomologyReport, OperatorTable, ParacyclicModule, TensorSpace,
-    first_violation, homology_dims, matrix_columns)
+    first_violation, homology_dims, matrix_columns, normal_image)
 from ..exactlinalg import (
     MathError, SparseMatrix, add_term, expand, vec_add_into)
 
@@ -165,24 +165,29 @@ class HochschildComplex(ParacyclicModule):
     def dim(self, p):
         return self.space(p).size
 
-    def face(self, p, i, k):
+    def face(self, p, i):
         src, dst = self.space(p), self.space(p - 1)
-        tup = src.decode(k)
-        m, hs = tup[0], tup[1:]
-        out = {}
-        if i == 0:
-            img = self.bimodule.right(m, hs[0])
-            for mm, c in img.items():
-                add_term(out, dst.encode((mm,) + hs[1:]), c)
-        elif i < p:
-            prod = self.ring.multiply_basis(hs[i - 1], hs[i])
-            for t, c in prod.items():
-                add_term(out, dst.encode((m,) + hs[:i - 1] + (t,) + hs[i + 1:]), c)
-        else:
-            img = self.bimodule.left(hs[p - 1], m)
-            for mm, c in img.items():
-                add_term(out, dst.encode((mm,) + hs[:p - 1]), c)
-        return out
+        one = self.field.one
+        column = []
+        for k in range(src.size):
+            tup = src.decode(k)
+            m, hs = tup[0], tup[1:]
+            out = {}
+            if i == 0:
+                img = self.bimodule.right(m, hs[0])
+                for mm, c in img.items():
+                    add_term(out, dst.encode((mm,) + hs[1:]), c)
+            elif i < p:
+                prod = self.ring.multiply_basis(hs[i - 1], hs[i])
+                for t, c in prod.items():
+                    add_term(out, dst.encode(
+                        (m,) + hs[:i - 1] + (t,) + hs[i + 1:]), c)
+            else:
+                img = self.bimodule.left(hs[p - 1], m)
+                for mm, c in img.items():
+                    add_term(out, dst.encode((mm,) + hs[:p - 1]), c)
+            column.append(normal_image(out, one))
+        return column
 
 
 def check_row_identification(cyl, twisted_algebra, q, max_p):
@@ -193,11 +198,16 @@ def check_row_identification(cyl, twisted_algebra, q, max_p):
     bim = cyl.row_coefficients(q).bimodule
     hc = HochschildComplex(twisted_algebra, bim)
 
-    def rebracket(p, k):
-        """The basis index that basis vector k of (p, q) rebrackets to."""
-        tup = cyl.space(p, q).decode(k)
-        m = bim.space.encode((tup[0],) + tup[p + 1:])
-        return hc.space(p).encode((m,) + tup[1:p + 1])
+    def rebracket(p):
+        """The basis index that each basis vector of (p, q) rebrackets
+        to."""
+        src, dst = cyl.space(p, q), hc.space(p)
+        column = []
+        for k in range(src.size):
+            tup = src.decode(k)
+            m = bim.space.encode((tup[0],) + tup[p + 1:])
+            column.append(dst.encode((m,) + tup[1:p + 1]))
+        return column
 
     stages = ((cyl.dim(p, q), [
         (f"face {i} disagrees at row {q}, degree {p}, basis {{k}}",
@@ -299,22 +309,28 @@ class HopfComplex(ParacyclicModule):
     def dim(self, p):
         return self.space(p).size
 
-    def face(self, p, i, k):
+    def face(self, p, i):
         src, dst = self.space(p), self.space(p - 1)
-        tup = src.decode(k)
-        hs, m = tup[:p], tup[p]
-        out = {}
-        if i == 0:
-            add_term(out, dst.encode(hs[1:] + (m,)), self.hopf.counit[hs[0]])
-        elif i < p:
-            prod = self.hopf.algebra.multiply_basis(hs[i - 1], hs[i])
-            for t, c in prod.items():
-                add_term(out, dst.encode(hs[:i - 1] + (t,) + hs[i + 1:] + (m,)), c)
-        else:
-            img = self.act(hs[p - 1], m)
-            for mm, c in img.items():
-                add_term(out, dst.encode(hs[:p - 1] + (mm,)), c)
-        return out
+        one = self.field.one
+        column = []
+        for k in range(src.size):
+            tup = src.decode(k)
+            hs, m = tup[:p], tup[p]
+            out = {}
+            if i == 0:
+                add_term(out, dst.encode(hs[1:] + (m,)),
+                         self.hopf.counit[hs[0]])
+            elif i < p:
+                prod = self.hopf.algebra.multiply_basis(hs[i - 1], hs[i])
+                for t, c in prod.items():
+                    add_term(out, dst.encode(
+                        hs[:i - 1] + (t,) + hs[i + 1:] + (m,)), c)
+            else:
+                img = self.act(hs[p - 1], m)
+                for mm, c in img.items():
+                    add_term(out, dst.encode(hs[:p - 1] + (mm,)), c)
+            column.append(normal_image(out, one))
+        return column
 
 
 class HopfComplexError(MathError):
@@ -410,8 +426,7 @@ def check_maclane(cyl, twisted_algebra, q, max_p):
     hx = HopfComplex(cyl.hopf, mod.act, bim.dim)
     theta = matrix_columns(lambda p: hochschild_to_hopf(bim, p))
     inverse = matrix_columns(lambda p: hopf_to_hochschild(bim, p))
-    hopf_face = OperatorTable(hx.face, cyl.field.one,
-                              lambda head: hx.dim(head[0]), lambda head: True)
+    hopf_face = OperatorTable(hx.face)
 
     def stages():
         for p in range(max_p + 1):
@@ -480,6 +495,10 @@ def check_coefficient_action(cyl, q):
     Hopf basis vector h."""
     mod = cyl.row_coefficients(q)
     closed = matrix_columns(coefficient_action_matrix(cyl, q).__getitem__)
-    stages = ((mod.dim, [(h, ((closed, (h,)),), ((mod.act, (h,)),))])
+
+    def act(h):
+        return [mod.act(h, m) for m in range(mod.dim)]
+
+    stages = ((mod.dim, [(h, ((closed, (h,)),), ((act, (h,)),))])
               for h in range(cyl.hopf.dim))
     return first_violation(stages, cyl.field.one)

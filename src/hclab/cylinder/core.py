@@ -9,8 +9,8 @@ antipode of the product of first legs.  The horizontal family (in p)
 merges Hopf slots at the price of a cocycle scalar; its rotation pushes
 the last Hopf slot around while acting on every coefficient slot.  Both
 wrap-around faces are defined as face_0 composed with the rotation,
-which the paracyclic relations force; the closed forms are exposed
-separately so the two can be compared.
+which the paracyclic relations force: face_0's column read through the
+rotation's.
 
 The cylindricity contract, verified exhaustively: rows and columns are
 paracyclic, the families commute slotwise, and the vertical rotation to
@@ -31,15 +31,18 @@ from ..cycliccore import (
     OperatorTable,
     ParacyclicModule,
     QuotientStore,
+    ZERO,
     TensorSpace,
-    apply_linear,
     check_paracyclic,
+    compose_columns,
     degeneracy_quotient,
     first_violation,
-    insert_slot,
+    insert_column,
     matrix_columns,
-    merge_slots,
+    merge_column,
+    normal_image,
     require_descent,
+    slot_images,
 )
 from ..exactlinalg import (
     DEFAULT_DIMENSION_CAP,
@@ -59,7 +62,8 @@ class HopfCrossedCylinder:
 
     Basis index k at (p, q) is G * dA^(q+1) + a, G indexing the Hopf
     string g_0..g_p and a the coefficients a_0..a_q, first slot most
-    significant.  Providers compute target indices from k by strides."""
+    significant.  Each provider returns the column of one operator out of
+    one bidegree, computing target indices by strides."""
 
     def __init__(self, hopf, action, cocycle, cap=None):
         self.hopf = hopf
@@ -69,8 +73,13 @@ class HopfCrossedCylinder:
         self.field = hopf.field
         self.cap = DEFAULT_DIMENSION_CAP if cap is None else cap
         self._spaces = {}
-        self._vpairs = [v for row in self.algebra.mul_table for v in row]
-        self._hpairs = _twisted_products(hopf, cocycle)
+        one = self.field.one
+        self._vpairs = [normal_image(v, one)
+                        for row in self.algebra.mul_table for v in row]
+        self._hpairs = [normal_image(v, one)
+                        for v in _twisted_products(hopf, cocycle)]
+        self._aunit = normal_image(self.algebra.unit, one)
+        self._hunit = normal_image(hopf.algebra.unit, one)
         self._vrot_terms = functools.cache(
             functools.partial(_conjugation_terms, hopf, action))
         self._hrot_terms = functools.cache(
@@ -93,89 +102,70 @@ class HopfCrossedCylinder:
 
     # -- vertical family (coefficient direction, degree q) --------------------
 
-    def vface(self, p, q, i, k):
+    def vface(self, p, q, i):
         if q < 1:
             raise ValueError("no vertical faces in column degree 0")
         if i == q:
             # the wrap-around face is face_0 composed with the rotation
-            return apply_linear(self.vface, self.vrot(p, q, k), p, q, 0)
+            return compose_columns(self.vface(p, q, 0), self.vrot(p, q),
+                                   self.field.one)
         dA = self.algebra.dim
-        return merge_slots(k, dA ** (q - 1 - i), dA, self._vpairs)
+        return merge_column(self.dim(p, q), dA ** (q - 1 - i), dA,
+                            self._vpairs)
 
-    def vface_last_direct(self, p, q, k):
-        """Closed form of the vertical wrap-around face; must agree with
-        face_0 composed with the rotation."""
-        tup = self.space(p, q).decode(k)
-        gs, avs = tup[:p + 1], tup[p + 1:]
-        tgt = self.space(p, q - 1)
-        out = {}
-        for coef, legs in self.hopf.sweedler_product([(g, 2) for g in gs]):
-            u = self.hopf.product_of_basis([t[0] for t in legs])
-            su = self.hopf.antipode_of(u)
-            w = self.action.apply(su, {avs[q]: self.field.one})
-            wa0 = self.algebra.multiply(w, {avs[0]: self.field.one})
-            g2 = tuple(t[1] for t in legs)
-            for t, c in expand(coef, g2 + (wa0,) + avs[1:q]).items():
-                add_term(out, tgt.encode(t), c)
-        return out
-
-    def vdeg(self, p, q, i, k):
+    def vdeg(self, p, q, i):
         dA = self.algebra.dim
-        return insert_slot(k, dA ** (q - i), dA, self.algebra.unit)
+        return insert_column(self.dim(p, q), dA ** (q - i), dA, self._aunit)
 
-    def vrot(self, p, q, k):
+    def vrot(self, p, q):
+        # basis vector (G, rest, last) goes to the terms m of G's
+        # conjugation of `last`, each followed by `rest`
         dA = self.algebra.dim
         low = dA ** q
-        hopf_string, a = divmod(k, low * dA)
-        rest, last = divmod(a, dA)
-        return {m * low + rest: c
-                for m, c in self._vrot_terms(p, hopf_string)[last]}
+        block = low * dA
+        out = [ZERO] * self.dim(p, q)
+        for hopf_string in range(self.hopf.dim ** (p + 1)):
+            base = hopf_string * block
+            for last, terms in enumerate(self._vrot_terms(p, hopf_string)):
+                out[base + last:base + block:dA] = slot_images(terms, 0, low)
+        return out
 
     # -- horizontal family (Hopf direction, degree p) -------------------------
 
-    def hface(self, p, q, i, k):
+    def hface(self, p, q, i):
         if p < 1:
             raise ValueError("no horizontal faces in row degree 0")
         if i == p:
-            return apply_linear(self.hface, self.hrot(p, q, k), p, q, 0)
+            return compose_columns(self.hface(p, q, 0), self.hrot(p, q),
+                                   self.field.one)
         dH = self.hopf.dim
-        return merge_slots(k, dH ** (p - 1 - i) * self.algebra.dim ** (q + 1),
-                           dH, self._hpairs)
+        return merge_column(self.dim(p, q),
+                            dH ** (p - 1 - i) * self.algebra.dim ** (q + 1),
+                            dH, self._hpairs)
 
-    def hface_last_direct(self, p, q, k):
-        """Closed form of the horizontal wrap-around face; must agree with
-        face_0 composed with the rotation."""
-        tup = self.space(p, q).decode(k)
-        gs, avs = tup[:p + 1], tup[p + 1:]
-        tgt = self.space(p - 1, q)
-        out = {}
-        for c0, m in self.hopf.sweedler(gs[p], q + 3):
-            for c1, (y1, y2) in self.hopf.sweedler(gs[0], 2):
-                w = c0 * c1 * self.cocycle.values[m[q + 2]][y2]
-                if not w:
-                    continue
-                head = self.hopf.algebra.multiply_basis(m[q + 1], y1)
-                acted = tuple(self.action.apply_basis(m[j], avs[j])
-                              for j in range(q + 1))
-                for t, ct in head.items():
-                    for term, c in expand(w * ct,
-                                          (t,) + gs[1:p] + acted).items():
-                        add_term(out, tgt.encode(term), c)
-        return out
-
-    def hdeg(self, p, q, i, k):
+    def hdeg(self, p, q, i):
         dH = self.hopf.dim
-        return insert_slot(k, dH ** (p - i) * self.algebra.dim ** (q + 1),
-                           dH, self.hopf.algebra.unit)
+        return insert_column(self.dim(p, q),
+                             dH ** (p - i) * self.algebra.dim ** (q + 1), dH,
+                             self._hunit)
 
-    def hrot(self, p, q, k):
+    def hrot(self, p, q):
+        # basis vector (head, last, a) goes to the terms of (last, a) with
+        # the moved leg at stride `lead`, shifted by head
         dH = self.hopf.dim
         size = self.algebra.dim ** (q + 1)
-        hopf_string, a = divmod(k, size)
-        head, last = divmod(hopf_string, dH)
-        lead, base = dH ** p * size, head * size
-        return {h * lead + base + b: c
-                for (h, b), c in self._hrot_terms(q, last, a)}
+        lead = dH ** p * size
+        one = self.field.one
+        tail = [normal_image({h * lead + b: c
+                              for (h, b), c in self._hrot_terms(q, last, a)},
+                             one)
+                for last in range(dH) for a in range(size)]
+        out = []
+        for base in range(0, lead, size):
+            out.extend(image + base if type(image) is int
+                       else image and {j + base: c for j, c in image.items()}
+                       for image in tail)
+        return out
 
     # -- adapters ------------------------------------------------------------
 
@@ -200,69 +190,45 @@ class HopfCrossedCylinder:
 
 
 class _RowModule(ParacyclicModule):
-    """The q-th row: degree p with the horizontal family.  Its checks
-    read the cylinder's operator tables `tables` (see operator_tables),
-    or tables of their own."""
+    """The q-th row: degree p with the horizontal family."""
 
-    def __init__(self, cyl, q, tables=None):
+    def __init__(self, cyl, q):
         self.cyl = cyl
         self.q = q
         self.field = cyl.field
-        self.tables = tables
 
     def dim(self, n):
         return self.cyl.dim(n, self.q)
 
-    def face(self, n, i, k):
-        return self.cyl.hface(n, self.q, i, k)
+    def face(self, n, i):
+        return self.cyl.hface(n, self.q, i)
 
-    def degeneracy(self, n, i, k):
-        return self.cyl.hdeg(n, self.q, i, k)
+    def degeneracy(self, n, i):
+        return self.cyl.hdeg(n, self.q, i)
 
-    def rotate(self, n, k):
-        return self.cyl.hrot(n, self.q, k)
-
-    def operator_steps(self, max_degree):
-        tables = self.tables or operator_tables(self.cyl, max_degree, self.q)
-        return _family_steps(tables, "h", lambda n: (n, self.q))
+    def rotate(self, n):
+        return self.cyl.hrot(n, self.q)
 
 
 class _ColumnModule(ParacyclicModule):
-    """The p-th column: degree q with the vertical family.  Its checks
-    read the cylinder's operator tables `tables` (see operator_tables),
-    or tables of their own."""
+    """The p-th column: degree q with the vertical family."""
 
-    def __init__(self, cyl, p, tables=None):
+    def __init__(self, cyl, p):
         self.cyl = cyl
         self.p = p
         self.field = cyl.field
-        self.tables = tables
 
     def dim(self, n):
         return self.cyl.dim(self.p, n)
 
-    def face(self, n, i, k):
-        return self.cyl.vface(self.p, n, i, k)
+    def face(self, n, i):
+        return self.cyl.vface(self.p, n, i)
 
-    def degeneracy(self, n, i, k):
-        return self.cyl.vdeg(self.p, n, i, k)
+    def degeneracy(self, n, i):
+        return self.cyl.vdeg(self.p, n, i)
 
-    def rotate(self, n, k):
-        return self.cyl.vrot(self.p, n, k)
-
-    def operator_steps(self, max_degree):
-        tables = self.tables or operator_tables(self.cyl, self.p, max_degree)
-        return _family_steps(tables, "v", lambda n: (self.p, n))
-
-
-def _family_steps(tables, prefix, bidegree):
-    """ParacyclicModule.operator_steps for one family of the cylinder,
-    read through its operator tables; bidegree(n) places degree n."""
-    face, degeneracy, rotate = (tables[prefix + name]
-                                for name in ("face", "deg", "rot"))
-    return (lambda n, i: (face, bidegree(n) + (i,)),
-            lambda n, i: (degeneracy, bidegree(n) + (i,)),
-            lambda n: (rotate, bidegree(n)))
+    def rotate(self, n):
+        return self.cyl.vrot(self.p, n)
 
 
 class DiagonalModule(ParacyclicModule):
@@ -278,16 +244,17 @@ class DiagonalModule(ParacyclicModule):
     def space(self, n):
         return self.cyl.space(n, n)
 
-    def face(self, n, i, k):
-        step = self.cyl.hface(n, n, i, k)
-        return apply_linear(self.cyl.vface, step, n - 1, n, i)
+    def face(self, n, i):
+        return compose_columns(self.cyl.vface(n - 1, n, i),
+                               self.cyl.hface(n, n, i), self.field.one)
 
-    def degeneracy(self, n, i, k):
-        step = self.cyl.hdeg(n, n, i, k)
-        return apply_linear(self.cyl.vdeg, step, n + 1, n, i)
+    def degeneracy(self, n, i):
+        return compose_columns(self.cyl.vdeg(n + 1, n, i),
+                               self.cyl.hdeg(n, n, i), self.field.one)
 
-    def rotate(self, n, k):
-        return apply_linear(self.cyl.vrot, self.cyl.hrot(n, n, k), n, n)
+    def rotate(self, n):
+        return compose_columns(self.cyl.vrot(n, n), self.cyl.hrot(n, n),
+                               self.field.one)
 
 
 def _twisted_products(hopf, cocycle):
@@ -306,9 +273,10 @@ def _twisted_products(hopf, cocycle):
 
 
 def _conjugation_terms(hopf, action, p, hopf_string):
-    """vrot's terms (m, c) for the Hopf string hopf_string at degree p, per
-    last coefficient slot a_q: m indexes the second legs, then a_q acted
-    on by the antipode of the product of the first legs."""
+    """vrot's image, in normal form, for the Hopf string hopf_string at
+    degree p, per last coefficient slot a_q: its terms m index the second
+    legs, then a_q acted on by the antipode of the product of the first
+    legs."""
     dH, dA, one = hopf.dim, action.algebra.dim, hopf.field.one
     merged = [{} for _ in range(dA)]
     gs = [hopf_string // dH ** e % dH for e in range(p, -1, -1)]
@@ -318,7 +286,7 @@ def _conjugation_terms(hopf, action, p, hopf_string):
         for last, terms in enumerate(merged):
             for w, cw in action.apply(su, {last: one}).items():
                 add_term(terms, second * dA + w, coef * cw)
-    return [tuple(terms.items()) for terms in merged]
+    return [normal_image(terms, one) for terms in merged]
 
 
 def _pushed_terms(hopf, action, q, g, a):
@@ -344,56 +312,52 @@ def build_cylinder(hopf, action, cocycle, cap=None):
     return HopfCrossedCylinder(hopf, action, cocycle, cap=cap)
 
 
-def operator_tables(cyl, max_p, max_q):
-    """One OperatorTable per cylinder provider, by provider name, keeping
-    every image out of a bidegree through (max_p, max_q)."""
-    def dim(head):
-        return cyl.dim(head[0], head[1])
+PROVIDER_NAMES = ("vface", "vdeg", "vrot", "hface", "hdeg", "hrot")
 
-    def in_range(head):
-        return head[0] <= max_p and head[1] <= max_q
 
-    return {name: OperatorTable(getattr(cyl, name), cyl.field.one, dim,
-                                in_range)
-            for name in ("vface", "vdeg", "vrot", "hface", "hdeg", "hrot")}
+def operator_tables(cyl):
+    """One OperatorTable per cylinder provider, by provider name."""
+    return {name: OperatorTable(getattr(cyl, name))
+            for name in PROVIDER_NAMES}
 
 
 def check_cylindrical(cyl, max_p, max_q):
     """Row and column paracyclicity, slotwise commutation of the two
     families, and the joint rotation identity, all on every basis vector;
-    None or the first failure, named.  Every stage reads one set of
-    operator tables, so each image is computed once per check (images
-    outside the range that are not a basis vector or zero excepted)."""
-    tables = operator_tables(cyl, max_p, max_q)
+    None or the first failure, named.
+
+    Each row check and each column check reads operator tables of its
+    own, and so do the relations at each bidegree, so no more than one
+    scope's columns are kept at a time: a column read in two scopes is
+    computed in each."""
     for q in range(max_q + 1):
-        bad = check_paracyclic(_RowModule(cyl, q, tables), max_p)
+        bad = check_paracyclic(_RowModule(cyl, q), max_p)
         if bad is not None:
             return f"row {q}: {bad}"
     for p in range(max_p + 1):
-        bad = check_paracyclic(_ColumnModule(cyl, p, tables), max_q)
+        bad = check_paracyclic(_ColumnModule(cyl, p), max_q)
         if bad is not None:
             return f"column {p}: {bad}"
-    bad = first_violation(_cylindrical_stages(cyl, max_p, max_q, tables),
+    bad = first_violation(_cylindrical_stages(cyl, max_p, max_q),
                           cyl.field.one)
     return None if bad is None else f"{bad[0]} basis {bad[1]}"
 
 
-def _cylindrical_stages(cyl, max_p, max_q, tables):
+def _cylindrical_stages(cyl, max_p, max_q):
     """At each bidegree (p, q), one stage per pair of a vertical operator
     V and a horizontal one H: V at (hp, q) after H at (p, q) equals H at
     (p, vq) after V at (p, q), where H lands in (hp, q) and V in (p, vq);
     then one stage for the joint rotation identity.
 
-    These relations read images at (p, q) and its four neighbours many
-    times over, through the check's operator tables: an image is computed
-    once per check, unless it lies outside (max_p, max_q) and is neither a
-    basis vector nor zero, in which case it is recomputed.
+    These relations read the columns at (p, q) and its four neighbours
+    many times over, through operator tables built for that bidegree
+    alone: each column is computed once per bidegree that reads it.
     """
-    vface, vdeg, vrot, hface, hdeg, hrot = (
-        tables[name]
-        for name in ("vface", "vdeg", "vrot", "hface", "hdeg", "hrot"))
     for p in range(max_p + 1):
         for q in range(max_q + 1):
+            tables = operator_tables(cyl)
+            vface, vdeg, vrot, hface, hdeg, hrot = (
+                tables[name] for name in PROVIDER_NAMES)
             dim = cyl.dim(p, q)
             horizontals = _family("h", hface, hdeg, hrot, p)
             for vname, v, vi, vq in _family("v", vface, vdeg, vrot, q):
@@ -628,9 +592,7 @@ def check_diagonal_isomorphism(cyl, cp, max_degree):
     phi = matrix_columns(lambda n: crossed_to_diagonal(cyl, cp, n))
     psi = matrix_columns(lambda n: diagonal_to_crossed(cyl, cp, n))
     face, degeneracy, rotate = (
-        OperatorTable(op, cyl.field.one, lambda head: diag.dim(head[0]),
-                      lambda head: True)
-        for op in (diag.face, diag.degeneracy, diag.rotate))
+        OperatorTable(op) for op in (diag.face, diag.degeneracy, diag.rotate))
 
     def stages():
         for n in range(max_degree + 1):
@@ -683,22 +645,26 @@ def shuffle_map(cyl, bn, diag_norm, p, q):
     field = cyl.field
     src_q = bn.store.quotient((p, q))
     dst_q = diag_norm.store.quotient(n)
-    cols = []
-    for k in range(cyl.dim(p, q)):
-        out = {}
-        for mu, nu, inv in _shuffles(p, q):
-            img = {k: field.one}
-            # vertical degeneracies at mu positions, ascending; raise q to n
-            cur_q = q
-            for pos in mu:
-                img = apply_linear(cyl.vdeg, img, p, cur_q, pos)
-                cur_q += 1
-            cur_p = p
-            for pos in nu:
-                img = apply_linear(cyl.hdeg, img, cur_p, n, pos)
-                cur_p += 1
-            vec_add_into(out, img, field.sign(inv + p * q))
-        cols.append(out)
+    cols = [{} for _ in range(cyl.dim(p, q))]
+    for mu, nu, inv in _shuffles(p, q):
+        images = range(cyl.dim(p, q))
+        # vertical degeneracies at mu positions, ascending; raise q to n
+        cur_q = q
+        for pos in mu:
+            images = compose_columns(cyl.vdeg(p, cur_q, pos), images,
+                                     field.one)
+            cur_q += 1
+        cur_p = p
+        for pos in nu:
+            images = compose_columns(cyl.hdeg(cur_p, n, pos), images,
+                                     field.one)
+            cur_p += 1
+        sign = field.sign(inv + p * q)
+        for out, image in zip(cols, images):
+            if type(image) is int:
+                add_term(out, image, sign)
+            else:
+                vec_add_into(out, image, sign)
     raw = SparseMatrix.from_columns(field, cyl.dim(n, n), cols)
     return require_descent(
         induced_map(raw, src_q, dst_q), MixedComplexError,
@@ -715,27 +681,34 @@ def check_shuffle_chain_map(cyl, max_degree):
         lambda p, q: shuffle_map(cyl, bn, diag_norm, p, q))
     boundary = matrix_columns(diag_norm.boundary_matrix)
 
-    def total(p, q, k):
-        """The total chain differential of basis vector k at (p, q), in
-        the direct sum whose basis vectors are (bidegree, index) pairs."""
-        out = {}
+    def total(p, q):
+        """The total chain differential's column at (p, q), in the direct
+        sum of (p, q - 1), then (p - 1, q)."""
+        out = [{} for _ in range(bn.dim(p, q))]
         if q >= 1:
-            for i, c in bn.vertical_boundary(p, q).columns[k].items():
-                out[((p, q - 1), i)] = c
+            for image, col in zip(out, bn.vertical_boundary(p, q).columns):
+                image.update(col)
         if p >= 1:
-            for i, c in bn.horizontal_boundary(p, q).columns[k].items():
-                out[((p - 1, q), i)] = field.sign(q) * c
+            offset, sign = bn.dim(p, q - 1) if q >= 1 else 0, field.sign(q)
+            for image, col in zip(out,
+                                  bn.horizontal_boundary(p, q).columns):
+                for i, c in col.items():
+                    image[offset + i] = sign * c
         return out
 
-    def shuffle_sum(key):
+    def shuffle_sum(p, q):
         """The shuffle map on that direct sum."""
-        (p, q), k = key
-        return shuffle(p, q, k)
+        out = []
+        if q >= 1:
+            out += shuffle(p, q - 1)
+        if p >= 1:
+            out += shuffle(p - 1, q)
+        return out
 
     stages = ((bn.dim(p, q), [
         (f"shuffle map is not a chain map at ({p},{q}) column {{k}}",
          ((shuffle, (p, q)), (boundary, (n,))),
-         ((total, (p, q)), (shuffle_sum, ())))])
+         ((total, (p, q)), (shuffle_sum, (p, q))))])
         for n in range(1, max_degree + 1) for (p, q) in _components(n))
     bad = first_violation(stages, field.one)
     return None if bad is None else bad[0].format(k=bad[1])

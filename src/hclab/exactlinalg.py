@@ -310,9 +310,12 @@ class SparseMatrix:
     @classmethod
     def from_columns(cls, field, rows, columns):
         """A matrix of copies of the given columns, so it never shares a
-        dict with its caller."""
+        dict with its caller.  A column may also be an int j, the basis
+        vector {j: 1}."""
+        one = field.one
         return cls._of(field, rows, [
-            dict(col) if all(col.values())
+            {col: one} if type(col) is int
+            else dict(col) if all(col.values())
             else {i: c for i, c in col.items() if c} for col in columns])
 
     @classmethod

@@ -247,9 +247,10 @@ def invariant_complex_N0(cyl, max_q):
 
     def restrict(op, q, tq, what, *index):
         """A vertical operator of column 0 restricted to invariants."""
+        column = op(0, q, *index)
         return _map_rows(
             subspaces[q], subspaces[tq],
-            lambda vec: apply_linear(op, vec, 0, q, *index),
+            lambda vec: apply_linear(column, vec),
             f"vertical {what} does not preserve invariants in degree {q}")
 
     faces, degens, rots = {}, {}, {}

@@ -6,9 +6,9 @@ fails, named.  Each case
 injects one fault into a provider or a chain map the check reads, and
 pins the whole message: a rewrite of a check must keep both the order in
 which it walks its relations and the text it returns.  A provider fault
-adds one unit to the least coordinate of one image (coordinate 0 when
-the image is zero); a map fault adds one unit at entry (0, 0) of the
-map's matrix in one degree or bidegree.
+adds one unit to the least coordinate of entry k of one column
+(coordinate 0 when the image is zero); a map fault adds one unit at
+entry (0, 0) of the map's matrix in one degree or bidegree.
 """
 
 import pytest
@@ -21,7 +21,7 @@ from hclab.crossed import (
     sign_group_cocycle_table, trivial_action, trivial_cocycle,
     twisted_scalar_algebra, validate_cocycle, validate_weak_action,
 )
-from hclab.cycliccore import NormalizedComplex
+from hclab.cycliccore import NormalizedComplex, normal_image
 from hclab.cylinder import (
     BinormalizedCylinder, DiagonalModule, HochschildComplex,
     HopfCrossedCylinder, build_cylinder, check_diagonal_isomorphism,
@@ -54,17 +54,28 @@ def test_factory_inputs_meet_the_standing_hypotheses(factory):
     assert is_cocommutative(cyl.hopf)
 
 
+def plus_unit(image, field):
+    """A column's image with one more unit in its least coordinate
+    (coordinate 0 when it is zero), in normal form."""
+    image = {image: field.one} if type(image) is int else dict(image)
+    key = min(image, default=0)
+    image[key] = image.get(key, field.zero) + field.one
+    return normal_image(image, field.one)
+
+
 def corrupt_provider(cls, provider, at):
     """`provider` of `cls` with one more unit in the least coordinate of
-    its image at the argument tuple `at`."""
+    entry k of its column at the head, where `at` is the head and then
+    k."""
     original = getattr(cls, provider)
+    head, k = at[:-1], at[-1]
 
     def wrong(self, *args):
-        image = dict(original(self, *args))
-        if args == at:
-            key = min(image, default=0)
-            image[key] = image.get(key, self.field.zero) + self.field.one
-        return image
+        column = original(self, *args)
+        if args == head:
+            column = list(column)
+            column[k] = plus_unit(column[k], self.field)
+        return column
     return cls, provider, wrong
 
 

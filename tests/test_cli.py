@@ -566,3 +566,30 @@ def test_stray_tokens_exit_2_with_their_line(tmp_path, capsys, base, old,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"invalid input: line {at + 1}: " in captured.err
+
+
+@pytest.mark.parametrize("base,old,new,message", [
+    ("s5.scn", "map = 1 1 : 0 -1", "map = 1 1 : 0 zz",
+     "bad action table line 'map = 1 1 : 0 zz'"),
+    ("s5.scn", "map = 0 1 : 0 1", "map = 0 1 : 0",
+     "bad action table line 'map = 0 1 : 0'"),
+    ("s3.scn", "perm = 1 : 1 0", "perm = 1 : 1 1",
+     "bad permutation line 'perm = 1 : 1 1'"),
+    ("s5.scn", "kind = trivial", "kind = trivial junk",
+     "unknown cocycle kind 'trivial junk'"),
+    ("s5.scn", "kind = table", "kind = table junk",
+     "unknown action kind 'table junk'"),
+])
+def test_action_and_cocycle_errors_exit_2_with_their_line(
+        tmp_path, capsys, base, old, new, message):
+    """[action] lines and the action and cocycle kinds are refused naming
+    the line they stand on, like every other section's input errors."""
+    lines = read(base).splitlines()
+    at = lines.index(old)
+    lines[at] = new
+    target = tmp_path / "bad-line.scn"
+    target.write_text("\n".join(lines) + "\n")
+    assert main(["hc", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid input: line {at + 1}: {message}" in captured.err

@@ -76,7 +76,8 @@ PROVIDERS = ("vface", "vdeg", "vrot", "hface", "hdeg", "hrot")
 
 @pytest.fixture
 def provider_calls(monkeypatch):
-    """Calls of each cylinder provider, by (name, row q)."""
+    """Calls of each cylinder provider, by (name, row q): one per column
+    computed."""
     calls = {}
     for name in PROVIDERS:
         def counted(self, p, q, *rest, _name=name,
@@ -107,9 +108,11 @@ def test_no_operator_is_built_into_a_zero_quotient(provider_calls):
 
 def test_nonzero_quotients_read_every_provider_as_before(provider_calls):
     """On s5 no quotient is zero, and hc reads the providers exactly as
-    often as it did before maps into zero quotients were skipped."""
+    often as it did before maps into zero quotients were skipped: once
+    per column of every raw operator it builds, and a wrap-around face
+    once more for face_0 and once for the rotation it reads through."""
     run_s5("hc")
     totals = {name: sum(n for (op, _), n in provider_calls.items()
                         if op == name) for name in PROVIDERS}
-    assert totals == {"vface": 520, "vdeg": 176, "vrot": 332,
-                      "hface": 520, "hdeg": 144, "hrot": 196}
+    assert totals == {"vface": 22, "vdeg": 15, "vrot": 19,
+                      "hface": 22, "hdeg": 13, "hrot": 12}

@@ -1,21 +1,23 @@
 """The operator tables of the identity checks.
 
 An identity check reads every operator image through one
-`cycliccore.OperatorTable` per provider, built for that check alone.  A
-table keeps every image of a head inside the checked range in one list,
-and outside it only the images that are a basis vector (as its index)
-or zero (as the shared empty vector), so what it holds is bounded by
-what the relation table reads there.  An oracle compares what fresh
-tables hold with the raw providers, since the evaluator oracle reads
-the same tables and cannot see a wrong one.  The memory guard measures
-that bound on the deepest benchmarked check, and a second guard
-measures the total mixed complex of the deepest benchmarked `hc`.  The
-source guards keep the per-stage memos that the tables replaced from
-coming back beside them, and keep the operator providers on index
-arithmetic: none of them decodes a basis index into a tuple of slots or
-encodes one back.  A last guard keeps every normalization's induced
-operators in its `cycliccore.QuotientStore`: only the store, and the
-two maps between spaces that no store owns, call `induced_map`.
+`cycliccore.OperatorTable` per provider, built for that check alone;
+`check_cylindrical` builds one set for each row check, one for each
+column check and one for the relations at each bidegree.  A table keeps
+every column it reads: the list, indexed by basis index, of every image
+of one head, in the normal form the provider returns.  An oracle
+compares what fresh tables hold with the tuple-decoding references of
+`test_provider_oracle`, since the evaluator oracle reads the same
+tables and cannot see a wrong one.  The memory guard measures the
+deepest benchmarked check, and a second guard measures the total mixed
+complex of the deepest benchmarked `hc`.  The source guards keep the
+per-stage memos that the tables replaced from coming back beside them,
+keep every provider on whole columns (none takes a basis index, and no
+table reads one basis vector at a time) and keep the operator providers
+on index arithmetic: none of them decodes a basis index into a tuple of
+slots or encodes one back.  A last guard keeps every normalization's
+induced operators in its `cycliccore.QuotientStore`: only the store,
+and the two maps between spaces that no store owns, call `induced_map`.
 """
 
 import ast
@@ -25,11 +27,11 @@ from pathlib import Path
 import pytest
 
 from hclab.cli import build_objects, parse_scenario
-from hclab.cycliccore import ZERO
 from hclab.cylinder import HopfCrossedCylinder
 from hclab.cylinder.core import (
     check_cylindrical, operator_tables, tot_mixed_complex,
 )
+from test_provider_oracle import CylinderReference, same_image
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hclab"
@@ -67,9 +69,9 @@ def test_deep_total_complex_stays_under_one_and_a_half_mebibytes():
     assert peak < 1.5 * MEBIBYTE, peak
 
 
-# the checked range of each scenario's fresh tables
-TABLE_RANGES = {"s1": (2, 2), "s2": (2, 2), "s3": (3, 3), "s4": (2, 2),
-                "s5": (3, 3)}
+# the bidegrees each scenario's fresh tables are read through
+TABLE_RANGES = {"s1": (3, 3), "s2": (3, 3), "s3": (4, 4), "s4": (3, 3),
+                "s5": (4, 4)}
 
 
 def heads(name, p, q):
@@ -80,49 +82,32 @@ def heads(name, p, q):
     return [(p, q, i) for i in range(n + 1 if n or "deg" in name else 0)]
 
 
-def same_image(got, raw, one):
-    """Whether a table's image is the raw provider's as the table keeps
-    it: the index of a basis vector, ZERO for zero, else an equal dict."""
-    if not raw:
-        return got is ZERO
-    if len(raw) == 1 and next(iter(raw.values())) == one:
-        return type(got) is int and raw == {got: one}
-    return type(got) is dict and got == raw
-
-
 @pytest.mark.parametrize("name", sorted(TABLE_RANGES))
 def test_fresh_tables_hold_the_raw_provider_images(name):
-    """Every in-range column entry, and every read one bidegree out of
-    range (first read and, from the buffer, second), is the raw image."""
+    """Every entry of every column a fresh table reads through the range
+    is the reference image in normal form, the flag says whether all of
+    them are indices, and a second read returns the kept column."""
     built = build_objects(parse_scenario(
         (ROOT / "scenarios" / f"{name}.scn").read_text()))
     cyl = built.cylinder
-    max_p, max_q = TABLE_RANGES[name]
-    tables = operator_tables(cyl, max_p, max_q)
+    ref = CylinderReference(cyl)
+    top_p, top_q = TABLE_RANGES[name]
     one = cyl.field.one
-    checked = {"in": 0, "out": 0}
-    for provider, table in sorted(tables.items()):
-        raw = getattr(cyl, provider)
-        for p in range(max_p + 2):
-            for q in range(max_q + 2 if p <= max_p else max_q + 1):
+    checked = 0
+    for provider, table in sorted(operator_tables(cyl).items()):
+        for p in range(top_p + 1):
+            for q in range(top_q + 1):
                 for head in heads(provider, p, q):
-                    if p <= max_p and q <= max_q:
-                        images, indices = table.column(head)
-                        assert len(images) == cyl.dim(p, q)
-                        assert indices == all(type(v) is int for v in images)
-                        reads = [images]
-                        checked["in"] += len(images)
-                    else:
-                        read = table.reader(head)
-                        reads = [[read(k) for k in range(cyl.dim(p, q))]
-                                 for _ in range(2)]
-                        checked["out"] += len(reads[0])
-                    for k in range(cyl.dim(p, q)):
-                        want = raw(*head, k)
-                        for got in reads:
-                            assert same_image(got[k], want, one), (
-                                provider, head, k, got[k], want)
-    assert checked["in"] and checked["out"]
+                    images, indices = table.column(head)
+                    assert table.column(head)[0] is images
+                    assert len(images) == cyl.dim(p, q)
+                    assert indices == all(type(v) is int for v in images)
+                    for k, got in enumerate(images):
+                        want = getattr(ref, provider)(*head, k)
+                        assert same_image(got, want, one), (
+                            provider, head, k, got, want)
+                    checked += len(images)
+    assert checked
 
 
 def replaced_names(source, filename="<source>"):
@@ -227,6 +212,75 @@ def test_no_provider_decodes_or_encodes_a_basis_index():
                  (SRC / path).read_text(), providers, path)]
     assert found == []
     assert not hasattr(HopfCrossedCylinder, "split")
+
+
+# the files whose modules provide operator columns, and the number of
+# arguments that place each provider's column (its head)
+COLUMN_FILES = ("cycliccore.py", "cylinder/core.py",
+                "cylinder/coefficients.py")
+HEAD_ARITY = {"face": 2, "degeneracy": 2, "rotate": 1,
+              "vface": 3, "vdeg": 3, "vrot": 2,
+              "hface": 3, "hdeg": 3, "hrot": 2}
+
+
+def per_index_readers(source, filename="<source>"):
+    """(class, function, line) of every provider that takes more
+    arguments than its head, or any variable number, and of every
+    function inside OperatorTable that is named a reader or takes an
+    argument k."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not (isinstance(item, ast.FunctionDef)
+                    and item.name in HEAD_ARITY):
+                continue
+            args = item.args
+            if (args.vararg or args.kwonlyargs or args.kwarg
+                    or len(args.posonlyargs + args.args) - 1
+                    != HEAD_ARITY[item.name]):
+                found.append((node.name, item.name, item.lineno))
+        if node.name == "OperatorTable":
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.FunctionDef, ast.Lambda)) and (
+                        "reader" in getattr(inner, "name", "")
+                        or "k" in [a.arg for a in inner.args.args]):
+                    found.append((node.name, getattr(inner, "name",
+                                                     "<lambda>"),
+                                  inner.lineno))
+    return found
+
+
+def test_guard_sees_a_per_index_provider_or_reader():
+    source = ("class M(ParacyclicModule):\n"
+              "    def face(self, n, i, k):\n"
+              "        return {}\n"
+              "    def rotate(self, n):\n"
+              "        return []\n"
+              "class C:\n"
+              "    def hrot(self, *args):\n"
+              "        return []\n"
+              "class OperatorTable:\n"
+              "    def column(self, head):\n"
+              "        return self.op(*head)\n"
+              "    def reader(self, head):\n"
+              "        def read(k):\n"
+              "            return k\n"
+              "        return read\n")
+    assert per_index_readers(source) == [
+        ("M", "face", 2), ("C", "hrot", 7), ("OperatorTable", "reader", 12),
+        ("OperatorTable", "read", 13)]
+    assert per_index_readers("class M:\n    def vface(self, p, q, i):\n"
+                             "        return []\n") == []
+
+
+def test_no_provider_takes_a_basis_index():
+    found = [f"{path}:{line} {cls}.{function}"
+             for path in COLUMN_FILES
+             for cls, function, line in per_index_readers(
+                 (SRC / path).read_text(), path)]
+    assert found == []
 
 
 # the only callers of induced_map: the store every normalization keeps its

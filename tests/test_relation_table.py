@@ -105,25 +105,21 @@ FIELDS = {"Q": QQ, "F2": Field(2)}
 DIM = 3
 
 
-def successor(k):
-    """The basis vector after k (cyclically), as its index."""
-    return (k + 1) % DIM
+def successor():
+    """The basis vector after each k (cyclically), as its index."""
+    return [(k + 1) % DIM for k in range(DIM)]
 
 
 def successor_vector(field):
     """The same operator, as sparse vectors."""
-    return lambda k: {successor(k): field.one}
-
-
-def table_of(op, field):
-    return OperatorTable(op, field.one, lambda head: DIM, lambda head: True)
+    return lambda: [{j: field.one} for j in successor()]
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_index_and_vector_forms_of_one_image_agree(field):
     field = FIELDS[field]
     vector = successor_vector(field)
-    table = table_of(vector, field)
+    table = OperatorTable(vector)
     words = {
         "index": ((successor, ()),),
         "vector": ((vector, ()),),
@@ -136,7 +132,7 @@ def test_index_and_vector_forms_of_one_image_agree(field):
             for a in words for b in words
             if len(words[a]) == len(words[b])]
     assert first_violation([(DIM, rows)], field.one) is None
-    assert table.reader(())(0) == 1
+    assert table.column(()) == (vector(), False)
     # three steps of the successor are the identity, the empty word
     assert first_violation([(DIM, [("cube", ((table, ()),) * 3, ())])],
                            field.one) is None
@@ -144,11 +140,10 @@ def test_index_and_vector_forms_of_one_image_agree(field):
 
 def differing_at(field, bad_k, wrong):
     """The successor as sparse vectors, with image bad_k replaced by
-    wrong(field, successor(bad_k))."""
-    def op(k):
-        if k == bad_k:
-            return wrong(field, successor(k))
-        return {successor(k): field.one}
+    wrong(field, successor of bad_k)."""
+    def op():
+        return [wrong(field, j) if k == bad_k else {j: field.one}
+                for k, j in enumerate(successor())]
     return op
 
 
@@ -172,7 +167,7 @@ def test_a_different_vector_fails_at_its_basis_vector(field, wrong):
     bad_k, make = WRONG_IMAGES[wrong]
     op = differing_at(field, bad_k, make)
     good = ("agrees", ((successor, ()),), ((successor_vector(field), ()),))
-    for against in (op, table_of(op, field)):
+    for against in (op, OperatorTable(op)):
         row = (wrong, ((successor, ()),), ((against, ()),))
         assert first_violation([(DIM, [good, row])], field.one) == (
             wrong, bad_k)

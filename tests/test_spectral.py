@@ -10,7 +10,7 @@ from hclab.crossed import (
     sign_group_cocycle_table, trivial_action, trivial_cocycle,
     validate_cocycle, validate_weak_action,
 )
-from hclab.cycliccore import cyclic_homology_of_algebra
+from hclab.cycliccore import ZERO, cyclic_homology_of_algebra
 from hclab.cylinder import build_cylinder
 from hclab.spectral import (
     RowComplexes,
@@ -301,8 +301,8 @@ def test_operator_leaving_invariants_is_a_spectral_error(monkeypatch):
     invariants = invariant_complex_N0(cyl, 1).subspaces[0]
     assert not invariants.contains({0: QQ.one})
     pivot = invariants.pivots[0]
-    monkeypatch.setattr(
-        cyl, "vrot", lambda p, q, k: {0: QQ.one} if k == pivot else {})
+    monkeypatch.setattr(cyl, "vrot", lambda p, q: [
+        0 if k == pivot else ZERO for k in range(cyl.dim(p, q))])
     with pytest.raises(SpectralError, match="vertical rotation does not "
                        "preserve invariants in degree 0"):
         invariant_complex_N0(cyl, 1)
