@@ -154,14 +154,19 @@ def compose_columns(outer, inner, one):
             for v in inner]
 
 
+def _all_indices(images):
+    """Whether every image in the list is an int index."""
+    return set(map(type, images)) <= {int}
+
+
 class OperatorTable:
     """One operator's columns op(*head), one per head (the arguments that
     place the operator), each computed on first read and kept with
     whether all its images are int indices.
 
     An identity check builds its own tables, so no column outlives the
-    check; readers share the lists and must not mutate them or the
-    images in them."""
+    check, and may drop columns it reads no more; readers share the
+    lists and must not mutate them or the images in them."""
 
     def __init__(self, op):
         self.op = op
@@ -173,9 +178,13 @@ class OperatorTable:
         got = self._columns.get(head)
         if got is None:
             images = self.op(*head)
-            got = self._columns[head] = (
-                images, set(map(type, images)) <= {int})
+            got = self._columns[head] = images, _all_indices(images)
         return got
+
+    def retain(self, keep):
+        """Drop every kept column whose head fails `keep`."""
+        self._columns = {head: got for head, got in self._columns.items()
+                         if keep(head)}
 
 
 class ParacyclicModule:
@@ -429,12 +438,9 @@ def _compile(word, steps):
         column = steps.get(step)
         if column is None:
             op, args = step
-            if isinstance(op, OperatorTable):
-                column = op.column(args)
-            else:
-                images = op(*args)
-                column = images, set(map(type, images)) <= {int}
-            steps[step] = column
+            if not isinstance(op, OperatorTable):
+                op = OperatorTable(op)
+            column = steps[step] = op.column(args)
         out.append(column)
     return out
 
@@ -448,7 +454,7 @@ def _images(word, dim):
     for column, to_indices in rest:
         if indices:
             images = list(map(column.__getitem__, images))
-            indices = to_indices or set(map(type, images)) <= {int}
+            indices = to_indices or _all_indices(images)
         else:
             # a zero image stays the zero it is
             images = [column[v] if type(v) is int
@@ -485,7 +491,7 @@ def matrix_columns(build):
     return columns
 
 
-def _paracyclic_stages(module, max_degree, steps):
+def paracyclic_stages(module, max_degree, steps):
     """Every simplicial and paracyclic relation on every basis vector,
     one stage per degree n through max_degree, each row named
     (relation, n), read through the steps module.operator_steps gave.
@@ -531,7 +537,7 @@ def check_paracyclic(module, max_degree):
     """Verify every simplicial and paracyclic relation on every basis
     vector through max_degree; None, or the first violation found."""
     steps = module.operator_steps()
-    bad = first_violation(_paracyclic_stages(module, max_degree, steps),
+    bad = first_violation(paracyclic_stages(module, max_degree, steps),
                           module.field.one)
     return None if bad is None else RelationViolation(*bad[0], bad[1])
 
@@ -545,7 +551,7 @@ def check_cyclic(module, max_degree):
     identities = [(module.dim(n), [(("rotate^(n+1) = id", n),
                                     (t(n),) * (n + 1), ())])
                   for n in range(max_degree + 1)]
-    bad = first_violation([*_paracyclic_stages(module, max_degree, steps),
+    bad = first_violation([*paracyclic_stages(module, max_degree, steps),
                            *identities], module.field.one)
     return None if bad is None else RelationViolation(*bad[0], bad[1])
 

@@ -20,6 +20,7 @@ the (q+1)-st power composed with the horizontal rotation to the
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 
@@ -41,6 +42,7 @@ from ..cycliccore import (
     matrix_columns,
     merge_column,
     normal_image,
+    paracyclic_stages,
     require_descent,
     slot_images,
 )
@@ -64,6 +66,9 @@ class HopfCrossedCylinder:
     string g_0..g_p and a the coefficients a_0..a_q, first slot most
     significant.  Each provider returns the column of one operator out of
     one bidegree, computing target indices by strides."""
+
+    # the operator tables of the running check_cylindrical, or None
+    _shared = None
 
     def __init__(self, hopf, action, cocycle, cap=None):
         self.hopf = hopf
@@ -100,6 +105,29 @@ class HopfCrossedCylinder:
     def dim(self, p, q):
         return self.space(p, q).size
 
+    # -- the tables of a check ----------------------------------------------
+
+    @contextlib.contextmanager
+    def shared_tables(self):
+        """operator_tables(self) for the block: the row and column modules'
+        checks read them, and so do the wrap-around faces."""
+        self._shared = operator_tables(self)
+        try:
+            yield self._shared
+        finally:
+            self._shared = None
+
+    def tables(self):
+        """The shared tables while a block holds them, else fresh ones."""
+        return self._shared or operator_tables(self)
+
+    def _column(self, name, head):
+        """The column of provider `name` at the head, kept by the shared
+        tables while a block holds them."""
+        if self._shared is None:
+            return getattr(self, name)(*head)
+        return self._shared[name].column(head)[0]
+
     # -- vertical family (coefficient direction, degree q) --------------------
 
     def vface(self, p, q, i):
@@ -107,7 +135,8 @@ class HopfCrossedCylinder:
             raise ValueError("no vertical faces in column degree 0")
         if i == q:
             # the wrap-around face is face_0 composed with the rotation
-            return compose_columns(self.vface(p, q, 0), self.vrot(p, q),
+            return compose_columns(self._column("vface", (p, q, 0)),
+                                   self._column("vrot", (p, q)),
                                    self.field.one)
         dA = self.algebra.dim
         return merge_column(self.dim(p, q), dA ** (q - 1 - i), dA,
@@ -136,7 +165,8 @@ class HopfCrossedCylinder:
         if p < 1:
             raise ValueError("no horizontal faces in row degree 0")
         if i == p:
-            return compose_columns(self.hface(p, q, 0), self.hrot(p, q),
+            return compose_columns(self._column("hface", (p, q, 0)),
+                                   self._column("hrot", (p, q)),
                                    self.field.one)
         dH = self.hopf.dim
         return merge_column(self.dim(p, q),
@@ -209,6 +239,10 @@ class _RowModule(ParacyclicModule):
     def rotate(self, n):
         return self.cyl.hrot(n, self.q)
 
+    def operator_steps(self):
+        return _family_steps(self.cyl, ("hface", "hdeg", "hrot"),
+                             lambda n: (n, self.q))
+
 
 class _ColumnModule(ParacyclicModule):
     """The p-th column: degree q with the vertical family."""
@@ -229,6 +263,20 @@ class _ColumnModule(ParacyclicModule):
 
     def rotate(self, n):
         return self.cyl.vrot(self.p, n)
+
+    def operator_steps(self):
+        return _family_steps(self.cyl, ("vface", "vdeg", "vrot"),
+                             lambda n: (self.p, n))
+
+
+def _family_steps(cyl, names, place):
+    """(d, s, t) as ParacyclicModule.operator_steps gives them, reading
+    the cylinder's tables of the face, degeneracy and rotation providers
+    `names` at the bidegree place(n)."""
+    face, degeneracy, rotate = (cyl.tables()[name] for name in names)
+    return (lambda n, i: (face, place(n) + (i,)),
+            lambda n, i: (degeneracy, place(n) + (i,)),
+            lambda n: (rotate, place(n)))
 
 
 class DiagonalModule(ParacyclicModule):
@@ -326,49 +374,79 @@ def check_cylindrical(cyl, max_p, max_q):
     families, and the joint rotation identity, all on every basis vector;
     None or the first failure, named.
 
-    Each row check and each column check reads operator tables of its
-    own, and so do the relations at each bidegree, so no more than one
-    scope's columns are kept at a time: a column read in two scopes is
-    computed in each."""
-    for q in range(max_q + 1):
-        bad = check_paracyclic(_RowModule(cyl, q), max_p)
-        if bad is not None:
-            return f"row {q}: {bad}"
-    for p in range(max_p + 1):
-        bad = check_paracyclic(_ColumnModule(cyl, p), max_q)
-        if bad is not None:
-            return f"column {p}: {bad}"
-    bad = first_violation(_cylindrical_stages(cyl, max_p, max_q),
-                          cyl.field.one)
-    return None if bad is None else f"{bad[0]} basis {bad[1]}"
+    One set of operator tables serves the whole check, and the
+    wrap-around faces read face_0's and the rotation's columns from it,
+    so each column is computed once.  After each row check, each column
+    check and the relations at each bidegree, the tables drop every
+    column that no later one of them reads."""
+    with cyl.shared_tables() as tables:
+        scopes = itertools.chain(
+            (_paracyclic_scope(f"row {q}", _RowModule(cyl, q), max_p)
+             for q in range(max_q + 1)),
+            (_paracyclic_scope(f"column {p}", _ColumnModule(cyl, p), max_q)
+             for p in range(max_p + 1)),
+            (_commutation_scope(cyl, p, q)
+             for p in range(max_p + 1) for q in range(max_q + 1)))
+        # the index of the last scope that reads each step
+        last, runs = {}, []
+        for index, (reads, run) in enumerate(scopes):
+            last.update(dict.fromkeys(reads, index))
+            runs.append(run)
+        for index, run in enumerate(runs):
+            bad = run()
+            if bad is not None:
+                return bad
+            for table in tables.values():
+                table.retain(lambda head, table=table:
+                             last.get((table, head), -1) > index)
+    return None
 
 
-def _cylindrical_stages(cyl, max_p, max_q):
-    """At each bidegree (p, q), one stage per pair of a vertical operator
+def _reads(stages):
+    """Every (operator, head) step the stages read."""
+    return {step for _, relations in stages
+            for _, lhs, rhs in relations for step in lhs + rhs}
+
+
+def _paracyclic_scope(label, module, top):
+    """(the steps check_paracyclic(module, top) reads, a function that
+    runs it and names its failure)."""
+    def run():
+        bad = check_paracyclic(module, top)
+        return None if bad is None else f"{label}: {bad}"
+    steps = module.operator_steps()
+    return _reads(paracyclic_stages(module, top, steps)), run
+
+
+def _commutation_scope(cyl, p, q):
+    """(the steps the relations at (p, q) read, a function that checks
+    them and names the first failure)."""
+    def run():
+        bad = first_violation(_cylindrical_stages(cyl, p, q), cyl.field.one)
+        return None if bad is None else f"{bad[0]} basis {bad[1]}"
+    return _reads(_cylindrical_stages(cyl, p, q)), run
+
+
+def _cylindrical_stages(cyl, p, q):
+    """At the bidegree (p, q), one stage per pair of a vertical operator
     V and a horizontal one H: V at (hp, q) after H at (p, q) equals H at
     (p, vq) after V at (p, q), where H lands in (hp, q) and V in (p, vq);
-    then one stage for the joint rotation identity.
-
-    These relations read the columns at (p, q) and its four neighbours
-    many times over, through operator tables built for that bidegree
-    alone: each column is computed once per bidegree that reads it.
+    then one stage for the joint rotation identity.  They read the
+    columns at (p, q) and its four neighbours through the shared tables.
     """
-    for p in range(max_p + 1):
-        for q in range(max_q + 1):
-            tables = operator_tables(cyl)
-            vface, vdeg, vrot, hface, hdeg, hrot = (
-                tables[name] for name in PROVIDER_NAMES)
-            dim = cyl.dim(p, q)
-            horizontals = _family("h", hface, hdeg, hrot, p)
-            for vname, v, vi, vq in _family("v", vface, vdeg, vrot, q):
-                for hname, h, hj, hp in horizontals:
-                    yield dim, [(
-                        f"{vname} and {hname} fail to commute at ({p},{q})",
-                        ((h, (p, q) + hj), (v, (hp, q) + vi)),
-                        ((v, (p, q) + vi), (h, (p, vq) + hj)))]
-            yield dim, [(f"joint rotation identity fails at ({p},{q})",
-                         ((hrot, (p, q)),) * (p + 1)
-                         + ((vrot, (p, q)),) * (q + 1), ())]
+    vface, vdeg, vrot, hface, hdeg, hrot = (
+        cyl.tables()[name] for name in PROVIDER_NAMES)
+    dim = cyl.dim(p, q)
+    horizontals = _family("h", hface, hdeg, hrot, p)
+    for vname, v, vi, vq in _family("v", vface, vdeg, vrot, q):
+        for hname, h, hj, hp in horizontals:
+            yield dim, [(
+                f"{vname} and {hname} fail to commute at ({p},{q})",
+                ((h, (p, q) + hj), (v, (hp, q) + vi)),
+                ((v, (p, q) + vi), (h, (p, vq) + hj)))]
+    yield dim, [(f"joint rotation identity fails at ({p},{q})",
+                 ((hrot, (p, q)),) * (p + 1)
+                 + ((vrot, (p, q)),) * (q + 1), ())]
 
 
 def _family(prefix, face, degeneracy, rotate, n):

@@ -2,10 +2,11 @@
 
 An identity check reads every operator image through one
 `cycliccore.OperatorTable` per provider, built for that check alone;
-`check_cylindrical` builds one set for each row check, one for each
-column check and one for the relations at each bidegree.  A table keeps
-every column it reads: the list, indexed by basis index, of every image
-of one head, in the normal form the provider returns.  An oracle
+`check_cylindrical` reads one set for all its row checks, column checks
+and relations at each bidegree, and drops a column once no later one of
+them reads it.  A table keeps every column it reads: the list, indexed
+by basis index, of every image of one head, in the normal form the
+provider returns.  An oracle
 compares what fresh tables hold with the tuple-decoding references of
 `test_provider_oracle`, since the evaluator oracle reads the same
 tables and cannot see a wrong one.  The memory guard measures the
