@@ -197,10 +197,6 @@ class FinDimAlgebra:
                         return Violation("associativity", (i, j, k))
         return None
 
-    def is_commutative(self):
-        return all(self.mul_table[i][j] == self.mul_table[j][i]
-                   for i in range(self.dim) for j in range(self.dim))
-
     def __repr__(self):
         return f"FinDimAlgebra(dim={self.dim}, field={self.field})"
 

@@ -351,21 +351,6 @@ def build_crossed_product(act, coc):
     return CrossedProductAlgebra(product=product, action=act, cocycle=coc)
 
 
-def smash_product_table_entry(act, a, h, b, l):
-    """The sigma-free multiplication (a#h)(b#l) = a h1(b) # h2 l."""
-    hopf, alg = act.hopf, act.algebra
-    field = hopf.field
-    dH = hopf.dim
-    out = {}
-    for ch, (h1, h2) in hopf.sweedler(h, 2):
-        hb = act.apply_basis(h1, b)
-        a_part = alg.multiply({a: field.one}, hb)
-        h_part = hopf.algebra.multiply_basis(h2, l)
-        for (ai, hi), c in expand(ch, [a_part, h_part]).items():
-            add_term(out, ai * dH + hi, c)
-    return out
-
-
 def lift_group_cocycle(hopf, table):
     """Extend a group-indexed table of nonzero scalars to a cocycle on the
     group algebra; the convolution inverse is the pointwise reciprocal.

@@ -45,7 +45,6 @@ from .exactlinalg import (
     add_term,
     block_matrix,
     check_dimension_cap,
-    full_quotient,
     induced_map,
     mat_rank,
     quotient_space,
@@ -246,14 +245,19 @@ class ParacyclicModule:
                                          self.rotate(n))
 
     def boundary_matrix(self, n):
-        """b = alternating sum of the faces; the zero map for n = 0."""
+        """b = alternating sum of the faces, each added in place into
+        face_0's fresh matrix; the zero map for n = 0."""
         if n == 0:
             return SparseMatrix.zero(self.field, 0, self.dim(0))
-        # every face is one block at the same place, materialized in turn
-        return block_matrix(
-            self.field, {0: self.dim(n - 1)}, {0: self.dim(n)},
-            ((0, 0, self.face_matrix(n, i), self.field.sign(i))
-             for i in range(n + 1)))
+        out = self.face_matrix(n, 0)
+        for i in range(1, n + 1):
+            sign = self.field.sign(i)
+            for col, image in zip(out.columns, self.face(n, i), strict=True):
+                if type(image) is int:
+                    add_term(col, image, sign)
+                elif image is not ZERO:
+                    vec_add_into(col, image, sign)
+        return out
 
     def signed_rotation_matrix(self, n):
         return self.rotate_matrix(n).scale(self.field.sign(n))
@@ -574,17 +578,22 @@ def degeneracy_quotient(pieces):
 
     `pieces` lists (module, n) pairs that all have the space in degree n;
     each contributes the images of its degeneracies out of degree n - 1.
+    If all are int indices, the denominator is built as the RREF `rref`
+    would give: the distinct indices as pivots, with unit rows.
     """
     module, n = pieces[0]
     field, dim = module.field, module.dim(n)
-    vectors = []
-    for module, n in pieces:
-        for i in range(n):
-            vectors.extend({v: field.one} if type(v) is int else v
-                           for v in module.degeneracy(n - 1, i))
-    if not vectors:
-        return full_quotient(field, dim)
-    return quotient_space(dim, Subspace.from_vectors(field, dim, vectors))
+    images = [image for module, n in pieces for i in range(n)
+              for image in module.degeneracy(n - 1, i)]
+    if _all_indices(images):
+        pivots = sorted(set(images))
+        denominator = Subspace(field, dim, pivots,
+                               [{k: field.one} for k in pivots])
+    else:
+        denominator = Subspace.from_vectors(
+            field, dim,
+            [{v: field.one} if type(v) is int else v for v in images])
+    return quotient_space(dim, denominator)
 
 
 class QuotientStore:

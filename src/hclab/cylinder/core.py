@@ -153,9 +153,9 @@ class HopfCrossedCylinder:
         low = dA ** q
         block = low * dA
         out = [ZERO] * self.dim(p, q)
-        for hopf_string in range(self.hopf.dim ** (p + 1)):
+        for hopf_string, images in enumerate(self._vrot_terms(p)):
             base = hopf_string * block
-            for last, terms in enumerate(self._vrot_terms(p, hopf_string)):
+            for last, terms in enumerate(images):
                 out[base + last:base + block:dA] = slot_images(terms, 0, low)
         return out
 
@@ -320,21 +320,33 @@ def _twisted_products(hopf, cocycle):
     return table
 
 
-def _conjugation_terms(hopf, action, p, hopf_string):
-    """vrot's image, in normal form, for the Hopf string hopf_string at
-    degree p, per last coefficient slot a_q: its terms m index the second
-    legs, then a_q acted on by the antipode of the product of the first
-    legs."""
+def _conjugation_terms(hopf, action, p):
+    """vrot's images, in normal form, for every Hopf string at degree p,
+    by string index, each per last coefficient slot a_q: its terms m index
+    the second legs, then a_q acted on by the antipode of the product of
+    the first legs.  A string's Sweedler terms (coefficient, product of
+    the first legs, index of the second legs) extend those of the string
+    without its last slot by one coproduct and one product per term, so
+    only the degree below is kept while a degree is built."""
     dH, dA, one = hopf.dim, action.algebra.dim, hopf.field.one
-    merged = [{} for _ in range(dA)]
-    gs = [hopf_string // dH ** e % dH for e in range(p, -1, -1)]
-    for coef, legs in hopf.sweedler_product([(g, 2) for g in gs]):
-        su = hopf.antipode_of(hopf.product_of_basis([t[0] for t in legs]))
-        second = sum(t[1] * dH ** (p - j) for j, t in enumerate(legs))
-        for last, terms in enumerate(merged):
-            for w, cw in action.apply(su, {last: one}).items():
-                add_term(terms, second * dA + w, coef * cw)
-    return [normal_image(terms, one) for terms in merged]
+    # the empty string's one term: the unit
+    strings = [[(one, hopf.algebra.unit, 0)]]
+    for _ in range(p + 1):
+        strings = [[(coef * c, hopf.multiply(product, {a: one}),
+                     second * dH + b)
+                    for coef, product, second in prefix
+                    for c, (a, b) in hopf.sweedler(g, 2)]
+                   for prefix in strings for g in range(dH)]
+    out = []
+    for string in strings:
+        merged = [{} for _ in range(dA)]
+        for coef, product, second in string:
+            su = hopf.antipode_of(product)
+            for last, terms in enumerate(merged):
+                for w, cw in action.apply(su, {last: one}).items():
+                    add_term(terms, second * dA + w, coef * cw)
+        out.append([normal_image(terms, one) for terms in merged])
+    return out
 
 
 def _pushed_terms(hopf, action, q, g, a):

@@ -25,9 +25,11 @@ no-stored-zero rule below already exempts.
 
 Coordinate subspaces cost no elimination.  A span of unit basis vectors,
 such as the degeneracy images of a unit that is a basis vector, is
-reduced by deleting coordinates: `rref` skips a single-entry row whose
-column holds a stored unit row, and a `Subspace` whose rows are all unit
-rows reduces and reads coordinates with one pass over the vector.
+built as its RREF directly (`cycliccore.degeneracy_quotient`: the
+distinct indices as pivots, each with its unit row), and a `Subspace`
+whose rows are all unit rows reduces and reads coordinates with one pass
+over the vector.  `rref` skips a single-entry row whose column holds a
+stored unit row.
 """
 
 from __future__ import annotations
@@ -634,11 +636,6 @@ def solve_linear(m, rhs):
     return sol
 
 
-def image_subspace(m):
-    """Column space of m, as a canonical subspace of the target."""
-    return Subspace.from_vectors(m.field, m.rows, m.columns)
-
-
 @dataclass
 class QuotientSpace:
     """ambient / denominator, with canonical representatives.
@@ -686,11 +683,6 @@ def quotient_space(ambient_dim, denom):
     pivot_set = set(denom.pivots)
     free_cols = [j for j in range(ambient_dim) if j not in pivot_set]
     return QuotientSpace(ambient_dim, denom, free_cols)
-
-
-def full_quotient(field, ambient_dim):
-    """ambient / 0, useful as the degree-zero normalization."""
-    return quotient_space(ambient_dim, Subspace.zero(field, ambient_dim))
 
 
 @dataclass

@@ -126,15 +126,6 @@ def iterated_coproduct(hopf, x, n):
     return SweedlerExpansion(n + 1, hopf.sweedler_of_vector(x, n + 1))
 
 
-def counit_collapse(hopf, expansion, leg):
-    """Apply the counit to one leg of an expansion (one fewer leg)."""
-    merged = {}
-    for coeff, tup in expansion.terms:
-        add_term(merged, tup[:leg] + tup[leg + 1:],
-                 coeff * hopf.counit[tup[leg]])
-    return SweedlerExpansion(expansion.legs - 1, _sorted_terms(merged))
-
-
 def _tensor_square_product(hopf, u, v):
     """Product in H (x) H of two sparse tensor-square vectors."""
     mul = hopf.algebra.multiply_basis

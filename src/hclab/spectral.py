@@ -302,14 +302,3 @@ def collapse_check(cyl, direct):
     mx = mixed_complex_of_cyclic(inv.module, max_degree)
     via = cyclic_homology_mixed(mx, max_degree)
     return CollapseReport(direct=direct.dims, via_invariants=via.dims)
-
-
-def coinvariant_dims(cyl, max_q):
-    """Dimensions of the zeroth Hopf homology of each row coefficient
-    module (the degree-zero column entries, for any Hopf algebra)."""
-    dims = []
-    for q in range(max_q + 1):
-        mod = cyl.row_coefficients(q)
-        rep = hopf_homology(cyl.hopf, mod.act, mod.dim, 0)
-        dims.append(rep.dims[0])
-    return dims

@@ -21,6 +21,11 @@ from hclab.algebra import (
 F2 = Field(2)
 
 
+def is_commutative(a):
+    return all(a.mul_table[i][j] == a.mul_table[j][i]
+               for i in range(a.dim) for j in range(a.dim))
+
+
 def test_cyclic_group():
     c2 = FiniteGroup.cyclic(2)
     assert c2.order == 2
@@ -54,14 +59,14 @@ def test_group_algebra_c2():
 def test_group_algebra_c2xc2_commutative():
     a = group_algebra(QQ, FiniteGroup.named("C2xC2"))
     assert a.dim == 4
-    assert a.is_commutative()
+    assert is_commutative(a)
     assert validate_algebra(a) is None
 
 
 def test_group_algebra_s3():
     a = group_algebra(QQ, FiniteGroup.symmetric3())
     assert a.dim == 6
-    assert not a.is_commutative()
+    assert not is_commutative(a)
     assert validate_algebra(a) is None
 
 
@@ -134,7 +139,7 @@ def test_function_algebra():
     assert a.multiply(de, de) == de
     assert a.multiply(de, dg) == {}
     assert a.multiply(a.unit, dg) == dg
-    assert a.is_commutative()
+    assert is_commutative(a)
     assert validate_algebra(a) is None
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from hclab.exactlinalg import Field, QQ
+from hclab.exactlinalg import Field, QQ, add_term, expand
 from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
     validate_algebra,
@@ -15,7 +15,6 @@ from hclab.crossed import (
     convolution_inverse,
     lift_group_cocycle,
     sign_group_cocycle_table,
-    smash_product_table_entry,
     trivial_action,
     trivial_cocycle,
     twisted_scalar_algebra,
@@ -23,6 +22,21 @@ from hclab.crossed import (
     validate_weak_action,
     verify_action_upgrade,
 )
+
+
+def smash_product_table_entry(act, a, h, b, l):
+    """The sigma-free multiplication (a#h)(b#l) = a h1(b) # h2 l."""
+    hopf, alg = act.hopf, act.algebra
+    field = hopf.field
+    dH = hopf.dim
+    out = {}
+    for ch, (h1, h2) in hopf.sweedler(h, 2):
+        hb = act.apply_basis(h1, b)
+        a_part = alg.multiply({a: field.one}, hb)
+        h_part = hopf.algebra.multiply_basis(h2, l)
+        for (ai, hi), c in expand(ch, [a_part, h_part]).items():
+            add_term(out, ai * dH + hi, c)
+    return out
 
 
 def c2_hopf(field=QQ):

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from hclab.exactlinalg import Field, QQ
+from hclab.exactlinalg import Field, QQ, add_term
 from hclab.algebra import FiniteGroup
 from hclab.hopf import (
     HopfAlgebra,
+    SweedlerExpansion,
     UnsupportedSemisimplicityQuery,
-    counit_collapse,
+    _sorted_terms,
     find_normalized_integral,
     group_hopf,
     is_cocommutative,
@@ -18,6 +19,15 @@ from hclab.hopf import (
 )
 
 F2 = Field(2)
+
+
+def counit_collapse(hopf, expansion, leg):
+    """Apply the counit to one leg of an expansion (one fewer leg)."""
+    merged = {}
+    for coeff, tup in expansion.terms:
+        add_term(merged, tup[:leg] + tup[leg + 1:],
+                 coeff * hopf.counit[tup[leg]])
+    return SweedlerExpansion(expansion.legs - 1, _sorted_terms(merged))
 
 
 def test_group_hopf_c2_valid():

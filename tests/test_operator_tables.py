@@ -10,8 +10,8 @@ provider returns.  An oracle
 compares what fresh tables hold with the tuple-decoding references of
 `test_provider_oracle`, since the evaluator oracle reads the same
 tables and cannot see a wrong one.  The memory guard measures the
-deepest benchmarked check, and a second guard measures the total mixed
-complex of the deepest benchmarked `hc`.  The source guards keep the
+deepest benchmarked check, and two more guards measure the total mixed
+complex of the deepest benchmarked `hc` and of s2 at degree 3.  The source guards keep the
 per-stage memos that the tables replaced from coming back beside them,
 keep every provider on whole columns (none takes a basis index, and no
 table reads one basis vector at a time) and keep the operator providers
@@ -68,6 +68,14 @@ def test_deep_total_complex_stays_under_one_and_a_half_mebibytes():
     outgrow the images they no longer build."""
     peak = traced_peak("s4", lambda cyl: tot_mixed_complex(cyl, 7))
     assert peak < 1.5 * MEBIBYTE, peak
+
+
+def test_total_complex_of_s2_at_degree_3_stays_under_one_and_a_quarter_mebibytes():
+    """tot_mixed_complex on s2 at degree 3.  It peaked at 1,412,214 bytes
+    while b was assembled from one materialized matrix per face; with b
+    built in face_0's matrix it peaks at about 1,018,000 (Python 3.11)."""
+    peak = traced_peak("s2", lambda cyl: tot_mixed_complex(cyl, 3))
+    assert peak < 1.25 * MEBIBYTE, peak
 
 
 # the bidegrees each scenario's fresh tables are read through

@@ -9,7 +9,10 @@ were first written; the wrap-around faces of the cylinder are read from
 their closed forms in `test_cylinder`.  Every column must hold its
 reference's image, in normal form, on every basis vector: each cylinder
 bidegree through (4,4) on s1-s5, and degrees through 4 of the cyclic
-modules of A and A #_sigma H.
+modules of A and A #_sigma H.  The vertical rotation, whose Sweedler
+terms each degree extends from those of the degree below, is also
+checked over prime fields (s2 over F_3, s5 over F_5) and on s4 (F_2) at
+every bidegree that `hc` at degree 7 reads, p through 7.
 """
 
 from pathlib import Path
@@ -27,9 +30,10 @@ SCENARIOS = ["s1", "s2", "s3", "s4", "s5"]
 TOP = 4
 
 
-def built(name):
+def built(name, field="Q"):
+    text = (ROOT / "scenarios" / f"{name}.scn").read_text()
     return build_objects(parse_scenario(
-        (ROOT / "scenarios" / f"{name}.scn").read_text()))
+        text.replace("field = Q", f"field = {field}")))
 
 
 class AlgebraReference:
@@ -202,6 +206,26 @@ def test_cylinder_providers_match_the_reference(name):
                          cylinder_heads(op), lambda head: cyl.dim(*head[:2]),
                          cyl.field.one)
         assert bad == [], (op, bad)
+
+
+# (scenario, field, the vrot heads read): prime fields through (TOP, TOP),
+# and s4 at every (p, q) with p <= 7 and p + q <= 8, as hc at degree 7
+VROT_CASES = [
+    ("s2", "Fp 3", [(p, q) for p in range(TOP + 1) for q in range(TOP + 1)]),
+    ("s5", "Fp 5", [(p, q) for p in range(TOP + 1) for q in range(TOP + 1)]),
+    ("s4", "Fp 2", [(p, q) for p in range(8) for q in range(9 - p)]),
+]
+
+
+@pytest.mark.parametrize("name,field,heads", VROT_CASES)
+def test_vrot_matches_the_reference_over_prime_fields_and_deep(
+        name, field, heads):
+    b = built(name, field)
+    cyl = HopfCrossedCylinder(b.hopf, b.action, b.cocycle)
+    assert cyl.field.characteristic == int(field.split()[1])
+    bad = mismatches(cyl.vrot, CylinderReference(cyl).vrot, heads,
+                     lambda head: cyl.dim(*head), cyl.field.one)
+    assert bad == [], bad
 
 
 @pytest.mark.parametrize("which", ["algebra", "crossed product"])

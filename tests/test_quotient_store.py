@@ -17,10 +17,15 @@ from hclab.cycliccore import (
 from hclab.cylinder import build_cylinder
 from hclab.cylinder.core import BinormalizedCylinder
 from hclab.exactlinalg import (
-    QQ, SparseMatrix, Subspace, full_quotient, quotient_space,
+    QQ, SparseMatrix, Subspace, quotient_space,
 )
 from hclab.hopf import group_hopf
 from hclab.spectral import RowComplexes, compute_E1, induced_column_cyclic
+
+def full_quotient(field, ambient_dim):
+    """ambient / 0."""
+    return quotient_space(ambient_dim, Subspace.zero(field, ambient_dim))
+
 
 # every raw operator matrix is built by one of these
 RAW_MATRICES = ("boundary_matrix", "face_matrix", "degeneracy_matrix",

@@ -12,10 +12,10 @@ from hclab.crossed import (
 )
 from hclab.cycliccore import ZERO, cyclic_homology_of_algebra
 from hclab.cylinder import build_cylinder
+from hclab.cylinder.coefficients import hopf_homology
 from hclab.spectral import (
     RowComplexes,
     SpectralError,
-    coinvariant_dims,
     collapse_check,
     compute_E1,
     compute_E2,
@@ -24,6 +24,17 @@ from hclab.spectral import (
 )
 
 F2 = Field(2)
+
+
+def coinvariant_dims(cyl, max_q):
+    """Dimensions of the zeroth Hopf homology of each row coefficient
+    module (the degree-zero column entries, for any Hopf algebra)."""
+    dims = []
+    for q in range(max_q + 1):
+        mod = cyl.row_coefficients(q)
+        rep = hopf_homology(cyl.hopf, mod.act, mod.dim, 0)
+        dims.append(rep.dims[0])
+    return dims
 
 
 def cylinder_s1():
