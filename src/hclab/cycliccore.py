@@ -567,9 +567,11 @@ class NormalizationError(MathError):
 def require_descent(induced, error, message):
     """The matrix `induced_map` returned, or error(message) when it found
     that the map does not descend; the message may name the offending
-    denominator vector as {basis_vector}."""
+    denominator vector as {basis_vector}, printed with its entries in
+    increasing column order."""
     if isinstance(induced, NotWellDefined):
-        raise error(message.format(basis_vector=induced.basis_vector))
+        raise error(message.format(
+            basis_vector=dict(sorted(induced.basis_vector.items()))))
     return induced
 
 

@@ -448,6 +448,12 @@ def rref(row_dicts):
     rows dropped.  RREF depends only on the row span, which makes every
     representative chosen downstream canonical.
 
+    The rows are taken last-first.  The output is a function of the span
+    alone, so the order cannot change a pivot or an entry, only a row's
+    key order and the fill-in on the way.  Of the orders measured (as
+    given, last-first, by length, by length then largest least column)
+    last-first was the fastest, or within 4% of it, on every input.
+
     Every stored row is zero on the other pivot columns, so an incoming
     row is reduced by one pass over its own pivot entries, and a new pivot
     column is cleared from the stored rows that `holders` says hold it.
@@ -457,7 +463,7 @@ def rref(row_dicts):
     """
     row_of = {}    # pivot column -> its reduced row
     holders = {}   # non-pivot column -> pivot columns of rows nonzero there
-    for row in row_dicts:
+    for row in reversed(row_dicts):
         if len(row) == 1:
             k, = row
             if len(row_of.get(k, ())) == 1:
@@ -497,9 +503,13 @@ def rref(row_dicts):
 
 
 def mat_rank(m):
-    """Rank over the matrix's field; deterministic."""
-    pivots, _ = rref(m.row_dicts())
-    return len(pivots)
+    """Rank over the matrix's field; deterministic.
+
+    rank M = rank M^T, so the stored columns are eliminated as rows, with
+    no transpose.  A reduced column has at most rows - rank + 1 entries,
+    a reduced row up to cols - rank + 1, and a boundary matrix has more
+    columns than rows."""
+    return len(rref(m.columns)[0])
 
 
 class Subspace:
@@ -704,8 +714,9 @@ def induced_map(f, src, dst):
             f"map is {f.rows}x{f.cols}, quotients have ambient "
             f"{src.ambient_dim} -> {dst.ambient_dim}")
     for row in src.denominator.rows:
-        img = f.apply(row)
+        # a unit RREF row {k: 1} maps to column k, read in place
+        img = f.columns[min(row)] if len(row) == 1 else f.apply(row)
         if not dst.denominator.contains(img):
-            return NotWellDefined(basis_vector=dict(row), image=img)
+            return NotWellDefined(basis_vector=dict(row), image=dict(img))
     columns = [dst.project(f.columns[fcol]) for fcol in src.free_columns]
     return SparseMatrix.from_columns(f.field, dst.dim, columns)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import Violation, ground_algebra, group_algebra
 from .exactlinalg import (
-    SparseMatrix, add_term, expand, kernel_basis, solve_linear, vec_add_into,
+    SparseMatrix, add_term, expand, mat_rank, solve_linear, vec_add_into,
 )
 
 
@@ -255,7 +255,7 @@ def is_semisimple(hopf):
                     row[j] = t
             rows.append(row)
         gram = SparseMatrix.from_row_list(field, rows, alg.dim)
-        return kernel_basis(gram).dim == 0
+        return mat_rank(gram) == gram.cols
     if hopf.group is not None:
         return hopf.group.order % field.characteristic != 0
     raise UnsupportedSemisimplicityQuery(

@@ -10,9 +10,12 @@ the target's denominator, so that first vector is the one reported.
 The perturbation is applied where the raw matrix meets `induced_map`,
 which makes the test independent of how the raw operators are built.
 
-Every case here normalizes by degeneracy images of a unit that is a basis
-vector, so both denominators are coordinate subspaces, which reduce by
-deleting coordinates; the failure must name the same vector regardless.
+Every case in CASES normalizes by degeneracy images of a unit that is a
+basis vector, so both denominators are coordinate subspaces, which reduce
+by deleting coordinates; the failure must name the same vector
+regardless.  MULTI_ENTRY_CASES normalize s3's algebra, whose unit is the
+sum of two basis vectors, so the vector named has several entries, and
+it is printed in increasing column order.
 """
 
 import pytest
@@ -22,7 +25,8 @@ import hclab.cylinder.core
 import hclab.exactlinalg
 import hclab.spectral
 from hclab.algebra import (
-    FiniteGroup, dual_numbers, ground_algebra, group_algebra,
+    FiniteGroup, dual_numbers, function_algebra, ground_algebra,
+    group_algebra,
 )
 from hclab.crossed import (
     ActionMap, lift_group_cocycle, sign_group_cocycle_table,
@@ -30,11 +34,13 @@ from hclab.crossed import (
 )
 from hclab.cycliccore import (
     AlgebraCyclicModule, MixedComplexError, NormalizationError,
-    NormalizedComplex,
+    NormalizedComplex, require_descent,
 )
 from hclab.cylinder import build_cylinder
 from hclab.cylinder.core import BinormalizedCylinder, shuffle_map
-from hclab.exactlinalg import QQ, NotWellDefined, SparseMatrix
+from hclab.exactlinalg import (
+    QQ, NotWellDefined, SparseMatrix, Subspace, induced_map, quotient_space,
+)
 from hclab.hopf import group_hopf, is_cocommutative
 from hclab.spectral import RowComplexes, SpectralError
 
@@ -194,3 +200,58 @@ def test_non_descending_operator_is_named(case, perturb_next):
     assert isinstance(marker, NotWellDefined)
     assert (marker.basis_vector == src.denominator.rows[0]
             == {src.denominator.pivots[0]: QQ.one})
+
+
+def functions_c2_normalized():
+    module = AlgebraCyclicModule(function_algebra(QQ, FiniteGroup.cyclic(2)))
+    return NormalizedComplex(module, 3)
+
+
+MULTI_ENTRY_CASES = {
+    "s3 normalized b": (
+        functions_c2_normalized, lambda norm: norm.boundary_matrix(2),
+        NormalizationError,
+        "induced operator not well defined: boundary in degree 2; "
+        "offending vector {0: 1, 3: -1}"),
+    "s3 normalized sN": (
+        functions_c2_normalized, lambda norm: norm.connes_matrix(1),
+        NormalizationError,
+        "induced operator not well defined: Connes boundary in degree 1; "
+        "offending vector {0: 1, 1: 1}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_ENTRY_CASES))
+def test_multi_entry_denominator_row_is_named(case, perturb_next):
+    build, call, error, message = MULTI_ENTRY_CASES[case]
+    call(build())  # unperturbed, it descends
+    perturbed = perturb_next()
+    with pytest.raises(error) as info:
+        call(build())
+    assert str(info.value) == message
+    (src, dst, marker), = perturbed
+    assert not src.denominator.is_coordinate
+    assert isinstance(marker, NotWellDefined)
+    assert marker.basis_vector == src.denominator.rows[0]
+    assert len(marker.basis_vector) > 1
+
+
+def test_offending_vector_is_printed_in_column_order():
+    """The key order of an RREF row depends on the elimination order; the
+    message does not."""
+    marker = NotWellDefined(basis_vector={3: -1, 0: 1, 2: 5}, image={1: 1})
+    with pytest.raises(NormalizationError) as info:
+        require_descent(marker, NormalizationError, "vector {basis_vector}")
+    assert str(info.value) == "vector {0: 1, 2: 5, 3: -1}"
+
+
+def test_marker_image_is_a_copy_of_the_column():
+    """Descent of a unit denominator row {k: 1} is checked on column k in
+    place; the marker still reports a copy, which shares no dict with
+    the matrix."""
+    f = SparseMatrix(QQ, 2, 2, {(1, 0): QQ.one, (1, 1): QQ.one})
+    quotient = quotient_space(2, Subspace.from_vectors(QQ, 2, [{0: QQ.one}]))
+    marker = induced_map(f, quotient, quotient)
+    assert isinstance(marker, NotWellDefined)
+    assert marker.basis_vector == {0: QQ.one}
+    assert marker.image == f.columns[0] and marker.image is not f.columns[0]

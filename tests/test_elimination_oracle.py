@@ -15,6 +15,7 @@ Over Q hclab keeps integral scalars as ints, and the oracles divide with
 arithmetic stays exact and their results compare with `==` as before.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,9 @@ from hclab.exactlinalg import (
     Field,
     FpScalar,
     QQ,
+    SparseMatrix,
     Subspace,
+    mat_rank,
     quotient_space,
     rref,
 )
@@ -363,3 +366,37 @@ def test_project_matches_free_column_walk(data):
     got = quotient.project(vec)
     want = free_column_walk_project(quotient, vec)
     assert list(got.items()) == list(want.items())
+
+
+@ORACLE_SETTINGS
+@given(sparse_rows(), st.randoms(use_true_random=False))
+@example(FILL_IN, random.Random(0))
+def test_rref_output_does_not_depend_on_row_order(case, rng):
+    """RREF is a function of the span, so any order of the same rows,
+    shuffled or reversed, gives `==` pivots and rows."""
+    _, _, rows = case
+    want = rref(rows)
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert rref(shuffled) == want
+    assert rref(rows[::-1]) == want
+
+
+@ORACLE_SETTINGS
+@given(sparse_rows())
+@example(FILL_IN)
+def test_mat_rank_reads_columns_and_matches_row_rank(case):
+    """rank M = rank M^T: `mat_rank` eliminates the stored columns, and
+    agrees with the RREF of the rows and, over Q, with sympy; it leaves
+    the matrix's columns as they were."""
+    field, n, rows = case
+    m = SparseMatrix.from_row_list(field, rows, n)
+    before = [dict(col) for col in m.columns]
+    rank = mat_rank(m)
+    assert m.columns == before
+    assert [list(col) for col in m.columns] == [list(col) for col in before]
+    assert rank == len(rref(m.row_dicts())[0])
+    if field is QQ:
+        dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+        assert rank == sympy.Matrix(len(rows), n,
+                                    [x for r in dense for x in r]).rank()
