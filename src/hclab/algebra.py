@@ -153,10 +153,10 @@ class FinDimAlgebra:
         for v in (x, y):
             if any(not 0 <= k < self.dim for k in v):
                 raise DimensionMismatch("element coordinates out of range")
-        out = {}
+        out, p = {}, self.field.characteristic
         for i, ci in x.items():
             for j, cj in y.items():
-                vec_add_into(out, self.mul_table[i][j], ci * cj)
+                vec_add_into(out, self.mul_table[i][j], ci * cj, p)
         return out
 
     def element(self, label_or_index):
@@ -177,7 +177,7 @@ class FinDimAlgebra:
                 return Violation("unit law (right)", (i,))
         # (e_i e_j) e_k and e_i (e_j e_k) are summed straight from the
         # table rows, so every product's coordinates are checked once here
-        table = self.mul_table
+        table, p = self.mul_table, self.field.characteristic
         for row in table:
             for v in row:
                 if any(not 0 <= k < self.dim for k in v):
@@ -189,10 +189,10 @@ class FinDimAlgebra:
                 for k in range(self.dim):
                     lhs = {}
                     for m, c in ij.items():
-                        vec_add_into(lhs, table[m][k], c)
+                        vec_add_into(lhs, table[m][k], c, p)
                     rhs = {}
                     for m, c in right[k].items():
-                        vec_add_into(rhs, left[m], c)
+                        vec_add_into(rhs, left[m], c, p)
                     if lhs != rhs:
                         return Violation("associativity", (i, j, k))
         return None

@@ -201,6 +201,8 @@ def parse_scenario(text):
     elif len(spec) == 2 and spec[0] == "Fp" and spec[1].isdecimal():
         char = int(spec[1])
         try:
+            if char < 2:   # Field(0) is Q
+                raise ExactLinalgError(f"Fp needs a prime, got {char}")
             Field(char)
         except ExactLinalgError as exc:
             raise ScenarioError(str(exc), field_line)

@@ -42,11 +42,11 @@ class ActionMap:
         return self.table[h][a]
 
     def apply(self, hvec, avec):
-        out = {}
+        out, p = {}, self.hopf.field.characteristic
         for h, ch in hvec.items():
             row = self.table[h]
             for a, ca in avec.items():
-                vec_add_into(out, row[a], ch * ca)
+                vec_add_into(out, row[a], ch * ca, p)
         return out
 
     def __repr__(self):
@@ -73,11 +73,12 @@ def _weak_axioms(act):
     """The first violation of the weak-action axioms 1)-3), or None."""
     hopf, alg = act.hopf, act.algebra
     field = hopf.field
+    p = field.characteristic
     # 2) h(1) = counit(h) 1
     for h in range(hopf.dim):
         img = act.apply({h: field.one}, alg.unit)
-        want = {k: hopf.counit[h] * c for k, c in alg.unit.items()
-                if hopf.counit[h] * c}
+        want = {}
+        vec_add_into(want, alg.unit, hopf.counit[h], p)
         if img != want:
             return Violation("weak action: h(1) = counit(h) 1", (h,))
     # 3) 1(a) = a
@@ -95,7 +96,7 @@ def _weak_axioms(act):
                 for coeff, (h1, h2) in legs:
                     left = act.apply_basis(h1, a)
                     right = act.apply_basis(h2, b)
-                    vec_add_into(rhs, alg.multiply(left, right), coeff)
+                    vec_add_into(rhs, alg.multiply(left, right), coeff, p)
                 if lhs != rhs:
                     return Violation("weak action: h(ab) = h1(a) h2(b)",
                                      (h, a, b))
@@ -127,45 +128,36 @@ class Cocycle:
         self.inverse_values = inverse_values
 
     def of(self, u, v, inverse=False):
-        """Bilinear evaluation on sparse vectors."""
+        """Bilinear evaluation on sparse vectors, a scalar of the field."""
         table = self.inverse_values if inverse else self.values
-        total = self.hopf.field.zero
+        total = 0
         for i, ci in u.items():
             row = table[i]
             for j, cj in v.items():
                 total = total + ci * cj * row[j]
-        return total
+        return self.hopf.field.of(total)
 
     def __repr__(self):
         return f"Cocycle(on H dim {self.hopf.dim})"
 
 
 def trivial_cocycle(hopf):
-    eps = hopf.counit
-    values = [[eps[i] * eps[j] for j in range(hopf.dim)]
-              for i in range(hopf.dim)]
+    values = convolution_unit(hopf)
     return Cocycle(hopf, values, [row[:] for row in values])
 
 
 def convolve(hopf, f, g):
     """Convolution of two scalar tables on H (x) H."""
     d = hopf.dim
-    out = [[hopf.field.zero] * d for _ in range(d)]
-    for h in range(d):
-        hlegs = hopf.sweedler(h, 2)
-        for l in range(d):
-            llegs = hopf.sweedler(l, 2)
-            total = hopf.field.zero
-            for ch, (h1, h2) in hlegs:
-                for cl, (l1, l2) in llegs:
-                    total = total + ch * cl * f[h1][l1] * g[h2][l2]
-            out[h][l] = total
-    return out
+    return [[hopf.field.of(sum(ch * cl * f[h1][l1] * g[h2][l2]
+                               for ch, (h1, h2) in hopf.sweedler(h, 2)
+                               for cl, (l1, l2) in hopf.sweedler(l, 2)))
+             for l in range(d)] for h in range(d)]
 
 
 def convolution_unit(hopf):
-    eps = hopf.counit
-    return [[eps[i] * eps[j] for j in range(hopf.dim)]
+    eps, of = hopf.counit, hopf.field.of
+    return [[of(eps[i] * eps[j]) for j in range(hopf.dim)]
             for i in range(hopf.dim)]
 
 
@@ -177,6 +169,7 @@ def convolution_inverse(hopf, values):
     """
     d = hopf.dim
     field = hopf.field
+    p = field.characteristic
     rows = []
     rhs = {}
     for h in range(d):
@@ -186,11 +179,9 @@ def convolution_inverse(hopf, values):
             row = {}
             for ch, (h1, h2) in hlegs:
                 for cl, (l1, l2) in llegs:
-                    add_term(row, h2 * d + l2, ch * cl * values[h1][l1])
+                    add_term(row, h2 * d + l2, ch * cl * values[h1][l1], p)
             rows.append(row)
-            target = hopf.counit[h] * hopf.counit[l]
-            if target:
-                rhs[h * d + l] = target
+            add_term(rhs, h * d + l, hopf.counit[h] * hopf.counit[l], p)
     m = SparseMatrix.from_row_list(field, rows, d * d)
     sol = solve_linear(m, rhs)
     if sol is None:
@@ -209,6 +200,7 @@ def validate_cocycle(coc, act):
     hopf = coc.hopf
     alg = act.algebra
     field = hopf.field
+    p = field.characteristic
     if act.hopf is not hopf and act.hopf.dim != hopf.dim:
         return Violation("cocycle and action share the Hopf algebra", ())
     one_h = hopf.algebra.unit
@@ -241,7 +233,7 @@ def validate_cocycle(coc, act):
                         rhs = rhs + ch * cl * coc.values[h1][l1] * \
                             coc.of(hopf.algebra.multiply_basis(h2, l2),
                                    {m: field.one})
-                if lhs != rhs:
+                if field.of(lhs) != field.of(rhs):
                     return Violation("cocycle property", (h, l, m))
     # twisted module property
     for h in range(hopf.dim):
@@ -256,12 +248,12 @@ def validate_cocycle(coc, act):
                         vec_add_into(
                             lhs,
                             act.apply({h1: field.one}, act.apply_basis(l1, a)),
-                            w * coc.values[h2][l2])
+                            w * coc.values[h2][l2], p)
                         vec_add_into(
                             rhs,
                             act.apply(hopf.algebra.multiply_basis(l2, h2),
                                       {a: field.one}),
-                            w * coc.values[h1][l1])
+                            w * coc.values[h1][l1], p)
                 if lhs != rhs:
                     return Violation("twisted module property", (h, l, a))
     # inverse identities
@@ -290,18 +282,18 @@ class CrossedProductAlgebra:
 
     def embed_coefficient(self, avec):
         """a -> a (x) 1."""
-        out = {}
+        out, p = {}, self.product.field.characteristic
         for a, ca in avec.items():
             for h, ch in self.action.hopf.algebra.unit.items():
-                out[self.pair_index(a, h)] = ca * ch
+                add_term(out, self.pair_index(a, h), ca * ch, p)
         return out
 
     def embed_hopf(self, hvec):
         """h -> 1 (x) h."""
-        out = {}
+        out, p = {}, self.product.field.characteristic
         for a, ca in self.action.algebra.unit.items():
             for h, ch in hvec.items():
-                out[self.pair_index(a, h)] = ca * ch
+                add_term(out, self.pair_index(a, h), ca * ch, p)
         return out
 
 
@@ -315,6 +307,7 @@ def build_crossed_product(act, coc):
     """
     hopf, alg = act.hopf, act.algebra
     field = hopf.field
+    p = field.characteristic
     dA, dH = alg.dim, hopf.dim
     dim = dA * dH
     labels = [f"{la}#{lh}" for la in alg.basis_labels
@@ -335,18 +328,19 @@ def build_crossed_product(act, coc):
                         if not a_part:
                             continue
                         for cl, (l1, l2) in l2legs:
+                            # a product of nonzero scalars is nonzero
                             w = ch * cl * coc.values[h2][l1]
                             if not w:
                                 continue
                             h_part = hopf.algebra.multiply_basis(h3, l2)
                             for (ai, hi), c in expand(
-                                    w, [a_part, h_part]).items():
-                                add_term(out, ai * dH + hi, c)
+                                    w, [a_part, h_part], p).items():
+                                add_term(out, ai * dH + hi, c, p)
                     table[a * dH + h][b * dH + l] = out
     unit = {}
     for a, ca in alg.unit.items():
         for h, ch in hopf.algebra.unit.items():
-            unit[a * dH + h] = ca * ch
+            add_term(unit, a * dH + h, ca * ch, p)
     product = FinDimAlgebra(field, labels, table, unit)
     return CrossedProductAlgebra(product=product, action=act, cocycle=coc)
 
@@ -379,11 +373,12 @@ def lift_group_cocycle(hopf, table):
             for z in range(n):
                 lhs = table[x][y] * table[group.op(x, y)][z]
                 rhs = table[y][z] * table[x][group.op(y, z)]
-                if lhs != rhs:
+                if field.of(lhs) != field.of(rhs):
                     raise GroupCocycleError(
                         "cocycle identity fails at "
                         f"({group.labels[x]},{group.labels[y]},{group.labels[z]})")
-    inverse = [[exact_div(field.one, table[i][j]) for j in range(n)]
+    inverse = [[exact_div(field.one, table[i][j], field.characteristic)
+                for j in range(n)]
                for i in range(n)]
     return Cocycle(hopf, [row[:] for row in table], inverse)
 

@@ -133,23 +133,24 @@ def insert_column(dim, stride, d, unit):
     return out
 
 
-def apply_linear(column, vec):
-    """The image of a sparse vector under the operator whose image of
-    basis vector k is column[k]: a sparse vector or an int basis index."""
+def apply_linear(column, vec, p=0):
+    """The image of a sparse vector, mod p, under the operator whose
+    image of basis vector k is column[k]: a sparse vector or an int."""
     out = {}
     for k, c in vec.items():
         image = column[k]
         if type(image) is int:
-            add_term(out, image, c)
+            add_term(out, image, c, p)
         else:
-            vec_add_into(out, image, c)
+            vec_add_into(out, image, c, p)
     return out
 
 
-def compose_columns(outer, inner, one):
+def compose_columns(outer, inner, field):
     """The column of outer after inner, in normal form."""
+    p, one = field.characteristic, field.one
     return [outer[v] if type(v) is int
-            else v and normal_image(apply_linear(outer, v), one)
+            else v and normal_image(apply_linear(outer, v, p), one)
             for v in inner]
 
 
@@ -249,14 +250,14 @@ class ParacyclicModule:
         face_0's fresh matrix; the zero map for n = 0."""
         if n == 0:
             return SparseMatrix.zero(self.field, 0, self.dim(0))
-        out = self.face_matrix(n, 0)
+        out, p = self.face_matrix(n, 0), self.field.characteristic
         for i in range(1, n + 1):
             sign = self.field.sign(i)
             for col, image in zip(out.columns, self.face(n, i), strict=True):
                 if type(image) is int:
-                    add_term(col, image, sign)
+                    add_term(col, image, sign, p)
                 elif image is not ZERO:
-                    vec_add_into(col, image, sign)
+                    vec_add_into(col, image, sign, p)
         return out
 
     def signed_rotation_matrix(self, n):
@@ -403,7 +404,7 @@ class MatrixParacyclicModule(ParacyclicModule):
         return n in self.rotations
 
 
-def first_violation(stages, one):
+def first_violation(stages, field):
     """The first relation that fails, as (name, basis index k), or None.
 
     A relation is a row (name, lhs, rhs) of two words.  A word is a
@@ -416,8 +417,9 @@ def first_violation(stages, one):
     of images per word, so the failure is the first failing stage's least
     failing k and the earliest row failing there: what a walk of the
     rows on one basis vector after another meets first.  Images are only
-    compared, so may be shared.
+    compared, so may be shared.  The scalars are those of `field`.
     """
+    p, one = field.characteristic, field.one
     for dim, relations in stages:
         # the distinct steps of the stage, each column read once
         steps = {}
@@ -425,7 +427,7 @@ def first_violation(stages, one):
                 for name, lhs, rhs in relations]
         first = None
         for name, lhs, rhs in rows:
-            k = _first_difference(_images(lhs, dim), _images(rhs, dim),
+            k = _first_difference(_images(lhs, dim, p), _images(rhs, dim, p),
                                   dim if first is None else first[1], one)
             if k is not None:
                 first = name, k
@@ -449,7 +451,7 @@ def _compile(word, steps):
     return out
 
 
-def _images(word, dim):
+def _images(word, dim, p):
     """The list of a compiled word's images of basis vectors 0..dim-1:
     one builtin map through a step while every image is an index."""
     if not word:
@@ -462,7 +464,7 @@ def _images(word, dim):
         else:
             # a zero image stays the zero it is
             images = [column[v] if type(v) is int
-                      else v and apply_linear(column, v) for v in images]
+                      else v and apply_linear(column, v, p) for v in images]
     return images
 
 
@@ -542,7 +544,7 @@ def check_paracyclic(module, max_degree):
     vector through max_degree; None, or the first violation found."""
     steps = module.operator_steps()
     bad = first_violation(paracyclic_stages(module, max_degree, steps),
-                          module.field.one)
+                          module.field)
     return None if bad is None else RelationViolation(*bad[0], bad[1])
 
 
@@ -556,7 +558,7 @@ def check_cyclic(module, max_degree):
                                     (t(n),) * (n + 1), ())])
                   for n in range(max_degree + 1)]
     bad = first_violation([*paracyclic_stages(module, max_degree, steps),
-                           *identities], module.field.one)
+                           *identities], module.field)
     return None if bad is None else RelationViolation(*bad[0], bad[1])
 
 

@@ -34,17 +34,17 @@ class CoefficientBimodule:
         raise NotImplementedError
 
     def left_vec(self, hvec, mvec):
-        out = {}
+        out, p = {}, self.field.characteristic
         for h, ch in hvec.items():
             for m, cm in mvec.items():
-                vec_add_into(out, self.left(h, m), ch * cm)
+                vec_add_into(out, self.left(h, m), ch * cm, p)
         return out
 
     def right_vec(self, mvec, hvec):
-        out = {}
+        out, p = {}, self.field.characteristic
         for h, ch in hvec.items():
             for m, cm in mvec.items():
-                vec_add_into(out, self.right(m, h), ch * cm)
+                vec_add_into(out, self.right(m, h), ch * cm, p)
         return out
 
 
@@ -73,7 +73,7 @@ class BimoduleMq(CoefficientBimodule):
         key = (h, m)
         if key in self._left_cache:
             return self._left_cache[key]
-        q = self.q
+        q, p = self.q, self.field.characteristic
         tup = self.space.decode(m)
         g, avs = tup[0], tup[1:]
         out = {}
@@ -86,8 +86,8 @@ class BimoduleMq(CoefficientBimodule):
                 acted = tuple(self.action.apply_basis(l[j], avs[j])
                               for j in range(q + 1))
                 for t, ct in head.items():
-                    for term, c in expand(w * ct, (t,) + acted).items():
-                        add_term(out, self.space.encode(term), c)
+                    for term, c in expand(w * ct, (t,) + acted, p).items():
+                        add_term(out, self.space.encode(term), c, p)
         self._left_cache[key] = out
         return out
 
@@ -97,7 +97,7 @@ class BimoduleMq(CoefficientBimodule):
             return self._right_cache[key]
         tup = self.space.decode(m)
         g, avs = tup[0], tup[1:]
-        out = {}
+        out, p = {}, self.field.characteristic
         for c0, (g1, g2) in self.hopf.sweedler(g, 2):
             for c1, (h1, h2) in self.hopf.sweedler(h, 2):
                 w = c0 * c1 * self.cocycle.values[g2][h2]
@@ -105,7 +105,7 @@ class BimoduleMq(CoefficientBimodule):
                     continue
                 head = self.hopf.algebra.multiply_basis(g1, h1)
                 for t, ct in head.items():
-                    add_term(out, self.space.encode((t,) + avs), w * ct)
+                    add_term(out, self.space.encode((t,) + avs), w * ct, p)
         self._right_cache[key] = out
         return out
 
@@ -167,7 +167,7 @@ class HochschildComplex(ParacyclicModule):
 
     def face(self, p, i):
         src, dst = self.space(p), self.space(p - 1)
-        one = self.field.one
+        one, mod = self.field.one, self.field.characteristic
         column = []
         for k in range(src.size):
             tup = src.decode(k)
@@ -176,16 +176,16 @@ class HochschildComplex(ParacyclicModule):
             if i == 0:
                 img = self.bimodule.right(m, hs[0])
                 for mm, c in img.items():
-                    add_term(out, dst.encode((mm,) + hs[1:]), c)
+                    add_term(out, dst.encode((mm,) + hs[1:]), c, mod)
             elif i < p:
                 prod = self.ring.multiply_basis(hs[i - 1], hs[i])
                 for t, c in prod.items():
                     add_term(out, dst.encode(
-                        (m,) + hs[:i - 1] + (t,) + hs[i + 1:]), c)
+                        (m,) + hs[:i - 1] + (t,) + hs[i + 1:]), c, mod)
             else:
                 img = self.bimodule.left(hs[p - 1], m)
                 for mm, c in img.items():
-                    add_term(out, dst.encode((mm,) + hs[:p - 1]), c)
+                    add_term(out, dst.encode((mm,) + hs[:p - 1]), c, mod)
             column.append(normal_image(out, one))
         return column
 
@@ -214,7 +214,7 @@ def check_row_identification(cyl, twisted_algebra, q, max_p):
          ((cyl.hface, (p, q, i)), (rebracket, (p - 1,))),
          ((rebracket, (p,)), (hc.face, (p, i))))
         for i in range(p + 1)]) for p in range(1, max_p + 1))
-    bad = first_violation(stages, cyl.field.one)
+    bad = first_violation(stages, cyl.field)
     return None if bad is None else bad[0].format(k=bad[1])
 
 
@@ -244,15 +244,15 @@ class TwistedLeftModule:
                 continue
             moved = self.bimodule.right_vec(mv, self.hopf.antipode[l1])
             vec_add_into(out, self.bimodule.left_vec(
-                {l4: self.field.one}, moved), coef)
+                {l4: self.field.one}, moved), coef, self.field.characteristic)
         self._cache[key] = out
         return out
 
     def act_vec(self, hvec, mvec):
-        out = {}
+        out, p = {}, self.field.characteristic
         for h, ch in hvec.items():
             for m, cm in mvec.items():
-                vec_add_into(out, self.act(h, m), ch * cm)
+                vec_add_into(out, self.act(h, m), ch * cm, p)
         return out
 
     def verify_module_law(self):
@@ -311,7 +311,7 @@ class HopfComplex(ParacyclicModule):
 
     def face(self, p, i):
         src, dst = self.space(p), self.space(p - 1)
-        one = self.field.one
+        one, mod = self.field.one, self.field.characteristic
         column = []
         for k in range(src.size):
             tup = src.decode(k)
@@ -319,16 +319,16 @@ class HopfComplex(ParacyclicModule):
             out = {}
             if i == 0:
                 add_term(out, dst.encode(hs[1:] + (m,)),
-                         self.hopf.counit[hs[0]])
+                         self.hopf.counit[hs[0]], mod)
             elif i < p:
                 prod = self.hopf.algebra.multiply_basis(hs[i - 1], hs[i])
                 for t, c in prod.items():
                     add_term(out, dst.encode(
-                        hs[:i - 1] + (t,) + hs[i + 1:] + (m,)), c)
+                        hs[:i - 1] + (t,) + hs[i + 1:] + (m,)), c, mod)
             else:
                 img = self.act(hs[p - 1], m)
                 for mm, c in img.items():
-                    add_term(out, dst.encode(hs[:p - 1] + (mm,)), c)
+                    add_term(out, dst.encode(hs[:p - 1] + (mm,)), c, mod)
             column.append(normal_image(out, one))
         return column
 
@@ -374,7 +374,8 @@ def hochschild_to_hopf(bimodule, p):
                 mv = bimodule.right_vec(mv, {l1: field.one})
             second = tuple(l2 for (_l1, l2) in legs)
             for mm, c in mv.items():
-                add_term(out, dst.encode(second + (mm,)), coef * c)
+                add_term(out, dst.encode(second + (mm,)), coef * c,
+                         field.characteristic)
         cols.append(out)
     return SparseMatrix.from_columns(field, dst.size, cols)
 
@@ -407,7 +408,8 @@ def hopf_to_hochschild(bimodule, p):
                 mv = bimodule.right_vec(mv, hopf.antipode[l1])
             fourth = tuple(l4 for (_l1, _l2, _l3, l4) in legs)
             for mm, c in mv.items():
-                add_term(out, dst.encode((mm,) + fourth), w * c)
+                add_term(out, dst.encode((mm,) + fourth), w * c,
+                         field.characteristic)
         cols.append(out)
     return SparseMatrix.from_columns(field, dst.size, cols)
 
@@ -443,7 +445,7 @@ def check_maclane(cyl, twisted_algebra, q, max_p):
                      ((hc.face, (p, i)), (theta, (p - 1,))),
                      ((theta, (p,)), (hopf_face, (p, i))))]
 
-    bad = first_violation(stages(), cyl.field.one)
+    bad = first_violation(stages(), cyl.field)
     return None if bad is None else bad[0].format(k=bad[1])
 
 
@@ -453,7 +455,7 @@ def coefficient_action_matrix(cyl, q):
     coefficient slot, and an antipode sandwich on the H component."""
     hopf = cyl.hopf
     coc = cyl.cocycle
-    field = cyl.field
+    field, p = cyl.field, cyl.field.characteristic
     space = cyl.space(0, q)
     mats = []
     for h in range(hopf.dim):
@@ -482,8 +484,9 @@ def coefficient_action_matrix(cyl, q):
                     acted = tuple(cyl.action.apply_basis(l[4 + j], avs[j])
                                   for j in range(q + 1))
                     for t, ct in head.items():
-                        for term, c in expand(w * ct, (t,) + acted).items():
-                            add_term(out, space.encode(term), c)
+                        for term, c in expand(w * ct, (t,) + acted,
+                                              p).items():
+                            add_term(out, space.encode(term), c, p)
             cols.append(out)
         mats.append(SparseMatrix.from_columns(field, space.size, cols))
     return mats
@@ -501,4 +504,4 @@ def check_coefficient_action(cyl, q):
 
     stages = ((mod.dim, [(h, ((closed, (h,)),), ((act, (h,)),))])
               for h in range(cyl.hopf.dim))
-    return first_violation(stages, cyl.field.one)
+    return first_violation(stages, cyl.field)

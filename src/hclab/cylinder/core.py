@@ -136,8 +136,7 @@ class HopfCrossedCylinder:
         if i == q:
             # the wrap-around face is face_0 composed with the rotation
             return compose_columns(self._column("vface", (p, q, 0)),
-                                   self._column("vrot", (p, q)),
-                                   self.field.one)
+                                   self._column("vrot", (p, q)), self.field)
         dA = self.algebra.dim
         return merge_column(self.dim(p, q), dA ** (q - 1 - i), dA,
                             self._vpairs)
@@ -166,8 +165,7 @@ class HopfCrossedCylinder:
             raise ValueError("no horizontal faces in row degree 0")
         if i == p:
             return compose_columns(self._column("hface", (p, q, 0)),
-                                   self._column("hrot", (p, q)),
-                                   self.field.one)
+                                   self._column("hrot", (p, q)), self.field)
         dH = self.hopf.dim
         return merge_column(self.dim(p, q),
                             dH ** (p - 1 - i) * self.algebra.dim ** (q + 1),
@@ -294,28 +292,28 @@ class DiagonalModule(ParacyclicModule):
 
     def face(self, n, i):
         return compose_columns(self.cyl.vface(n - 1, n, i),
-                               self.cyl.hface(n, n, i), self.field.one)
+                               self.cyl.hface(n, n, i), self.field)
 
     def degeneracy(self, n, i):
         return compose_columns(self.cyl.vdeg(n + 1, n, i),
-                               self.cyl.hdeg(n, n, i), self.field.one)
+                               self.cyl.hdeg(n, n, i), self.field)
 
     def rotate(self, n):
         return compose_columns(self.cyl.vrot(n, n), self.cyl.hrot(n, n),
-                               self.field.one)
+                               self.field)
 
 
 def _twisted_products(hopf, cocycle):
     """The merged Hopf slot of each pair x * dH + y: the sum of
     c1 c2 sigma(x2, y2) x1 y1 over the coproducts of x and y."""
-    table = []
+    table, p = [], hopf.field.characteristic
     for x in range(hopf.dim):
         for y in range(hopf.dim):
             out = {}
             for c1, (x1, x2) in hopf.sweedler(x, 2):
                 for c2, (y1, y2) in hopf.sweedler(y, 2):
                     vec_add_into(out, hopf.algebra.multiply_basis(x1, y1),
-                                 c1 * c2 * cocycle.values[x2][y2])
+                                 c1 * c2 * cocycle.values[x2][y2], p)
             table.append(out)
     return table
 
@@ -328,11 +326,12 @@ def _conjugation_terms(hopf, action, p):
     the first legs, index of the second legs) extend those of the string
     without its last slot by one coproduct and one product per term, so
     only the degree below is kept while a degree is built."""
-    dH, dA, one = hopf.dim, action.algebra.dim, hopf.field.one
+    dH, dA, field = hopf.dim, action.algebra.dim, hopf.field
+    one, mod = field.one, field.characteristic
     # the empty string's one term: the unit
     strings = [[(one, hopf.algebra.unit, 0)]]
     for _ in range(p + 1):
-        strings = [[(coef * c, hopf.multiply(product, {a: one}),
+        strings = [[(field.of(coef * c), hopf.multiply(product, {a: one}),
                      second * dH + b)
                     for coef, product, second in prefix
                     for c, (a, b) in hopf.sweedler(g, 2)]
@@ -344,7 +343,7 @@ def _conjugation_terms(hopf, action, p):
             su = hopf.antipode_of(product)
             for last, terms in enumerate(merged):
                 for w, cw in action.apply(su, {last: one}).items():
-                    add_term(terms, second * dA + w, coef * cw)
+                    add_term(terms, second * dA + w, coef * cw, mod)
         out.append([normal_image(terms, one) for terms in merged])
     return out
 
@@ -353,7 +352,7 @@ def _pushed_terms(hopf, action, q, g, a):
     """The horizontal rotation's terms for the last Hopf slot g and the
     coefficient string with index a in degree q: ((h, b), c) with h the
     leg that moves to the front and b the index of the acted string."""
-    dA = action.algebra.dim
+    dA, p = action.algebra.dim, hopf.field.characteristic
     avs = [a // dA ** e % dA for e in range(q, -1, -1)]
     merged = {}
     for c0, m in hopf.sweedler(g, q + 2):
@@ -362,7 +361,7 @@ def _pushed_terms(hopf, action, q, g, a):
             terms = [(b * dA + y, c * cy) for b, c in terms
                      for y, cy in action.apply_basis(leg, x).items()]
         for b, c in terms:
-            add_term(merged, (m[q + 1], b), c)
+            add_term(merged, (m[q + 1], b), c, p)
     return tuple(merged.items())
 
 
@@ -434,7 +433,7 @@ def _commutation_scope(cyl, p, q):
     """(the steps the relations at (p, q) read, a function that checks
     them and names the first failure)."""
     def run():
-        bad = first_violation(_cylindrical_stages(cyl, p, q), cyl.field.one)
+        bad = first_violation(_cylindrical_stages(cyl, p, q), cyl.field)
         return None if bad is None else f"{bad[0]} basis {bad[1]}"
     return _reads(_cylindrical_stages(cyl, p, q)), run
 
@@ -623,6 +622,7 @@ def crossed_to_diagonal(cyl, cp, n):
     by the antipode of the product of one leg from each of g_j .. g_n.
     """
     hopf, field = cyl.hopf, cyl.field
+    p = field.characteristic
     dH, dA = hopf.dim, cyl.algebra.dim
     src_dim = (dA * dH) ** (n + 1)
     tgt = cyl.space(n, n)
@@ -642,8 +642,8 @@ def crossed_to_diagonal(cyl, cp, n):
                     [legs[m][m - j] for m in range(j, n + 1)])
                 su = hopf.antipode_of(u)
                 avecs.append(cyl.action.apply(su, {a_part[j]: field.one}))
-            for t, c in expand(coef, g_string + tuple(avecs)).items():
-                add_term(out, tgt.encode(t), c)
+            for t, c in expand(coef, g_string + tuple(avecs), p).items():
+                add_term(out, tgt.encode(t), c, p)
         cols.append(out)
     return SparseMatrix.from_columns(field, tgt.size, cols)
 
@@ -651,6 +651,7 @@ def crossed_to_diagonal(cyl, cp, n):
 def diagonal_to_crossed(cyl, cp, n):
     """Matrix of the inverse map, diagonal to crossed product."""
     hopf, field = cyl.hopf, cyl.field
+    p = field.characteristic
     dH, dA = hopf.dim, cyl.algebra.dim
     src = cyl.space(n, n)
     tgt_dim = (dA * dH) ** (n + 1)
@@ -667,8 +668,8 @@ def diagonal_to_crossed(cyl, cp, n):
                     [legs[m][i] for m in range(i, n + 1)])
                 slots.append(cyl.action.apply(w, {avs[i]: field.one}))
                 slots.append(legs[i][i + 1])
-            for t, c in expand(coef, slots).items():
-                add_term(out, pair.encode(t), c)
+            for t, c in expand(coef, slots, p).items():
+                add_term(out, pair.encode(t), c, p)
         cols.append(out)
     return SparseMatrix.from_columns(field, tgt_dim, cols)
 
@@ -703,7 +704,7 @@ def check_diagonal_isomorphism(cyl, cp, max_degree):
                              ((phi, (n,)), (op, (n,) + i)),
                              ((op_natural, (n,) + i), (phi, (m,))))]
 
-    bad = first_violation(stages(), cyl.field.one)
+    bad = first_violation(stages(), cyl.field)
     return None if bad is None else bad[0]
 
 
@@ -741,20 +742,18 @@ def shuffle_map(cyl, bn, diag_norm, p, q):
         # vertical degeneracies at mu positions, ascending; raise q to n
         cur_q = q
         for pos in mu:
-            images = compose_columns(cyl.vdeg(p, cur_q, pos), images,
-                                     field.one)
+            images = compose_columns(cyl.vdeg(p, cur_q, pos), images, field)
             cur_q += 1
         cur_p = p
         for pos in nu:
-            images = compose_columns(cyl.hdeg(cur_p, n, pos), images,
-                                     field.one)
+            images = compose_columns(cyl.hdeg(cur_p, n, pos), images, field)
             cur_p += 1
         sign = field.sign(inv + p * q)
         for out, image in zip(cols, images):
             if type(image) is int:
-                add_term(out, image, sign)
+                add_term(out, image, sign, field.characteristic)
             else:
-                vec_add_into(out, image, sign)
+                vec_add_into(out, image, sign, field.characteristic)
     raw = SparseMatrix.from_columns(field, cyl.dim(n, n), cols)
     return require_descent(
         induced_map(raw, src_q, dst_q), MixedComplexError,
@@ -783,7 +782,8 @@ def check_shuffle_chain_map(cyl, max_degree):
             for image, col in zip(out,
                                   bn.horizontal_boundary(p, q).columns):
                 for i, c in col.items():
-                    image[offset + i] = sign * c
+                    add_term(image, offset + i, sign * c,
+                             field.characteristic)
         return out
 
     def shuffle_sum(p, q):
@@ -800,5 +800,5 @@ def check_shuffle_chain_map(cyl, max_degree):
          ((shuffle, (p, q)), (boundary, (n,))),
          ((total, (p, q)), (shuffle_sum, (p, q))))])
         for n in range(1, max_degree + 1) for (p, q) in _components(n))
-    bad = first_violation(stages, field.one)
+    bad = first_violation(stages, field)
     return None if bad is None else bad[0].format(k=bad[1])

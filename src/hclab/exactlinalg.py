@@ -3,25 +3,31 @@
 Everything downstream (homology ranks, spectral pages, identity checks)
 reduces to ranks, kernels and quotients computed here.  Over Q a scalar
 is a Python `int` when it is integral and a `fractions.Fraction` when it
-is not; mod p it is an `FpScalar`.  Mixed int/`Fraction` arithmetic is
-exact, and `exact_div` is the one place scalars are divided, so there is
-no floating point anywhere.  Vectors are plain dicts mapping a
-coordinate index to a nonzero scalar.  A matrix carries its field and
-is stored as its list of columns, column j the sparse image of basis
-vector j; `block_matrix` assembles one from blocks placed by key and is
-the one place block offsets are computed.  All canonical forms are
-reduced row echelon forms, so every representative choice made
+is not; over F_p it is an `int` in [0, p).  Mixed int/`Fraction`
+arithmetic is exact, and `exact_div` is the one place scalars are
+divided, so there is no floating point anywhere.  Vectors are plain
+dicts mapping a coordinate index to a nonzero scalar.  A matrix carries
+its field and is stored as its list of columns, column j the sparse
+image of basis vector j; `block_matrix` assembles one from blocks placed
+by key and is the one place block offsets are computed.  All canonical
+forms are reduced row echelon forms, so every representative choice made
 downstream is deterministic and two identical runs produce bit-identical
 results.
 
-Units cost no arithmetic.  Scalars are immutable and shared (a `Field`
-builds its zero, one and -1 once), so an operation may return one of its
-operands: an `FpScalar` product with a factor 1 is the other factor,
-negation over F_2 returns its operand, and Field(2)'s -1 is its one.  A
-matrix applied to one basis vector with coefficient one is a copy of
-that column.  Reducing by a unit RREF row {pivot: 1} deletes the pivot
-coordinate; that deletion is a reduction inside this module, which the
-no-stored-zero rule below already exempts.
+Reduction mod p is written here and nowhere else.  The kernels that add
+or multiply stored scalars take the field's modulus p, its
+characteristic (0 over Q, where they do plain exact arithmetic); mod p
+they accept any int and reduce every value they store or test, and
+`rref` divides by multiplying with pow(pivot, -1, p) once per row.  Code
+elsewhere may fold scalars with + and *, but hands the result to a
+kernel or to `Field.of` before it stores, compares or truth-tests it; a
+product of residues in [1, p) is nonzero mod p, so only a sum must be
+reduced before a truth test.
+
+Units cost no arithmetic.  A matrix applied to one basis vector with
+coefficient one is a copy of that column, and reducing by a unit RREF
+row {pivot: 1} deletes the pivot coordinate; that deletion is a
+reduction inside this module, which the no-stored-zero rule exempts.
 
 Coordinate subspaces cost no elimination.  A span of unit basis vectors,
 such as the degeneracy images of a unit that is a basis vector, is
@@ -40,6 +46,11 @@ from itertools import accumulate
 
 
 DEFAULT_DIMENSION_CAP = 200_000
+
+# Miller-Rabin to the prime bases 2..41 is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster, 2015); beyond, refuse
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3_317_044_064_679_887_385_961_981
 
 
 class ExactLinalgError(ValueError):
@@ -72,76 +83,31 @@ def check_dimension_cap(dim, cap=DEFAULT_DIMENSION_CAP):
             f"chain space of dimension {dim} exceeds the cap {cap}")
 
 
-class FpScalar:
-    """An element of F_p, with field arithmetic through operators."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def __add__(self, other):
-        return FpScalar(self.p, self.v + other.v)
-
-    def __sub__(self, other):
-        return FpScalar(self.p, self.v - other.v)
-
-    def __mul__(self, other):
-        # a factor 1 returns the other factor itself: scalars are never
-        # mutated, and over F_2 every nonzero product is of this kind
-        if self.v == 1:
-            return other
-        if other.v == 1:
-            return self
-        return FpScalar(self.p, self.v * other.v)
-
-    def __neg__(self):
-        if self.p == 2:
-            return self
-        return FpScalar(self.p, -self.v)
-
-    def __truediv__(self, other):
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpScalar(self.p, self.v * pow(other.v, -1, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        return isinstance(other, FpScalar) and self.p == other.p and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __repr__(self):
-        return f"{self.v}"
-
-
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin, exact for n < MAX_CHARACTERISTIC."""
+    if n < 2 or any(n % a == 0 for a in PRIME_BASES):
+        return n in PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1
+               or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in PRIME_BASES)
 
 
 class Field:
     """Scalar arithmetic: the rationals (characteristic 0) or F_p."""
 
     def __init__(self, characteristic=0):
+        if characteristic >= MAX_CHARACTERISTIC:
+            raise ExactLinalgError(f"characteristic {characteristic} is too "
+                                   f"large to test for primality exactly")
         if characteristic != 0 and not _is_prime(characteristic):
             raise ExactLinalgError(
                 f"characteristic must be 0 or prime, got {characteristic}")
         self.characteristic = characteristic
-        # scalars are never mutated, so every caller may share these
         self.zero = self.of(0)
         self.one = self.of(1)
-        self._minus_one = -self.one   # over F_2 that is one itself
+        self._minus_one = self.of(-1)   # over F_2 that is one
 
     @property
     def kind(self):
@@ -151,19 +117,16 @@ class Field:
         """Embed an int or a Fraction (mod p, when the denominator allows).
 
         Over Q an integral value comes back as an `int` and any other
-        value as a `Fraction`."""
-        if self.characteristic == 0:
-            if isinstance(n, int):
-                return n
-            n = Fraction(n)
+        value as a `Fraction`; over F_p as an `int` in [0, p)."""
+        p = self.characteristic
+        if type(n) is int:
+            return n % p if p else n
+        n = Fraction(n)
+        if not p:
             return n.numerator if n.denominator == 1 else n
-        if isinstance(n, Fraction):
-            if n.denominator % self.characteristic == 0:
-                raise ExactLinalgError(
-                    f"{n} has no image in F_{self.characteristic}")
-            return exact_div(FpScalar(self.characteristic, n.numerator),
-                             FpScalar(self.characteristic, n.denominator))
-        return FpScalar(self.characteristic, n)
+        if n.denominator % p == 0:
+            raise ExactLinalgError(f"{n} has no image in F_{p}")
+        return n.numerator * pow(n.denominator, -1, p) % p
 
     def sign(self, i):
         """(-1)**i as a scalar."""
@@ -194,13 +157,18 @@ class Field:
 QQ = Field(0)
 
 
-def exact_div(a, b):
+def exact_div(a, b, p=0):
     """a / b as a scalar of the same field; the only division of scalars.
 
-    Integers divide to an `int` when the quotient is integral and to a
-    `Fraction` otherwise, never to a float.  Any other pair divides with
-    `/`, and a `Fraction` quotient that is integral comes back as an `int`.
+    Mod p (p > 0) it is a * b^-1 mod p.  Over Q ints divide to an `int`
+    when the quotient is integral and to a `Fraction` otherwise, never to
+    a float; any other pair divides with `/`, and an integral `Fraction`
+    quotient comes back as an `int`.
     """
+    if p:
+        if not b % p:
+            raise ZeroDivisionError("division by zero in F_p")
+        return a * pow(b, -1, p) % p
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return q if not r else Fraction(a, b)
@@ -216,24 +184,45 @@ def exact_div(a, b):
 # A sparse vector never stores a zero.  `add_term`, `vec_add_into` and
 # `expand` are the only code that adds into one, so they are the only
 # code that has to drop a cancelled entry; `Subspace` reductions by a
-# unit row delete the pivot entry they cancel.
+# unit row delete the pivot entry they cancel.  Each takes the modulus p
+# (0 over Q) positionally: a keyword is costly in a call this short.
 
-def add_term(acc, key, c):
-    """acc[key] += c, in place, dropping the entry if it cancels."""
+def add_term(acc, key, c, p=0):
+    """acc[key] += c, in place, dropping the entry if it cancels; mod p
+    when p > 0, where c may be any int."""
     if key in acc:
         s = acc[key] + c
+        if p:
+            s %= p
         if s:
             acc[key] = s
         else:
             del acc[key]
-    elif c:
-        acc[key] = c
+    else:
+        if p:
+            c %= p
+        if c:
+            acc[key] = c
 
 
-def vec_add_into(acc, vec, coeff=None):
-    """acc += coeff * vec, in place, dropping cancelled entries."""
+def vec_add_into(acc, vec, coeff=None, p=0):
+    """acc += coeff * vec, in place, dropping cancelled entries; mod p
+    when p > 0, where coeff may be any int."""
     # add_term's body, written inline: calling add_term once per entry
-    # made the `reference` benchmark workload about 6% slower
+    # made the `reference` benchmark workload about 6% slower; the field
+    # is chosen once per call, not per entry
+    if p:
+        coeff = 1 if coeff is None else coeff
+        for k, c in vec.items():
+            if k in acc:
+                s = (acc[k] + coeff * c) % p
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+            elif c := coeff * c % p:
+                acc[k] = c
+        return
     for k, c in vec.items():
         if coeff is not None:
             c = coeff * c
@@ -247,14 +236,17 @@ def vec_add_into(acc, vec, coeff=None):
             acc[k] = c
 
 
-def expand(coef, slots):
+def expand(coef, slots, p=0):
     """coef * (slot_0 (x) slot_1 (x) ...) as a sparse vector keyed by
-    index tuples, where each slot is a basis index or a sparse vector.
+    index tuples, where each slot is a basis index or a sparse vector;
+    mod p when p > 0, where coef may be any int.
 
     The keys of the product are distinct and a product of nonzero
     scalars is nonzero, so nothing cancels."""
     # plain loops over a list of terms, and basis indices appended in
     # runs: a comprehension per slot made the providers measurably slower
+    if p:
+        coef %= p
     terms = [((), coef)] if coef else []
     run = ()
     for slot in slots:
@@ -267,10 +259,9 @@ def expand(coef, slots):
             for b, cb in slot.items():
                 nxt.append((t + (b,), c * cb))
         terms, run = nxt, ()
-    out = {}
-    for t, c in terms:
-        out[t + run] = c
-    return out
+    if p:
+        return {t + run: c % p for t, c in terms}
+    return {t + run: c for t, c in terms}
 
 
 class SparseMatrix:
@@ -333,8 +324,7 @@ class SparseMatrix:
     @classmethod
     def from_dense(cls, field, dense):
         return cls.from_row_list(field, [
-            {j: v if isinstance(v, (Fraction, FpScalar)) else field.of(v)
-             for j, v in enumerate(row)} for row in dense],
+            {j: field.of(v) for j, v in enumerate(row)} for row in dense],
             len(dense[0]) if dense else 0)
 
     @classmethod
@@ -363,11 +353,11 @@ class SparseMatrix:
                 if not 0 <= j < len(columns):
                     raise DimensionMismatch("vector index out of range")
                 return dict(columns[j])
-        out = {}
+        out, p = {}, self.field.characteristic
         for j, x in vec.items():
             if not 0 <= j < len(columns):
                 raise DimensionMismatch("vector index out of range")
-            vec_add_into(out, columns[j], x)
+            vec_add_into(out, columns[j], x, p)
         return out
 
     def compose(self, other):
@@ -397,17 +387,21 @@ class SparseMatrix:
                 f"{col_offset}) does not fit a {self.rows}x{self.cols} matrix")
         if coeff is self.field.one:
             coeff = None
-        columns = self.columns
+        columns, p = self.columns, self.field.characteristic
         for j, col in enumerate(block.columns, col_offset):
             if row_offset:
                 col = {row_offset + i: c for i, c in col.items()}
-            vec_add_into(columns[j], col, coeff)
+            vec_add_into(columns[j], col, coeff, p)
 
     def scale(self, coeff):
+        p = self.field.characteristic
+        if p:
+            coeff %= p   # a product of residues in [1, p) is nonzero
         if not coeff:
             return SparseMatrix(self.field, self.rows, self.cols)
         return SparseMatrix._of(self.field, self.rows, [
-            {i: coeff * c for i, c in col.items()} for col in self.columns])
+            {i: coeff * c % p if p else coeff * c for i, c in col.items()}
+            for col in self.columns])
 
     def is_zero(self):
         return not any(self.columns)
@@ -441,8 +435,9 @@ def block_matrix(field, row_blocks, col_blocks, blocks):
     return out
 
 
-def rref(row_dicts):
-    """Reduced row echelon form of a list of sparse rows.
+def rref(row_dicts, p=0):
+    """Reduced row echelon form of a list of sparse rows, over F_p when
+    p > 0 and over Q when p = 0.
 
     Returns (pivot_columns, reduced_rows) sorted by pivot column with zero
     rows dropped.  RREF depends only on the row span, which makes every
@@ -470,21 +465,26 @@ def rref(row_dicts):
                 continue
         row = dict(row)
         for pcol, coeff in [(k, c) for k, c in row.items() if k in row_of]:
-            vec_add_into(row, row_of[pcol], -coeff)
+            vec_add_into(row, row_of[pcol], -coeff, p)
         if not row:
             continue
         pcol = min(row)
         inv = row[pcol]
-        # a pivot of 1 needs no division; an FpScalar never equals the
-        # int 1, so its residue is compared
-        if (inv.v if type(inv) is FpScalar else inv) != 1:
-            row = {k: exact_div(c, inv) for k, c in row.items()}
+        # a pivot of 1 needs no division; mod p one inverse per row
+        if inv != 1:
+            if p:
+                inv = pow(inv, -1, p)
+                row = {k: c * inv % p for k, c in row.items()}
+            else:
+                row = {k: exact_div(c, inv, p) for k, c in row.items()}
         for qcol in holders.pop(pcol, ()):
             qrow = row_of[qcol]
             coeff = qrow[pcol]
             for k, c in row.items():
                 if k in qrow:
                     s = qrow[k] - coeff * c
+                    if p:
+                        s %= p
                     if s:
                         qrow[k] = s
                     else:
@@ -492,7 +492,7 @@ def rref(row_dicts):
                         if k != pcol:
                             holders[k].discard(qcol)
                 else:
-                    qrow[k] = -(coeff * c)
+                    qrow[k] = -(coeff * c) % p if p else -(coeff * c)
                     holders.setdefault(k, set()).add(qcol)
         for k in row:
             if k != pcol:
@@ -509,7 +509,7 @@ def mat_rank(m):
     no transpose.  A reduced column has at most rows - rank + 1 entries,
     a reduced row up to cols - rank + 1, and a boundary matrix has more
     columns than rows."""
-    return len(rref(m.columns)[0])
+    return len(rref(m.columns, m.field.characteristic)[0])
 
 
 class Subspace:
@@ -534,7 +534,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
-        pivots, rows = rref(vectors)
+        pivots, rows = rref(vectors, field.characteristic)
         return cls(field, ambient_dim, pivots, rows)
 
     @classmethod
@@ -573,13 +573,13 @@ class Subspace:
             position = self._position
             return {k: c for k, c in vec.items() if k not in position}
         out = dict(vec)
-        rows, pivots = self.rows, self.pivots
+        rows, pivots, p = self.rows, self.pivots, self.field.characteristic
         for t, coeff in self._pivot_entries(vec):
             row = rows[t]
             if len(row) == 1:
                 del out[pivots[t]]
             else:
-                vec_add_into(out, row, -coeff)
+                vec_add_into(out, row, -coeff, p)
         return out
 
     def contains(self, vec):
@@ -595,14 +595,14 @@ class Subspace:
                 raise NotInSubspace("vector is not in the subspace") from None
         residual = dict(vec)
         coords = {}
-        rows, pivots = self.rows, self.pivots
+        rows, pivots, p = self.rows, self.pivots, self.field.characteristic
         for t, coeff in self._pivot_entries(vec):
             coords[t] = coeff
             row = rows[t]
             if len(row) == 1:
                 del residual[pivots[t]]
             else:
-                vec_add_into(residual, row, -coeff)
+                vec_add_into(residual, row, -coeff, p)
         if residual:
             raise NotInSubspace("vector is not in the subspace")
         return coords
@@ -610,16 +610,17 @@ class Subspace:
 
 def kernel_basis(m):
     """Canonical echelon basis of the right kernel; dim = cols - rank."""
-    pivots, rows = rref(m.row_dicts())
+    p = m.field.characteristic
+    pivots, rows = rref(m.row_dicts(), p)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]
     one = m.field.one
     vectors = []
     for f in free_cols:
         v = {f: one}
-        for p, row in zip(pivots, rows):
+        for pivot, row in zip(pivots, rows):
             if f in row:
-                v[p] = -row[f]
+                v[pivot] = -row[f] % p if p else -row[f]
         vectors.append(v)
     return Subspace.from_vectors(m.field, m.cols, vectors)
 
@@ -636,13 +637,13 @@ def solve_linear(m, rhs):
     for i, c in rhs.items():
         if c:
             rows[i][aug_col] = c
-    pivots, red = rref(rows)
+    pivots, red = rref(rows, m.field.characteristic)
     sol = {}
-    for p, row in zip(pivots, red):
-        if p == aug_col:
+    for pivot, row in zip(pivots, red):
+        if pivot == aug_col:
             return None  # pivot in the augmented column: inconsistent
         if aug_col in row:
-            sol[p] = row[aug_col]
+            sol[pivot] = row[aug_col]
     return sol
 
 

@@ -53,15 +53,12 @@ class HopfAlgebra:
     # -- linear helpers ----------------------------------------------------
 
     def counit_of(self, vec):
-        total = self.field.zero
-        for i, c in vec.items():
-            total = total + c * self.counit[i]
-        return total
+        return self.field.of(sum(c * self.counit[i] for i, c in vec.items()))
 
     def antipode_of(self, vec):
-        out = {}
+        out, p = {}, self.field.characteristic
         for i, c in vec.items():
-            vec_add_into(out, self.antipode[i], c)
+            vec_add_into(out, self.antipode[i], c, p)
         return out
 
     def multiply(self, x, y):
@@ -87,10 +84,10 @@ class HopfAlgebra:
             merged = {(basis_index,): self.field.one}
         else:
             # split the first leg: legs-fold = (coproduct x 1) o (legs-1)-fold
-            merged = {}
+            merged, p = {}, self.field.characteristic
             for coeff, tup in self.sweedler(basis_index, legs - 1):
                 for (a, b), c in self.coproduct[tup[0]].items():
-                    add_term(merged, (a, b) + tup[1:], coeff * c)
+                    add_term(merged, (a, b) + tup[1:], coeff * c, p)
         result = _sorted_terms(merged)
         self._sweedler_cache[key] = result
         return result
@@ -109,10 +106,10 @@ class HopfAlgebra:
             yield coef, tups
 
     def sweedler_of_vector(self, vec, legs):
-        merged = {}
+        merged, p = {}, self.field.characteristic
         for i, x in vec.items():
             for coeff, tup in self.sweedler(i, legs):
-                add_term(merged, tup, x * coeff)
+                add_term(merged, tup, x * coeff, p)
         return _sorted_terms(merged)
 
     def __repr__(self):
@@ -129,10 +126,11 @@ def iterated_coproduct(hopf, x, n):
 def _tensor_square_product(hopf, u, v):
     """Product in H (x) H of two sparse tensor-square vectors."""
     mul = hopf.algebra.multiply_basis
-    out = {}
+    out, p = {}, hopf.field.characteristic
     for (a1, b1), c1 in u.items():
         for (a2, b2), c2 in v.items():
-            vec_add_into(out, expand(c1 * c2, [mul(a1, a2), mul(b1, b2)]))
+            vec_add_into(out, expand(c1 * c2, [mul(a1, a2), mul(b1, b2)], p),
+                         None, p)
     return out
 
 
@@ -140,7 +138,7 @@ def validate_hopf(hopf):
     """None if all Hopf axioms hold on every basis vector, else the first
     Violation (named axiom and location)."""
     alg = hopf.algebra
-    field = hopf.field
+    field, p = hopf.field, hopf.field.characteristic
     bad = alg.validate()
     if bad is not None:
         return bad
@@ -150,9 +148,9 @@ def validate_hopf(hopf):
         left, right = {}, {}
         for (a, b), c in hopf.coproduct[i].items():
             for (a1, a2), c2 in hopf.coproduct[a].items():
-                add_term(left, (a1, a2, b), c * c2)
+                add_term(left, (a1, a2, b), c * c2, p)
             for (b1, b2), c2 in hopf.coproduct[b].items():
-                add_term(right, (a, b1, b2), c * c2)
+                add_term(right, (a, b1, b2), c * c2, p)
         if left != right:
             return Violation("coassociativity", (i,))
 
@@ -160,8 +158,8 @@ def validate_hopf(hopf):
     for i in range(hopf.dim):
         left, right = {}, {}
         for (a, b), c in hopf.coproduct[i].items():
-            add_term(left, b, c * hopf.counit[a])
-            add_term(right, a, c * hopf.counit[b])
+            add_term(left, b, c * hopf.counit[a], p)
+            add_term(right, a, c * hopf.counit[b], p)
         e = {i: field.one}
         if left != e:
             return Violation("counit law (left)", (i,))
@@ -171,8 +169,8 @@ def validate_hopf(hopf):
     # coproduct and counit are algebra maps
     cop_unit = {}
     for i, c in alg.unit.items():
-        vec_add_into(cop_unit, hopf.coproduct[i], c)
-    if cop_unit != expand(field.one, [alg.unit, alg.unit]):
+        vec_add_into(cop_unit, hopf.coproduct[i], c, p)
+    if cop_unit != expand(field.one, [alg.unit, alg.unit], p):
         return Violation("coproduct of the unit", ())
     if hopf.counit_of(alg.unit) != field.one:
         return Violation("counit of the unit", ())
@@ -181,21 +179,23 @@ def validate_hopf(hopf):
             prod = alg.multiply_basis(i, j)
             lhs = {}
             for k, c in prod.items():
-                vec_add_into(lhs, hopf.coproduct[k], c)
+                vec_add_into(lhs, hopf.coproduct[k], c, p)
             rhs = _tensor_square_product(hopf, hopf.coproduct[i], hopf.coproduct[j])
             if lhs != rhs:
                 return Violation("coproduct is an algebra map", (i, j))
-            if hopf.counit_of(prod) != hopf.counit[i] * hopf.counit[j]:
+            if hopf.counit_of(prod) != field.of(hopf.counit[i]
+                                                * hopf.counit[j]):
                 return Violation("counit is an algebra map", (i, j))
 
     # antipode laws: m(S x 1) cop = unit . counit = m(1 x S) cop
+    one = field.one
     for i in range(hopf.dim):
         left, right = {}, {}
         for (a, b), c in hopf.coproduct[i].items():
-            vec_add_into(left, alg.multiply(hopf.antipode[a], {b: field.one}), c)
-            vec_add_into(right, alg.multiply({a: field.one}, hopf.antipode[b]), c)
-        target = {k: hopf.counit[i] * c for k, c in alg.unit.items()
-                  if hopf.counit[i] * c}
+            vec_add_into(left, alg.multiply(hopf.antipode[a], {b: one}), c, p)
+            vec_add_into(right, alg.multiply({a: one}, hopf.antipode[b]), c, p)
+        target = {}
+        vec_add_into(target, alg.unit, hopf.counit[i], p)
         if left != target:
             return Violation("antipode law (left)", (i,))
         if right != target:
@@ -231,12 +231,8 @@ def trivial_hopf(field):
 
 def _left_multiplication_trace(alg, vec):
     """Trace of left multiplication by a vector."""
-    total = alg.field.zero
-    for k in range(alg.dim):
-        img = alg.multiply(vec, {k: alg.field.one})
-        if k in img:
-            total = total + img[k]
-    return total
+    return alg.field.of(sum(alg.multiply(vec, {k: alg.field.one}).get(k, 0)
+                            for k in range(alg.dim)))
 
 
 def is_semisimple(hopf):
@@ -257,7 +253,7 @@ def is_semisimple(hopf):
         gram = SparseMatrix.from_row_list(field, rows, alg.dim)
         return mat_rank(gram) == gram.cols
     if hopf.group is not None:
-        return hopf.group.order % field.characteristic != 0
+        return field.of(hopf.group.order) != 0   # |G| is a unit of k
     raise UnsupportedSemisimplicityQuery(
         "semisimplicity over a prime field is only decided for group algebras")
 
@@ -280,7 +276,7 @@ def find_normalized_integral(hopf):
                 img = hopf.algebra.multiply_basis(i, j)
                 c = img.get(target, field.zero)
                 if target == j:
-                    c = c - hopf.counit[i]
+                    c = field.of(c - hopf.counit[i])
                 if c:
                     row[j] = c
             rows.append(row)

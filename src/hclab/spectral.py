@@ -227,7 +227,7 @@ def invariant_complex_N0(cyl, max_q):
                 for m in range(mod.dim):
                     c = mod.act(h, m).get(target, field.zero)
                     if m == target:
-                        c = c - eps
+                        c = field.of(c - eps)
                     if c:
                         row[m] = c
                 rows.append(row)
@@ -250,7 +250,7 @@ def invariant_complex_N0(cyl, max_q):
         column = op(0, q, *index)
         return _map_rows(
             subspaces[q], subspaces[tq],
-            lambda vec: apply_linear(column, vec),
+            lambda vec: apply_linear(column, vec, field.characteristic),
             f"vertical {what} does not preserve invariants in degree {q}")
 
     faces, degens, rots = {}, {}, {}

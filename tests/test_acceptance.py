@@ -229,7 +229,7 @@ def _char2_bar_oracle(group, dim_m, max_p):
             acc = {}
 
             def add(key, c):
-                s = acc.get(key, F2.zero) + c
+                s = F2.of(acc.get(key, F2.zero) + c)
                 if s:
                     acc[key] = s
                 elif key in acc:

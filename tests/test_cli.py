@@ -50,6 +50,40 @@ def test_bad_characteristic():
         parse_scenario(text)
 
 
+# field lines that must be refused, with a word of the reason; 561 is a
+# Carmichael number, 1000000016000000063 = 1000000007 * 1000000009, and
+# the last is the first characteristic beyond the exact primality test
+REFUSED_FIELDS = [("Fp 0", "needs a prime"), ("Fp 1", "needs a prime"),
+                  ("Fp 4", "prime"), ("Fp 561", "prime"),
+                  ("Fp 1000000016000000063", "prime"),
+                  ("Fp 3317044064679887385961981", "too large")]
+
+
+@pytest.mark.parametrize("spec, reason", REFUSED_FIELDS)
+def test_a_field_line_without_a_prime_exits_2_naming_its_line(
+        tmp_path, capsys, spec, reason):
+    """Fp 0 is not Q, and no characteristic takes longer than an instant
+    to refuse: primality is decided by deterministic Miller-Rabin."""
+    text = read("s4.scn").replace("field = Fp 2", f"field = {spec}")
+    lineno = text.splitlines().index(f"field = {spec}") + 1
+    target = tmp_path / "field.scn"
+    target.write_text(text)
+    start = time.perf_counter()
+    assert main(["hc", str(target)]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert f"line {lineno}:" in err and reason in err
+
+
+def test_a_large_prime_characteristic_parses_at_once():
+    """2^61 - 1 is prime; trial division up to its square root hung."""
+    start = time.perf_counter()
+    text = read("s4.scn").replace("field = Fp 2",
+                                  "field = Fp 2305843009213693951")
+    assert parse_scenario(text).field_characteristic == 2**61 - 1
+    assert time.perf_counter() - start < 2
+
+
 def test_non_normalized_group_cocycle():
     text = read("s2.scn").replace(
         "values = 1 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1",

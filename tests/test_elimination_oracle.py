@@ -13,6 +13,9 @@ other than ±1, and the kernel skips the arithmetic with units.
 Over Q hclab keeps integral scalars as ints, and the oracles divide with
 `/`, so they are given `Fraction` copies of their input rows: their
 arithmetic stays exact and their results compare with `==` as before.
+Over F_p hclab keeps a scalar as an int in [0, p), so the oracles are
+given copies in the reference scalar class `test_fp_scalars.FpScalar`,
+whose operators reduce mod p, and their results are read back as ints.
 """
 
 import random
@@ -26,7 +29,6 @@ from hypothesis import strategies as st
 from hclab.exactlinalg import (
     ExactLinalgError,
     Field,
-    FpScalar,
     QQ,
     SparseMatrix,
     Subspace,
@@ -34,26 +36,41 @@ from hclab.exactlinalg import (
     quotient_space,
     rref,
 )
+from test_fp_scalars import FpScalar
 
 
 FIELDS = {"Q": QQ, "F2": Field(2), "F3": Field(3), "F7": Field(7)}
 
 
-def exact_copy(row):
-    """The row with every int entry made a `Fraction`, for the oracles."""
-    return {k: Fraction(c) if isinstance(c, int) else c
-            for k, c in row.items()}
+def exact_copy(field, row):
+    """The row in the oracles' scalars: every int entry made a `Fraction`
+    over Q, every entry an `FpScalar` mod p."""
+    p = field.characteristic
+    return {k: FpScalar(p, c) if p else Fraction(c) for k, c in row.items()}
 
 
-def exact_copies(rows):
-    return [exact_copy(row) for row in rows]
+def exact_copies(field, rows):
+    return [exact_copy(field, row) for row in rows]
+
+
+def plain(x):
+    """An oracle's result with every `FpScalar` read back as its int."""
+    if isinstance(x, dict):
+        return {k: plain(c) for k, c in x.items()}
+    if isinstance(x, list):
+        return [plain(c) for c in x]
+    return x.v if isinstance(x, FpScalar) else x
 
 
 def assert_exact_scalars(field, vec):
-    """Over Q an int or a Fraction, mod p an FpScalar; never a float."""
-    kinds = (int, Fraction) if field is QQ else (FpScalar,)
+    """Over Q an int or a Fraction, never a float; mod p an int in
+    [1, p)."""
+    p = field.characteristic
     for c in vec.values():
-        assert type(c) in kinds, (c, type(c))
+        if p:
+            assert type(c) is int and 0 < c < p, (c, type(c))
+        else:
+            assert type(c) in (int, Fraction), (c, type(c))
 
 
 def oracle_rref(row_dicts):
@@ -147,7 +164,7 @@ def combine(field, rows, coeffs):
     out = {}
     for row, a in zip(rows, coeffs):
         for k, c in row.items():
-            s = out.get(k, field.zero) + field.of(a) * c
+            s = field.of(out.get(k, field.zero) + field.of(a) * c)
             if s:
                 out[k] = s
             else:
@@ -203,10 +220,10 @@ FILL_IN = (QQ, 4, [{0: Fraction(1), 3: Fraction(1)},
 @example(FILL_IN)
 def test_rref_matches_oracle(case):
     field, n, rows = case
-    pivots, reduced = rref(rows)
-    want_pivots, want_rows = oracle_rref(exact_copies(rows))
+    pivots, reduced = rref(rows, field.characteristic)
+    want_pivots, want_rows = oracle_rref(exact_copies(field, rows))
     assert pivots == want_pivots
-    assert reduced == want_rows
+    assert reduced == plain(want_rows)
     for p, row in zip(pivots, reduced):
         assert_exact_scalars(field, row)
         assert min(row) == p and row[p] == field.one
@@ -253,21 +270,21 @@ def assert_subspace_matches_oracle(field, n, rows, vec, coeffs):
     """reduce, contains, coords_of and project on the span of rows, for
     vec and for the member sum coeffs[i] * rows[i], against the oracles."""
     sub = Subspace.from_vectors(field, n, rows)
-    _, basis_rows = oracle_rref(exact_copies(rows))
-    assert sub.rows == basis_rows
-    assert sub.basis.row_dicts() == basis_rows
+    _, basis_rows = oracle_rref(exact_copies(field, rows))
+    assert sub.rows == plain(basis_rows)
+    assert sub.basis.row_dicts() == plain(basis_rows)
     quotient = quotient_space(n, sub)
     assert sub.dim + quotient.dim == n
 
-    exact_vec = exact_copy(vec)
+    exact_vec = exact_copy(field, vec)
     reduced = sub.reduce(vec)
     assert_exact_scalars(field, reduced)
-    assert reduced == oracle_reduce(basis_rows, exact_vec)
+    assert reduced == plain(oracle_reduce(basis_rows, exact_vec))
     assert sub.contains(vec) == (not oracle_reduce(basis_rows, exact_vec))
     projected = quotient.project(vec)
     assert_exact_scalars(field, projected)
-    assert projected == oracle_project(n, basis_rows, exact_vec)
-    want = oracle_coords_of(basis_rows, exact_vec)
+    assert projected == plain(oracle_project(n, basis_rows, exact_vec))
+    want = plain(oracle_coords_of(basis_rows, exact_vec))
     if want is None:
         with pytest.raises(ExactLinalgError):
             sub.coords_of(vec)
@@ -280,7 +297,8 @@ def assert_subspace_matches_oracle(field, n, rows, vec, coeffs):
     assert sub.reduce(member) == {}
     coords = sub.coords_of(member)
     assert_exact_scalars(field, coords)
-    assert coords == oracle_coords_of(basis_rows, exact_copy(member))
+    assert coords == plain(oracle_coords_of(basis_rows,
+                                            exact_copy(field, member)))
     assert quotient.project(member) == {}
 
 
@@ -328,10 +346,10 @@ def test_coordinate_subspaces_match_oracle(case):
     all exactly as the oracles do."""
     field, n, rows, vec, coeffs = case
     before = [dict(row) for row in rows]
-    pivots, reduced = rref(rows)
+    pivots, reduced = rref(rows, field.characteristic)
     assert rows == before
-    want_pivots, want_rows = oracle_rref(exact_copies(rows))
-    assert (pivots, reduced) == (want_pivots, want_rows)
+    want_pivots, want_rows = oracle_rref(exact_copies(field, rows))
+    assert (pivots, reduced) == (want_pivots, plain(want_rows))
     for row in reduced:
         assert_exact_scalars(field, row)
     sub = Subspace.from_vectors(field, n, rows)
@@ -374,12 +392,13 @@ def test_project_matches_free_column_walk(data):
 def test_rref_output_does_not_depend_on_row_order(case, rng):
     """RREF is a function of the span, so any order of the same rows,
     shuffled or reversed, gives `==` pivots and rows."""
-    _, _, rows = case
-    want = rref(rows)
+    field, _, rows = case
+    p = field.characteristic
+    want = rref(rows, p)
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    assert rref(shuffled) == want
-    assert rref(rows[::-1]) == want
+    assert rref(shuffled, p) == want
+    assert rref(rows[::-1], p) == want
 
 
 @ORACLE_SETTINGS
@@ -395,7 +414,7 @@ def test_mat_rank_reads_columns_and_matches_row_rank(case):
     rank = mat_rank(m)
     assert m.columns == before
     assert [list(col) for col in m.columns] == [list(col) for col in before]
-    assert rank == len(rref(m.row_dicts())[0])
+    assert rank == len(rref(m.row_dicts(), field.characteristic)[0])
     if field is QQ:
         dense = [[row.get(j, 0) for j in range(n)] for row in rows]
         assert rank == sympy.Matrix(len(rows), n,

@@ -38,7 +38,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # -- the reference: one basis vector at a time --------------------------------
 
 
-def reference_first_violation(stages, one):
+def reference_first_violation(stages, field):
     """The first relation that fails, walking every row of a stage on one
     basis vector after another; (name, k) or None."""
     for dim, relations in stages:
@@ -49,8 +49,9 @@ def reference_first_violation(stages, one):
         for k in range(dim):
             images = [read(k) for read in heads]
             for name, lhs, rhs in rows:
-                if not _same(_value(lhs, k, images),
-                             _value(rhs, k, images), one):
+                if not _same(_value(lhs, k, images, field.characteristic),
+                             _value(rhs, k, images, field.characteristic),
+                             field.one):
                     return name, k
     return None
 
@@ -69,7 +70,7 @@ def _compile(word, heads):
             tuple(_step(*step) for step in word[1:]))
 
 
-def _value(word, k, images):
+def _value(word, k, images, p):
     head, rest = word
     v = k if head is None else images[head]
     for step in rest:
@@ -80,9 +81,9 @@ def _value(word, k, images):
         for kk, c in v.items():
             image = step(kk)
             if type(image) is int:
-                add_term(out, image, c)
+                add_term(out, image, c, p)
             else:
-                vec_add_into(out, image, c)
+                vec_add_into(out, image, c, p)
         v = out
     return v
 
@@ -107,10 +108,10 @@ def compared(monkeypatch):
     results, one per call."""
     results = []
 
-    def both(stages, one):
+    def both(stages, field):
         stages = list(stages)
-        got = first_violation(stages, one)
-        assert got == reference_first_violation(stages, one)
+        got = first_violation(stages, field)
+        assert got == reference_first_violation(stages, field)
         results.append(got)
         return got
 
@@ -227,8 +228,8 @@ TIE_BREAKS = {
 def test_first_failure_order_within_a_stage(case):
     stages, want = TIE_BREAKS[case]
     stages = [(DIM, rows) for rows in stages]
-    assert first_violation(stages, QQ.one) == want
-    assert reference_first_violation(stages, QQ.one) == want
+    assert first_violation(stages, QQ) == want
+    assert reference_first_violation(stages, QQ) == want
 
 
 # -- a word that leaves the index path partway through ----------------------
@@ -263,6 +264,6 @@ def test_a_word_switches_from_indices_to_a_column_holding_a_vector():
                 ("flips cancel from the first step", word("ffs"), word("s"))]
     doubled = ("doubled", word("sds"), word("ss"))
     for evaluate in (first_violation, reference_first_violation):
-        assert evaluate([(DIM, agreeing)], QQ.one) is None
-        assert evaluate([(DIM, [*agreeing, doubled])], QQ.one) == (
+        assert evaluate([(DIM, agreeing)], QQ) is None
+        assert evaluate([(DIM, [*agreeing, doubled])], QQ) == (
             "doubled", 2)

@@ -1,11 +1,13 @@
 """No float can appear: scalars stay exact through the whole pipeline.
 
 Over Q a scalar is an `int` when it is integral and a `Fraction` when it
-is not; over F_p it is an `FpScalar`.  A true division of two ints would
-silently produce a float, so these tests walk every operator the spectral
+is not; over F_p it is an `int` in [0, p).  A true division of two ints
+would silently produce a float, and a sum left unreduced mod p would
+silently leave F_p, so these tests walk every operator the spectral
 pipeline materializes, raw and induced, and check the type of every
-entry (and that no zero entry is stored), and run a scenario whose
-cocycle takes non-integral values through every layer.
+entry, over F_p its range (and that no zero entry is stored), and run a
+scenario whose cocycle takes non-integral values through every layer,
+and one over F_5 whose sums pass p before they are reduced.
 """
 
 from fractions import Fraction
@@ -17,7 +19,6 @@ from hclab.algebra import FiniteGroup
 from hclab.cli import emit_report, parse_scenario, run_command
 from hclab.cycliccore import MixedComplex, ParacyclicModule
 from hclab.cylinder.core import BinormalizedCylinder
-from hclab.exactlinalg import FpScalar
 from hclab.spectral import RowComplexes
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -77,12 +78,17 @@ def operator_matrices(made):
             yield f"row {key}", m
 
 
-def assert_exact_entries(made, exact_types):
+def assert_exact_entries(made, p):
+    """Every stored entry is nonzero and, over Q (p = 0), an int or a
+    Fraction; over F_p an int in [1, p)."""
     counts = {kind: len(found) for kind, found in made.items()}
     checked = 0
     for label, m in operator_matrices(made):
         for c in (c for col in m.columns for c in col.values()):
-            assert type(c) in exact_types, (label, c, type(c))
+            if p:
+                assert type(c) is int and 0 < c < p, (label, c, type(c))
+            else:
+                assert type(c) in (int, Fraction), (label, c, type(c))
             assert c, (label, "stores a zero entry")
             checked += 1
     assert checked, counts
@@ -95,9 +101,8 @@ def test_report_operators_have_exact_entries(name, built_instances):
     scenario.max_degree = 2
     report = run_command("report", scenario)
     assert report.passed
-    exact_types = ((int, Fraction) if scenario.field_characteristic == 0
-                   else (FpScalar,))
-    counts = assert_exact_entries(built_instances, exact_types)
+    counts = assert_exact_entries(built_instances,
+                                  scenario.field_characteristic)
     assert all(counts.values()), counts
 
 
@@ -106,19 +111,29 @@ def test_hc_operators_have_exact_entries_over_f3(built_instances):
     scenario = parse_scenario(text)
     assert scenario.field_characteristic == 3
     assert run_command("hc", scenario).passed
-    counts = assert_exact_entries(built_instances, (FpScalar,))
+    counts = assert_exact_entries(built_instances, 3)
     assert counts[BinormalizedCylinder] and counts[MixedComplex], counts
     assert counts["raw"], counts
 
 
-def cohomologous_s2_values():
-    """s2's cocycle twisted by the coboundary of f = (1, 1/2, 3, -2/5):
+S2_VALUES = "values = 1 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1"
+
+
+def cohomologous_s2_values(f=(1, Fraction(1, 2), 3, Fraction(-2, 5))):
+    """s2's cocycle twisted by the coboundary of f:
     sigma'(g, h) = sigma(g, h) f(g) f(h) / f(gh), on hclab's C2 x C2."""
     group = FiniteGroup.named("C2xC2")
     sigma = [[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, -1], [1, -1, 1, -1]]
-    f = [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(-2, 5)]
+    f = [Fraction(v) for v in f]
     return [sigma[x][y] * f[x] * f[y] / f[group.op(x, y)]
             for x in range(4) for y in range(4)]
+
+
+def scaled_s2(base, values):
+    """The scenario text `base` with s2's cocycle values replaced."""
+    assert S2_VALUES in base
+    return base.replace(S2_VALUES,
+                        "values = " + " ".join(str(v) for v in values))
 
 
 def outside_scenario(text):
@@ -140,13 +155,8 @@ def test_fractional_cocycle_reports_like_s2(built_instances):
     assert values[5:8] == [Fraction(1, 4), Fraction(-15, 4),
                            Fraction(-1, 15)]
     base = read("s2.scn")
-    old_line = "values = 1 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1"
-    assert old_line in base
-    scaled = base.replace(old_line,
-                          "values = " + " ".join(str(v) for v in values))
-
-    report = run_command("report", parse_scenario(scaled))
-    assert_exact_entries(built_instances, (int, Fraction))
+    report = run_command("report", parse_scenario(scaled_s2(base, values)))
+    assert_exact_entries(built_instances, 0)
     assert any(type(c) is Fraction
                for _, m in operator_matrices(built_instances)
                for col in m.columns for c in col.values())
@@ -157,3 +167,24 @@ def test_fractional_cocycle_reports_like_s2(built_instances):
     assert text.splitlines()[-1] == "overall PASS"
     assert outside_scenario(text) == outside_scenario(unscaled)
     assert "-15/4" in text  # the scenario block echoes the scaled values
+
+
+def test_f5_cohomologous_cocycle_reports_like_s2_over_f5(built_instances):
+    """Over F_5 the coboundary of f = (1, 2, 3, 4) gives cocycle values
+    such as 3/2 = 4 and 8/3 = 1, so the sums of products that the cocycle
+    conditions and the operators fold pass 5 before a kernel or
+    `Field.of` reduces them.  The crossed product is isomorphic to s2's
+    over F_5, so every check and every dimension must come out as for s2
+    itself, with every stored scalar an int in [1, 5)."""
+    values = cohomologous_s2_values((1, 2, 3, 4))
+    assert values[5:8] == [4, Fraction(3, 2), Fraction(8, 3)]
+    base = read("s2.scn").replace("field = Q", "field = Fp 5")
+    report = run_command("report", parse_scenario(scaled_s2(base, values)))
+    assert_exact_entries(built_instances, 5)
+    text = emit_report(report, machine=True)
+    unscaled = emit_report(run_command("report", parse_scenario(base)),
+                           machine=True)
+    assert report.passed
+    assert text.splitlines()[-1] == "overall PASS"
+    assert outside_scenario(text) == outside_scenario(unscaled)
+    assert "3/2" in text  # the scenario block echoes the scaled values

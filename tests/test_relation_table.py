@@ -74,9 +74,9 @@ def evaluator_calls(monkeypatch):
     original = hclab.cycliccore.first_violation
     calls = []
 
-    def first_violation(stages, one):
+    def first_violation(stages, field):
         calls.append(True)
-        return original(stages, one)
+        return original(stages, field)
 
     wrapped = set()
     for name, module in list(sys.modules.items()):
@@ -131,11 +131,11 @@ def test_index_and_vector_forms_of_one_image_agree(field):
     rows = [(f"{a} = {b}", words[a], words[b])
             for a in words for b in words
             if len(words[a]) == len(words[b])]
-    assert first_violation([(DIM, rows)], field.one) is None
+    assert first_violation([(DIM, rows)], field) is None
     assert table.column(()) == (vector(), False)
     # three steps of the successor are the identity, the empty word
     assert first_violation([(DIM, [("cube", ((table, ()),) * 3, ())])],
-                           field.one) is None
+                           field) is None
 
 
 def differing_at(field, bad_k, wrong):
@@ -149,7 +149,8 @@ def differing_at(field, bad_k, wrong):
 
 def doubled(field, j):
     out = {}
-    add_term(out, j, field.one + field.one)   # zero over F_2
+    # zero over F_2
+    add_term(out, j, field.one + field.one, field.characteristic)
     return out
 
 
@@ -169,10 +170,10 @@ def test_a_different_vector_fails_at_its_basis_vector(field, wrong):
     good = ("agrees", ((successor, ()),), ((successor_vector(field), ()),))
     for against in (op, OperatorTable(op)):
         row = (wrong, ((successor, ()),), ((against, ()),))
-        assert first_violation([(DIM, [good, row])], field.one) == (
+        assert first_violation([(DIM, [good, row])], field) == (
             wrong, bad_k)
         # the same vector, one step into a word
         row = (wrong, ((successor, ()), (successor, ())),
                ((successor, ()), (against, ())))
-        assert first_violation([(DIM, [row])], field.one) == (
+        assert first_violation([(DIM, [row])], field) == (
             wrong, (bad_k - 1) % DIM)

@@ -75,13 +75,15 @@ def zeros(field, rows, cols):
 
 
 def dense_product(field, a, b, inner, cols):
-    return [[sum((a[i][t] * b[t][j] for t in range(inner)), field.zero)
+    return [[field.of(sum((a[i][t] * b[t][j] for t in range(inner)),
+                          field.zero))
              for j in range(cols)] for i in range(len(a))]
 
 
 def dense_vector(field, d, vec):
     return {i: c for i in range(len(d))
-            if (c := sum((d[i][j] * x for j, x in vec.items()), field.zero))}
+            if (c := field.of(sum((d[i][j] * x for j, x in vec.items()),
+                                  field.zero)))}
 
 
 @SETTINGS
@@ -165,7 +167,8 @@ def test_compose_refuses_mismatched_shapes():
 def test_add_is_the_dense_sum(case):
     field, ((da, a), (db, b), coeff) = case
     c = field.one if coeff is None else coeff
-    want = [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+    want = [[field.of(x + c * y) for x, y in zip(ra, rb)]
+            for ra, rb in zip(da, db)]
     assert model(field, a.add(b, coeff)) == want
     assert model(field, a) == da and model(field, b) == db
 
@@ -184,7 +187,7 @@ def test_add_block_is_the_dense_sum_at_its_offsets(case):
     c = field.one if coeff is None else coeff
     want = [list(row) for row in dm]
     for i, j in itertools.product(range(block.rows), range(block.cols)):
-        want[r0 + i][c0 + j] = want[r0 + i][c0 + j] + c * db[i][j]
+        want[r0 + i][c0 + j] = field.of(want[r0 + i][c0 + j] + c * db[i][j])
     m.add_block(block, r0, c0, coeff)
     assert model(field, m) == want
     assert model(field, block) == db
@@ -195,7 +198,8 @@ def test_add_block_is_the_dense_sum_at_its_offsets(case):
 def test_scale_and_is_zero(case):
     field, ((d, m), coeff) = case
     scaled = m.scale(coeff)
-    assert model(field, scaled) == [[coeff * x for x in row] for row in d]
+    assert model(field, scaled) == [[field.of(coeff * x) for x in row]
+                                    for row in d]
     assert scaled.is_zero() == (not coeff or not any(map(any, d)))
     assert (scaled.rows, scaled.cols) == (m.rows, m.cols)
     assert m.is_zero() == (not any(map(any, d)))
@@ -246,7 +250,8 @@ def test_block_matrix_places_every_block_at_its_offsets(case):
         for i, j in itertools.product(range(row_blocks[r]),
                                       range(col_blocks[c])):
             cell = want[row_off[r] + i]
-            cell[col_off[c] + j] = cell[col_off[c] + j] + k * d[i][j]
+            cell[col_off[c] + j] = field.of(cell[col_off[c] + j]
+                                            + k * d[i][j])
     got = block_matrix(field, row_blocks, col_blocks,
                        ((r, c, m, coeff) for r, c, _, m, coeff in placements))
     assert model(field, got) == want
