@@ -112,12 +112,14 @@ def slot_images(image, base, stride):
             for b in range(base, base + stride)]
 
 
-def merge_column(dim, stride, d, pairs):
+def merge_column(dim, stride, d, pairs, e=None):
     """The column, over the dim basis vectors of the source, of the
-    operator merging the slots x (stride d * stride) and y (stride
-    `stride`), both of size d, into the slot holding pairs[x * d + y]."""
+    operator merging the slots x, of size d and stride e * stride, and y,
+    of size e (d if None) and stride `stride`, into the slot of y holding
+    pairs[x * e + y]."""
+    e = d if e is None else e
     out = []
-    for base in range(0, dim // d, d * stride):
+    for base in range(0, dim // d, e * stride):
         for pair in pairs:
             out.extend(slot_images(pair, base, stride))
     return out

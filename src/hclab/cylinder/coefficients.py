@@ -13,8 +13,9 @@ homology with those twisted coefficients.
 from __future__ import annotations
 
 from ..cycliccore import (
-    HomologyReport, OperatorTable, ParacyclicModule, TensorSpace,
-    first_violation, homology_dims, matrix_columns, normal_image)
+    ZERO, HomologyReport, OperatorTable, ParacyclicModule, TensorSpace,
+    first_violation, homology_dims, matrix_columns, merge_column,
+    normal_image, slot_images)
 from ..exactlinalg import (
     MathError, SparseMatrix, add_term, expand, vec_add_into)
 
@@ -295,42 +296,31 @@ class HopfComplex(ParacyclicModule):
 
     def __init__(self, hopf, act, carrier_dim):
         self.hopf = hopf
-        self.act = act                  # act(h_index, m_index) -> vector
         self.carrier_dim = carrier_dim
         self.field = hopf.field
-        self._spaces = {}
-
-    def space(self, p):
-        if p not in self._spaces:
-            self._spaces[p] = TensorSpace(
-                [self.hopf.dim] * p + [self.carrier_dim])
-        return self._spaces[p]
+        one = self.field.one
+        self._counits = [normal_image({0: c} if c else ZERO, one)
+                         for c in hopf.counit]
+        self._pairs = [normal_image(v, one)
+                       for row in hopf.algebra.mul_table for v in row]
+        # act(h_index, m_index) -> vector, read once per basis pair
+        self._acts = [normal_image(act(h, m), one)
+                      for h in range(hopf.dim) for m in range(carrier_dim)]
 
     def dim(self, p):
-        return self.space(p).size
+        return self.hopf.dim ** p * self.carrier_dim
 
     def face(self, p, i):
-        src, dst = self.space(p), self.space(p - 1)
-        one, mod = self.field.one, self.field.characteristic
-        column = []
-        for k in range(src.size):
-            tup = src.decode(k)
-            hs, m = tup[:p], tup[p]
-            out = {}
-            if i == 0:
-                add_term(out, dst.encode(hs[1:] + (m,)),
-                         self.hopf.counit[hs[0]], mod)
-            elif i < p:
-                prod = self.hopf.algebra.multiply_basis(hs[i - 1], hs[i])
-                for t, c in prod.items():
-                    add_term(out, dst.encode(
-                        hs[:i - 1] + (t,) + hs[i + 1:] + (m,)), c, mod)
-            else:
-                img = self.act(hs[p - 1], m)
-                for mm, c in img.items():
-                    add_term(out, dst.encode(hs[:p - 1] + (mm,)), c, mod)
-            column.append(normal_image(out, one))
-        return column
+        # leg j of degree p sits at stride dH^(p-1-j) * carrier_dim
+        dH, dM, dim = self.hopf.dim, self.carrier_dim, self.dim(p)
+        if i == 0:
+            # one block of the remaining legs per first leg, its counit
+            return [image for counit in self._counits
+                    for image in slot_images(counit, 0, dim // dH)]
+        if i < p:
+            return merge_column(dim, dH ** (p - 1 - i) * dM, dH, self._pairs)
+        # the last leg merges with the module slot through the action
+        return merge_column(dim, 1, dH, self._acts, dM)
 
 
 class HopfComplexError(MathError):

@@ -34,8 +34,8 @@ such as the degeneracy images of a unit that is a basis vector, is
 built as its RREF directly (`cycliccore.degeneracy_quotient`: the
 distinct indices as pivots, each with its unit row), and a `Subspace`
 whose rows are all unit rows reduces and reads coordinates with one pass
-over the vector.  `rref` skips a single-entry row whose column holds a
-stored unit row.
+over the vector, and tests membership by its keys alone.  `rref` skips a
+single-entry row whose column holds a stored unit row.
 """
 
 from __future__ import annotations
@@ -583,6 +583,8 @@ class Subspace:
         return out
 
     def contains(self, vec):
+        if self._coordinate:
+            return vec.keys() <= self._position.keys()
         return not self.reduce(vec)
 
     def coords_of(self, vec):
@@ -719,5 +721,5 @@ def induced_map(f, src, dst):
         img = f.columns[min(row)] if len(row) == 1 else f.apply(row)
         if not dst.denominator.contains(img):
             return NotWellDefined(basis_vector=dict(row), image=dict(img))
-    columns = [dst.project(f.columns[fcol]) for fcol in src.free_columns]
-    return SparseMatrix.from_columns(f.field, dst.dim, columns)
+    return SparseMatrix._of(f.field, dst.dim, [   # fresh, with no zero
+        dst.project(f.columns[fcol]) for fcol in src.free_columns])

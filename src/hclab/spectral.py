@@ -132,15 +132,21 @@ class RowComplexes:
 def compute_E1(cyl, max_p, max_q):
     """The first page, computed two independent ways that must agree:
     row homology of the normalized cylinder, and Hopf-algebra homology
-    with the twisted row coefficients.  Returns it and its RowComplexes."""
+    with the twisted row coefficients, once per distinct coefficient
+    module.  Returns it and its RowComplexes."""
     rows = RowComplexes(cyl)
-    entries = {}
+    entries, reports = {}, {}
     for q in range(max_q + 1):
         mod = cyl.row_coefficients(q)
-        via_hopf = hopf_homology(cyl.hopf, mod.act, mod.dim, max_p)
+        # a module is its dimension and its action on every basis pair
+        key = (mod.dim, tuple(frozenset(mod.act(h, m).items())
+                              for h in range(cyl.hopf.dim)
+                              for m in range(mod.dim)))
+        if key not in reports:
+            reports[key] = hopf_homology(cyl.hopf, mod.act, mod.dim, max_p)
         for p in range(max_p + 1):
             d_row = rows.homology_dim(p, q)
-            d_hopf = via_hopf.dims[p]
+            d_hopf = reports[key].dims[p]
             if d_row != d_hopf:
                 raise SpectralError(
                     f"first-page mismatch at ({p},{q}): row homology "

@@ -159,6 +159,7 @@ PROVIDERS = {
                                               "rotate"}},
     "cylinder/core.py": {"HopfCrossedCylinder": {
         "vface", "vdeg", "vrot", "hface", "hdeg", "hrot"}},
+    "cylinder/coefficients.py": {"HopfComplex": {"face"}},
 }
 TUPLE_INDEXING = {"decode", "encode", "split"}
 
