@@ -14,8 +14,9 @@ operator words, evaluated by first_violation over a stage's whole basis
 at once, and each check reads every operator through one OperatorTable
 of its own, which keeps each column it reads.  The evaluator takes a
 word's first column as its images, maps indices through a later step's
-column with one builtin map, and compares an index with its sparse form
-as one vector.
+column with one builtin map, pushes a list that holds a sparse image
+through it with one `exactlinalg.push_images` call, and compares an
+index with its sparse form as one vector.
 
 Sign conventions, pinned once and exercised by the mixed-complex
 contract (b*b = 0, B*B = 0, bB + Bb = 0 on normalized cyclic modules):
@@ -47,6 +48,7 @@ from .exactlinalg import (
     check_dimension_cap,
     induced_map,
     mat_rank,
+    push_images,
     quotient_space,
     vec_add_into,
 )
@@ -112,48 +114,42 @@ def slot_images(image, base, stride):
             for b in range(base, base + stride)]
 
 
+def slot_column(bases, images, stride):
+    """The column whose images, for each base in turn and then each image
+    in turn, are the slot_images of the image at the base; at stride 1
+    the image moved up by the base, one comprehension for the column."""
+    if stride == 1:
+        return [v + b if type(v) is int
+                else v and {j + b: c for j, c in v.items()}
+                for b in bases for v in images]
+    out = []
+    for b in bases:
+        for v in images:
+            out.extend(slot_images(v, b, stride))
+    return out
+
+
 def merge_column(dim, stride, d, pairs, e=None):
     """The column, over the dim basis vectors of the source, of the
     operator merging the slots x, of size d and stride e * stride, and y,
     of size e (d if None) and stride `stride`, into the slot of y holding
     pairs[x * e + y]."""
     e = d if e is None else e
-    out = []
-    for base in range(0, dim // d, e * stride):
-        for pair in pairs:
-            out.extend(slot_images(pair, base, stride))
-    return out
+    return slot_column(range(0, dim // d, e * stride), pairs, stride)
 
 
 def insert_column(dim, stride, d, unit):
     """The column, over the dim basis vectors of the source, of the
     operator inserting a slot of size d holding `unit` at stride
     `stride`."""
-    out = []
-    for base in range(0, dim * d, d * stride):
-        out.extend(slot_images(unit, base, stride))
-    return out
-
-
-def apply_linear(column, vec, p=0):
-    """The image of a sparse vector, mod p, under the operator whose
-    image of basis vector k is column[k]: a sparse vector or an int."""
-    out = {}
-    for k, c in vec.items():
-        image = column[k]
-        if type(image) is int:
-            add_term(out, image, c, p)
-        else:
-            vec_add_into(out, image, c, p)
-    return out
+    return slot_column(range(0, dim * d, d * stride), [unit], stride)
 
 
 def compose_columns(outer, inner, field):
     """The column of outer after inner, in normal form."""
-    p, one = field.characteristic, field.one
-    return [outer[v] if type(v) is int
-            else v and normal_image(apply_linear(outer, v, p), one)
-            for v in inner]
+    one = field.one
+    return [v if type(v) is int else normal_image(v, one)
+            for v in push_images(outer, inner, field.characteristic)]
 
 
 def _all_indices(images):
@@ -464,9 +460,7 @@ def _images(word, dim, p):
             images = list(map(column.__getitem__, images))
             indices = to_indices or _all_indices(images)
         else:
-            # a zero image stays the zero it is
-            images = [column[v] if type(v) is int
-                      else v and apply_linear(column, v, p) for v in images]
+            images = push_images(column, images, p)
     return images
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..cycliccore import (
     ZERO, HomologyReport, OperatorTable, ParacyclicModule, TensorSpace,
     first_violation, homology_dims, matrix_columns, merge_column,
-    normal_image, slot_images)
+    normal_image, slot_column)
 from ..exactlinalg import (
     MathError, SparseMatrix, add_term, expand, vec_add_into)
 
@@ -278,13 +278,27 @@ class TwistedLeftModule:
         return None
 
 
-def twisted_left_module(bimodule):
+def module_key(mod):
+    """A left module over the Hopf algebra as its dimension and its action
+    on every basis pair: two modules with one key are one module."""
+    return (mod.dim, tuple(frozenset(mod.act(h, m).items())
+                           for h in range(mod.hopf.dim)
+                           for m in range(mod.dim)))
+
+
+def twisted_left_module(bimodule, verified=None):
+    """The twisted left module of a bimodule.  Its module law is verified
+    unless its module_key is in the set `verified`, which then holds it."""
     mod = TwistedLeftModule(bimodule)
-    bad = mod.verify_module_law()
-    if bad is not None:
-        raise ModuleLawError(
-            f"left module law fails at {bad}; the conversion needs a "
-            f"cocommutative Hopf algebra")
+    verified = set() if verified is None else verified
+    key = module_key(mod)
+    if key not in verified:
+        bad = mod.verify_module_law()
+        if bad is not None:
+            raise ModuleLawError(
+                f"left module law fails at {bad}; the conversion needs a "
+                f"cocommutative Hopf algebra")
+        verified.add(key)
     return mod
 
 
@@ -315,8 +329,7 @@ class HopfComplex(ParacyclicModule):
         dH, dM, dim = self.hopf.dim, self.carrier_dim, self.dim(p)
         if i == 0:
             # one block of the remaining legs per first leg, its counit
-            return [image for counit in self._counits
-                    for image in slot_images(counit, 0, dim // dH)]
+            return slot_column([0], self._counits, dim // dH)
         if i < p:
             return merge_column(dim, dH ** (p - 1 - i) * dM, dH, self._pairs)
         # the last leg merges with the module slot through the action

@@ -44,6 +44,7 @@ from ..cycliccore import (
     normal_image,
     paracyclic_stages,
     require_descent,
+    slot_column,
     slot_images,
 )
 from ..exactlinalg import (
@@ -90,6 +91,7 @@ class HopfCrossedCylinder:
         self._hrot_terms = functools.cache(
             functools.partial(_pushed_terms, hopf, action))
         self._coefficients = {}
+        self._module_keys = set()
 
     # -- spaces --------------------------------------------------------------
 
@@ -188,23 +190,19 @@ class HopfCrossedCylinder:
                               for (h, b), c in self._hrot_terms(q, last, a)},
                              one)
                 for last in range(dH) for a in range(size)]
-        out = []
-        for base in range(0, lead, size):
-            out.extend(image + base if type(image) is int
-                       else image and {j + base: c for j, c in image.items()}
-                       for image in tail)
-        return out
+        return slot_column(range(0, lead, size), tail, 1)
 
     # -- adapters ------------------------------------------------------------
 
     def row_coefficients(self, q):
         """The twisted left module of row q's coefficients (its `bimodule`
-        is M_q), built with its module law verified once per cylinder.  A
-        module that fails the law raises ModuleLawError and is not kept."""
+        is M_q), built once per cylinder, with its module law verified
+        unless an earlier row's module has its module_key.  A module that
+        fails the law raises ModuleLawError and is not kept."""
         mod = self._coefficients.get(q)
         if mod is None:
             mod = self._coefficients[q] = twisted_left_module(
-                BimoduleMq(self, q))
+                BimoduleMq(self, q), self._module_keys)
         return mod
 
     def row_module(self, q):

@@ -6,13 +6,14 @@ is a Python `int` when it is integral and a `fractions.Fraction` when it
 is not; over F_p it is an `int` in [0, p).  Mixed int/`Fraction`
 arithmetic is exact, and `exact_div` is the one place scalars are
 divided, so there is no floating point anywhere.  Vectors are plain
-dicts mapping a coordinate index to a nonzero scalar.  A matrix carries
-its field and is stored as its list of columns, column j the sparse
-image of basis vector j; `block_matrix` assembles one from blocks placed
-by key and is the one place block offsets are computed.  All canonical
-forms are reduced row echelon forms, so every representative choice made
-downstream is deterministic and two identical runs produce bit-identical
-results.
+dicts mapping a coordinate index to a nonzero scalar; only `add_term`,
+`vec_add_into`, `push_images` (a whole list of images through a column)
+and `expand` add into one.  A matrix carries its field and is stored as
+its list of columns, column j the sparse image of basis vector j;
+`block_matrix` assembles one from blocks placed by key and is the one
+place block offsets are computed.  All canonical forms are reduced row
+echelon forms, so every representative choice made downstream is
+deterministic and two identical runs produce bit-identical results.
 
 Reduction mod p is written here and nowhere else.  The kernels that add
 or multiply stored scalars take the field's modulus p, its
@@ -181,11 +182,11 @@ def exact_div(a, b, p=0):
 # ---------------------------------------------------------------------------
 # sparse vectors: dict {index: nonzero scalar}
 #
-# A sparse vector never stores a zero.  `add_term`, `vec_add_into` and
-# `expand` are the only code that adds into one, so they are the only
-# code that has to drop a cancelled entry; `Subspace` reductions by a
-# unit row delete the pivot entry they cancel.  Each takes the modulus p
-# (0 over Q) positionally: a keyword is costly in a call this short.
+# A sparse vector never stores a zero.  `add_term`, `vec_add_into`,
+# `push_images` and `expand` add into one, so they alone drop cancelled
+# entries; `Subspace` reductions by a unit row delete the pivot entry
+# they cancel.  Each takes the modulus p (0 over Q) positionally: a
+# keyword is costly in a call this short.
 
 def add_term(acc, key, c, p=0):
     """acc[key] += c, in place, dropping the entry if it cancels; mod p
@@ -234,6 +235,53 @@ def vec_add_into(acc, vec, coeff=None, p=0):
                 del acc[k]
         elif c:
             acc[k] = c
+
+
+def push_images(column, images, p=0):
+    """The images of a list of images under the operator whose image of
+    basis vector k is column[k], an int index or a sparse vector.  An int
+    image reads its column entry, a zero stays the zero it is, and a
+    sparse vector, whose coefficients mod p may be any ints, becomes a
+    fresh one, reduced mod p when p > 0."""
+    # add_term's body, written inline: a call per image or per term made
+    # the identity checks slower
+    out = []
+    append = out.append
+    for v in images:
+        if type(v) is int:
+            append(column[v])
+        elif not v:
+            append(v)
+        else:
+            acc = {}
+            for k, c in v.items():
+                image = column[k]
+                if type(image) is int:
+                    if image in acc:
+                        if s := acc[image] + c:
+                            acc[image] = s
+                        else:
+                            del acc[image]
+                    elif c:
+                        acc[image] = c
+                    continue
+                for j, d in image.items():
+                    d *= c
+                    if j in acc:
+                        if s := acc[j] + d:
+                            acc[j] = s
+                        else:
+                            del acc[j]
+                    elif d:
+                        acc[j] = d
+            append(acc)
+    if p:
+        # int sums are exact: the field is chosen once per call, and each
+        # fresh image is reduced once
+        out = [w if type(v) is int or not v
+               else {j: s for j, c in w.items() if (s := c % p)}
+               for v, w in zip(images, out)]
+    return out
 
 
 def expand(coef, slots, p=0):

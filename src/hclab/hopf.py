@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .algebra import Violation, ground_algebra, group_algebra
 from .exactlinalg import (
-    SparseMatrix, add_term, expand, mat_rank, solve_linear, vec_add_into,
+    SparseMatrix, add_term, expand, mat_rank, push_images, solve_linear,
+    vec_add_into,
 )
 
 
@@ -56,10 +57,7 @@ class HopfAlgebra:
         return self.field.of(sum(c * self.counit[i] for i, c in vec.items()))
 
     def antipode_of(self, vec):
-        out, p = {}, self.field.characteristic
-        for i, c in vec.items():
-            vec_add_into(out, self.antipode[i], c, p)
-        return out
+        return push_images(self.antipode, [vec], self.field.characteristic)[0]
 
     def multiply(self, x, y):
         return self.algebra.multiply(x, y)
@@ -167,9 +165,7 @@ def validate_hopf(hopf):
             return Violation("counit law (right)", (i,))
 
     # coproduct and counit are algebra maps
-    cop_unit = {}
-    for i, c in alg.unit.items():
-        vec_add_into(cop_unit, hopf.coproduct[i], c, p)
+    [cop_unit] = push_images(hopf.coproduct, [alg.unit], p)
     if cop_unit != expand(field.one, [alg.unit, alg.unit], p):
         return Violation("coproduct of the unit", ())
     if hopf.counit_of(alg.unit) != field.one:
@@ -177,9 +173,7 @@ def validate_hopf(hopf):
     for i in range(hopf.dim):
         for j in range(hopf.dim):
             prod = alg.multiply_basis(i, j)
-            lhs = {}
-            for k, c in prod.items():
-                vec_add_into(lhs, hopf.coproduct[k], c, p)
+            [lhs] = push_images(hopf.coproduct, [prod], p)
             rhs = _tensor_square_product(hopf, hopf.coproduct[i], hopf.coproduct[j])
             if lhs != rhs:
                 return Violation("coproduct is an algebra map", (i, j))

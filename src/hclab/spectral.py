@@ -21,14 +21,13 @@ from functools import partial
 from .cycliccore import (
     MatrixParacyclicModule,
     QuotientStore,
-    apply_linear,
     check_cyclic,
     cyclic_homology_mixed,
     degeneracy_quotient,
     mixed_complex_of_cyclic,
     require_descent,
 )
-from .cylinder.coefficients import hopf_homology
+from .cylinder.coefficients import hopf_homology, module_key
 from .exactlinalg import (
     MathError,
     NotInSubspace,
@@ -36,6 +35,7 @@ from .exactlinalg import (
     Subspace,
     induced_map,
     kernel_basis,
+    push_images,
     quotient_space,
 )
 from .hopf import find_normalized_integral, is_semisimple
@@ -122,7 +122,7 @@ class RowComplexes:
         ker_src, quot_src = self.homology(p, q)
         ker_dst, quot_dst = self.homology(p, tq)
         on_kernels = _map_rows(
-            ker_src, ker_dst, self.induced(name, p, q).apply,
+            map(self.induced(name, p, q).apply, ker_src.rows), ker_dst,
             f"{name} does not preserve row cycles at ({p},{q})")
         return require_descent(
             induced_map(on_kernels, quot_src, quot_dst), SpectralError,
@@ -138,10 +138,7 @@ def compute_E1(cyl, max_p, max_q):
     entries, reports = {}, {}
     for q in range(max_q + 1):
         mod = cyl.row_coefficients(q)
-        # a module is its dimension and its action on every basis pair
-        key = (mod.dim, tuple(frozenset(mod.act(h, m).items())
-                              for h in range(cyl.hopf.dim)
-                              for m in range(mod.dim)))
+        key = module_key(mod)
         if key not in reports:
             reports[key] = hopf_homology(cyl.hopf, mod.act, mod.dim, max_p)
         for p in range(max_p + 1):
@@ -253,10 +250,9 @@ def invariant_complex_N0(cyl, max_q):
 
     def restrict(op, q, tq, what, *index):
         """A vertical operator of column 0 restricted to invariants."""
-        column = op(0, q, *index)
         return _map_rows(
-            subspaces[q], subspaces[tq],
-            lambda vec: apply_linear(column, vec, field.characteristic),
+            push_images(op(0, q, *index), subspaces[q].rows,
+                        field.characteristic), subspaces[tq],
             f"vertical {what} does not preserve invariants in degree {q}")
 
     faces, degens, rots = {}, {}, {}
@@ -277,16 +273,13 @@ def invariant_complex_N0(cyl, max_q):
     return InvariantComplex(dims=dims, subspaces=subspaces, module=module)
 
 
-def _map_rows(src, dst, image, message):
-    """The matrix, in dst's basis, of image() on src's basis rows;
+def _map_rows(images, dst, message):
+    """The matrix, in dst's basis, of the images of a basis;
     SpectralError(message) if an image is not in dst."""
-    cols = []
-    for row in src.rows:
-        img = image(row)
-        try:
-            cols.append(dst.coords_of(img))
-        except NotInSubspace:
-            raise SpectralError(message)
+    try:
+        cols = [dst.coords_of(image) for image in images]
+    except NotInSubspace:
+        raise SpectralError(message)
     return SparseMatrix.from_columns(dst.field, dst.dim, cols)
 
 

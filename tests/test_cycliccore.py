@@ -1,6 +1,6 @@
 from collections import Counter
 
-from hclab.exactlinalg import Field, QQ, SparseMatrix, mat_rank
+from hclab.exactlinalg import Field, QQ, SparseMatrix, mat_rank, push_images
 from hclab.algebra import (
     FiniteGroup, dual_numbers, ground_algebra, group_algebra,
     matrix_algebra, product_algebra,
@@ -9,7 +9,6 @@ from hclab.cycliccore import (
     AlgebraCyclicModule,
     NormalizedComplex,
     TensorSpace,
-    apply_linear,
     check_cyclic,
     check_paracyclic,
     cyclic_homology_of_algebra,
@@ -73,7 +72,7 @@ def test_rotation_order_degree_2():
     for k in range(m.dim(2)):
         v = {k: QQ.one}
         for _ in range(3):
-            v = apply_linear(m.rotate(2), v)
+            [v] = push_images(m.rotate(2), [v])
         assert v == {k: QQ.one}
 
 

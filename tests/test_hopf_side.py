@@ -19,14 +19,26 @@ carries the same module and one Hopf homology serves all three rows; on
 s3 and s5 the rows' modules differ in dimension.  The entries must be
 those of one Hopf homology per row (the `report` goldens hold the first
 page's line).
+
+The cylinder verifies the module law once per distinct row module, by
+the same `module_key` (dimension and action table) that `compute_E1`
+ranks one bar complex per: one `report` pass over s1-s5 runs 11 checks,
+one per distinct module, where a check per row ran 19.  A module of the
+same dimension with another action, and a law that fails at q = 1 only,
+are still checked.
 """
+
+from pathlib import Path
 
 import pytest
 
 from hclab import spectral
 from hclab.algebra import FinDimAlgebra
+from hclab.cli import parse_scenario, run_command
 from hclab.cycliccore import TensorSpace, normal_image
-from hclab.cylinder.coefficients import HopfComplex, hopf_homology
+from hclab.cylinder import ModuleLawError
+from hclab.cylinder.coefficients import (
+    HopfComplex, TwistedLeftModule, hopf_homology)
 from hclab.exactlinalg import Field, add_term
 from hclab.hopf import HopfAlgebra, validate_hopf
 from test_provider_oracle import built
@@ -191,3 +203,72 @@ def test_a_module_of_equal_dimension_and_other_action_is_not_shared(
             r"first-page mismatch at \(0,1\): row homology 2, "
             r"Hopf homology 1")):
         spectral.compute_E1(cyl, 2, 2)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def count_module_laws(monkeypatch):
+    """The rows q whose module law runs, in order, from now on."""
+    checked = []
+    verify = TwistedLeftModule.verify_module_law
+
+    def counted(mod):
+        checked.append(mod.bimodule.q)
+        return verify(mod)
+    monkeypatch.setattr(TwistedLeftModule, "verify_module_law", counted)
+    return checked
+
+
+def test_a_reference_pass_checks_each_distinct_module_once(monkeypatch):
+    """`report` reads rows 0-3 (the collapse comparison reads row 3) of
+    s1, s2, s3 and s5 and rows 0-2 of s4: one module on s1, s2 and s4,
+    four on s3 and s5."""
+    counts = {}
+    for name in ("s1", "s2", "s3", "s4", "s5"):
+        checked = count_module_laws(monkeypatch)
+        run_command("report", parse_scenario(
+            (SCENARIOS / f"{name}.scn").read_text()))
+        counts[name] = len(checked)
+    assert counts == {"s1": 1, "s2": 1, "s3": 4, "s4": 1, "s5": 4}
+    assert sum(counts.values()) == 11
+
+
+def with_row_1_acting(monkeypatch, action):
+    """Row 1's twisted module acts by action(module, h, m) instead."""
+    act = TwistedLeftModule.act
+    monkeypatch.setattr(
+        TwistedLeftModule, "act", lambda mod, h, m: (
+            action(mod, h, m) if mod.bimodule.q == 1 else act(mod, h, m)))
+
+
+def test_a_module_of_equal_dimension_and_other_action_is_checked(
+        monkeypatch):
+    """s1's rows carry one two-dimensional module; row 1 acting by left
+    multiplication instead has the same dimension and passes the law,
+    and is checked; row 2, equal to row 0 again, is not."""
+    with_row_1_acting(monkeypatch, lambda mod, h, m:
+                      mod.hopf.algebra.multiply_basis(h, m))
+    checked = count_module_laws(monkeypatch)
+    cyl = built("s1").cylinder
+    mods = [cyl.row_coefficients(q) for q in range(3)]
+    assert checked == [0, 1]
+    assert mods[0].dim == mods[1].dim == 2
+    assert mods[1].act(1, 0) == {1: 1} != mods[0].act(1, 0)
+
+
+def test_a_law_failing_only_at_row_1_still_raises_there(monkeypatch):
+    """Row 1 acting by twice s1's action breaks the unit law there only:
+    row 0 builds, row 1 raises and is not kept, row 2 builds."""
+    act = TwistedLeftModule.act
+    with_row_1_acting(monkeypatch, lambda mod, h, m: {
+        k: 2 * c for k, c in act(mod, h, m).items()})
+    checked = count_module_laws(monkeypatch)
+    cyl = built("s1").cylinder
+    cyl.row_coefficients(0)
+    for _ in range(2):
+        with pytest.raises(ModuleLawError,
+                           match=r"left module law fails at \('unit', 0\)"):
+            cyl.row_coefficients(1)
+    cyl.row_coefficients(2)
+    assert checked == [0, 1, 1]
