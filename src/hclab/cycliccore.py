@@ -43,14 +43,13 @@ from .exactlinalg import (
     NotWellDefined,
     SparseMatrix,
     Subspace,
-    add_term,
+    add_images_into,
     block_matrix,
     check_dimension_cap,
     induced_map,
     mat_rank,
     push_images,
     quotient_space,
-    vec_add_into,
 )
 
 
@@ -245,30 +244,27 @@ class ParacyclicModule:
 
     def boundary_matrix(self, n):
         """b = alternating sum of the faces, each added in place into
-        face_0's fresh matrix; the zero map for n = 0."""
+        face_0's fresh matrix with one kernel call per face; the zero map
+        for n = 0."""
         if n == 0:
             return SparseMatrix.zero(self.field, 0, self.dim(0))
-        out, p = self.face_matrix(n, 0), self.field.characteristic
+        out, field = self.face_matrix(n, 0), self.field
         for i in range(1, n + 1):
-            sign = self.field.sign(i)
-            for col, image in zip(out.columns, self.face(n, i), strict=True):
-                if type(image) is int:
-                    add_term(col, image, sign, p)
-                elif image is not ZERO:
-                    vec_add_into(col, image, sign, p)
+            add_images_into(out.columns, self.face(n, i), field.sign(i),
+                            field.characteristic)
         return out
 
-    def signed_rotation_matrix(self, n):
-        return self.rotate_matrix(n).scale(self.field.sign(n))
-
     def norm_matrix(self, n):
-        """N = 1 + lambda + ... + lambda^n."""
-        lam = self.signed_rotation_matrix(n)
-        acc = SparseMatrix.identity(self.field, self.dim(n))
-        total = acc
-        for _ in range(n):
-            acc = lam.compose(acc)
-            total = total.add(acc)
+        """N = 1 + lambda + ... + lambda^n, lambda^i = (-1)^(n i)
+        rotate^i: each power is the one below pushed through the rotation
+        column, and is added into the identity's fresh columns."""
+        field = self.field
+        p, rotation = field.characteristic, self.rotate(n)
+        power = range(len(rotation))
+        total = SparseMatrix.identity(field, len(rotation))
+        for i in range(1, n + 1):
+            power = push_images(rotation, power, p)
+            add_images_into(total.columns, power, field.sign(n * i), p)
         return total
 
     def extra_degeneracy_matrix(self, n):
@@ -277,14 +273,20 @@ class ParacyclicModule:
 
     def sn_matrix(self, n):
         """s N : degree n -> degree n+1, the Connes boundary of the
-        normalized complex before it is induced there."""
-        return self.extra_degeneracy_matrix(n).compose(self.norm_matrix(n))
+        normalized complex before it is induced there: N's columns pushed
+        through s's."""
+        s = self.extra_degeneracy_matrix(n)
+        return SparseMatrix._of(self.field, s.rows, push_images(
+            s.columns, self.norm_matrix(n).columns, self.field.characteristic))
 
     def connes_matrix(self, n):
-        """The unnormalized Connes boundary (1 - lambda) s N."""
-        sn = self.sn_matrix(n)
-        lam = self.signed_rotation_matrix(n + 1)
-        return sn.add(lam.compose(sn), self.field.sign(1))
+        """The unnormalized Connes boundary (1 - lambda) s N, with
+        -lambda = (-1)^n rotate in degree n+1."""
+        sn, p = self.sn_matrix(n), self.field.characteristic
+        add_images_into(sn.columns,
+                        push_images(self.rotate(n + 1), sn.columns, p),
+                        self.field.sign(n), p)
+        return sn
 
 
 @dataclass

@@ -50,11 +50,13 @@ from ..cycliccore import (
 from ..exactlinalg import (
     DEFAULT_DIMENSION_CAP,
     SparseMatrix,
+    add_images_into,
     add_term,
     block_matrix,
     check_dimension_cap,
     expand,
     induced_map,
+    push_images,
     vec_add_into,
 )
 from .coefficients import BimoduleMq, twisted_left_module
@@ -86,8 +88,12 @@ class HopfCrossedCylinder:
                         for v in _twisted_products(hopf, cocycle)]
         self._aunit = normal_image(self.algebra.unit, one)
         self._hunit = normal_image(hopf.algebra.unit, one)
-        self._vrot_terms = functools.cache(
-            functools.partial(_conjugation_terms, hopf, action))
+        # vrot's terms by degree, the antipode's action by first-leg
+        # product and the Sweedler strings of the highest degree built (the
+        # empty string's one term: the unit): kept per cylinder
+        self._vrot_terms = []
+        self._antipode_actions = {}
+        self._strings = [[(one, self._product_action(hopf.algebra.unit), 0)]]
         self._hrot_terms = functools.cache(
             functools.partial(_pushed_terms, hopf, action))
         self._coefficients = {}
@@ -154,11 +160,57 @@ class HopfCrossedCylinder:
         low = dA ** q
         block = low * dA
         out = [ZERO] * self.dim(p, q)
-        for hopf_string, images in enumerate(self._vrot_terms(p)):
+        for hopf_string, images in enumerate(self._conjugation_terms(p)):
             base = hopf_string * block
             for last, terms in enumerate(images):
                 out[base + last:base + block:dA] = slot_images(terms, 0, low)
         return out
+
+    def _conjugation_terms(self, p):
+        """vrot's images, in normal form, for every Hopf string at degree p,
+        by string index, each per last coefficient slot a_q: its terms m
+        index the second legs, then a_q acted on by the antipode of the
+        product of the first legs.
+
+        A string's Sweedler terms (coefficient, product of the first legs,
+        index of the second legs) extend those of the string without its
+        last slot by one coproduct and one product per term, so every
+        degree through p is built once, from the one below, and only the
+        highest degree's strings are kept."""
+        hopf, field, out = self.hopf, self.field, self._vrot_terms
+        dA, one, mod = self.algebra.dim, field.one, field.characteristic
+        while len(out) <= p:
+            self._strings = strings = [
+                [(field.of(coef * c),
+                  self._product_action(hopf.multiply(dict(product), {a: one})),
+                  second * hopf.dim + b)
+                 for coef, (product, _), second in prefix
+                 for c, (a, b) in hopf.sweedler(g, 2)]
+                for prefix in self._strings for g in range(hopf.dim)]
+            images = []
+            for string in strings:
+                merged = [{} for _ in range(dA)]
+                for coef, (_, acted), second in string:
+                    base = second * dA
+                    for terms, image in zip(merged, acted):
+                        for w, cw in image.items():
+                            add_term(terms, base + w, coef * cw, mod)
+                images.append([normal_image(terms, one) for terms in merged])
+            out.append(images)
+        return out[p]
+
+    def _product_action(self, product):
+        """(a first-leg product's items as a frozenset, its antipode acting
+        on each coefficient basis vector): built once per distinct
+        product, and shared by every string term with that product."""
+        key = frozenset(product.items())
+        got = self._antipode_actions.get(key)
+        if got is None:
+            su, one = self.hopf.antipode_of(product), self.field.one
+            got = self._antipode_actions[key] = (key, [
+                self.action.apply(su, {a: one})
+                for a in range(self.algebra.dim)])
+        return got
 
     # -- horizontal family (Hopf direction, degree p) -------------------------
 
@@ -314,36 +366,6 @@ def _twisted_products(hopf, cocycle):
                                  c1 * c2 * cocycle.values[x2][y2], p)
             table.append(out)
     return table
-
-
-def _conjugation_terms(hopf, action, p):
-    """vrot's images, in normal form, for every Hopf string at degree p,
-    by string index, each per last coefficient slot a_q: its terms m index
-    the second legs, then a_q acted on by the antipode of the product of
-    the first legs.  A string's Sweedler terms (coefficient, product of
-    the first legs, index of the second legs) extend those of the string
-    without its last slot by one coproduct and one product per term, so
-    only the degree below is kept while a degree is built."""
-    dH, dA, field = hopf.dim, action.algebra.dim, hopf.field
-    one, mod = field.one, field.characteristic
-    # the empty string's one term: the unit
-    strings = [[(one, hopf.algebra.unit, 0)]]
-    for _ in range(p + 1):
-        strings = [[(field.of(coef * c), hopf.multiply(product, {a: one}),
-                     second * dH + b)
-                    for coef, product, second in prefix
-                    for c, (a, b) in hopf.sweedler(g, 2)]
-                   for prefix in strings for g in range(dH)]
-    out = []
-    for string in strings:
-        merged = [{} for _ in range(dA)]
-        for coef, product, second in string:
-            su = hopf.antipode_of(product)
-            for last, terms in enumerate(merged):
-                for w, cw in action.apply(su, {last: one}).items():
-                    add_term(terms, second * dA + w, coef * cw, mod)
-        out.append([normal_image(terms, one) for terms in merged])
-    return out
 
 
 def _pushed_terms(hopf, action, q, g, a):
@@ -536,11 +558,11 @@ class BinormalizedCylinder:
     def induced_vertical_twist(self, p, q):
         """The raw vertical rotation to the (q+1)-st power, induced."""
         def power():
-            rot = self.cyl.column_module(p).rotate_matrix(q)
-            acc = SparseMatrix.identity(self.field, rot.cols)
+            rot = self.cyl.column_module(p).rotate_matrix(q).columns
+            images = range(len(rot))
             for _ in range(q + 1):
-                acc = rot.compose(acc)
-            return acc
+                images = push_images(rot, images, self.field.characteristic)
+            return SparseMatrix._of(self.field, len(rot), images)
         return self.store.induced(
             ("T", p, q), (p, q), (p, q), power,
             f"vertical twist not well defined at ({p},{q})")
@@ -746,12 +768,8 @@ def shuffle_map(cyl, bn, diag_norm, p, q):
         for pos in nu:
             images = compose_columns(cyl.hdeg(cur_p, n, pos), images, field)
             cur_p += 1
-        sign = field.sign(inv + p * q)
-        for out, image in zip(cols, images):
-            if type(image) is int:
-                add_term(out, image, sign, field.characteristic)
-            else:
-                vec_add_into(out, image, sign, field.characteristic)
+        add_images_into(cols, images, field.sign(inv + p * q),
+                        field.characteristic)
     raw = SparseMatrix.from_columns(field, cyl.dim(n, n), cols)
     return require_descent(
         induced_map(raw, src_q, dst_q), MixedComplexError,

@@ -7,8 +7,9 @@ is not; over F_p it is an `int` in [0, p).  Mixed int/`Fraction`
 arithmetic is exact, and `exact_div` is the one place scalars are
 divided, so there is no floating point anywhere.  Vectors are plain
 dicts mapping a coordinate index to a nonzero scalar; only `add_term`,
-`vec_add_into`, `push_images` (a whole list of images through a column)
-and `expand` add into one.  A matrix carries its field and is stored as
+`vec_add_into`, `add_images_into` (a whole list of images into a list of
+columns), `push_images` (a whole list of images through a column) and
+`expand` add into one.  A matrix carries its field and is stored as
 its list of columns, column j the sparse image of basis vector j;
 `block_matrix` assembles one from blocks placed by key and is the one
 place block offsets are computed.  All canonical forms are reduced row
@@ -183,10 +184,10 @@ def exact_div(a, b, p=0):
 # sparse vectors: dict {index: nonzero scalar}
 #
 # A sparse vector never stores a zero.  `add_term`, `vec_add_into`,
-# `push_images` and `expand` add into one, so they alone drop cancelled
-# entries; `Subspace` reductions by a unit row delete the pivot entry
-# they cancel.  Each takes the modulus p (0 over Q) positionally: a
-# keyword is costly in a call this short.
+# `add_images_into`, `push_images` and `expand` add into one, so they
+# alone drop cancelled entries; `Subspace` reductions by a unit row
+# delete the pivot entry they cancel.  Each takes the modulus p (0 over
+# Q) positionally: a keyword is costly in a call this short.
 
 def add_term(acc, key, c, p=0):
     """acc[key] += c, in place, dropping the entry if it cancels; mod p
@@ -235,6 +236,39 @@ def vec_add_into(acc, vec, coeff=None, p=0):
                 del acc[k]
         elif c:
             acc[k] = c
+
+
+def add_images_into(columns, images, coeff, p=0):
+    """columns[j] += coeff * images[j] for every j, in place, dropping
+    cancelled entries, where each image is an int index (that basis
+    vector), a zero or a sparse vector; mod p when p > 0, where coeff and
+    the image coefficients may be any ints."""
+    # add_term's body, written inline: a call per image made b slower
+    if p:
+        coeff %= p
+    for acc, v in zip(columns, images, strict=True):
+        if type(v) is int:
+            if v in acc:
+                s = acc[v] + coeff
+                if p:
+                    s %= p
+                if s:
+                    acc[v] = s
+                else:
+                    del acc[v]
+            elif coeff:
+                acc[v] = coeff
+        elif v:
+            for k, c in v.items():
+                c *= coeff
+                if k in acc:
+                    c += acc[k]
+                if p:
+                    c %= p
+                if c:
+                    acc[k] = c
+                elif k in acc:
+                    del acc[k]
 
 
 def push_images(column, images, p=0):
@@ -440,16 +474,6 @@ class SparseMatrix:
             if row_offset:
                 col = {row_offset + i: c for i, c in col.items()}
             vec_add_into(columns[j], col, coeff, p)
-
-    def scale(self, coeff):
-        p = self.field.characteristic
-        if p:
-            coeff %= p   # a product of residues in [1, p) is nonzero
-        if not coeff:
-            return SparseMatrix(self.field, self.rows, self.cols)
-        return SparseMatrix._of(self.field, self.rows, [
-            {i: coeff * c % p if p else coeff * c for i, c in col.items()}
-            for col in self.columns])
 
     def is_zero(self):
         return not any(self.columns)

@@ -214,7 +214,7 @@ def test_only_exactlinalg_reduces_mod_p():
 # the positional arguments of a kernel call that passes the modulus, which
 # defaults to 0 (Q): a call without it would leave F_p sums unreduced
 KERNEL_ARITY = {"add_term": 4, "vec_add_into": 4, "expand": 3, "rref": 2,
-                "exact_div": 3, "push_images": 3}
+                "exact_div": 3, "push_images": 3, "add_images_into": 4}
 
 
 def test_every_kernel_call_passes_the_modulus():

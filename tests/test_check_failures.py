@@ -21,13 +21,13 @@ from hclab.crossed import (
     sign_group_cocycle_table, trivial_action, trivial_cocycle,
     twisted_scalar_algebra, validate_cocycle, validate_weak_action,
 )
-from hclab.cycliccore import NormalizedComplex, normal_image
+from hclab.cycliccore import ZERO, NormalizedComplex, normal_image
 from hclab.cylinder import (
     BinormalizedCylinder, DiagonalModule, HochschildComplex,
     HopfCrossedCylinder, build_cylinder, check_diagonal_isomorphism,
     check_maclane, check_row_identification, check_shuffle_chain_map,
 )
-from hclab.exactlinalg import QQ, SparseMatrix
+from hclab.exactlinalg import QQ, Field, SparseMatrix
 from hclab.hopf import group_hopf, is_cocommutative
 
 
@@ -56,10 +56,14 @@ def test_factory_inputs_meet_the_standing_hypotheses(factory):
 
 def plus_unit(image, field):
     """A column's image with one more unit in its least coordinate
-    (coordinate 0 when it is zero), in normal form."""
+    (coordinate 0 when it is zero), in normal form: a coordinate that
+    the unit cancels is dropped, as no provider stores a zero."""
     image = {image: field.one} if type(image) is int else dict(image)
     key = min(image, default=0)
-    image[key] = image.get(key, field.zero) + field.one
+    if value := field.of(image.get(key, field.zero) + field.one):
+        image[key] = value
+    else:
+        del image[key]
     return normal_image(image, field.one)
 
 
@@ -174,3 +178,52 @@ def test_first_failure_is_named(case, monkeypatch):
     assert check(build()) is None
     monkeypatch.setattr(owner, name, wrong)
     assert check(build()) == message
+
+
+# -- the injected columns keep the providers' normal form ---------------------
+
+
+def in_normal_form(image, field):
+    """Whether an image is as `normal_image` leaves a provider's image:
+    an int index, the shared ZERO, or a sparse vector that is neither,
+    storing every scalar reduced and nonzero."""
+    if type(image) is int:
+        return True
+    if not image:
+        return image is ZERO
+    return normal_image(image, field.one) is image and all(
+        c and field.of(c) == c for c in image.values())
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_plus_unit_drops_a_cancelled_coordinate(p):
+    field = Field(p)
+    minus_one = field.of(-1)
+    assert plus_unit({4: minus_one}, field) is ZERO
+    assert plus_unit({4: minus_one, 6: minus_one, 7: minus_one}, field) == \
+        {6: minus_one, 7: minus_one}
+    assert plus_unit(ZERO, field) == 0
+    for image in ({4: minus_one}, {4: minus_one, 6: minus_one}, ZERO, 3,
+                  {1: field.one, 2: minus_one}, {0: field.one, 5: minus_one}):
+        assert in_normal_form(plus_unit(image, field), field), image
+
+
+PROVIDER_CASES = sorted(case for case, (_, _, (_, name, _), _) in CASES.items()
+                        if name in ("face", "hface", "rotate", "degeneracy"))
+
+
+@pytest.mark.parametrize("case", PROVIDER_CASES)
+def test_every_corrupted_column_is_in_normal_form(case, monkeypatch):
+    build, check, (owner, name, wrong), _ = CASES[case]
+    columns = []
+
+    def recording(self, *args):
+        column = wrong(self, *args)
+        columns.append((self.field, column))
+        return column
+    monkeypatch.setattr(owner, name, recording)
+    check(build())
+    assert columns
+    assert [(i, image) for field, column in columns
+            for i, image in enumerate(column)
+            if not in_normal_form(image, field)] == []
