@@ -788,19 +788,17 @@ def check_shuffle_chain_map(cyl, max_degree):
 
     def total(p, q):
         """The total chain differential's column at (p, q), in the direct
-        sum of (p, q - 1), then (p - 1, q)."""
-        out = [{} for _ in range(bn.dim(p, q))]
+        sum of (p, q - 1), then (p - 1, q), as `tot_mixed_complex` places
+        it."""
+        blocks = []
         if q >= 1:
-            for image, col in zip(out, bn.vertical_boundary(p, q).columns):
-                image.update(col)
+            blocks.append(((p, q - 1), (p, q), bn.vertical_boundary(p, q),
+                           None))
         if p >= 1:
-            offset, sign = bn.dim(p, q - 1) if q >= 1 else 0, field.sign(q)
-            for image, col in zip(out,
-                                  bn.horizontal_boundary(p, q).columns):
-                for i, c in col.items():
-                    add_term(image, offset + i, sign * c,
-                             field.characteristic)
-        return out
+            blocks.append(((p - 1, q), (p, q), bn.horizontal_boundary(p, q),
+                           field.sign(q)))
+        return block_matrix(field, {r: m.rows for r, _, m, _ in blocks},
+                            {(p, q): bn.dim(p, q)}, blocks).columns
 
     def shuffle_sum(p, q):
         """The shuffle map on that direct sum."""

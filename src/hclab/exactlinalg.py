@@ -37,7 +37,10 @@ built as its RREF directly (`cycliccore.degeneracy_quotient`: the
 distinct indices as pivots, each with its unit row), and a `Subspace`
 whose rows are all unit rows reduces and reads coordinates with one pass
 over the vector, and tests membership by its keys alone.  `rref` skips a
-single-entry row whose column holds a stored unit row.
+single-entry row whose column holds a stored unit row.  `induced_map`
+between coordinate denominators tests keys and projects with `project`;
+every other pair goes through the target's projector column, with no
+reduction per row or per column.
 """
 
 from __future__ import annotations
@@ -756,6 +759,17 @@ class QuotientSpace:
             raise ExactLinalgError("reduction left unexpected coordinates")
         return dict(coords)
 
+    def projector(self):
+        """The column of the projection, built anew: free column j maps to
+        its position, and pivot c to the class of e_c, which is
+        -sum row_c[j] e_position(j) over the free columns j of row c."""
+        position, p = self._position, self.field.characteristic
+        column = [position.get(j) for j in range(self.ambient_dim)]
+        for c, row in zip(self.denominator.pivots, self.denominator.rows):
+            column[c] = {position[j]: -x % p if p else -x
+                         for j, x in row.items() if j != c}
+        return column
+
     def lift(self, coords):
         return {self.free_columns[t]: c for t, c in coords.items() if c}
 
@@ -783,15 +797,35 @@ class NotWellDefined:
 
 
 def induced_map(f, src, dst):
-    """The map induced by f on quotients, or a NotWellDefined marker."""
+    """The map induced by f on quotients, or a NotWellDefined marker
+    naming the first denominator basis row f does not send into the
+    target denominator.  Unless both denominators are coordinate, the
+    free columns go through the target's projector column in one push,
+    and each row's class is summed from its pivot column's push and the
+    free images (an RREF row is 1 at its pivot, else on free columns)."""
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise DimensionMismatch(
             f"map is {f.rows}x{f.cols}, quotients have ambient "
             f"{src.ambient_dim} -> {dst.ambient_dim}")
-    for row in src.denominator.rows:
-        # a unit RREF row {k: 1} maps to column k, read in place
-        img = f.columns[min(row)] if len(row) == 1 else f.apply(row)
-        if not dst.denominator.contains(img):
-            return NotWellDefined(basis_vector=dict(row), image=dict(img))
-    return SparseMatrix._of(f.field, dst.dim, [   # fresh, with no zero
-        dst.project(f.columns[fcol]) for fcol in src.free_columns])
+    columns, den = f.columns, src.denominator
+    if den.is_coordinate and dst.denominator.is_coordinate:
+        for row in den.rows:
+            # a unit RREF row {k: 1} maps to column k, read in place
+            img = columns[min(row)]
+            if not dst.denominator.contains(img):
+                return NotWellDefined(basis_vector=dict(row), image=dict(img))
+        return SparseMatrix._of(f.field, dst.dim, [   # fresh, with no zero
+            dst.project(columns[fcol]) for fcol in src.free_columns])
+    p, position = f.field.characteristic, src._position
+    projector = dst.projector()
+    # `or {}`: a zero column is pushed as a fresh dict, never as f's own
+    images = push_images(
+        projector, [columns[fcol] or {} for fcol in src.free_columns], p)
+    for pivot, row in zip(den.pivots, den.rows):
+        image, = push_images(projector, [columns[pivot] or {}], p)
+        for k, c in row.items():
+            if k != pivot:
+                vec_add_into(image, images[position[k]], c, p)
+        if image:
+            return NotWellDefined(basis_vector=dict(row), image=f.apply(row))
+    return SparseMatrix._of(f.field, dst.dim, images)

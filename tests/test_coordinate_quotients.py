@@ -9,17 +9,23 @@ free columns of `quotient_space(dim, Subspace.from_vectors(...))` over
 the same images, and so must each degree's quotient of the cyclic
 modules of A and A #_sigma H.  s1, s2, s4 and s5 have a unit that is a
 basis vector, so they take the coordinate path and never reach `rref`;
-s3's unit e0 + e1 is not, so its quotients still go through `rref`.
+s3's unit e0 + e1 is not, so its quotients still go through `rref`; yet
+on s3 `hc` and `report` no non-coordinate denominator reduces a vector,
+since `induced_map` projects through a projector column there.
 """
+
+from pathlib import Path
 
 import pytest
 
 from hclab import exactlinalg
+from hclab.cli import parse_scenario, run_command
 from hclab.cycliccore import AlgebraCyclicModule, degeneracy_quotient
 from hclab.exactlinalg import Subspace, quotient_space
 from test_provider_oracle import built
 
 TOP = 3
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def eliminated(pieces):
@@ -85,3 +91,24 @@ def test_a_unit_that_is_no_basis_vector_still_reaches_rref(rref_calls):
         assert got.denominator.rows == want.denominator.rows
         assert got.free_columns == want.free_columns
     assert eliminated_somewhere
+
+
+@pytest.mark.parametrize("command, degree", [("hc", 3), ("report", 2)])
+def test_no_reduction_by_a_denominator_that_is_not_coordinate(
+        command, degree, monkeypatch):
+    """s3's quotients are not coordinate, and `induced_map` pushes maps
+    between them through a projector column: `Subspace.reduce` is still
+    called on s3 `hc` at degree 3 and on s3 `report`, but only on
+    coordinate denominators."""
+    calls = {True: 0, False: 0}
+    original = exactlinalg.Subspace.reduce
+
+    def counted(self, vec):
+        calls[self.is_coordinate] += 1
+        return original(self, vec)
+    monkeypatch.setattr(exactlinalg.Subspace, "reduce", counted)
+    text = (ROOT / "scenarios" / "s3.scn").read_text()
+    assert "max_degree = 2" in text
+    run_command(command, parse_scenario(
+        text.replace("max_degree = 2", f"max_degree = {degree}")))
+    assert calls[False] == 0 and calls[True] > 0, calls

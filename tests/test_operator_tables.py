@@ -10,9 +10,10 @@ provider returns.  An oracle
 compares what fresh tables hold with the tuple-decoding references of
 `test_provider_oracle`, since the evaluator oracle reads the same
 tables and cannot see a wrong one.  The memory guard measures the
-deepest benchmarked check, and two more guards measure the total mixed
-complex of the deepest benchmarked `hc` and of s2 at degree 3.  The source guards keep the
-per-stage memos that the tables replaced from coming back beside them,
+deepest benchmarked check, two more guards measure the total mixed
+complex of the deepest benchmarked `hc` and of s2 at degree 3, and one
+the direct HC of s3's crossed product at degree 3.  The source guards
+keep the per-stage memos that the tables replaced from coming back beside them,
 keep every provider on whole columns (none takes a basis index, and no
 table reads one basis vector at a time) and keep the operator providers
 on index arithmetic: none of them decodes a basis index into a tuple of
@@ -28,6 +29,8 @@ from pathlib import Path
 import pytest
 
 from hclab.cli import build_objects, parse_scenario
+from hclab.crossed import build_crossed_product
+from hclab.cycliccore import cyclic_homology_of_algebra
 from hclab.cylinder import HopfCrossedCylinder
 from hclab.cylinder.core import (
     check_cylindrical, operator_tables, tot_mixed_complex,
@@ -68,6 +71,19 @@ def test_deep_total_complex_stays_under_one_and_a_half_mebibytes():
     outgrow the images they no longer build."""
     peak = traced_peak("s4", lambda cyl: tot_mixed_complex(cyl, 7))
     assert peak < 1.5 * MEBIBYTE, peak
+
+
+def test_direct_hc_of_s3_at_degree_3_stays_under_0_85_mebibytes():
+    """cyclic_homology_of_algebra on s3's crossed product, M2(Q), at
+    degree 3, whose quotients above degree 0 are not coordinate, so its
+    induced maps go through a projector column, with each denominator
+    row's class summed one row at a time.  It peaks at about 846,000 bytes
+    (Python 3.11), the product built inside the trace."""
+    def direct_hc(cyl):
+        product = build_crossed_product(cyl.action, cyl.cocycle).product
+        cyclic_homology_of_algebra(product, 3)
+    peak = traced_peak("s3", direct_hc)
+    assert peak < 0.85 * MEBIBYTE, peak
 
 
 def test_total_complex_of_s2_at_degree_3_stays_under_one_and_a_quarter_mebibytes():

@@ -5,7 +5,9 @@ never stores a zero.  Every constructor and operation is compared here
 with the same computation on a dense list-of-rows model over Q, F_2 and
 F_5, and every matrix that comes out is checked for stored zeros and
 for entries outside its shape.  A source guard keeps every other module
-of hclab from placing blocks itself.
+of hclab from placing blocks itself: it calls no add_block and binds no
+name of an offset, and a self-test shows the guard catches a block
+placed at a hand-computed offset.
 """
 
 import ast
@@ -259,13 +261,55 @@ def test_block_matrix_refuses_a_block_of_the_wrong_shape():
                      [("r", "c", SparseMatrix.identity(QQ, 3), None)])
 
 
+def hand_placed_blocks(source, filename="<source>"):
+    """The lines of source that place a block by hand: a call of
+    add_block, or a binding of a name containing `offset` (a variable,
+    an argument or a definition)."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Attribute):
+            name = "add_block" if node.attr == "add_block" else ""
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name == "add_block" or "offset" in name:
+            found.append(node.lineno)
+    return found
+
+
 def test_only_exactlinalg_places_blocks():
     """Block offsets are computed in one place: every other module builds
-    a block matrix with block_matrix and never calls add_block."""
+    a block matrix with block_matrix, never calls add_block and binds no
+    name of an offset."""
     src = Path(__file__).resolve().parent.parent / "src" / "hclab"
     found = [
-        f"{path.relative_to(src)}:{node.lineno}"
+        f"{path.relative_to(src)}:{line}"
         for path in sorted(src.rglob("*.py")) if path.name != "exactlinalg.py"
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "add_block"]
+        for line in hand_placed_blocks(path.read_text(), str(path))]
     assert found == []
+
+
+def test_the_guard_sees_a_block_placed_at_a_hand_computed_offset():
+    """The horizontal boundary's block as the shuffle check once placed
+    it, one add_term call per entry at a row offset of its own, and the
+    placements the guard also refuses."""
+    by_hand = """
+def total(p, q):
+    out = [{} for _ in range(bn.dim(p, q))]
+    if p >= 1:
+        offset, sign = bn.dim(p, q - 1) if q >= 1 else 0, field.sign(q)
+        for image, col in zip(out, bn.horizontal_boundary(p, q).columns):
+            for i, c in col.items():
+                add_term(image, offset + i, sign * c, field.characteristic)
+    return out
+"""
+    assert hand_placed_blocks(by_hand) == [5]
+    assert hand_placed_blocks("def place(m, row_offset):\n    pass\n") == [1]
+    assert hand_placed_blocks("out.add_block(m, 0, 0)\n") == [1]
+    assert hand_placed_blocks(
+        "out = block_matrix(field, rows, cols, blocks)\n") == []
