@@ -20,7 +20,7 @@ print("rank of a 3x3 with a repeated direction:", mat_rank(m))
 # and downstream quotient constructions are reproducible bit for bit.
 k = kernel_basis(m)
 print("kernel dimension:", k.dim)
-print("kernel basis rows:", [sorted(r.items()) for r in k.basis.row_dicts()])
+print("kernel basis rows:", [sorted(r.items()) for r in k.rows])
 
 # Solving is exact too; inconsistency is a value, not an exception.
 print("solve [[2]] x = 1:", solve_linear(SparseMatrix.from_dense(QQ, [[2]]),
@@ -31,7 +31,8 @@ print("solve 0 x = 1:", solve_linear(SparseMatrix.zero(QQ, 1, 1),
 # Prime fields use the same interfaces.
 F2 = Field(2)
 m2 = SparseMatrix.from_dense(F2, [[1, 1]])
-print("kernel over F2 of [1 1]:", kernel_basis(m2).basis.row_dicts())
+print("kernel over F2 of [1 1]:",
+      [sorted(r.items()) for r in kernel_basis(m2).rows])
 
 # Quotient spaces carry projection data; induced maps are only accepted
 # when they are honestly well defined on the quotient.

@@ -642,9 +642,6 @@ class NormalizedComplex:
     def dim(self, n):
         return self.store.quotient(n).dim
 
-    def project(self, n, vec):
-        return self.store.quotient(n).project(vec)
-
     def boundary_matrix(self, n):
         if n == 0:
             return SparseMatrix.zero(self.field, 0, self.dim(0))

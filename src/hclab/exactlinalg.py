@@ -12,9 +12,11 @@ columns), `push_images` (a whole list of images through a column) and
 `expand` add into one.  A matrix carries its field and is stored as
 its list of columns, column j the sparse image of basis vector j;
 `block_matrix` assembles one from blocks placed by key and is the one
-place block offsets are computed.  All canonical forms are reduced row
-echelon forms, so every representative choice made downstream is
-deterministic and two identical runs produce bit-identical results.
+place block offsets are computed.  A matrix product is one
+`push_images` call and a matrix sum one `add_images_into` call.  All
+canonical forms are reduced row echelon forms, so every representative
+choice made downstream is deterministic and two identical runs produce
+bit-identical results.
 
 Reduction mod p is written here and nowhere else.  The kernels that add
 or multiply stored scalars take the field's modulus p, its
@@ -26,10 +28,9 @@ kernel or to `Field.of` before it stores, compares or truth-tests it; a
 product of residues in [1, p) is nonzero mod p, so only a sum must be
 reduced before a truth test.
 
-Units cost no arithmetic.  A matrix applied to one basis vector with
-coefficient one is a copy of that column, and reducing by a unit RREF
-row {pivot: 1} deletes the pivot coordinate; that deletion is a
-reduction inside this module, which the no-stored-zero rule exempts.
+Units cost no arithmetic.  Reducing by a unit RREF row {pivot: 1}
+deletes the pivot coordinate; that deletion is a reduction inside this
+module, which the no-stored-zero rule exempts.
 
 Coordinate subspaces cost no elimination.  A span of unit basis vectors,
 such as the degeneracy images of a unit that is a basis vector, is
@@ -428,55 +429,26 @@ class SparseMatrix:
                 rows[i][j] = c
         return rows
 
-    def apply(self, vec):
-        """Matrix times sparse coordinate vector (keyed by column index)."""
-        columns = self.columns
-        if len(vec) == 1:
-            # one basis vector with coefficient one: a copy of its column
-            (j, x), = vec.items()
-            if x is self.field.one:
-                if not 0 <= j < len(columns):
-                    raise DimensionMismatch("vector index out of range")
-                return dict(columns[j])
-        out, p = {}, self.field.characteristic
-        for j, x in vec.items():
-            if not 0 <= j < len(columns):
-                raise DimensionMismatch("vector index out of range")
-            vec_add_into(out, columns[j], x, p)
-        return out
-
     def compose(self, other):
-        """self @ other."""
+        """self @ other, a matrix that shares no dict with either."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with "
                 f"{other.rows}x{other.cols}")
-        return SparseMatrix._of(self.field, self.rows,
-                                [self.apply(col) for col in other.columns])
+        # `or {}`: push_images returns a zero image as the dict it was given
+        return SparseMatrix._of(self.field, self.rows, push_images(
+            self.columns, [col or {} for col in other.columns],
+            self.field.characteristic))
 
     def add(self, other, coeff=None):
+        """self + coeff * other (coeff None for one), a fresh matrix."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        out = SparseMatrix._of(self.field, self.rows,
-                               [dict(col) for col in self.columns])
-        out.add_block(other, 0, 0, coeff)
-        return out
-
-    def add_block(self, block, row_offset, col_offset, coeff=None):
-        """In place, self += coeff * block, with block's (0, 0) entry at
-        (row_offset, col_offset)."""
-        if not (0 <= row_offset <= self.rows - block.rows
-                and 0 <= col_offset <= self.cols - block.cols):
-            raise DimensionMismatch(
-                f"a {block.rows}x{block.cols} block at ({row_offset},"
-                f"{col_offset}) does not fit a {self.rows}x{self.cols} matrix")
-        if coeff is self.field.one:
-            coeff = None
-        columns, p = self.columns, self.field.characteristic
-        for j, col in enumerate(block.columns, col_offset):
-            if row_offset:
-                col = {row_offset + i: c for i, c in col.items()}
-            vec_add_into(columns[j], col, coeff, p)
+        columns = [dict(col) for col in self.columns]
+        add_images_into(columns, other.columns,
+                        self.field.one if coeff is None else coeff,
+                        self.field.characteristic)
+        return SparseMatrix._of(self.field, self.rows, columns)
 
     def is_zero(self):
         return not any(self.columns)
@@ -501,12 +473,18 @@ def block_matrix(field, row_blocks, col_blocks, blocks):
         for sizes in (row_blocks, col_blocks))
     out = SparseMatrix(field, sum(row_blocks.values()),
                        sum(col_blocks.values()))
+    one, p = field.one, field.characteristic
     for r, c, block, coeff in blocks:
         if (block.rows, block.cols) != (row_blocks[r], col_blocks[c]):
             raise DimensionMismatch(
                 f"block {block.rows}x{block.cols} does not fit at "
                 f"({r!r}, {c!r})")
-        out.add_block(block, row_offset[r], col_offset[c], coeff)
+        r0, c0 = row_offset[r], col_offset[c]
+        images = block.columns if not r0 else [
+            {r0 + i: x for i, x in col.items()} for col in block.columns]
+        # the slice shares out's column dicts, so the sum lands in out
+        add_images_into(out.columns[c0:c0 + block.cols], images,
+                        one if coeff is None else coeff, p)
     return out
 
 
@@ -626,12 +604,6 @@ class Subspace:
         those standard basis vectors, reduced by deleting coordinates."""
         return self._coordinate
 
-    @property
-    def basis(self):
-        """The basis rows as a dim x ambient_dim matrix, built on demand."""
-        return SparseMatrix.from_row_list(self.field, self.rows,
-                                          self.ambient_dim)
-
     def _pivot_entries(self, vec):
         """(position, coefficient) of the vector's pivot coordinates, by
         increasing pivot; reducing by one row leaves the others unchanged."""
@@ -730,8 +702,7 @@ class QuotientSpace:
 
     The representatives are the standard basis vectors at the non-pivot
     coordinates of the denominator: projection reduces along the
-    denominator and reads off those coordinates, and lifting is the
-    tautological inclusion.
+    denominator and reads off those coordinates.
     """
 
     ambient_dim: int
@@ -769,9 +740,6 @@ class QuotientSpace:
             column[c] = {position[j]: -x % p if p else -x
                          for j, x in row.items() if j != c}
         return column
-
-    def lift(self, coords):
-        return {self.free_columns[t]: c for t, c in coords.items() if c}
 
 
 def quotient_space(ambient_dim, denom):
@@ -827,5 +795,6 @@ def induced_map(f, src, dst):
             if k != pivot:
                 vec_add_into(image, images[position[k]], c, p)
         if image:
-            return NotWellDefined(basis_vector=dict(row), image=f.apply(row))
+            return NotWellDefined(basis_vector=dict(row),
+                                  image=push_images(columns, [row], p)[0])
     return SparseMatrix._of(f.field, dst.dim, images)

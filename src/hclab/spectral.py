@@ -122,7 +122,8 @@ class RowComplexes:
         ker_src, quot_src = self.homology(p, q)
         ker_dst, quot_dst = self.homology(p, tq)
         on_kernels = _map_rows(
-            map(self.induced(name, p, q).apply, ker_src.rows), ker_dst,
+            push_images(self.induced(name, p, q).columns, ker_src.rows,
+                        self.field.characteristic), ker_dst,
             f"{name} does not preserve row cycles at ({p},{q})")
         return require_descent(
             induced_map(on_kernels, quot_src, quot_dst), SpectralError,

@@ -120,10 +120,11 @@ def test_connes_boundary_degree0_qc2():
     g_one = ts1.encode((1, 0))
     # (1 - lambda) s N (g) = 1(x)g + g(x)1; modulo degeneracies this is
     # the class of 1(x)g
-    assert raw.apply({1: QQ.one}) == {one_g: QQ.one, g_one: QQ.one}
+    assert raw.columns[1] == {one_g: QQ.one, g_one: QQ.one}
     norm = NormalizedComplex(m, 2)
-    cls = norm.connes_matrix(0).apply(norm.project(0, {1: QQ.one}))
-    assert cls == norm.project(1, {one_g: QQ.one})
+    cls, = push_images(norm.connes_matrix(0).columns,
+                       [norm.store.quotient(0).project({1: QQ.one})], 0)
+    assert cls == norm.store.quotient(1).project({one_g: QQ.one})
 
 
 def test_mixed_complex_contract_qc2():

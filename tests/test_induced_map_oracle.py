@@ -46,7 +46,9 @@ COMBINATION_SETTINGS = settings(SETTINGS, max_examples=30)
 def reference_induced_map(f, src, dst):
     """induced_map with membership by reduction and copied columns."""
     for row in src.denominator.rows:
-        img = f.columns[min(row)] if len(row) == 1 else f.apply(row)
+        img = {}
+        for k, c in row.items():
+            vec_add_into(img, f.columns[k], c, f.field.characteristic)
         if dst.denominator.reduce(img):
             return NotWellDefined(basis_vector=dict(row), image=dict(img))
     columns = [dst.project(f.columns[fcol]) for fcol in src.free_columns]

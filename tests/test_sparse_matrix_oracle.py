@@ -4,10 +4,15 @@ A matrix is stored as its list of columns, each a sparse vector that
 never stores a zero.  Every constructor and operation is compared here
 with the same computation on a dense list-of-rows model over Q, F_2 and
 F_5, and every matrix that comes out is checked for stored zeros and
-for entries outside its shape.  A source guard keeps every other module
-of hclab from placing blocks itself: it calls no add_block and binds no
-name of an offset, and a self-test shows the guard catches a block
-placed at a hand-computed offset.
+for entries outside its shape; a result also shares no dict with its
+operands, so writing into it leaves them as they were.  A source guard
+keeps every other module of hclab from placing blocks itself: it calls
+no add_block and binds no name of an offset, and a self-test shows the
+guard catches a block placed at a hand-computed offset.  A second guard
+keeps every matrix product a `push_images` call and every matrix sum an
+`add_images_into` call, with no `vec_add_into` or `add_term` in
+`SparseMatrix` or `block_matrix`; its self-test shows it catches the
+old `add_block` body.
 """
 
 import ast
@@ -82,12 +87,6 @@ def dense_product(field, a, b, inner, cols):
              for j in range(cols)] for i in range(len(a))]
 
 
-def dense_vector(field, d, vec):
-    return {i: c for i in range(len(d))
-            if (c := field.of(sum((d[i][j] * x for j, x in vec.items()),
-                                  field.zero)))}
-
-
 @SETTINGS
 @given(field_and(lambda field: matrices(field)))
 def test_constructors_agree_with_the_dense_model(case):
@@ -114,34 +113,6 @@ def test_from_columns_copies_its_input(case):
     for col in columns:
         col[0] = field.one
     assert copy == m
-
-
-@SETTINGS
-@given(field_and(lambda field: matrices(field).flatmap(
-    lambda dm: st.tuples(st.just(dm), st.dictionaries(
-        st.integers(0, max(dm[1].cols - 1, 0)), scalars(field),
-        max_size=3)))))
-def test_apply_agrees_with_the_dense_model(case):
-    field, ((d, m), vec) = case
-    vec = {j: c for j, c in vec.items() if j < m.cols}
-    assert m.apply(vec) == dense_vector(field, d, vec)
-    for j in range(m.cols):
-        # the unit fast path returns a copy of the column
-        image = m.apply({j: field.one})
-        assert image == dense_vector(field, d, {j: field.one})
-        image[m.rows] = field.one
-        assert model(field, m) == d
-
-
-@pytest.mark.parametrize("name", sorted(FIELDS))
-def test_apply_out_of_range_raises(name):
-    field = FIELDS[name]
-    m = SparseMatrix.identity(field, 2)
-    two = field.of(2) or field.one
-    for vec in ({2: field.one}, {-1: field.one}, {2: two},
-                {0: field.one, 2: field.one}, {-1: two, 1: field.one}):
-        with pytest.raises(DimensionMismatch):
-            m.apply(vec)
 
 
 @SETTINGS
@@ -173,26 +144,6 @@ def test_add_is_the_dense_sum(case):
             for ra, rb in zip(da, db)]
     assert model(field, a.add(b, coeff)) == want
     assert model(field, a) == da and model(field, b) == db
-
-
-@SETTINGS
-@given(field_and(lambda field: st.tuples(
-    matrices(field), matrices(field), st.none() | scalars(field),
-    st.integers(0, SIZE), st.integers(0, SIZE))))
-def test_add_block_is_the_dense_sum_at_its_offsets(case):
-    field, ((dm, m), (db, block), coeff, r0, c0) = case
-    fits = r0 + block.rows <= m.rows and c0 + block.cols <= m.cols
-    if not fits:
-        with pytest.raises(DimensionMismatch):
-            m.add_block(block, r0, c0, coeff)
-        return
-    c = field.one if coeff is None else coeff
-    want = [list(row) for row in dm]
-    for i, j in itertools.product(range(block.rows), range(block.cols)):
-        want[r0 + i][c0 + j] = field.of(want[r0 + i][c0 + j] + c * db[i][j])
-    m.add_block(block, r0, c0, coeff)
-    assert model(field, m) == want
-    assert model(field, block) == db
 
 
 @SETTINGS
@@ -253,12 +204,83 @@ def test_block_matrix_places_every_block_at_its_offsets(case):
                        ((r, c, m, coeff) for r, c, _, m, coeff in placements))
     assert model(field, got) == want
     assert got.cols == sum(col_blocks.values())
+    # placing a block leaves it as it was
+    assert all(model(field, m) == d for _, _, d, m, _ in placements)
 
 
 def test_block_matrix_refuses_a_block_of_the_wrong_shape():
     with pytest.raises(DimensionMismatch):
         block_matrix(QQ, {"r": 2}, {"c": 2},
                      [("r", "c", SparseMatrix.identity(QQ, 3), None)])
+
+
+def with_zero_column(field, dm):
+    """The drawn matrix with a zero column appended, and its model."""
+    d, m = dm
+    return ([row + [field.zero] for row in d],
+            SparseMatrix.from_columns(field, m.rows, m.columns + [{}]))
+
+
+def copies(ms):
+    return [SparseMatrix.from_columns(m.field, m.rows, m.columns) for m in ms]
+
+
+def assert_fresh(field, result, operands, before):
+    """result stores no zero, and writing into every one of its columns
+    leaves every operand == to its copy taken before the operation."""
+    model(field, result)
+    for col in result.columns:
+        col[result.rows] = field.one
+    assert operands == before
+
+
+@SETTINGS
+@given(field_and(lambda field: st.tuples(
+    st.integers(0, SIZE), st.integers(0, SIZE), st.integers(0, SIZE)).flatmap(
+        lambda s: st.tuples(
+            matrices(field, s[0], s[1] + 1),
+            matrices(field, s[1] + 1, s[2]).map(
+                lambda dm: with_zero_column(field, dm))))))
+def test_compose_shares_no_dict_with_its_operands(case):
+    field, ((_, a), (_, b)) = case
+    before = copies([a, b])
+    assert_fresh(field, a.compose(b), [a, b], before)
+
+
+@SETTINGS
+@given(field_and(lambda field: shapes().flatmap(
+    lambda s: st.tuples(
+        matrices(field, *s).map(lambda dm: with_zero_column(field, dm)),
+        matrices(field, *s).map(lambda dm: with_zero_column(field, dm)),
+        st.none() | scalars(field)))))
+def test_add_shares_no_dict_with_its_operands(case):
+    field, ((_, a), (_, b), coeff) = case
+    before = copies([a, b])
+    assert_fresh(field, a.add(b, coeff), [a, b], before)
+
+
+@st.composite
+def layouts_with_a_block_at_row_offset_0(draw, field):
+    """A block layout whose first placement sits at row offset 0, column
+    offset 0, and holds a zero column."""
+    row_blocks, col_blocks, placements = draw(block_layouts(field))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    d, m = with_zero_column(field, draw(matrices(field, rows, cols)))
+    row_blocks = {"top": rows, **row_blocks}
+    col_blocks = {"left": cols + 1, **col_blocks}
+    return row_blocks, col_blocks, [
+        ("top", "left", d, m, draw(st.none() | scalars(field))), *placements]
+
+
+@SETTINGS
+@given(field_and(layouts_with_a_block_at_row_offset_0))
+def test_block_matrix_shares_no_dict_with_its_blocks(case):
+    field, (row_blocks, col_blocks, placements) = case
+    blocks = [m for _, _, _, m, _ in placements]
+    before = copies(blocks)
+    got = block_matrix(field, row_blocks, col_blocks,
+                       ((r, c, m, coeff) for r, c, _, m, coeff in placements))
+    assert_fresh(field, got, blocks, before)
 
 
 def hand_placed_blocks(source, filename="<source>"):
@@ -313,3 +335,61 @@ def total(p, q):
     assert hand_placed_blocks("out.add_block(m, 0, 0)\n") == [1]
     assert hand_placed_blocks(
         "out = block_matrix(field, rows, cols, blocks)\n") == []
+
+
+def per_entry_sums(source, filename="<source>"):
+    """The lines, inside class SparseMatrix or def block_matrix, that
+    call vec_add_into or add_term: a sum taken one vector or one entry at
+    a time, where a matrix takes its products and sums whole-list."""
+    found = []
+    for top in ast.parse(source, filename).body:
+        if getattr(top, "name", None) not in ("SparseMatrix", "block_matrix"):
+            continue
+        found += [node.lineno for node in ast.walk(top)
+                  if called(node) in ("vec_add_into", "add_term")]
+    return found
+
+
+def called(node):
+    """The name a call node calls, or None."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None)
+    return None
+
+
+def test_matrix_products_and_sums_are_whole_list_kernel_calls():
+    """compose is a push_images call, add and block_matrix are
+    add_images_into calls, and no matrix operation sums by the vector."""
+    path = (Path(__file__).resolve().parent.parent / "src" / "hclab"
+            / "exactlinalg.py")
+    source = path.read_text()
+    assert per_entry_sums(source, str(path)) == []
+    calls = {node.name: {called(n) for n in ast.walk(node)}
+             for node in ast.walk(ast.parse(source, str(path)))
+             if isinstance(node, ast.FunctionDef)}
+    assert "push_images" in calls["compose"]
+    assert "add_images_into" in calls["add"] & calls["block_matrix"]
+    assert not hasattr(SparseMatrix, "apply")
+    assert not hasattr(SparseMatrix, "add_block")
+
+
+def test_the_guard_sees_a_matrix_sum_taken_by_the_vector():
+    """add_block as it was, one vec_add_into per block column; the same
+    call outside a matrix operation is not the guard's business."""
+    old = """
+class SparseMatrix:
+    def add_block(self, block, row_offset, col_offset, coeff=None):
+        if coeff is self.field.one:
+            coeff = None
+        columns, p = self.columns, self.field.characteristic
+        for j, col in enumerate(block.columns, col_offset):
+            if row_offset:
+                col = {row_offset + i: c for i, c in col.items()}
+            vec_add_into(columns[j], col, coeff, p)
+"""
+    assert per_entry_sums(old) == [10]
+    assert per_entry_sums(
+        "def block_matrix(field):\n    add_term(acc, 0, 1, 0)\n") == [2]
+    assert per_entry_sums("def rref(rows):\n    vec_add_into(a, b)\n") == []
