@@ -147,6 +147,35 @@ def test_add_is_the_dense_sum(case):
 
 
 @SETTINGS
+@given(field_and(lambda field: st.tuples(
+    matrices(field), matrices(field), st.none() | scalars(field),
+    st.integers(0, SIZE), st.integers(0, SIZE))))
+def test_add_block_is_the_dense_sum_at_its_offsets(case):
+    """A block added into m at offsets (r0, c0): block_matrix places it
+    in a matrix the shape of m, and add sums that onto m; a block that
+    overhangs m gives a larger placed matrix, which add refuses."""
+    field, ((dm, m), (db, block), coeff, r0, c0) = case
+    placed = block_matrix(
+        field,
+        {"above": r0, "block": block.rows,
+         "below": max(m.rows - r0 - block.rows, 0)},
+        {"left": c0, "block": block.cols,
+         "right": max(m.cols - c0 - block.cols, 0)},
+        [("block", "block", block, coeff)])
+    fits = r0 + block.rows <= m.rows and c0 + block.cols <= m.cols
+    if not fits:
+        with pytest.raises(DimensionMismatch):
+            m.add(placed)
+        return
+    c = field.one if coeff is None else coeff
+    want = [list(row) for row in dm]
+    for i, j in itertools.product(range(block.rows), range(block.cols)):
+        want[r0 + i][c0 + j] = field.of(want[r0 + i][c0 + j] + c * db[i][j])
+    assert model(field, m.add(placed)) == want
+    assert model(field, m) == dm and model(field, block) == db
+
+
+@SETTINGS
 @given(field_and(matrices))
 def test_is_zero(case):
     field, (d, m) = case
