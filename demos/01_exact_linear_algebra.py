@@ -16,8 +16,9 @@ from hclab.exactlinalg import (
 m = SparseMatrix.from_dense(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
 print("rank of a 3x3 with a repeated direction:", mat_rank(m))
 
-# Kernels come back as canonical reduced-echelon bases, so repeated runs
-# and downstream quotient constructions are reproducible bit for bit.
+# A kernel comes back in the free-column basis its one elimination fixes:
+# each basis vector is 1 at its free column and 0 at the others, so
+# repeated runs and downstream constructions are reproducible bit for bit.
 k = kernel_basis(m)
 print("kernel dimension:", k.dim)
 print("kernel basis rows:", [sorted(r.items()) for r in k.rows])

@@ -572,6 +572,16 @@ def _components(n):
     return [(p, n - p) for p in range(n + 1)]
 
 
+def _chain_blocks(bn, p, q):
+    """The `block_matrix` placements of the total chain differential out
+    of (p, q): b^v into (p, q - 1), then (-1)^q b^h into (p - 1, q)."""
+    if q >= 1:
+        yield (p, q - 1), (p, q), bn.vertical_boundary(p, q), None
+    if p >= 1:
+        yield ((p - 1, q), (p, q), bn.horizontal_boundary(p, q),
+               bn.field.sign(q))
+
+
 def tot_mixed_complex(cyl, max_degree):
     """The total mixed complex on the binormalized cylinder.
 
@@ -605,11 +615,7 @@ def tot_mixed_complex(cyl, max_degree):
 
     def b_blocks(n):
         for (p, q) in _components(n):
-            if q >= 1:
-                yield (p, q - 1), (p, q), bn.vertical_boundary(p, q), None
-            if p >= 1:
-                yield ((p - 1, q), (p, q), bn.horizontal_boundary(p, q),
-                       field.sign(q))
+            yield from _chain_blocks(bn, p, q)
 
     def B_blocks(n):
         for (p, q) in _components(n):
@@ -788,15 +794,9 @@ def check_shuffle_chain_map(cyl, max_degree):
 
     def total(p, q):
         """The total chain differential's column at (p, q), in the direct
-        sum of (p, q - 1), then (p - 1, q), as `tot_mixed_complex` places
-        it."""
-        blocks = []
-        if q >= 1:
-            blocks.append(((p, q - 1), (p, q), bn.vertical_boundary(p, q),
-                           None))
-        if p >= 1:
-            blocks.append(((p - 1, q), (p, q), bn.horizontal_boundary(p, q),
-                           field.sign(q)))
+        sum of (p, q - 1), then (p - 1, q): the blocks `tot_mixed_complex`
+        places."""
+        blocks = list(_chain_blocks(bn, p, q))
         return block_matrix(field, {r: m.rows for r, _, m, _ in blocks},
                             {(p, q): bn.dim(p, q)}, blocks).columns
 

@@ -13,10 +13,11 @@ columns), `push_images` (a whole list of images through a column) and
 its list of columns, column j the sparse image of basis vector j;
 `block_matrix` assembles one from blocks placed by key and is the one
 place block offsets are computed.  A matrix product is one
-`push_images` call and a matrix sum one `add_images_into` call.  All
-canonical forms are reduced row echelon forms, so every representative
-choice made downstream is deterministic and two identical runs produce
-bit-identical results.
+`push_images` call and a matrix sum one `add_images_into` call.  A
+kernel is its free-column basis, which the reduced row echelon form of
+the matrix fixes, and every other subspace is the RREF of its span, so
+every representative choice made downstream is deterministic and two
+identical runs produce bit-identical results.
 
 Reduction mod p is written here and nowhere else.  The kernels that add
 or multiply stored scalars take the field's modulus p, its
@@ -28,7 +29,7 @@ kernel or to `Field.of` before it stores, compares or truth-tests it; a
 product of residues in [1, p) is nonzero mod p, so only a sum must be
 reduced before a truth test.
 
-Units cost no arithmetic.  Reducing by a unit RREF row {pivot: 1}
+Units cost no arithmetic.  Reducing by a unit row {pivot: 1}
 deletes the pivot coordinate; that deletion is a reduction inside this
 module, which the no-stored-zero rule exempts.
 
@@ -566,11 +567,11 @@ def mat_rank(m):
 
 
 class Subspace:
-    """A subspace given by its canonical reduced row echelon basis.
-
-    `rows[t]` is the basis vector whose pivot (least) column is
-    `pivots[t]`; pivots increase with t and every row is zero on the other
-    pivot columns.  The rows are shared with callers: read them, do not
+    """A subspace given by a basis with one contract: `rows[t]` is 1 at
+    `pivots[t]` and 0 at every other pivot.  The pivot need not be the
+    row's least column; pivots increase with t.  A spanning set's RREF
+    (`from_vectors`) and a kernel's free-column basis (`kernel_basis`)
+    both meet it.  The rows are shared with callers: read them, do not
     modify them.
     """
 
@@ -604,30 +605,30 @@ class Subspace:
         those standard basis vectors, reduced by deleting coordinates."""
         return self._coordinate
 
-    def _pivot_entries(self, vec):
-        """(position, coefficient) of the vector's pivot coordinates, by
-        increasing pivot; reducing by one row leaves the others unchanged."""
+    def _eliminate(self, vec):
+        """(coordinates, residual) of vec: its pivot entries by position,
+        and vec minus their combination of the rows.  A row is 0 on the
+        other pivots, so each entry is read off vec, and a unit row
+        {pivot: 1} only deletes its pivot coordinate, with no arithmetic."""
         position = self._position
-        return sorted((position[k], c) for k, c in vec.items()
-                      if k in position)
+        coords = dict(sorted((position[k], c) for k, c in vec.items()
+                             if k in position))
+        residual = dict(vec)
+        rows, pivots, p = self.rows, self.pivots, self.field.characteristic
+        for t, coeff in coords.items():
+            row = rows[t]
+            if len(row) == 1:
+                del residual[pivots[t]]
+            else:
+                vec_add_into(residual, row, -coeff, p)
+        return coords, residual
 
     def reduce(self, vec):
-        """Subtract the projection onto this subspace along its pivots.
-
-        A unit row {pivot: 1} only cancels the pivot coordinate, so that
-        coordinate is deleted without arithmetic."""
+        """Subtract the projection onto this subspace along its pivots."""
         if self._coordinate:
             position = self._position
             return {k: c for k, c in vec.items() if k not in position}
-        out = dict(vec)
-        rows, pivots, p = self.rows, self.pivots, self.field.characteristic
-        for t, coeff in self._pivot_entries(vec):
-            row = rows[t]
-            if len(row) == 1:
-                del out[pivots[t]]
-            else:
-                vec_add_into(out, row, -coeff, p)
-        return out
+        return self._eliminate(vec)[1]
 
     def contains(self, vec):
         if self._coordinate:
@@ -635,43 +636,33 @@ class Subspace:
         return not self.reduce(vec)
 
     def coords_of(self, vec):
-        """Coordinates of a member vector in the RREF basis (reads pivots)."""
+        """Coordinates of a member vector in the basis (reads pivots)."""
         if self._coordinate:
             position = self._position
             try:
                 return {position[k]: c for k, c in vec.items()}
             except KeyError:
                 raise NotInSubspace("vector is not in the subspace") from None
-        residual = dict(vec)
-        coords = {}
-        rows, pivots, p = self.rows, self.pivots, self.field.characteristic
-        for t, coeff in self._pivot_entries(vec):
-            coords[t] = coeff
-            row = rows[t]
-            if len(row) == 1:
-                del residual[pivots[t]]
-            else:
-                vec_add_into(residual, row, -coeff, p)
+        coords, residual = self._eliminate(vec)
         if residual:
             raise NotInSubspace("vector is not in the subspace")
         return coords
 
 
 def kernel_basis(m):
-    """Canonical echelon basis of the right kernel; dim = cols - rank."""
+    """The right kernel's free-column basis, from one `rref` of m: free
+    column f of the RREF gives e_f - sum row[f] e_pivot, with pivot f;
+    dim = cols - rank."""
     p = m.field.characteristic
     pivots, rows = rref(m.row_dicts(), p)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    one = m.field.one
-    vectors = []
-    for f in free_cols:
-        v = {f: one}
-        for pivot, row in zip(pivots, rows):
-            if f in row:
-                v[pivot] = -row[f] % p if p else -row[f]
-        vectors.append(v)
-    return Subspace.from_vectors(m.field, m.cols, vectors)
+    vectors = {f: {f: m.field.one} for f in free_cols}
+    for pivot, row in zip(pivots, rows):
+        for f, c in row.items():
+            if f != pivot:
+                vectors[f][pivot] = -c % p if p else -c
+    return Subspace(m.field, m.cols, free_cols, list(vectors.values()))
 
 
 def solve_linear(m, rhs):
@@ -770,7 +761,7 @@ def induced_map(f, src, dst):
     target denominator.  Unless both denominators are coordinate, the
     free columns go through the target's projector column in one push,
     and each row's class is summed from its pivot column's push and the
-    free images (an RREF row is 1 at its pivot, else on free columns)."""
+    free images (a row is 1 at its pivot, else on free columns)."""
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise DimensionMismatch(
             f"map is {f.rows}x{f.cols}, quotients have ambient "
@@ -778,7 +769,7 @@ def induced_map(f, src, dst):
     columns, den = f.columns, src.denominator
     if den.is_coordinate and dst.denominator.is_coordinate:
         for row in den.rows:
-            # a unit RREF row {k: 1} maps to column k, read in place
+            # a unit row {k: 1} maps to column k, read in place
             img = columns[min(row)]
             if not dst.denominator.contains(img):
                 return NotWellDefined(basis_vector=dict(row), image=dict(img))

@@ -93,10 +93,10 @@ class RowComplexes:
         key = (p, q)
         if key in self._homology:
             return self._homology[key]
-        if p == 0:
+        if p == 0:   # every vector is a cycle: the coordinate subspace
             dim = self.quotient(0, q).dim
-            ker = Subspace.from_vectors(
-                self.field, dim, [{j: self.field.one} for j in range(dim)])
+            ker = Subspace(self.field, dim, list(range(dim)),
+                           [{j: self.field.one} for j in range(dim)])
         else:
             ker = kernel_basis(self.induced("row_boundary", p, q))
         img_in_ker = []
@@ -153,27 +153,36 @@ def compute_E1(cyl, max_p, max_q):
     return SpectralPage(page=1, entries=entries), rows
 
 
+def _transported_cyclic(field, dims, transport, what):
+    """The cyclic module on dims whose operators are transport(op, q, tq,
+    *index), op "vrot", "vface" or "vdeg" out of degree q into tq; it is
+    verified cyclic, else SpectralError names it by `what`."""
+    max_q = len(dims) - 1
+    faces, degens, rots = {}, {}, {}
+    for q in range(max_q + 1):
+        rots[q] = transport("vrot", q, q)
+        if q >= 1:
+            for i in range(q + 1):
+                faces[(q, i)] = transport("vface", q, q - 1, i)
+        if q < max_q:
+            for i in range(q + 1):
+                degens[(q, i)] = transport("vdeg", q, q + 1, i)
+    module = MatrixParacyclicModule(field, dims, faces, degens, rots)
+    bad = check_cyclic(module, max_q - 1 if max_q >= 1 else 0)
+    if bad is not None:
+        raise SpectralError(f"{what} is not cyclic: {bad}")
+    return module
+
+
 def induced_column_cyclic(rows, p, max_q):
     """The p-th column of the first page as a genuine cyclic module on
     row-homology classes; cyclicity of the induced rotation is verified.
     """
-    dims = [rows.homology_dim(p, q) for q in range(max_q + 1)]
-    faces, degens, rots = {}, {}, {}
-    for q in range(max_q + 1):
-        rots[q] = rows.induced_on_homology("vrot", p, q, q)
-        if q >= 1:
-            for i in range(q + 1):
-                faces[(q, i)] = rows.induced_on_homology(
-                    f"vface_{i}", p, q, q - 1)
-        if q < max_q:
-            for i in range(q + 1):
-                degens[(q, i)] = rows.induced_on_homology(
-                    f"vdeg_{i}", p, q, q + 1)
-    module = MatrixParacyclicModule(rows.field, dims, faces, degens, rots)
-    bad = check_cyclic(module, max_q - 1 if max_q >= 1 else 0)
-    if bad is not None:
-        raise SpectralError(f"induced column {p} is not cyclic: {bad}")
-    return module
+    return _transported_cyclic(
+        rows.field, [rows.homology_dim(p, q) for q in range(max_q + 1)],
+        lambda op, q, tq, *index: rows.induced_on_homology(
+            "_".join([op, *map(str, index)]), p, q, tq),
+        f"induced column {p}")
 
 
 def compute_E2(e1, rows):
@@ -249,28 +258,17 @@ def invariant_complex_N0(cyl, max_q):
                 raise SpectralError(
                     f"averaging does not fix an invariant in degree {q}")
 
-    def restrict(op, q, tq, what, *index):
+    def restrict(op, q, tq, *index):
         """A vertical operator of column 0 restricted to invariants."""
+        word = {"vrot": "rotation", "vface": "face", "vdeg": "degeneracy"}[op]
+        what = " ".join([word, *map(str, index)])
         return _map_rows(
-            push_images(op(0, q, *index), subspaces[q].rows,
+            push_images(getattr(cyl, op)(0, q, *index), subspaces[q].rows,
                         field.characteristic), subspaces[tq],
             f"vertical {what} does not preserve invariants in degree {q}")
 
-    faces, degens, rots = {}, {}, {}
-    for q in range(max_q + 1):
-        rots[q] = restrict(cyl.vrot, q, q, "rotation")
-        if q >= 1:
-            for i in range(q + 1):
-                faces[(q, i)] = restrict(cyl.vface, q, q - 1, f"face {i}", i)
-        if q < max_q:
-            for i in range(q + 1):
-                degens[(q, i)] = restrict(cyl.vdeg, q, q + 1,
-                                          f"degeneracy {i}", i)
     dims = [s.dim for s in subspaces]
-    module = MatrixParacyclicModule(field, dims, faces, degens, rots)
-    bad = check_cyclic(module, max_q - 1 if max_q >= 1 else 0)
-    if bad is not None:
-        raise SpectralError(f"invariant complex is not cyclic: {bad}")
+    module = _transported_cyclic(field, dims, restrict, "invariant complex")
     return InvariantComplex(dims=dims, subspaces=subspaces, module=module)
 
 

@@ -14,10 +14,11 @@ import tracemalloc
 from pathlib import Path
 
 import hclab.exactlinalg
-from hclab.cli import emit_report, parse_scenario, run_command
+from hclab.cli import build_objects, emit_report, parse_scenario, run_command
 from hclab.exactlinalg import (
     QQ, SparseMatrix, Subspace, kernel_basis, mat_rank, solve_linear,
 )
+from hclab.spectral import RowComplexes
 
 MEBIBYTE = 2 ** 20
 SRC = Path(__file__).resolve().parent.parent / "src" / "hclab"
@@ -81,6 +82,33 @@ def test_every_rank_kernel_solve_and_span_goes_through_rref(monkeypatch):
         assert calls, name
     calls.clear()
     assert mat_rank(m) == 2 and calls == [m.cols]
+    # the kernel is read off that one elimination of m's rows
+    calls.clear()
+    assert kernel_basis(m).pivots == [1] and calls == [m.rows]
+
+
+def test_the_row_cycles_in_degree_zero_need_no_elimination(monkeypatch):
+    """Every vector of the normalized row is a cycle at p = 0: the kernel
+    is the coordinate subspace, and the one `rref` homology(0, q) makes
+    is of the boundaries from (1, q)."""
+    built = build_objects(parse_scenario(
+        (SRC.parent.parent / "scenarios" / "s2.scn").read_text()))
+    rows = RowComplexes(built.cylinder)
+    calls = []
+    original = hclab.exactlinalg.rref
+
+    def counting(vectors, *field):
+        calls.append(len(vectors))
+        return original(vectors, *field)
+
+    monkeypatch.setattr(hclab.exactlinalg, "rref", counting)
+    for q in range(3):
+        quotient = rows.quotient(0, q)
+        boundaries = rows.induced("row_boundary", 1, q).columns
+        calls.clear()
+        ker, _ = rows.homology(0, q)
+        assert ker.is_coordinate and ker.dim == quotient.dim > 0
+        assert calls == [sum(1 for col in boundaries if col)]
 
 
 def callers_of(name):

@@ -317,3 +317,41 @@ def test_operator_leaving_invariants_is_a_spectral_error(monkeypatch):
     with pytest.raises(SpectralError, match="vertical rotation does not "
                        "preserve invariants in degree 0"):
         invariant_complex_N0(cyl, 1)
+
+
+@pytest.mark.parametrize("op, degree, message", [
+    ("vface", 1, "vertical face 1"), ("vdeg", 1, "vertical degeneracy 1")])
+def test_an_indexed_operator_leaving_invariants_is_named_by_its_index(
+        monkeypatch, op, degree, message):
+    cyl = cylinder_s3()
+    subspaces = invariant_complex_N0(cyl, 2).subspaces
+    target = subspaces[degree - 1 if op == "vface" else degree + 1]
+    outside = next(j for j in range(target.ambient_dim)
+                   if not target.contains({j: QQ.one}))
+    pivot = subspaces[degree].pivots[0]
+    original = getattr(cyl, op)
+
+    def broken(p, q, i):
+        """Index 1 out of `degree` sends the first invariant outside."""
+        if (q, i) != (degree, 1):
+            return original(p, q, i)
+        return [outside if k == pivot else ZERO for k in range(cyl.dim(p, q))]
+
+    monkeypatch.setattr(cyl, op, broken)
+    with pytest.raises(SpectralError, match=f"{message} does not preserve "
+                       f"invariants in degree {degree}"):
+        invariant_complex_N0(cyl, 2)
+
+
+def test_a_rotation_that_is_not_cyclic_is_named(monkeypatch):
+    """A zero rotation preserves every subspace, but t^(n+1) = 1 fails."""
+    cyl = cylinder_s1()
+    monkeypatch.setattr(cyl, "vrot", lambda p, q: [ZERO] * cyl.dim(p, q))
+    with pytest.raises(SpectralError, match="invariant complex is not cyclic"):
+        invariant_complex_N0(cyl, 1)
+    rows = RowComplexes(cylinder_s1())
+    for q in range(2):
+        dim = rows.quotient(0, q).dim
+        rows.store.operators[("vrot", 0, q)] = SparseMatrix(QQ, dim, dim)
+    with pytest.raises(SpectralError, match="induced column 0 is not cyclic"):
+        induced_column_cyclic(rows, 0, 1)
