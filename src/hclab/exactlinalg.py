@@ -37,8 +37,10 @@ Coordinate subspaces cost no elimination.  A span of unit basis vectors,
 such as the degeneracy images of a unit that is a basis vector, is
 built as its RREF directly (`cycliccore.degeneracy_quotient`: the
 distinct indices as pivots, each with its unit row), and a `Subspace`
-whose rows are all unit rows reduces and reads coordinates with one pass
-over the vector, and tests membership by its keys alone.  `rref` skips a
+whose rows are all unit rows reduces with one pass over the vector, and
+tests membership by its keys alone.  Reading coordinates costs no
+elimination in any subspace: a member's coordinates are its entries at
+the pivots, and its caller certifies membership.  `rref` skips a
 single-entry row whose column holds a stored unit row.  `induced_map`
 between coordinate denominators tests keys and projects with `project`;
 every other pair goes through the target's projector column, with no
@@ -66,10 +68,6 @@ class ExactLinalgError(ValueError):
 
 class DimensionMismatch(ExactLinalgError):
     pass
-
-
-class NotInSubspace(ExactLinalgError):
-    """Raised by `Subspace.coords_of` for a vector outside the subspace."""
 
 
 class DimensionCapExceeded(ExactLinalgError):
@@ -571,8 +569,9 @@ class Subspace:
     `pivots[t]` and 0 at every other pivot.  The pivot need not be the
     row's least column; pivots increase with t.  A spanning set's RREF
     (`from_vectors`) and a kernel's free-column basis (`kernel_basis`)
-    both meet it.  The rows are shared with callers: read them, do not
-    modify them.
+    both meet it, and so a member's coordinates are its entries at the
+    pivots (`coords_of`).  The rows are shared with callers: read them,
+    do not modify them.
     """
 
     __slots__ = ("field", "ambient_dim", "pivots", "rows", "_position",
@@ -605,30 +604,24 @@ class Subspace:
         those standard basis vectors, reduced by deleting coordinates."""
         return self._coordinate
 
-    def _eliminate(self, vec):
-        """(coordinates, residual) of vec: its pivot entries by position,
-        and vec minus their combination of the rows.  A row is 0 on the
-        other pivots, so each entry is read off vec, and a unit row
-        {pivot: 1} only deletes its pivot coordinate, with no arithmetic."""
+    def reduce(self, vec):
+        """Subtract the projection onto this subspace along its pivots.  A
+        row is 0 on the other pivots, so each coefficient is read off vec,
+        and a unit row {pivot: 1} only deletes its pivot coordinate, with
+        no arithmetic."""
         position = self._position
-        coords = dict(sorted((position[k], c) for k, c in vec.items()
-                             if k in position))
+        if self._coordinate:
+            return {k: c for k, c in vec.items() if k not in position}
         residual = dict(vec)
         rows, pivots, p = self.rows, self.pivots, self.field.characteristic
-        for t, coeff in coords.items():
+        for t, coeff in sorted((position[k], c) for k, c in vec.items()
+                               if k in position):
             row = rows[t]
             if len(row) == 1:
                 del residual[pivots[t]]
             else:
                 vec_add_into(residual, row, -coeff, p)
-        return coords, residual
-
-    def reduce(self, vec):
-        """Subtract the projection onto this subspace along its pivots."""
-        if self._coordinate:
-            position = self._position
-            return {k: c for k, c in vec.items() if k not in position}
-        return self._eliminate(vec)[1]
+        return residual
 
     def contains(self, vec):
         if self._coordinate:
@@ -636,17 +629,13 @@ class Subspace:
         return not self.reduce(vec)
 
     def coords_of(self, vec):
-        """Coordinates of a member vector in the basis (reads pivots)."""
-        if self._coordinate:
-            position = self._position
-            try:
-                return {position[k]: c for k, c in vec.items()}
-            except KeyError:
-                raise NotInSubspace("vector is not in the subspace") from None
-        coords, residual = self._eliminate(vec)
-        if residual:
-            raise NotInSubspace("vector is not in the subspace")
-        return coords
+        """Coordinates of a member vector in the basis: its entries at the
+        pivots, keyed by position in increasing order, since row t is 1 at
+        pivots[t] and 0 at every other pivot.  Membership is not tested
+        here; the caller certifies it (`spectral._map_rows`)."""
+        position = self._position
+        return dict(sorted((position[k], c) for k, c in vec.items()
+                           if k in position))
 
 
 def kernel_basis(m):

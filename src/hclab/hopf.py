@@ -252,6 +252,25 @@ def is_semisimple(hopf):
         "semisimplicity over a prime field is only decided for group algebras")
 
 
+def invariance_equations(hopf, act, dim):
+    """The matrix stacking h - counit(h) over the basis h of hopf, acting
+    by act(h, m) on a module of dimension dim; its kernel is the
+    invariants.  Block h is rows h*dim to h*dim + dim - 1, and column m
+    holds act(h, m) - counit(h) m there, from one act call per pair."""
+    field = hopf.field
+    columns = []
+    for m in range(dim):
+        column = {}
+        for h, eps in enumerate(hopf.counit):
+            image, base = act(h, m), h * dim
+            column.update((base + t, c) for t, c in image.items()
+                          if c and t != m)
+            if c := field.of(image.get(m, field.zero) - eps):
+                column[base + m] = c
+        columns.append(column)
+    return SparseMatrix._of(field, len(hopf.counit) * dim, columns)
+
+
 def find_normalized_integral(hopf):
     """A two-sided-invariant element with counit 1, or None.
 
@@ -260,26 +279,8 @@ def find_normalized_integral(hopf):
     basis h together with counit(x) = 1.
     """
     field = hopf.field
-    rows = []
-    rhs = {}
-    r = 0
-    for i in range(hopf.dim):
-        for target in range(hopf.dim):
-            row = {}
-            for j in range(hopf.dim):
-                img = hopf.algebra.multiply_basis(i, j)
-                c = img.get(target, field.zero)
-                if target == j:
-                    c = field.of(c - hopf.counit[i])
-                if c:
-                    row[j] = c
-            rows.append(row)
-            r += 1
-    row = {}
-    for j in range(hopf.dim):
-        if hopf.counit[j]:
-            row[j] = hopf.counit[j]
-    rows.append(row)
-    rhs[r] = field.one
+    rows = invariance_equations(
+        hopf, hopf.algebra.multiply_basis, hopf.dim).row_dicts()
+    rows.append({j: c for j, c in enumerate(hopf.counit) if c})
     m = SparseMatrix.from_row_list(field, rows, hopf.dim)
-    return solve_linear(m, rhs)
+    return solve_linear(m, {len(rows) - 1: field.one})

@@ -30,7 +30,6 @@ from .cycliccore import (
 from .cylinder.coefficients import hopf_homology, module_key
 from .exactlinalg import (
     MathError,
-    NotInSubspace,
     SparseMatrix,
     Subspace,
     induced_map,
@@ -38,7 +37,7 @@ from .exactlinalg import (
     push_images,
     quotient_space,
 )
-from .hopf import find_normalized_integral, is_semisimple
+from .hopf import find_normalized_integral, invariance_equations, is_semisimple
 
 
 class SpectralError(MathError):
@@ -87,28 +86,32 @@ class RowComplexes:
             (name, p, q), (p, q), target, raw,
             f"{name} does not descend to the normalized rows at ({p},{q})")
 
+    def cycle_equations(self, p, q):
+        """The row boundary out of (p, q), whose kernel is the row cycles;
+        at p = 0 the zero map onto the zero space."""
+        if p == 0:
+            return SparseMatrix.zero(self.field, 0, self.quotient(0, q).dim)
+        return self.induced("row_boundary", p, q)
+
     def homology(self, p, q):
         """(kernel subspace, quotient space of homology classes) of the
         row differential at (p, q)."""
         key = (p, q)
         if key in self._homology:
             return self._homology[key]
+        equations = self.cycle_equations(p, q)
         if p == 0:   # every vector is a cycle: the coordinate subspace
-            dim = self.quotient(0, q).dim
+            dim = equations.cols
             ker = Subspace(self.field, dim, list(range(dim)),
                            [{j: self.field.one} for j in range(dim)])
         else:
-            ker = kernel_basis(self.induced("row_boundary", p, q))
-        img_in_ker = []
-        for col in self.induced("row_boundary", p + 1, q).columns:
-            if col:
-                try:
-                    img_in_ker.append(ker.coords_of(col))
-                except NotInSubspace:
-                    raise SpectralError(
-                        f"row boundary at ({p + 1},{q}) does not land in "
-                        f"the row cycles at ({p},{q})")
-        denom = Subspace.from_vectors(self.field, ker.dim, img_in_ker)
+            ker = kernel_basis(equations)
+        boundaries = _map_rows(
+            [col for col in self.induced("row_boundary", p + 1, q).columns
+             if col], equations, ker,
+            f"row boundary at ({p + 1},{q}) does not land in the row "
+            f"cycles at ({p},{q})")
+        denom = Subspace.from_vectors(self.field, ker.dim, boundaries.columns)
         quot = quotient_space(ker.dim, denom)
         self._homology[key] = (ker, quot)
         return self._homology[key]
@@ -123,7 +126,8 @@ class RowComplexes:
         ker_dst, quot_dst = self.homology(p, tq)
         on_kernels = _map_rows(
             push_images(self.induced(name, p, q).columns, ker_src.rows,
-                        self.field.characteristic), ker_dst,
+                        self.field.characteristic),
+            self.cycle_equations(p, tq), ker_dst,
             f"{name} does not preserve row cycles at ({p},{q})")
         return require_descent(
             induced_map(on_kernels, quot_src, quot_dst), SpectralError,
@@ -229,23 +233,11 @@ def invariant_complex_N0(cyl, max_q):
     if integral is None:
         raise SpectralError("no normalized integral; not semisimple")
 
-    subspaces = []
+    equations, subspaces = [], []
     for q in range(max_q + 1):
         mod = cyl.row_coefficients(q)
-        rows = []
-        for h in range(hopf.dim):
-            eps = hopf.counit[h]
-            for target in range(mod.dim):
-                row = {}
-                for m in range(mod.dim):
-                    c = mod.act(h, m).get(target, field.zero)
-                    if m == target:
-                        c = field.of(c - eps)
-                    if c:
-                        row[m] = c
-                rows.append(row)
-        stacked = SparseMatrix.from_row_list(field, rows, mod.dim)
-        subspaces.append(kernel_basis(stacked))
+        equations.append(invariance_equations(hopf, mod.act, mod.dim))
+        subspaces.append(kernel_basis(equations[q]))
 
     # averaging projection onto invariants must hit every invariant and
     # identify them with the coinvariants
@@ -264,7 +256,7 @@ def invariant_complex_N0(cyl, max_q):
         what = " ".join([word, *map(str, index)])
         return _map_rows(
             push_images(getattr(cyl, op)(0, q, *index), subspaces[q].rows,
-                        field.characteristic), subspaces[tq],
+                        field.characteristic), equations[tq], subspaces[tq],
             f"vertical {what} does not preserve invariants in degree {q}")
 
     dims = [s.dim for s in subspaces]
@@ -272,14 +264,17 @@ def invariant_complex_N0(cyl, max_q):
     return InvariantComplex(dims=dims, subspaces=subspaces, module=module)
 
 
-def _map_rows(images, dst, message):
-    """The matrix, in dst's basis, of the images of a basis;
-    SpectralError(message) if an image is not in dst."""
-    try:
-        cols = [dst.coords_of(image) for image in images]
-    except NotInSubspace:
+def _map_rows(images, equations, dst, message):
+    """The matrix, in dst's basis, of a list of images, where dst is the
+    kernel of the matrix `equations`.  Membership is certified for the
+    whole list by one product, equations times each image, which must be
+    zero, else SpectralError(message); the coordinates are then read at
+    dst's pivots."""
+    field = dst.field
+    if any(push_images(equations.columns, images, field.characteristic)):
         raise SpectralError(message)
-    return SparseMatrix.from_columns(dst.field, dst.dim, cols)
+    return SparseMatrix._of(field, dst.dim,
+                            [dst.coords_of(v) for v in images])
 
 
 @dataclass

@@ -11,8 +11,14 @@ give the same page dimensions and the same rank of every operator
 induced on row homology.  `coords_of`, `reduce`, `contains` and the
 quotient projections read the contract and nothing else, so they are
 checked on bases that meet it and are not RREF.
+
+`coords_of` reads a member's coordinates at the pivots and tests nothing;
+`spectral._map_rows` certifies membership in the kernel of a matrix M for
+a whole list of images at once, by M times each image, before it reads
+them.  A source guard keeps every coordinate read behind that product.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -23,7 +29,6 @@ import hclab.spectral
 from hclab.cli import build_objects, parse_scenario
 from hclab.exactlinalg import (
     Field,
-    NotInSubspace,
     QQ,
     SparseMatrix,
     Subspace,
@@ -36,6 +41,7 @@ from hclab.exactlinalg import (
 from hclab.spectral import (
     RowComplexes,
     SpectralError,
+    _map_rows,
     collapse_check,
     compute_E1,
     compute_E2,
@@ -43,7 +49,9 @@ from hclab.spectral import (
 
 FIELDS = {"Q": QQ, "F2": Field(2), "F5": Field(5)}
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+SRC = ROOT / "src" / "hclab"
 
 
 def rref_kernel(m):
@@ -166,15 +174,146 @@ def test_subspace_operations_read_the_contract_alone(case):
     stray = combine(field, [member, off], [1, 1])
     assert sub.reduce(stray) == off
     assert not sub.contains(stray)
-    with pytest.raises(NotInSubspace):
-        sub.coords_of(stray)
     want = {position[j]: c for j, c in off.items()}
     assert quotient.project(stray) == want
     assert push_images(quotient.projector(), [stray], p) == [want]
 
 
+@st.composite
+def images_in_kernels(draw):
+    """A matrix M, its kernel, and a list of images: each a combination of
+    the kernel rows with its coefficients, or that plus a random vector,
+    which usually leaves the kernel (coefficients None)."""
+    m = draw(matrices())
+    field, ker = m.field, kernel_basis(m)
+    images, coefficients = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = [field.of(c) for c in draw(st.lists(
+            st.integers(-3, 3), min_size=ker.dim, max_size=ker.dim))]
+        image = combine(field, ker.rows, coeffs)
+        if draw(st.booleans()):
+            off = draw(st.dictionaries(st.integers(0, m.cols - 1),
+                                       scalars(field), max_size=m.cols))
+            image, coeffs = combine(field, [image, off], [1, 1]), None
+        images.append(image)
+        coefficients.append(coeffs)
+    return m, ker, images, coefficients
+
+
+def _example_images():
+    """[[1, 2, 0, 3], [0, 0, 1, 4]]: 2 v_1 + v_3, then e_0, which is
+    not in the kernel."""
+    m = SparseMatrix.from_dense(QQ, [[1, 2, 0, 3], [0, 0, 1, 4]])
+    ker = kernel_basis(m)
+    member = combine(QQ, ker.rows, [2, 1])
+    return m, ker, [member, {0: 1}], [[2, 1], None]
+
+
+@SETTINGS
+@given(images_in_kernels())
+@example(_example_images())
+def test_map_rows_certifies_the_whole_list_and_reads_the_pivots(case):
+    m, ker, images, coefficients = case
+    field = m.field
+    if any(ker.reduce(image) for image in images):
+        with pytest.raises(SpectralError, match="^leaves the kernel$"):
+            _map_rows(images, m, ker, "leaves the kernel")
+        return
+    out = _map_rows(images, m, ker, "leaves the kernel")
+    assert (out.rows, out.cols) == (ker.dim, len(images))
+    for column, image, coeffs in zip(out.columns, images, coefficients):
+        assert all(column.values())
+        assert combine(field, ker.rows, [column.get(t, field.zero)
+                                         for t in range(ker.dim)]) == image
+        if coeffs is not None:
+            assert column == {t: c for t, c in enumerate(coeffs) if c}
+
+
+def call_sites(source, filename="<source>"):
+    """(enclosing class and function names, callee name, (line, column))
+    of every call by name or as an attribute, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = (callee.attr if isinstance(callee, ast.Attribute)
+                        else callee.id if isinstance(callee, ast.Name)
+                        else None)
+                found.append((".".join(scope), name,
+                              (child.lineno, child.col_offset)))
+            visit(child, scope)
+
+    visit(ast.parse(source, filename), ())
+    return sorted(found, key=lambda site: site[2])
+
+
+def coordinate_reads(source, filename="<source>"):
+    """(scope, certified) of every coords_of call, certified when a
+    push_images call in the same scope comes before it."""
+    sites = call_sites(source, filename)
+    return [(scope, any(other == scope and callee == "push_images"
+                        and at < where for other, callee, at in sites))
+            for scope, name, where in sites if name == "coords_of"]
+
+
+def test_guard_sees_every_coordinate_read():
+    source = ("def _map_rows(images, equations, dst):\n"
+              "    cols = [dst.coords_of(v) for v in images]\n"
+              "    if any(push_images(equations.columns, images)):\n"
+              "        raise ValueError\n"
+              "    return [dst.coords_of(v) for v in images]\n"
+              "class Rows:\n"
+              "    def homology(self, ker, col):\n"
+              "        return ker.coords_of(col)\n")
+    assert coordinate_reads(source) == [
+        ("_map_rows", False), ("_map_rows", True), ("Rows.homology", False)]
+    assert {name for scope, name, _ in call_sites(
+        "class Subspace:\n"
+        "    def coords_of(self, vec):\n"
+        "        return self.reduce(vec) or vec_add_into(vec, vec, 1)\n")
+        if scope == "Subspace.coords_of"} == {"reduce", "vec_add_into"}
+
+
+def test_every_coordinate_read_follows_the_one_membership_product():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for read in coordinate_reads(path.read_text(), str(path)):
+            found.setdefault(path.relative_to(SRC).as_posix(), []).append(read)
+    assert found == {"spectral.py": [("_map_rows", True)]}
+    called = {name for scope, name, _ in call_sites(
+        (SRC / "exactlinalg.py").read_text()) if scope == "Subspace.coords_of"}
+    assert called and not called & {"vec_add_into", "reduce"}
+
+
 Q_S3 = (SCENARIOS / "s1.scn").read_text().replace("group = C2",
                                                   "group = S3")
+
+# M_3(Q): the functions on C3 with C3 acting by translation, trivial
+# cocycle; its action and twisted rows are not trivial
+M3_Q = """\
+field = Q
+[hopf]
+kind = group
+group = C3
+[algebra]
+kind = functions C3
+[action]
+kind = permutation
+perm = 0 : 0 1 2
+perm = 1 : 1 2 0
+perm = 2 : 2 0 1
+[cocycle]
+kind = trivial
+[compute]
+max_degree = 2
+max_p = 2
+max_q = 2
+"""
 
 
 def pages(built, monkeypatch):
@@ -201,8 +340,8 @@ def pages(built, monkeypatch):
 
 
 @pytest.mark.parametrize("text", [
-    *((SCENARIOS / f"s{i}.scn").read_text() for i in range(1, 6)), Q_S3],
-    ids=["s1", "s2", "s3", "s4", "s5", "Q[S3]"])
+    *((SCENARIOS / f"s{i}.scn").read_text() for i in range(1, 6)), Q_S3,
+    M3_Q], ids=["s1", "s2", "s3", "s4", "s5", "Q[S3]", "M_3(Q)"])
 def test_pages_agree_with_the_rref_kernel(text, monkeypatch):
     scenario = parse_scenario(text)
     new = pages(build_objects(scenario), monkeypatch)

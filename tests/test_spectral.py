@@ -4,7 +4,9 @@ from hclab.exactlinalg import Field, QQ, SparseMatrix, Subspace, kernel_basis
 from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
 )
-from hclab.hopf import group_hopf, is_cocommutative, trivial_hopf
+from hclab.hopf import (
+    group_hopf, invariance_equations, is_cocommutative, trivial_hopf,
+)
 from hclab.crossed import (
     ActionMap, build_crossed_product, lift_group_cocycle,
     sign_group_cocycle_table, trivial_action, trivial_cocycle,
@@ -81,6 +83,48 @@ def test_factory_inputs_meet_the_standing_hypotheses(factory):
     assert validate_weak_action(cyl.action) is None
     assert validate_cocycle(cyl.cocycle, cyl.action) is None
     assert is_cocommutative(cyl.hopf)
+
+
+def stacked_rows(hopf, act, dim):
+    """The rows of h - counit(h), one (h, target, m) entry and one act
+    call at a time, as the invariants and the integral built them."""
+    field = hopf.field
+    rows = []
+    for h in range(hopf.dim):
+        for target in range(dim):
+            row = {}
+            for m in range(dim):
+                c = act(h, m).get(target, field.zero)
+                if m == target:
+                    c = field.of(c - hopf.counit[h])
+                if c:
+                    row[m] = c
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("factory", [cylinder_s1, cylinder_s2, cylinder_s3,
+                                     cylinder_s4, cylinder_s5])
+def test_invariance_equations_are_the_stacked_rows(factory):
+    """The regular module and the row coefficients through q = 2: the
+    same rows as the entry-by-entry build, from one act call per pair."""
+    cyl = factory()
+    hopf = cyl.hopf
+    modules = [(hopf.algebra.multiply_basis, hopf.dim)] + [
+        (mod.act, mod.dim) for mod in map(cyl.row_coefficients, range(3))]
+    for act, dim in modules:
+        calls = []
+
+        def counted(h, m):
+            calls.append((h, m))
+            return act(h, m)
+
+        stacked = invariance_equations(hopf, counted, dim)
+        assert sorted(calls) == [(h, m) for h in range(hopf.dim)
+                                 for m in range(dim)]
+        assert (stacked.rows, stacked.cols) == (hopf.dim * dim, dim)
+        assert all(all(col.values()) for col in stacked.columns)
+        assert stacked.row_dicts() == stacked_rows(hopf, act, dim)
 
 
 def collapse(cyl):
