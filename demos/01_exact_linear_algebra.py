@@ -12,8 +12,11 @@ from hclab.exactlinalg import (
     quotient_space, solve_linear,
 )
 
-# A rank over the rationals is exact: no epsilon, no tolerance.
-m = SparseMatrix.from_dense(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+# A rank over the rationals is exact: no epsilon, no tolerance.  A
+# matrix is given by its (i, j) entries, each a scalar of the field.
+dense = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+m = SparseMatrix(QQ, 3, 3, {(i, j): QQ.of(c) for i, row in enumerate(dense)
+                            for j, c in enumerate(row)})
 print("rank of a 3x3 with a repeated direction:", mat_rank(m))
 
 # A kernel comes back in the free-column basis its one elimination fixes:
@@ -24,14 +27,14 @@ print("kernel dimension:", k.dim)
 print("kernel basis rows:", [sorted(r.items()) for r in k.rows])
 
 # Solving is exact too; inconsistency is a value, not an exception.
-print("solve [[2]] x = 1:", solve_linear(SparseMatrix.from_dense(QQ, [[2]]),
+print("solve [[2]] x = 1:", solve_linear(SparseMatrix(QQ, 1, 1, {(0, 0): 2}),
                                           {0: Fraction(1)}))
 print("solve 0 x = 1:", solve_linear(SparseMatrix.zero(QQ, 1, 1),
                                      {0: Fraction(1)}))
 
 # Prime fields use the same interfaces.
 F2 = Field(2)
-m2 = SparseMatrix.from_dense(F2, [[1, 1]])
+m2 = SparseMatrix(F2, 1, 2, {(0, 0): F2.one, (0, 1): F2.one})
 print("kernel over F2 of [1 1]:",
       [sorted(r.items()) for r in kernel_basis(m2).rows])
 

@@ -12,8 +12,7 @@ from hclab.algebra import (
     group_algebra, validate_algebra,
 )
 from hclab.hopf import (
-    group_hopf, is_cocommutative, is_semisimple, iterated_coproduct,
-    validate_hopf,
+    group_hopf, is_cocommutative, is_semisimple, validate_hopf,
 )
 
 c2 = FiniteGroup.cyclic(2)
@@ -38,11 +37,10 @@ print("Q[S3] Hopf axioms:", validate_hopf(h) is None)
 print("Q[S3] cocommutative (even though noncommutative):",
       is_cocommutative(h))
 
-# Iterated coproducts are explicit term lists; a group-like element just
-# repeats itself across the legs.
+# Iterated coproducts of basis elements are explicit (coefficient, legs)
+# term lists; a group-like element just repeats itself across the legs.
 h2 = group_hopf(QQ, c2)
-exp = iterated_coproduct(h2, h2.algebra.element(1), 3)
-print("four-leg coproduct of the generator:", exp.terms)
+print("four-leg coproduct of the generator:", h2.sweedler(1, 4))
 
 # Semisimplicity: the trace-form radical in characteristic zero, the
 # divisibility criterion for group algebras over prime fields.

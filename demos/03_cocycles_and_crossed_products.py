@@ -12,12 +12,14 @@ from hclab.algebra import FiniteGroup, dual_numbers, ground_algebra
 from hclab.hopf import group_hopf
 from hclab.crossed import (
     ActionMap, build_crossed_product, convolution_inverse,
-    lift_group_cocycle, sign_group_cocycle_table, trivial_action,
-    trivial_cocycle, validate_cocycle, verify_action_upgrade,
+    lift_group_cocycle, trivial_action, trivial_cocycle, validate_cocycle,
+    verify_action_upgrade,
 )
 
+# The sign cocycle (x, y) -> (-1)^(x2 y1) on the basis e, (1,0), (0,1),
+# (1,1) of C2 x C2, as in scenarios/s2.scn.
 h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-table = sign_group_cocycle_table(h)
+table = [[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, -1], [1, -1, 1, -1]]
 coc = lift_group_cocycle(h, table)
 act = trivial_action(h, ground_algebra(QQ))
 print("sign cocycle satisfies all three conditions:",
@@ -25,9 +27,10 @@ print("sign cocycle satisfies all three conditions:",
 print("it is its own convolution inverse:",
       convolution_inverse(h, coc.values) == coc.values)
 
+# the crossed product's basis is labelled a#h; here a = 1 spans Q
 cp = build_crossed_product(act, coc)
-u = cp.embed_hopf(h.algebra.element(1))
-v = cp.embed_hopf(h.algebra.element(2))
+u = cp.product.element("1#(e,g)")
+v = cp.product.element("1#(g,e)")
 uv = cp.product.multiply(u, v)
 vu = cp.product.multiply(v, u)
 print("u v =", uv)
@@ -39,9 +42,9 @@ dual = dual_numbers(QQ)
 negate = ActionMap(h2, dual, [[{0: QQ.one}, {1: QQ.one}],
                               [{0: QQ.one}, {1: QQ.of(-1)}]])
 print("weak action upgrades to a module action:",
-      verify_action_upgrade(negate, trivial_cocycle(h2)) is None)
+      verify_action_upgrade(negate) is None)
 smash = build_crossed_product(negate, trivial_cocycle(h2))
-g = smash.embed_hopf(h2.algebra.element(1))
-x = smash.embed_coefficient(dual.element("x"))
+g = smash.product.element("1#g")
+x = smash.product.element("x#e")
 print("g x g =", smash.product.multiply(smash.product.multiply(g, x), g),
       "  (conjugation by g negates x)")

@@ -9,8 +9,8 @@ flat above degree zero; 2x2 matrices look exactly like the scalars.
 
 from hclab.exactlinalg import QQ
 from hclab.algebra import (
-    FiniteGroup, dual_numbers, ground_algebra, group_algebra,
-    matrix_algebra, product_algebra,
+    FiniteGroup, dual_numbers, function_algebra, ground_algebra,
+    group_algebra, matrix_algebra,
 )
 from hclab.cycliccore import (
     AlgebraCyclicModule, NormalizedComplex, check_cyclic,
@@ -36,8 +36,9 @@ for label, algebra in [("Q", ground_algebra(QQ)),
     hc = cyclic_homology_of_algebra(algebra, 2)
     print(f"{label:12s} HH = {hh.dims}   HC = {hc.dims}")
 
-# Isomorphism invariance, concretely: Q[C2] and Q x Q have the same
-# homology because they are the same algebra in different clothes.
-qq = product_algebra(ground_algebra(QQ), ground_algebra(QQ))
+# Isomorphism invariance, concretely: Q[C2] and the functions on C2,
+# which are Q x Q, have the same homology because they are the same
+# algebra in different clothes.
+qq = function_algebra(QQ, FiniteGroup.cyclic(2))
 print("HC(Q x Q) =", cyclic_homology_of_algebra(qq, 2).dims,
       " = HC(Q[C2])")

@@ -14,8 +14,7 @@ from hclab.exactlinalg import QQ
 from hclab.algebra import FiniteGroup, ground_algebra
 from hclab.hopf import group_hopf
 from hclab.crossed import (
-    build_crossed_product, lift_group_cocycle, sign_group_cocycle_table,
-    trivial_action,
+    build_crossed_product, lift_group_cocycle, trivial_action,
 )
 from hclab.cycliccore import check_cyclic, check_paracyclic
 from hclab.cylinder import (
@@ -23,8 +22,10 @@ from hclab.cylinder import (
     check_shuffle_chain_map, tot_mixed_complex,
 )
 
+# the sign cocycle (x, y) -> (-1)^(x2 y1) on C2 x C2, as in scenarios/s2.scn
+sign = [[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, -1], [1, -1, 1, -1]]
 h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
+coc = lift_group_cocycle(h, sign)
 act = trivial_action(h, ground_algebra(QQ))
 cyl = build_cylinder(h, act, coc)
 

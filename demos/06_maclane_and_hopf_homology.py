@@ -12,16 +12,18 @@ from hclab.exactlinalg import Field, QQ
 from hclab.algebra import FiniteGroup, ground_algebra
 from hclab.hopf import group_hopf
 from hclab.crossed import (
-    lift_group_cocycle, sign_group_cocycle_table, trivial_action,
-    trivial_cocycle, twisted_scalar_algebra,
+    lift_group_cocycle, trivial_action, trivial_cocycle,
+    twisted_scalar_algebra,
 )
 from hclab.cylinder import (
     BimoduleMq, build_cylinder, check_coefficient_action, check_maclane,
     check_row_identification, hopf_homology, twisted_left_module,
 )
 
+# the sign cocycle (x, y) -> (-1)^(x2 y1) on C2 x C2, as in scenarios/s2.scn
+sign = [[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, -1], [1, -1, 1, -1]]
 h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
+coc = lift_group_cocycle(h, sign)
 cyl = build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
 ts = twisted_scalar_algebra(coc)
 

@@ -13,8 +13,8 @@ from hclab.exactlinalg import Field, QQ
 from hclab.algebra import FiniteGroup, function_algebra, ground_algebra
 from hclab.hopf import group_hopf
 from hclab.crossed import (
-    ActionMap, build_crossed_product, lift_group_cocycle,
-    sign_group_cocycle_table, trivial_action, trivial_cocycle,
+    ActionMap, build_crossed_product, lift_group_cocycle, trivial_action,
+    trivial_cocycle,
 )
 from hclab.cycliccore import cyclic_homology_of_algebra
 from hclab.cylinder import build_cylinder
@@ -36,9 +36,11 @@ def show_page(tag, page):
     print("   ", "  ".join(cells))
 
 
-# the sign-cocycle scenario: crossed product isomorphic to 2x2 matrices
+# the sign-cocycle scenario: crossed product isomorphic to 2x2 matrices;
+# the cocycle (x, y) -> (-1)^(x2 y1) is scenarios/s2.scn's table
 h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
+sign = [[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, -1], [1, -1, 1, -1]]
+coc = lift_group_cocycle(h, sign)
 cyl = build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
 
 page1, _ = compute_E1(cyl, 2, 2)

@@ -264,24 +264,3 @@ def dual_numbers(field):
     one = field.one
     table = [[{0: one}, {1: one}], [{1: one}, {}]]
     return FinDimAlgebra(field, ["1", "x"], table, {0: one})
-
-
-def product_algebra(a, b):
-    """Direct product A x B (componentwise operations)."""
-    if a.field != b.field:
-        raise DimensionMismatch("fields differ")
-    labels = [f"({la},0)" for la in a.basis_labels] + \
-             [f"(0,{lb})" for lb in b.basis_labels]
-    dim = a.dim + b.dim
-    table = [[dict() for _ in range(dim)] for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            table[i][j] = dict(a.mul_table[i][j])
-    for i in range(b.dim):
-        for j in range(b.dim):
-            table[a.dim + i][a.dim + j] = {
-                a.dim + k: c for k, c in b.mul_table[i][j].items()}
-    unit = dict(a.unit)
-    for k, c in b.unit.items():
-        unit[a.dim + k] = c
-    return FinDimAlgebra(a.field, labels, table, unit)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import FinDimAlgebra, Violation, ground_algebra
 from .exactlinalg import (
-    MathError, SparseMatrix, add_term, exact_div, expand, solve_linear,
-    vec_add_into)
-from .hopf import is_cocommutative
-
-
-class CrossedProductError(MathError, ValueError):
-    """A precondition of the crossed-product construction failed."""
+    SparseMatrix, add_term, exact_div, expand, solve_linear, vec_add_into)
 
 
 class GroupCocycleError(ValueError):
@@ -66,7 +60,7 @@ def validate_weak_action(act):
     """None iff the three weak-action axioms and the module axiom hold on
     all basis tuples; otherwise the first violation, named."""
     bad = _weak_axioms(act)
-    return bad if bad is not None else _module_axiom(act)
+    return bad if bad is not None else verify_action_upgrade(act)
 
 
 def _weak_axioms(act):
@@ -103,8 +97,11 @@ def _weak_axioms(act):
     return None
 
 
-def _module_axiom(act):
-    """The first violation of h(l(a)) = (hl)(a), or None."""
+def verify_action_upgrade(act):
+    """The first violation of the module axiom h(l(a)) = (hl)(a) on the
+    basis triples, or None.  With the weak-action axioms, an invertible
+    scalar cocycle over a cocommutative H then upgrades the weak action
+    to a module action; `validate_weak_action` runs this check."""
     hopf, alg = act.hopf, act.algebra
     field = hopf.field
     for h in range(hopf.dim):
@@ -273,29 +270,6 @@ class CrossedProductAlgebra:
     action: ActionMap
     cocycle: Cocycle
 
-    @property
-    def hopf_dim(self):
-        return self.action.hopf.dim
-
-    def pair_index(self, a, h):
-        return a * self.hopf_dim + h
-
-    def embed_coefficient(self, avec):
-        """a -> a (x) 1."""
-        out, p = {}, self.product.field.characteristic
-        for a, ca in avec.items():
-            for h, ch in self.action.hopf.algebra.unit.items():
-                add_term(out, self.pair_index(a, h), ca * ch, p)
-        return out
-
-    def embed_hopf(self, hvec):
-        """h -> 1 (x) h."""
-        out, p = {}, self.product.field.characteristic
-        for a, ca in self.action.algebra.unit.items():
-            for h, ch in hvec.items():
-                add_term(out, self.pair_index(a, h), ca * ch, p)
-        return out
-
 
 def build_crossed_product(act, coc):
     """The crossed product of the action's algebra by its Hopf algebra.
@@ -383,22 +357,6 @@ def lift_group_cocycle(hopf, table):
     return Cocycle(hopf, [row[:] for row in table], inverse)
 
 
-def verify_action_upgrade(act, coc):
-    """Confirm instance-by-instance that an invertible scalar cocycle
-    upgrades the weak action to a module action: h(l(a)) = (hl)(a) on all
-    basis triples.  Returns None, or the first counterexample triple."""
-    hopf = act.hopf
-    bad = _weak_axioms(act)
-    if bad is not None:
-        raise CrossedProductError(f"weak-action axioms fail: {bad}")
-    if not is_cocommutative(hopf):
-        raise CrossedProductError("the Hopf algebra is not cocommutative")
-    if convolution_inverse(hopf, coc.values) is None:
-        raise CrossedProductError("the cocycle is not convolution invertible")
-    bad = _module_axiom(act)
-    return None if bad is None else bad.location
-
-
 def twisted_scalar_algebra(coc):
     """k #_sigma H: the crossed product of the ground field, whose
     underlying space is H itself with the cocycle-twisted product."""
@@ -406,16 +364,3 @@ def twisted_scalar_algebra(coc):
     ground = ground_algebra(hopf.field)
     act = trivial_action(hopf, ground)
     return build_crossed_product(act, coc).product
-
-
-def sign_group_cocycle_table(hopf):
-    """The reference sign cocycle on C2 x C2, (x, y) -> (-1)^(x2 y1),
-    on the basis order e, (1,0), (0,1), (1,1)."""
-    field = hopf.field
-    group = hopf.group
-    if group is None or group.order != 4:
-        raise GroupCocycleError("expected the group algebra of C2 x C2")
-    comp = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-    table = [[field.of((-1) ** (comp[i][1] * comp[j][0]))
-              for j in range(4)] for i in range(4)]
-    return table

@@ -293,7 +293,6 @@ class ParacyclicModule:
 class HomologyReport:
     degrees: list
     dims: list
-    method: str
 
 
 @dataclass
@@ -671,8 +670,7 @@ def hochschild_homology(module, max_degree):
     norm = NormalizedComplex(module, max_degree + 1)
     return HomologyReport(
         list(range(max_degree + 1)),
-        homology_dims(norm.dim, norm.boundary_matrix, max_degree),
-        "hochschild")
+        homology_dims(norm.dim, norm.boundary_matrix, max_degree))
 
 
 @dataclass
@@ -757,8 +755,7 @@ def cyclic_homology_mixed(mx, max_degree):
         return block_matrix(mx.field, dst, src, blocks)
 
     return HomologyReport(list(range(max_degree + 1)),
-                          homology_dims(tot_dim, differential, max_degree),
-                          "cyclic-bicomplex")
+                          homology_dims(tot_dim, differential, max_degree))
 
 
 def cyclic_homology_of_algebra(algebra, max_degree, cap=None):

@@ -24,7 +24,6 @@ from .core import (
 )
 from .coefficients import (
     BimoduleMq,
-    CoefficientBimodule,
     HopfComplex,
     HopfComplexError,
     HochschildComplex,

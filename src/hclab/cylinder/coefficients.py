@@ -24,32 +24,7 @@ class ModuleLawError(MathError):
     pass
 
 
-class CoefficientBimodule:
-    """Base: a two-sided module over the twisted scalar algebra, given on
-    basis pairs; both actions extend bilinearly."""
-
-    def left(self, h, m):
-        raise NotImplementedError
-
-    def right(self, m, h):
-        raise NotImplementedError
-
-    def left_vec(self, hvec, mvec):
-        out, p = {}, self.field.characteristic
-        for h, ch in hvec.items():
-            for m, cm in mvec.items():
-                vec_add_into(out, self.left(h, m), ch * cm, p)
-        return out
-
-    def right_vec(self, mvec, hvec):
-        out, p = {}, self.field.characteristic
-        for h, ch in hvec.items():
-            for m, cm in mvec.items():
-                vec_add_into(out, self.right(m, h), ch * cm, p)
-        return out
-
-
-class BimoduleMq(CoefficientBimodule):
+class BimoduleMq:
     """H (x) A^(q+1) as a bimodule over the twisted scalar algebra.
 
     Acting on the left threads the Hopf element through every
@@ -108,6 +83,20 @@ class BimoduleMq(CoefficientBimodule):
                 for t, ct in head.items():
                     add_term(out, self.space.encode((t,) + avs), w * ct, p)
         self._right_cache[key] = out
+        return out
+
+    def left_vec(self, hvec, mvec):
+        out, p = {}, self.field.characteristic
+        for h, ch in hvec.items():
+            for m, cm in mvec.items():
+                vec_add_into(out, self.left(h, m), ch * cm, p)
+        return out
+
+    def right_vec(self, mvec, hvec):
+        out, p = {}, self.field.characteristic
+        for h, ch in hvec.items():
+            for m, cm in mvec.items():
+                vec_add_into(out, self.right(m, h), ch * cm, p)
         return out
 
     def verify(self, twisted_algebra):
@@ -350,7 +339,7 @@ def hopf_homology(hopf, act, carrier_dim, max_p):
             raise HopfComplexError(
                 f"differential does not square to zero out of degree {p}")
     return HomologyReport(list(range(max_p + 1)),
-                          homology_dims(cx.dim, mats.get, max_p), "hopf")
+                          homology_dims(cx.dim, mats.get, max_p))
 
 
 # ---------------------------------------------------------------------------

@@ -114,10 +114,6 @@ class Field:
         self.one = self.of(1)
         self._minus_one = self.of(-1)   # over F_2 that is one
 
-    @property
-    def kind(self):
-        return "rationals" if self.characteristic == 0 else "prime_field"
-
     def of(self, n):
         """Embed an int or a Fraction (mod p, when the denominator allows).
 
@@ -407,12 +403,6 @@ class SparseMatrix:
         return m
 
     @classmethod
-    def from_dense(cls, field, dense):
-        return cls.from_row_list(field, [
-            {j: field.of(v) for j, v in enumerate(row)} for row in dense],
-            len(dense[0]) if dense else 0)
-
-    @classmethod
     def identity(cls, field, n):
         one = field.one
         return cls._of(field, n, [{i: one} for i in range(n)])
@@ -589,10 +579,6 @@ class Subspace:
     def from_vectors(cls, field, ambient_dim, vectors):
         pivots, rows = rref(vectors, field.characteristic)
         return cls(field, ambient_dim, pivots, rows)
-
-    @classmethod
-    def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim, [], [])
 
     @property
     def dim(self):

@@ -11,9 +11,8 @@ the long crossed-product formulas downstream mechanical.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .algebra import Violation, ground_algebra, group_algebra
+from .algebra import Violation, group_algebra
 from .exactlinalg import (
     SparseMatrix, add_term, expand, mat_rank, push_images, solve_linear,
     vec_add_into,
@@ -22,14 +21,6 @@ from .exactlinalg import (
 
 class UnsupportedSemisimplicityQuery(ValueError):
     """Semisimplicity detection outside the supported cases."""
-
-
-@dataclass
-class SweedlerExpansion:
-    """An iterated coproduct as an explicit list of (scalar, legs) terms."""
-
-    legs: int
-    terms: list  # [(coefficient, tuple of basis indices)]
 
 
 def _sorted_terms(merged):
@@ -103,22 +94,8 @@ class HopfAlgebra:
                 tups.append(t)
             yield coef, tups
 
-    def sweedler_of_vector(self, vec, legs):
-        merged, p = {}, self.field.characteristic
-        for i, x in vec.items():
-            for coeff, tup in self.sweedler(i, legs):
-                add_term(merged, tup, x * coeff, p)
-        return _sorted_terms(merged)
-
     def __repr__(self):
         return f"HopfAlgebra(dim={self.dim}, field={self.field})"
-
-
-def iterated_coproduct(hopf, x, n):
-    """The n-fold iterated coproduct of an element, with n+1 legs."""
-    if n < 1:
-        raise ValueError("the iterated coproduct needs n >= 1")
-    return SweedlerExpansion(n + 1, hopf.sweedler_of_vector(x, n + 1))
 
 
 def _tensor_square_product(hopf, u, v):
@@ -214,13 +191,6 @@ def group_hopf(field, group):
     counit = [one for _ in range(group.order)]
     antipode = [{group.inverse[i]: one} for i in range(group.order)]
     return HopfAlgebra(alg, coproduct, counit, antipode, group=group)
-
-
-def trivial_hopf(field):
-    """The ground field as a Hopf algebra."""
-    alg = ground_algebra(field)
-    one = field.one
-    return HopfAlgebra(alg, [{(0, 0): one}], [one], [{0: one}])
 
 
 def _left_multiplication_trace(alg, vec):

@@ -22,13 +22,13 @@ from hclab.exactlinalg import (
 )
 from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
-    group_algebra, matrix_algebra, product_algebra,
+    group_algebra, matrix_algebra,
 )
 from hclab.hopf import group_hopf, is_cocommutative
 from hclab.crossed import (
     ActionMap, Cocycle, build_crossed_product, lift_group_cocycle,
-    sign_group_cocycle_table, trivial_action, trivial_cocycle,
-    twisted_scalar_algebra, validate_cocycle, validate_weak_action,
+    trivial_action, trivial_cocycle, twisted_scalar_algebra,
+    validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import (
     AlgebraCyclicModule, TensorSpace, cyclic_homology_mixed,
@@ -45,6 +45,7 @@ from hclab.spectral import (
     induced_column_cyclic,
 )
 from hclab.cli import parse_scenario, run_command
+from test_crossed import SIGN_COCYCLE
 
 F2 = Field(2)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -58,7 +59,7 @@ def cylinder_s1():
 
 def cylinder_s2():
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-    coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
+    coc = lift_group_cocycle(h, SIGN_COCYCLE)
     return build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
 
 
@@ -113,7 +114,7 @@ def test_criterion_01_axiom_and_identity_suite():
 def test_criterion_02_mutation_sensitivity():
     """Any single sign flip in the sign-cocycle table is caught."""
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-    base = sign_group_cocycle_table(h)
+    base = SIGN_COCYCLE
     act = trivial_action(h, ground_algebra(QQ))
     e = h.group.identity
     for i in range(4):
@@ -172,8 +173,8 @@ def test_criterion_05_cyclic_homology_baselines():
     qc2 = cyclic_homology_of_algebra(
         group_algebra(QQ, FiniteGroup.cyclic(2)), 2)
     assert qc2.dims == [2, 0, 2]
-    # Wedderburn cross-check: Q[C2] and Q x Q agree
-    qq = product_algebra(ground_algebra(QQ), ground_algebra(QQ))
+    # Wedderburn cross-check: Q[C2] and Q x Q, the functions on C2, agree
+    qq = function_algebra(QQ, FiniteGroup.cyclic(2))
     assert cyclic_homology_of_algebra(qq, 2).dims == qc2.dims
     m2 = cyclic_homology_of_algebra(matrix_algebra(QQ, 2), 2)
     assert m2.dims == [1, 0, 1]

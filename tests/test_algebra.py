@@ -14,7 +14,6 @@ from hclab.algebra import (
     ground_algebra,
     group_algebra,
     matrix_algebra,
-    product_algebra,
     validate_algebra,
 )
 
@@ -155,13 +154,6 @@ def test_ground_algebra():
     a = ground_algebra(QQ)
     assert a.dim == 1
     assert validate_algebra(a) is None
-
-
-def test_product_algebra():
-    a = product_algebra(ground_algebra(QQ), ground_algebra(QQ))
-    assert a.dim == 2
-    assert validate_algebra(a) is None
-    assert a.multiply(a.element(0), a.element(1)) == {}
 
 
 def test_multiply_is_bilinear():

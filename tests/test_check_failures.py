@@ -17,9 +17,9 @@ import hclab.cylinder.coefficients
 import hclab.cylinder.core
 from hclab.algebra import FiniteGroup, dual_numbers, ground_algebra
 from hclab.crossed import (
-    ActionMap, build_crossed_product, lift_group_cocycle,
-    sign_group_cocycle_table, trivial_action, trivial_cocycle,
-    twisted_scalar_algebra, validate_cocycle, validate_weak_action,
+    ActionMap, build_crossed_product, lift_group_cocycle, trivial_action,
+    trivial_cocycle, twisted_scalar_algebra, validate_cocycle,
+    validate_weak_action,
 )
 from hclab.cycliccore import ZERO, NormalizedComplex, normal_image
 from hclab.cylinder import (
@@ -29,11 +29,12 @@ from hclab.cylinder import (
 )
 from hclab.exactlinalg import QQ, Field, SparseMatrix
 from hclab.hopf import group_hopf, is_cocommutative
+from test_crossed import SIGN_COCYCLE
 
 
 def cylinder_s2():
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-    coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
+    coc = lift_group_cocycle(h, SIGN_COCYCLE)
     return build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from hclab.algebra import FiniteGroup, ground_algebra, group_algebra
 from hclab.cli import build_objects, parse_scenario
-from hclab.crossed import Cocycle, sign_group_cocycle_table, trivial_action
+from hclab.crossed import Cocycle, trivial_action
 from hclab.cycliccore import (
     AlgebraCyclicModule,
     MatrixParacyclicModule,
@@ -33,6 +33,7 @@ from hclab.cylinder.core import check_cylindrical
 from hclab.exactlinalg import QQ, SparseMatrix, exact_div, vec_add_into
 from hclab.hopf import group_hopf
 from test_check_failures import corrupt_provider
+from test_crossed import SIGN_COCYCLE
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PROVIDERS = ("vface", "vdeg", "vrot", "hface", "hdeg", "hrot")
@@ -315,7 +316,7 @@ def test_scaled_rotation_matches_oracle():
 
 def test_flipped_cocycle_sign_matches_oracle():
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-    table = sign_group_cocycle_table(h)
+    table = [row[:] for row in SIGN_COCYCLE]
     table[1][1] = -table[1][1]
     inv = [[exact_div(QQ.one, table[i][j]) for j in range(4)]
            for i in range(4)]

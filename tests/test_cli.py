@@ -18,7 +18,6 @@ from hclab.cli import (
     parse_scenario,
     run_command,
 )
-from hclab.crossed import CrossedProductError
 from hclab.cycliccore import MixedComplexError, NormalizationError
 from hclab.cylinder import HopfComplexError, ModuleLawError
 from hclab.algebra import FiniteGroup, Violation
@@ -341,13 +340,15 @@ def test_programming_error_in_collapse_exits_4(tmp_path, capsys,
 @pytest.mark.parametrize("validator,violation,detail", [
     ("validate_hopf", Violation("coassociativity", (2,)),
      "coassociativity fails at (2)"),
-    ("verify_action_upgrade", (1, 0, 1), "(1, 0, 1)"),
+    ("check_row_identification", "face 1 disagrees at row 0, degree 2, "
+     "basis 5", "face 1 disagrees at row 0, degree 2, basis 5"),
     ("check_coefficient_action", (1, 3), "(1, 3)"),
 ])
 def test_failed_verify_line_names_its_violation(validator, violation, detail,
                                                 monkeypatch):
     name = {"validate_hopf": "Hopf axioms",
-            "verify_action_upgrade": "module action upgrade",
+            "check_row_identification":
+                "row = Hochschild complex of the twisted algebra",
             "check_coefficient_action": "coefficient action closed form",
             }[validator]
     scenario = parse_scenario(read("s1.scn"))
@@ -385,7 +386,7 @@ def test_math_error_subclass_exits_1(tmp_path, capsys, monkeypatch):
 def test_every_math_error_class_shares_the_base():
     for cls in (MathCheckFailed, SpectralError, MixedComplexError,
                 NormalizationError, HopfComplexError, ModuleLawError,
-                InputCheckFailed, CrossedProductError):
+                InputCheckFailed):
         assert issubclass(cls, MathError), cls
     assert not issubclass(ScenarioError, MathError)
     assert not issubclass(DimensionCapExceeded, MathError)

@@ -6,11 +6,11 @@ from hclab.exactlinalg import (
 from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
 )
-from hclab.hopf import group_hopf, is_cocommutative, trivial_hopf
+from hclab.hopf import group_hopf, is_cocommutative
 from hclab.crossed import (
     ActionMap, Cocycle, build_crossed_product, lift_group_cocycle,
-    sign_group_cocycle_table, trivial_action, trivial_cocycle,
-    twisted_scalar_algebra, validate_cocycle, validate_weak_action,
+    trivial_action, trivial_cocycle, twisted_scalar_algebra,
+    validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import check_cyclic, cyclic_homology_mixed
 from hclab.cylinder import (
@@ -28,6 +28,7 @@ from hclab.cylinder import (
 )
 from hclab.cylinder.core import BinormalizedCylinder
 from hclab.cylinder.coefficients import twisted_left_module
+from test_crossed import SIGN_COCYCLE
 
 F2 = Field(2)
 
@@ -40,7 +41,7 @@ def cylinder_s1():
 
 def cylinder_s2():
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-    coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
+    coc = lift_group_cocycle(h, SIGN_COCYCLE)
     return build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
 
 
@@ -179,7 +180,7 @@ def test_mutated_cocycle_breaks_cylinder_identities():
     # the commuting-face identity depends on the cocycle identity; a
     # single flipped sign must break it somewhere
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-    table = sign_group_cocycle_table(h)
+    table = [row[:] for row in SIGN_COCYCLE]
     table[1][1] = -table[1][1]
     inv = [[exact_div(QQ.one, table[i][j]) for j in range(4)]
            for i in range(4)]
@@ -221,7 +222,7 @@ def test_diagonal_isomorphism(name, factory):
 
 def test_trivial_hopf_diagonal_map_is_identity():
     field = QQ
-    h = trivial_hopf(field)
+    h = group_hopf(field, FiniteGroup.cyclic(1))
     a = dual_numbers(field)
     act = trivial_action(h, a)
     cyl = build_cylinder(h, act, trivial_cocycle(h))

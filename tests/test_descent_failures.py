@@ -29,8 +29,8 @@ from hclab.algebra import (
     group_algebra,
 )
 from hclab.crossed import (
-    ActionMap, lift_group_cocycle, sign_group_cocycle_table,
-    trivial_action, trivial_cocycle, validate_cocycle, validate_weak_action,
+    ActionMap, lift_group_cocycle, trivial_action, trivial_cocycle,
+    validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import (
     AlgebraCyclicModule, MixedComplexError, NormalizationError,
@@ -43,6 +43,7 @@ from hclab.exactlinalg import (
 )
 from hclab.hopf import group_hopf, is_cocommutative
 from hclab.spectral import RowComplexes, SpectralError
+from test_crossed import SIGN_COCYCLE
 
 
 @pytest.fixture
@@ -85,7 +86,7 @@ def cylinder_s1():
 
 def cylinder_s2():
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-    coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
+    coc = lift_group_cocycle(h, SIGN_COCYCLE)
     return build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
 
 

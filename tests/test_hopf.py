@@ -6,28 +6,26 @@ from hclab.exactlinalg import Field, QQ, add_term
 from hclab.algebra import FiniteGroup
 from hclab.hopf import (
     HopfAlgebra,
-    SweedlerExpansion,
     UnsupportedSemisimplicityQuery,
     _sorted_terms,
     find_normalized_integral,
     group_hopf,
     is_cocommutative,
     is_semisimple,
-    iterated_coproduct,
-    trivial_hopf,
     validate_hopf,
 )
 
 F2 = Field(2)
 
 
-def counit_collapse(hopf, expansion, leg):
-    """Apply the counit to one leg of an expansion (one fewer leg)."""
+def counit_collapse(hopf, terms, leg):
+    """Apply the counit to one leg of a Sweedler term list (one fewer
+    leg)."""
     merged = {}
-    for coeff, tup in expansion.terms:
+    for coeff, tup in terms:
         add_term(merged, tup[:leg] + tup[leg + 1:],
                  coeff * hopf.counit[tup[leg]])
-    return SweedlerExpansion(expansion.legs - 1, _sorted_terms(merged))
+    return _sorted_terms(merged)
 
 
 def test_group_hopf_c2_valid():
@@ -66,32 +64,21 @@ def test_group_hopf_f2():
 
 def test_iterated_coproduct_group_like():
     h = group_hopf(QQ, FiniteGroup.cyclic(2))
-    exp = iterated_coproduct(h, h.algebra.element(1), 2)
-    assert exp.legs == 3
-    assert exp.terms == [(QQ.one, (1, 1, 1))]
+    assert h.sweedler(1, 3) == [(QQ.one, (1, 1, 1))]
 
 
 def test_iterated_coproduct_n1_is_coproduct():
     h = group_hopf(QQ, FiniteGroup.cyclic(3))
-    exp = iterated_coproduct(h, h.algebra.element(2), 1)
-    assert exp.terms == [(QQ.one, (2, 2))]
-
-
-def test_iterated_coproduct_linear():
-    h = group_hopf(QQ, FiniteGroup.cyclic(2))
-    x = {0: QQ.one, 1: QQ.one}  # e + g
-    exp = iterated_coproduct(h, x, 2)
-    assert exp.terms == [(QQ.one, (0, 0, 0)), (QQ.one, (1, 1, 1))]
+    assert h.sweedler(2, 2) == [(QQ.one, (2, 2))]
 
 
 def test_counit_collapse_property():
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-    x = {0: Fraction(2), 3: Fraction(-1)}
-    for n in (2, 3):
-        exp = iterated_coproduct(h, x, n)
-        smaller = iterated_coproduct(h, x, n - 1)
-        for leg in range(exp.legs):
-            assert counit_collapse(h, exp, leg).terms == smaller.terms
+    for i in range(h.dim):
+        for legs in (3, 4):
+            terms, smaller = h.sweedler(i, legs), h.sweedler(i, legs - 1)
+            for leg in range(legs):
+                assert counit_collapse(h, terms, leg) == smaller
 
 
 def test_antipode_involution_cocommutative():
@@ -122,7 +109,7 @@ def test_non_cocommutative_table_detected():
 
 def test_semisimple_char0():
     assert is_semisimple(group_hopf(QQ, FiniteGroup.cyclic(2)))
-    assert is_semisimple(trivial_hopf(QQ))
+    assert is_semisimple(group_hopf(QQ, FiniteGroup.cyclic(1)))
 
 
 def test_not_semisimple_f2c2():
@@ -134,7 +121,9 @@ def test_semisimple_f3c2_maschke():
 
 
 def test_semisimple_unsupported():
-    h = trivial_hopf(F2)
+    # k[C1]'s tables over F_2 without its group: no Maschke answer
+    k = group_hopf(F2, FiniteGroup.cyclic(1))
+    h = HopfAlgebra(k.algebra, k.coproduct, k.counit, k.antipode)
     with pytest.raises(UnsupportedSemisimplicityQuery):
         is_semisimple(h)
 
@@ -148,7 +137,3 @@ def test_normalized_integral_group_average():
 def test_no_integral_when_not_semisimple():
     h = group_hopf(F2, FiniteGroup.cyclic(2))
     assert find_normalized_integral(h) is None
-
-
-def test_trivial_hopf_valid():
-    assert validate_hopf(trivial_hopf(QQ)) is None

@@ -103,7 +103,8 @@ def matrices(draw):
 
 @SETTINGS
 @given(matrices())
-@example(SparseMatrix.from_dense(QQ, [[1, 2, 0, 3], [0, 0, 1, 4]]))
+@example(SparseMatrix(QQ, 2, 4, {(0, 0): 1, (0, 1): 2, (0, 3): 3,
+                                 (1, 2): 1, (1, 3): 4}))
 @example(SparseMatrix.zero(Field(5), 0, 3))
 def test_the_kernel_is_the_free_column_basis_of_one_elimination(m):
     ker = kernel_basis(m)
@@ -203,7 +204,8 @@ def images_in_kernels(draw):
 def _example_images():
     """[[1, 2, 0, 3], [0, 0, 1, 4]]: 2 v_1 + v_3, then e_0, which is
     not in the kernel."""
-    m = SparseMatrix.from_dense(QQ, [[1, 2, 0, 3], [0, 0, 1, 4]])
+    m = SparseMatrix(QQ, 2, 4, {(0, 0): 1, (0, 1): 2, (0, 3): 3,
+                                (1, 2): 1, (1, 3): 4})
     ker = kernel_basis(m)
     member = combine(QQ, ker.rows, [2, 1])
     return m, ker, [member, {0: 1}], [[2, 1], None]

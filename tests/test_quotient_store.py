@@ -24,7 +24,8 @@ from hclab.spectral import RowComplexes, compute_E1, induced_column_cyclic
 
 def full_quotient(field, ambient_dim):
     """ambient / 0."""
-    return quotient_space(ambient_dim, Subspace.zero(field, ambient_dim))
+    return quotient_space(ambient_dim,
+                          Subspace.from_vectors(field, ambient_dim, []))
 
 
 # every raw operator matrix is built by one of these

@@ -67,7 +67,8 @@ def test_every_rank_kernel_solve_and_span_goes_through_rref(monkeypatch):
         return original(rows, *field)
 
     monkeypatch.setattr(hclab.exactlinalg, "rref", counting)
-    m = SparseMatrix.from_dense(QQ, [[1, 2, 0], [2, 4, 1]])
+    m = SparseMatrix(QQ, 2, 3, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4,
+                                (1, 2): 1})
     entry_points = {
         "mat_rank": lambda: mat_rank(m),
         "kernel_basis": lambda: kernel_basis(m),

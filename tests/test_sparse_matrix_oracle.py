@@ -97,8 +97,6 @@ def test_constructors_agree_with_the_dense_model(case):
     assert model(field, SparseMatrix.from_row_list(field, rows_in, cols)) == d
     entries = {(i, j): d[i][j] for i in range(rows) for j in range(cols)}
     assert model(field, SparseMatrix(field, rows, cols, entries)) == d
-    if rows:
-        assert model(field, SparseMatrix.from_dense(field, d)) == d
     # row_dicts is the dense rows without their zeros
     assert m.row_dicts() == [{j: c for j, c in enumerate(row) if c}
                              for row in d]

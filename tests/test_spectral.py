@@ -5,12 +5,11 @@ from hclab.algebra import (
     FiniteGroup, dual_numbers, function_algebra, ground_algebra,
 )
 from hclab.hopf import (
-    group_hopf, invariance_equations, is_cocommutative, trivial_hopf,
+    group_hopf, invariance_equations, is_cocommutative,
 )
 from hclab.crossed import (
-    ActionMap, build_crossed_product, lift_group_cocycle,
-    sign_group_cocycle_table, trivial_action, trivial_cocycle,
-    validate_cocycle, validate_weak_action,
+    ActionMap, build_crossed_product, lift_group_cocycle, trivial_action,
+    trivial_cocycle, validate_cocycle, validate_weak_action,
 )
 from hclab.cycliccore import ZERO, cyclic_homology_of_algebra
 from hclab.cylinder import build_cylinder
@@ -24,6 +23,7 @@ from hclab.spectral import (
     induced_column_cyclic,
     invariant_complex_N0,
 )
+from test_crossed import SIGN_COCYCLE
 
 F2 = Field(2)
 
@@ -47,7 +47,7 @@ def cylinder_s1():
 
 def cylinder_s2():
     h = group_hopf(QQ, FiniteGroup.named("C2xC2"))
-    coc = lift_group_cocycle(h, sign_group_cocycle_table(h))
+    coc = lift_group_cocycle(h, SIGN_COCYCLE)
     return build_cylinder(h, trivial_action(h, ground_algebra(QQ)), coc)
 
 
@@ -143,7 +143,7 @@ def test_e1_semisimple_vanishing(factory):
 
 
 def test_e1_trivial_hopf_full_rows():
-    h = trivial_hopf(QQ)
+    h = group_hopf(QQ, FiniteGroup.cyclic(1))
     a = dual_numbers(QQ)
     cyl = build_cylinder(h, trivial_action(h, a), trivial_cocycle(h))
     page, _ = compute_E1(cyl, 2, 2)
@@ -172,7 +172,7 @@ def test_e1_s5():
 def test_induced_column_trivial_hopf_is_algebra_module():
     # with a trivial Hopf algebra the zeroth column is the cyclic module
     # of the coefficient algebra itself
-    h = trivial_hopf(QQ)
+    h = group_hopf(QQ, FiniteGroup.cyclic(1))
     a = dual_numbers(QQ)
     cyl = build_cylinder(h, trivial_action(h, a), trivial_cocycle(h))
     col = induced_column_cyclic(RowComplexes(cyl), 0, 3)
@@ -197,7 +197,7 @@ def test_induced_column_s4_well_defined():
 
 
 def test_e2_trivial_hopf_is_algebra_hc():
-    h = trivial_hopf(QQ)
+    h = group_hopf(QQ, FiniteGroup.cyclic(1))
     a = dual_numbers(QQ)
     cyl = build_cylinder(h, trivial_action(h, a), trivial_cocycle(h))
     page = compute_E2(*compute_E1(cyl, 1, 2))
@@ -304,8 +304,7 @@ def test_row_homology_equals_hochschild_of_twisted_algebra():
 
 
 def test_invariants_trivial_hopf_is_everything():
-    from hclab.hopf import trivial_hopf
-    h = trivial_hopf(QQ)
+    h = group_hopf(QQ, FiniteGroup.cyclic(1))
     a = dual_numbers(QQ)
     cyl = build_cylinder(h, trivial_action(h, a), trivial_cocycle(h))
     inv = invariant_complex_N0(cyl, 2)
