@@ -161,8 +161,9 @@ SECTION_KEYS = {"": {"field"}, "hopf": {"kind", "group"}, "algebra": {"kind"},
 
 def parse_scenario(text):
     """Parse a scenario: syntax, scalars and sizes; raises ScenarioError,
-    also for a key its section does not define.  A repeated key keeps its
-    last value.  The objects are built and validated by `run_command`."""
+    also for a key its section does not define and for a line its
+    section's kind does not read.  A repeated key keeps its last value.
+    The objects are built and validated by `run_command`."""
     section = None
     data = {sec: {} for sec in SECTION_KEYS}
     action_lines = []
@@ -227,11 +228,22 @@ def parse_scenario(text):
     if algebra_arg and algebra_kind in ("ground", "dual_numbers"):
         raise ScenarioError(f"algebra kind {algebra_kind!r} takes no "
                             f"argument, got {algebra_arg!r}", kind_line)
+    if algebra_kind == "matrix" and not (
+            algebra_arg.isdecimal() and int(algebra_arg) >= 1):
+        raise ScenarioError("matrix algebra needs one size n >= 1, e.g. "
+                            f"'kind = matrix 2', got {algebra_arg!r}",
+                            kind_line)
 
     action_kind = take("action", "kind", "trivial")
     if action_kind not in ("trivial", "permutation", "table"):
         raise ScenarioError(f"unknown action kind {action_kind!r}",
                             data["action"]["kind"][0])
+    read_key = {"permutation": "perm", "table": "map"}.get(action_kind)
+    for line in action_lines:
+        key = line.text.split(" ", 1)[0]
+        if key != read_key:
+            raise ScenarioError(f"[action] kind = {action_kind} reads no "
+                                f"'{key}' line", line.lineno)
     cocycle_kind = take("cocycle", "kind", "trivial")
     cocycle_values = ()
     if cocycle_kind in ("group_table", "table"):
@@ -247,6 +259,9 @@ def parse_scenario(text):
     elif cocycle_kind != "trivial":
         raise ScenarioError(f"unknown cocycle kind {cocycle_kind!r}",
                             data["cocycle"]["kind"][0])
+    elif "values" in data["cocycle"]:
+        raise ScenarioError("[cocycle] kind = trivial reads no 'values' "
+                            "line", data["cocycle"]["values"][0])
 
     def int_opt(key, default):
         if key in data["compute"]:
@@ -354,13 +369,7 @@ def build_objects(scenario):
     elif kind == "dual_numbers":
         algebra = dual_numbers(field)
     elif kind == "matrix":
-        try:
-            algebra = matrix_algebra(field, int(arg), scenario.cap)
-        except DimensionCapExceeded:
-            raise
-        except ValueError:
-            raise ScenarioError("matrix algebra needs a size, "
-                                "e.g. 'kind = matrix 2'")
+        algebra = matrix_algebra(field, int(arg), scenario.cap)
     else:
         raise ScenarioError(f"unknown algebra kind {kind!r}")
     bad = validate_algebra(algebra)
@@ -588,9 +597,10 @@ def _run_verify(built, report):
     except MathError as exc:
         report.add_check("total mixed complex identities", False, str(exc))
     ts = twisted_scalar_algebra(built.cocycle)
+    # at least p = 1: the comparison starts at degree 1
     report.add_violation(
         "row = Hochschild complex of the twisted algebra",
-        check_row_identification(cyl, ts, 0, min(scenario.max_p, 2)))
+        check_row_identification(cyl, ts, 0, max(1, min(scenario.max_p, 2))))
     report.add_violation("coefficient action closed form",
                          check_coefficient_action(cyl, 0))
 

@@ -11,11 +11,14 @@ adds one unit to the least coordinate of entry k of one column
 entry (0, 0) of the map's matrix in one degree or bidegree.
 """
 
+from pathlib import Path
+
 import pytest
 
 import hclab.cylinder.coefficients
 import hclab.cylinder.core
 from hclab.algebra import FiniteGroup, dual_numbers, ground_algebra
+from hclab.cli import main
 from hclab.crossed import (
     ActionMap, build_crossed_product, lift_group_cocycle, trivial_action,
     trivial_cocycle, twisted_scalar_algebra, validate_cocycle,
@@ -179,6 +182,19 @@ def test_first_failure_is_named(case, monkeypatch):
     assert check(build()) is None
     monkeypatch.setattr(owner, name, wrong)
     assert check(build()) == message
+
+
+def test_verify_at_max_p_0_still_compares_the_row_faces(monkeypatch, capsys):
+    """The row identification starts at degree 1, so `verify` compares
+    it through p = 1 at least: at --max-p 0 it compared no face and
+    printed PASS."""
+    monkeypatch.setattr(*corrupt_provider(HopfCrossedCylinder, "hface",
+                                          (1, 0, 0, 0)))
+    s1 = Path(__file__).resolve().parent.parent / "scenarios" / "s1.scn"
+    assert main(["verify", "--machine", "--max-p", "0", str(s1)]) == 1
+    assert ("check\trow = Hochschild complex of the twisted algebra\tFAIL "
+            "face 0 disagrees at row 0, degree 1, basis 0\n"
+            in capsys.readouterr().out)
 
 
 # -- the injected columns keep the providers' normal form ---------------------

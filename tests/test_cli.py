@@ -584,12 +584,16 @@ def test_negative_action_index_exits_2_naming_its_line(tmp_path, capsys,
     ("s1.scn", "kind = ground", "kind = ground junk"),
     ("s5.scn", "kind = dual_numbers", "kind = dual_numbers 7"),
     ("s5.scn", "kind = dual_numbers", "kind ="),
+    ("s1.scn", "kind = ground", "kind = matrix 0"),
+    ("s1.scn", "kind = ground", "kind = matrix -1"),
+    ("s1.scn", "kind = ground", "kind = matrix"),
+    ("s1.scn", "kind = ground", "kind = matrix 2 2"),
 ])
 def test_stray_tokens_exit_2_with_their_line(tmp_path, capsys, base, old,
                                              new):
-    """The field is `Q` or `Fp <p>` and `ground` and `dual_numbers` take
-    no argument: any other token is refused where it stands, not
-    dropped."""
+    """The field is `Q` or `Fp <p>`, `ground` and `dual_numbers` take
+    no argument and `matrix` one size n >= 1: any other token is refused
+    where it stands, not dropped."""
     lines = read(base).splitlines()
     at = lines.index(old)
     lines[at] = new
@@ -614,11 +618,18 @@ def test_stray_tokens_exit_2_with_their_line(tmp_path, capsys, base, old,
      "unknown cocycle kind 'trivial junk'"),
     ("s5.scn", "kind = table", "kind = table junk",
      "unknown action kind 'table junk'"),
+    ("s1.scn", "[compute]", "values = 1 1 1 -1\n[compute]",
+     "[cocycle] kind = trivial reads no 'values' line"),
+    ("s1.scn", "[cocycle]", "perm = 0 : 0\n[cocycle]",
+     "[action] kind = trivial reads no 'perm' line"),
+    ("s3.scn", "perm = 1 : 1 0", "map = 1 : 1 0",
+     "[action] kind = permutation reads no 'map' line"),
 ])
 def test_action_and_cocycle_errors_exit_2_with_their_line(
         tmp_path, capsys, base, old, new, message):
-    """[action] lines and the action and cocycle kinds are refused naming
-    the line they stand on, like every other section's input errors."""
+    """[action] lines, a line that its section's kind does not read, and
+    the action and cocycle kinds are refused naming the line they stand
+    on, like every other section's input errors."""
     lines = read(base).splitlines()
     at = lines.index(old)
     lines[at] = new

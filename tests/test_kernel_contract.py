@@ -15,10 +15,10 @@ checked on bases that meet it and are not RREF.
 `coords_of` reads a member's coordinates at the pivots and tests nothing;
 `spectral._map_rows` certifies membership in the kernel of a matrix M for
 a whole list of images at once, by M times each image, before it reads
-them.  A source guard keeps every coordinate read behind that product.
+them.  A row of the source-guard table (`test_source_guards`) keeps
+every coordinate read behind that product.
 """
 
-import ast
 from pathlib import Path
 
 import pytest
@@ -51,7 +51,6 @@ FIELDS = {"Q": QQ, "F2": Field(2), "F5": Field(5)}
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
-SRC = ROOT / "src" / "hclab"
 
 
 def rref_kernel(m):
@@ -229,67 +228,6 @@ def test_map_rows_certifies_the_whole_list_and_reads_the_pivots(case):
                                          for t in range(ker.dim)]) == image
         if coeffs is not None:
             assert column == {t: c for t, c in enumerate(coeffs) if c}
-
-
-def call_sites(source, filename="<source>"):
-    """(enclosing class and function names, callee name, (line, column))
-    of every call by name or as an attribute, in source order."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call):
-                callee = child.func
-                name = (callee.attr if isinstance(callee, ast.Attribute)
-                        else callee.id if isinstance(callee, ast.Name)
-                        else None)
-                found.append((".".join(scope), name,
-                              (child.lineno, child.col_offset)))
-            visit(child, scope)
-
-    visit(ast.parse(source, filename), ())
-    return sorted(found, key=lambda site: site[2])
-
-
-def coordinate_reads(source, filename="<source>"):
-    """(scope, certified) of every coords_of call, certified when a
-    push_images call in the same scope comes before it."""
-    sites = call_sites(source, filename)
-    return [(scope, any(other == scope and callee == "push_images"
-                        and at < where for other, callee, at in sites))
-            for scope, name, where in sites if name == "coords_of"]
-
-
-def test_guard_sees_every_coordinate_read():
-    source = ("def _map_rows(images, equations, dst):\n"
-              "    cols = [dst.coords_of(v) for v in images]\n"
-              "    if any(push_images(equations.columns, images)):\n"
-              "        raise ValueError\n"
-              "    return [dst.coords_of(v) for v in images]\n"
-              "class Rows:\n"
-              "    def homology(self, ker, col):\n"
-              "        return ker.coords_of(col)\n")
-    assert coordinate_reads(source) == [
-        ("_map_rows", False), ("_map_rows", True), ("Rows.homology", False)]
-    assert {name for scope, name, _ in call_sites(
-        "class Subspace:\n"
-        "    def coords_of(self, vec):\n"
-        "        return self.reduce(vec) or vec_add_into(vec, vec, 1)\n")
-        if scope == "Subspace.coords_of"} == {"reduce", "vec_add_into"}
-
-
-def test_every_coordinate_read_follows_the_one_membership_product():
-    found = {}
-    for path in sorted(SRC.rglob("*.py")):
-        for read in coordinate_reads(path.read_text(), str(path)):
-            found.setdefault(path.relative_to(SRC).as_posix(), []).append(read)
-    assert found == {"spectral.py": [("_map_rows", True)]}
-    called = {name for scope, name, _ in call_sites(
-        (SRC / "exactlinalg.py").read_text()) if scope == "Subspace.coords_of"}
-    assert called and not called & {"vec_add_into", "reduce"}
 
 
 Q_S3 = (SCENARIOS / "s1.scn").read_text().replace("group = C2",

@@ -15,11 +15,11 @@ rotations have multi-term columns.
 or `vec_add_into` once per image, over Q, F_2 and F_5.
 
 The vertical rotation's Sweedler strings and antipode actions are kept
-per cylinder: no module of hclab keeps a cache of its own, and two
-cylinders share none.
+per cylinder: two cylinders share none, and a row of the source-guard
+table (`test_source_guards`) keeps every module of hclab from keeping a
+cache of its own.
 """
 
-import ast
 import copy
 import random
 from fractions import Fraction
@@ -42,7 +42,6 @@ from hclab.exactlinalg import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "hclab"
 SCENARIOS = ("s1", "s2", "s3", "s4", "s5")
 TOP = 4
 
@@ -248,59 +247,6 @@ def test_matrix_module_with_multi_term_rotations(p):
 
 
 # -- cache lifetime -----------------------------------------------------------
-
-
-def module_level_caches(source, filename="<source>"):
-    """Line numbers of every functools.cache or lru_cache whose cache
-    lives as long as the module: a decorator on a function or method
-    defined at module or class level, or such a call bound there."""
-    def is_cache(node):
-        node = node.func if isinstance(node, ast.Call) else node
-        name = node.attr if isinstance(node, ast.Attribute) else \
-            getattr(node, "id", None)
-        return name in ("cache", "lru_cache")
-
-    found = []
-
-    def visit(body):
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                visit(node.body)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.extend(d.lineno for d in node.decorator_list
-                             if is_cache(d))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and \
-                    isinstance(node.value, ast.Call) and is_cache(node.value):
-                found.append(node.lineno)
-    visit(ast.parse(source, filename).body)
-    return sorted(found)
-
-
-def test_guard_sees_a_module_level_cache():
-    source = ("import functools\n"
-              "from functools import lru_cache\n"
-              "@functools.cache\n"
-              "def f(n): return n\n"
-              "class C:\n"
-              "    @lru_cache(maxsize=None)\n"
-              "    def g(self, n): return n\n"
-              "h = functools.cache(len)\n"
-              "def outer():\n"
-              "    return functools.cache(len)\n"
-              "class D:\n"
-              "    def __init__(self):\n"
-              "        self.k = functools.cache(len)\n")
-    assert module_level_caches(source) == [3, 6, 8]
-
-
-def test_no_module_keeps_a_cache_of_its_own():
-    """A cache that outlives the objects it serves would let one run
-    help the next in the same process."""
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        found += [f"{path.relative_to(SRC)}:{line}" for line in
-                  module_level_caches(path.read_text(), str(path))]
-    assert found == []
 
 
 def test_two_cylinders_share_no_vertical_rotation_cache():

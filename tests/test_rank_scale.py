@@ -9,7 +9,6 @@ and 0 for odd n (Burghelea: the centralizers have no rational homology in
 positive degree), so S3, with three classes, gives 3 0 3 0.
 """
 
-import ast
 import tracemalloc
 from pathlib import Path
 
@@ -110,27 +109,3 @@ def test_the_row_cycles_in_degree_zero_need_no_elimination(monkeypatch):
         ker, _ = rows.homology(0, q)
         assert ker.is_coordinate and ker.dim == quotient.dim > 0
         assert calls == [sum(1 for col in boundaries if col)]
-
-
-def callers_of(name):
-    """Qualified names of the functions under src/hclab that call name."""
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Name)
-                    and child.func.id == name):
-                found.add(".".join(scope))
-            visit(child, scope)
-
-    for path in SRC.rglob("*.py"):
-        visit(ast.parse(path.read_text()), ())
-    return found
-
-
-def test_only_the_entry_points_call_rref():
-    assert callers_of("rref") == ENTRY_POINTS

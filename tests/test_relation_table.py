@@ -15,7 +15,6 @@ import pytest
 
 import hclab.cli  # noqa: F401  (imports every hclab module)
 import hclab.cycliccore
-import hclab.cylinder.core
 from hclab.algebra import FiniteGroup, ground_algebra
 from hclab.crossed import (
     build_crossed_product, trivial_action, trivial_cocycle,
@@ -93,10 +92,6 @@ def evaluator_calls(monkeypatch):
 def test_check_reaches_the_evaluator(check, evaluator_calls):
     assert CHECKS[check](cylinder_s1()) is None
     assert evaluator_calls, f"{check} compared images on its own"
-
-
-def test_no_hand_written_commutation_loop():
-    assert not hasattr(hclab.cylinder.core, "_check_commutation")
 
 
 # -- images as basis indices and as sparse vectors ---------------------------

@@ -5,19 +5,12 @@ never stores a zero.  Every constructor and operation is compared here
 with the same computation on a dense list-of-rows model over Q, F_2 and
 F_5, and every matrix that comes out is checked for stored zeros and
 for entries outside its shape; a result also shares no dict with its
-operands, so writing into it leaves them as they were.  A source guard
-keeps every other module of hclab from placing blocks itself: it calls
-no add_block and binds no name of an offset, and a self-test shows the
-guard catches a block placed at a hand-computed offset.  A second guard
-keeps every matrix product a `push_images` call and every matrix sum an
-`add_images_into` call, with no `vec_add_into` or `add_term` in
-`SparseMatrix` or `block_matrix`; its self-test shows it catches the
-old `add_block` body.
+operands, so writing into it leaves them as they were.  Two rows of
+the source-guard table (`test_source_guards`) keep block offsets in
+`exactlinalg` and every matrix product and sum a whole-list kernel call.
 """
 
-import ast
 import itertools
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -308,115 +301,3 @@ def test_block_matrix_shares_no_dict_with_its_blocks(case):
     got = block_matrix(field, row_blocks, col_blocks,
                        ((r, c, m, coeff) for r, c, _, m, coeff in placements))
     assert_fresh(field, got, blocks, before)
-
-
-def hand_placed_blocks(source, filename="<source>"):
-    """The lines of source that place a block by hand: a call of
-    add_block, or a binding of a name containing `offset` (a variable,
-    an argument or a definition)."""
-    found = []
-    for node in ast.walk(ast.parse(source, filename)):
-        if isinstance(node, ast.Attribute):
-            name = "add_block" if node.attr == "add_block" else ""
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            name = node.id
-        elif isinstance(node, ast.arg):
-            name = node.arg
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            name = node.name
-        else:
-            continue
-        if name == "add_block" or "offset" in name:
-            found.append(node.lineno)
-    return found
-
-
-def test_only_exactlinalg_places_blocks():
-    """Block offsets are computed in one place: every other module builds
-    a block matrix with block_matrix, never calls add_block and binds no
-    name of an offset."""
-    src = Path(__file__).resolve().parent.parent / "src" / "hclab"
-    found = [
-        f"{path.relative_to(src)}:{line}"
-        for path in sorted(src.rglob("*.py")) if path.name != "exactlinalg.py"
-        for line in hand_placed_blocks(path.read_text(), str(path))]
-    assert found == []
-
-
-def test_the_guard_sees_a_block_placed_at_a_hand_computed_offset():
-    """The horizontal boundary's block as the shuffle check once placed
-    it, one add_term call per entry at a row offset of its own, and the
-    placements the guard also refuses."""
-    by_hand = """
-def total(p, q):
-    out = [{} for _ in range(bn.dim(p, q))]
-    if p >= 1:
-        offset, sign = bn.dim(p, q - 1) if q >= 1 else 0, field.sign(q)
-        for image, col in zip(out, bn.horizontal_boundary(p, q).columns):
-            for i, c in col.items():
-                add_term(image, offset + i, sign * c, field.characteristic)
-    return out
-"""
-    assert hand_placed_blocks(by_hand) == [5]
-    assert hand_placed_blocks("def place(m, row_offset):\n    pass\n") == [1]
-    assert hand_placed_blocks("out.add_block(m, 0, 0)\n") == [1]
-    assert hand_placed_blocks(
-        "out = block_matrix(field, rows, cols, blocks)\n") == []
-
-
-def per_entry_sums(source, filename="<source>"):
-    """The lines, inside class SparseMatrix or def block_matrix, that
-    call vec_add_into or add_term: a sum taken one vector or one entry at
-    a time, where a matrix takes its products and sums whole-list."""
-    found = []
-    for top in ast.parse(source, filename).body:
-        if getattr(top, "name", None) not in ("SparseMatrix", "block_matrix"):
-            continue
-        found += [node.lineno for node in ast.walk(top)
-                  if called(node) in ("vec_add_into", "add_term")]
-    return found
-
-
-def called(node):
-    """The name a call node calls, or None."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        return func.id if isinstance(func, ast.Name) else getattr(
-            func, "attr", None)
-    return None
-
-
-def test_matrix_products_and_sums_are_whole_list_kernel_calls():
-    """compose is a push_images call, add and block_matrix are
-    add_images_into calls, and no matrix operation sums by the vector."""
-    path = (Path(__file__).resolve().parent.parent / "src" / "hclab"
-            / "exactlinalg.py")
-    source = path.read_text()
-    assert per_entry_sums(source, str(path)) == []
-    calls = {node.name: {called(n) for n in ast.walk(node)}
-             for node in ast.walk(ast.parse(source, str(path)))
-             if isinstance(node, ast.FunctionDef)}
-    assert "push_images" in calls["compose"]
-    assert "add_images_into" in calls["add"] & calls["block_matrix"]
-    assert not hasattr(SparseMatrix, "apply")
-    assert not hasattr(SparseMatrix, "add_block")
-
-
-def test_the_guard_sees_a_matrix_sum_taken_by_the_vector():
-    """add_block as it was, one vec_add_into per block column; the same
-    call outside a matrix operation is not the guard's business."""
-    old = """
-class SparseMatrix:
-    def add_block(self, block, row_offset, col_offset, coeff=None):
-        if coeff is self.field.one:
-            coeff = None
-        columns, p = self.columns, self.field.characteristic
-        for j, col in enumerate(block.columns, col_offset):
-            if row_offset:
-                col = {row_offset + i: c for i, c in col.items()}
-            vec_add_into(columns[j], col, coeff, p)
-"""
-    assert per_entry_sums(old) == [10]
-    assert per_entry_sums(
-        "def block_matrix(field):\n    add_term(acc, 0, 1, 0)\n") == [2]
-    assert per_entry_sums("def rref(rows):\n    vec_add_into(a, b)\n") == []

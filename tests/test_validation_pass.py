@@ -4,12 +4,12 @@
 checks each input axiom there, and `verify` prints the verdicts of that
 pass.  A violation of an axiom with a `verify` line is that line's FAIL
 under `verify` and `report`, and ends the report; under every other
-command it exits 1 with the same message as a failed construction.  The
-source guard keeps the validators' calls in `cli.py` and the `check`
-knob off the builders.
+command it exits 1 with the same message as a failed construction.  A
+row of the source-guard table (`test_source_guards`) keeps the
+validators' calls in `cli.build_objects` and the `check` knob off the
+builders.
 """
 
-import ast
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,7 +21,6 @@ from hclab.algebra import Violation
 from hclab.cli import main, parse_scenario, run_command
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "hclab"
 SCENARIOS = ROOT / "scenarios"
 NAMES = ["s1", "s2", "s3", "s4", "s5"]
 VALIDATORS = ("validate_hopf", "is_cocommutative", "validate_algebra",
@@ -140,50 +139,3 @@ def test_failed_input_check_under_hc_exits_1_with_its_message(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"mathematical check failed: {message}\n"
-
-
-GUARDED_CALLS = {"validate_hopf", "validate_weak_action", "validate_cocycle"}
-BUILDERS_WITHOUT_CHECK = {"build_cylinder", "build_crossed_product"}
-
-
-def guard_findings(source, filename="<source>"):
-    """(line, what) of every call of a guarded validator and every
-    `check` parameter of a builder."""
-    found = []
-    for node in ast.walk(ast.parse(source, filename)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else \
-                getattr(func, "attr", None)
-            if name in GUARDED_CALLS:
-                found.append((node.lineno, f"calls {name}"))
-        elif isinstance(node, ast.FunctionDef) and \
-                node.name in BUILDERS_WITHOUT_CHECK:
-            args = node.args
-            params = args.posonlyargs + args.args + args.kwonlyargs
-            if any(arg.arg == "check" for arg in params):
-                found.append((node.lineno, f"{node.name} takes check"))
-    return sorted(found)
-
-
-def test_guard_sees_a_second_validation():
-    source = ("def build_cylinder(hopf, action, cocycle, check=True):\n"
-              "    if check and validate_weak_action(action):\n"
-              "        crossed.validate_cocycle(cocycle, action)\n"
-              "def build_crossed_product(act, coc, *, check):\n"
-              "    return validate_algebra(act)\n")
-    assert guard_findings(source) == [
-        (1, "build_cylinder takes check"),
-        (2, "calls validate_weak_action"),
-        (3, "calls validate_cocycle"),
-        (4, "build_crossed_product takes check")]
-    assert guard_findings("def build_cylinder(hopf, cap=None):\n"
-                          "    return validate_algebra(hopf)\n") == []
-
-
-def test_only_the_driver_validates_the_inputs():
-    found = [f"{path.relative_to(SRC)}:{line} {what}"
-             for path in sorted(SRC.rglob("*.py"))
-             for line, what in guard_findings(path.read_text(), str(path))
-             if path != SRC / "cli.py" or "takes check" in what]
-    assert found == []
