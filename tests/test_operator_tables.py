@@ -15,9 +15,11 @@ complex of the deepest benchmarked `hc` and of s2 at degree 3, and one
 the direct HC of s3's crossed product at degree 3.  The rows of the
 source-guard table (`test_source_guards`) that keep the replaced memos
 deleted, every provider on whole columns and on index arithmetic, and
-`induced_map` in the `cycliccore.QuotientStore` live there.
+`induced_map` in the `cycliccore.QuotientStore` live there; one test
+here checks that no imported hclab namespace holds a replaced memo.
 """
 
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -33,7 +35,18 @@ from hclab.cylinder.core import (
 from test_provider_oracle import CylinderReference, same_image
 
 ROOT = Path(__file__).resolve().parent.parent
+REPLACED = {"memoized", "_in_range_operators"}
 MEBIBYTE = 2 ** 20
+
+
+def test_no_module_defines_or_imports_a_replaced_memo():
+    """hclab.cli imports every hclab module; none defines or imports a
+    memo that the operator tables replaced."""
+    found = [f"{name}.{memo}"
+             for name, module in sorted(sys.modules.items())
+             if name == "hclab" or name.startswith("hclab.")
+             for memo in sorted(REPLACED & vars(module).keys())]
+    assert found == []
 
 
 def traced_peak(name, run):

@@ -6,7 +6,8 @@ identity must reach it, so that none keeps a compare loop of its own.
 The guard wraps the evaluator in every hclab namespace that imports it
 and runs each check on s1.  The evaluator reads an image as an int basis
 index or as a sparse vector, and must compare the two forms of one
-vector as equal, and of different vectors as different.
+vector as equal, and of different vectors as different.  The compare
+loop that the evaluator replaced stays gone from `hclab.cylinder.core`.
 """
 
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 import hclab.cli  # noqa: F401  (imports every hclab module)
 import hclab.cycliccore
+import hclab.cylinder.core
 from hclab.algebra import FiniteGroup, ground_algebra
 from hclab.crossed import (
     build_crossed_product, trivial_action, trivial_cocycle,
@@ -92,6 +94,10 @@ def evaluator_calls(monkeypatch):
 def test_check_reaches_the_evaluator(check, evaluator_calls):
     assert CHECKS[check](cylinder_s1()) is None
     assert evaluator_calls, f"{check} compared images on its own"
+
+
+def test_no_hand_written_commutation_loop():
+    assert not hasattr(hclab.cylinder.core, "_check_commutation")
 
 
 # -- images as basis indices and as sparse vectors ---------------------------
