@@ -108,7 +108,8 @@ class FiniteGroup:
         before any table is built."""
         name = name.strip()
         parts = [] if name == "S3" else [p.strip() for p in name.split("x")]
-        if not all(p[:1] == "C" and p[1:].isdecimal() and int(p[1:]) >= 1
+        if not all(p[:1] == "C" and p[1:].isascii() and p[1:].isdecimal()
+                   and int(p[1:]) >= 1
                    for p in parts):
             raise GroupTableError(f"unknown group name {name!r}")
         orders = [int(p[1:]) for p in parts]

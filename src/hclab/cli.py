@@ -62,7 +62,7 @@ from .cylinder import (
     check_row_identification, tot_mixed_complex,
 )
 from .exactlinalg import (
-    DimensionCapExceeded, ExactLinalgError, Field, MathError,
+    DimensionCapExceeded, ExactLinalgError, Field, MathError, parse_int,
 )
 from .hopf import (
     UnsupportedSemisimplicityQuery, group_hopf, is_cocommutative,
@@ -199,7 +199,8 @@ def parse_scenario(text):
     spec, field_line = field_spec.split(), data[""]["field"][0]
     if spec == ["Q"]:
         char = 0
-    elif len(spec) == 2 and spec[0] == "Fp" and spec[1].isdecimal():
+    elif len(spec) == 2 and spec[0] == "Fp" and spec[1].isascii() \
+            and spec[1].isdecimal():
         char = int(spec[1])
         try:
             if char < 2:   # Field(0) is Q
@@ -229,7 +230,8 @@ def parse_scenario(text):
         raise ScenarioError(f"algebra kind {algebra_kind!r} takes no "
                             f"argument, got {algebra_arg!r}", kind_line)
     if algebra_kind == "matrix" and not (
-            algebra_arg.isdecimal() and int(algebra_arg) >= 1):
+            algebra_arg.isascii() and algebra_arg.isdecimal()
+            and int(algebra_arg) >= 1):
         raise ScenarioError("matrix algebra needs one size n >= 1, e.g. "
                             f"'kind = matrix 2', got {algebra_arg!r}",
                             kind_line)
@@ -267,7 +269,7 @@ def parse_scenario(text):
         if key in data["compute"]:
             lineno, value = data["compute"][key]
             try:
-                number = int(value)
+                number = parse_int(value)
             except ValueError:
                 raise ScenarioError(f"'{key}' must be an integer", lineno)
             if number < 0:
@@ -380,9 +382,14 @@ def build_objects(scenario):
     record("weak action axioms", validate_weak_action(action),
            "action axiom violation: ")
 
-    cocycle = _build_cocycle(scenario, field, hopf, action)
-    record("cocycle conditions and convolution inverse",
-           validate_cocycle(cocycle, action), "cocycle condition violation: ")
+    cocycle_check = "cocycle conditions and convolution inverse"
+    try:
+        cocycle = _build_cocycle(scenario, field, hopf, action)
+    except MathCheckFailed as exc:
+        # a table that cannot be lifted or inverted fails the same line
+        record(cocycle_check, exc)
+    record(cocycle_check, validate_cocycle(cocycle, action),
+           "cocycle condition violation: ")
     return BuiltScenario(scenario, hopf, action, cocycle, checks)
 
 
@@ -397,8 +404,8 @@ def _build_action(scenario, field, hopf, algebra):
             bad = ScenarioError(f"bad permutation line {line.text!r}",
                                 line.lineno)
             try:
-                h = int(head)
-                imgs = [int(x) for x in images.split()]
+                h = parse_int(head.strip())
+                imgs = [parse_int(x) for x in images.split()]
             except ValueError:
                 raise bad
             if not 0 <= h < hopf.dim or \
@@ -417,7 +424,7 @@ def _build_action(scenario, field, hopf, algebra):
             bad = ScenarioError(f"bad action table line {line.text!r}",
                                 line.lineno)
             try:
-                h, a = (int(x) for x in head.split())
+                h, a = (parse_int(x) for x in head.split())
                 vec = [field.parse(c) for c in coords.split()]
             except (ValueError, ExactLinalgError):
                 raise bad
@@ -650,7 +657,7 @@ def main(argv=None):
                                  "report"])
     parser.add_argument("scenario", help="path to a scenario file")
     for option in ("--max-degree", "--max-p", "--max-q", "--cap"):
-        parser.add_argument(option, type=int, default=None)
+        parser.add_argument(option, type=parse_int, default=None)
     parser.add_argument("--machine", action="store_true",
                         help="machine-readable output")
     args = parser.parse_args(argv)

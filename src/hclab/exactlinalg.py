@@ -137,12 +137,12 @@ class Field:
         """Parse 'a' or 'a/b' into a scalar."""
         text = text.strip()
         if "/" in text:
-            num, den = (int(part) for part in text.split("/", 1))
+            num, den = (parse_int(part) for part in text.split("/", 1))
             if den == 0:
                 raise ExactLinalgError(f"{text!r} has a zero denominator")
             value = Fraction(num, den)
         else:
-            value = int(text)
+            value = parse_int(text)
         return self.of(value)
 
     def __eq__(self, other):
@@ -156,6 +156,16 @@ class Field:
 
 
 QQ = Field(0)
+
+
+def parse_int(text):
+    """The int that text writes in ASCII digits after an optional '-';
+    ValueError for any other text, such as the '_', '+', spaces and
+    non-ASCII digits that int() also reads."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def exact_div(a, b, p=0):
@@ -277,9 +287,39 @@ def push_images(column, images, p=0):
     sparse vector, whose coefficients mod p may be any ints, becomes a
     fresh one, reduced mod p when p > 0."""
     # add_term's body, written inline: a call per image or per term made
-    # the identity checks slower
+    # the identity checks slower; the field is chosen once per call, and
+    # over F_p each sum is reduced where it is formed
     out = []
     append = out.append
+    if p:
+        for v in images:
+            if type(v) is int:
+                append(column[v])
+            elif not v:
+                append(v)
+            else:
+                acc = {}
+                for k, c in v.items():
+                    image = column[k]
+                    if type(image) is int:
+                        if image in acc:
+                            if s := (acc[image] + c) % p:
+                                acc[image] = s
+                            else:
+                                del acc[image]
+                        elif c := c % p:
+                            acc[image] = c
+                        continue
+                    for j, d in image.items():
+                        if j in acc:
+                            if s := (acc[j] + d * c) % p:
+                                acc[j] = s
+                            else:
+                                del acc[j]
+                        elif d := d * c % p:
+                            acc[j] = d
+                append(acc)
+        return out
     for v in images:
         if type(v) is int:
             append(column[v])
@@ -308,12 +348,6 @@ def push_images(column, images, p=0):
                     elif d:
                         acc[j] = d
             append(acc)
-    if p:
-        # int sums are exact: the field is chosen once per call, and each
-        # fresh image is reduced once
-        out = [w if type(v) is int or not v
-               else {j: s for j, c in w.items() if (s := c % p)}
-               for v, w in zip(images, out)]
     return out
 
 

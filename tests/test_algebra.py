@@ -42,6 +42,12 @@ def test_named_groups():
                for a in range(6) for b in range(6))
 
 
+@pytest.mark.parametrize("name", ["C\u0663", "C2xC\u0662"])
+def test_a_group_order_is_ascii_digits(name):
+    with pytest.raises(GroupTableError, match="unknown group name"):
+        FiniteGroup.named(name)
+
+
 def test_bad_group_table():
     with pytest.raises(GroupTableError):
         FiniteGroup(["a", "b"], [[0, 0], [0, 0]])

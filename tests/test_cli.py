@@ -89,7 +89,9 @@ def test_non_normalized_group_cocycle():
         "values = 1 2 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1")
     scenario = parse_scenario(text)
     with pytest.raises(MathCheckFailed, match="normalization"):
-        run_command("report", scenario)
+        run_command("hc", scenario)
+    _, ok, detail = run_command("report", scenario).checks[-1]
+    assert not ok and "normalization" in detail
 
 
 def test_mutated_cocycle_names_triple():
@@ -98,7 +100,53 @@ def test_mutated_cocycle_names_triple():
         "values = 1 1 1 1  1 1 1 -1  1 -1 1 -1  1 -1 1 -1")
     scenario = parse_scenario(text)
     with pytest.raises(MathCheckFailed, match="cocycle identity"):
-        run_command("report", scenario)
+        run_command("hc", scenario)
+    _, ok, detail = run_command("report", scenario).checks[-1]
+    assert not ok and "cocycle identity" in detail
+
+
+# cocycle tables that fail while the cocycle is built, with the failure:
+# a group table the lift refuses, and a table with no convolution inverse
+UNBUILT_COCYCLES = [
+    ("group_table", "1 1 1 1  1 1 1 1  1 1/2 1 2  1 -1 1 -1",
+     "cocycle identity fails at ((e,g),(g,e),(e,g))"),
+    ("table", "1 1 1 1  1 1 1 1  1 0 1 -1  1 -1 1 -1",
+     "the cocycle table is not convolution invertible"),
+]
+
+
+def s2_with_cocycle(tmp_path, kind, values):
+    text = read("s2.scn").replace(
+        "kind = group_table\n"
+        "values = 1 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1",
+        f"kind = {kind}\nvalues = {values}")
+    assert f"values = {values}" in text
+    target = tmp_path / "cocycle.scn"
+    target.write_text(text)
+    return target
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("kind,values,detail", UNBUILT_COCYCLES)
+def test_a_cocycle_that_fails_while_built_fails_its_check_line(
+        tmp_path, capsys, command, kind, values, detail):
+    """The failure ends the report on the cocycle's input check line,
+    as a table that validate_cocycle refuses does."""
+    target = s2_with_cocycle(tmp_path, kind, values)
+    assert main([command, str(target), "--machine"]) == 1
+    out = capsys.readouterr().out
+    assert "check\tweak action axioms\tPASS\n" in out
+    assert out.endswith("check\tcocycle conditions and convolution inverse"
+                        f"\tFAIL {detail}\noverall FAIL\n")
+
+
+def test_hc_on_a_cocycle_that_fails_while_built_exits_1_naming_it(
+        tmp_path, capsys):
+    kind, values, detail = UNBUILT_COCYCLES[0]
+    assert main(["hc", str(s2_with_cocycle(tmp_path, kind, values))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"mathematical check failed: {detail}\n" in captured.err
 
 
 def test_syntax_error_line_number():
@@ -178,8 +226,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "values = 1 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1",
         "values = 1 1 1 1  1 1 1 -1  1 -1 1 -1  1 -1 1 -1"))
     assert main(["verify", str(mutated)]) == 1
-    err = capsys.readouterr().err
-    assert "cocycle identity" in err
+    out = capsys.readouterr().out
+    assert "cocycle identity" in out
 
     assert main(["verify", str(tmp_path / "missing.scn")]) == 2
     capsys.readouterr()
@@ -285,6 +333,20 @@ def test_negative_size_option_exits_2(tmp_path, capsys, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{option} must not be negative, got -1" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0_1", "\u0661", "+1"])
+def test_a_size_option_that_is_not_ascii_digits_exits_2(tmp_path, capsys,
+                                                        value):
+    target = tmp_path / "s1.scn"
+    target.write_text(read("s1.scn"))
+    with pytest.raises(SystemExit) as exc:
+        main(["hc", str(target), "--max-degree", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --max-degree: invalid parse_int value: {value!r}" \
+        in captured.err
 
 
 @pytest.mark.parametrize("command", ["e1", "e2"])
@@ -588,6 +650,17 @@ def test_negative_action_index_exits_2_naming_its_line(tmp_path, capsys,
     ("s1.scn", "kind = ground", "kind = matrix -1"),
     ("s1.scn", "kind = ground", "kind = matrix"),
     ("s1.scn", "kind = ground", "kind = matrix 2 2"),
+    # an integer is ASCII digits after an optional '-': int() also reads
+    # '_' separators, a '+' and non-ASCII digits
+    ("s1.scn", "field = Q", "field = Fp \u0663"),
+    ("s1.scn", "kind = ground", "kind = matrix \u0662"),
+    ("s2.scn", "max_degree = 2", "max_degree = 0_1"),
+    ("s2.scn", "max_p = 2", "max_p = \u0662"),
+    ("s2.scn", "max_q = 2", "max_q = +2"),
+    ("s2.scn", "values = 1 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1",
+     "values = 1_0 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1"),
+    ("s2.scn", "values = 1 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1",
+     "values = 1/\u0661 1 1 1  1 1 1 1  1 -1 1 -1  1 -1 1 -1"),
 ])
 def test_stray_tokens_exit_2_with_their_line(tmp_path, capsys, base, old,
                                              new):
@@ -624,6 +697,14 @@ def test_stray_tokens_exit_2_with_their_line(tmp_path, capsys, base, old,
      "[action] kind = trivial reads no 'perm' line"),
     ("s3.scn", "perm = 1 : 1 0", "map = 1 : 1 0",
      "[action] kind = permutation reads no 'map' line"),
+    ("s3.scn", "perm = 1 : 1 0", "perm = 1 : 1 0_0",
+     "bad permutation line 'perm = 1 : 1 0_0'"),
+    ("s3.scn", "perm = 1 : 1 0", "perm = \u0661 : 1 0",
+     "bad permutation line 'perm = \u0661 : 1 0'"),
+    ("s5.scn", "map = 1 1 : 0 -1", "map = 1 +1 : 0 -1",
+     "bad action table line 'map = 1 +1 : 0 -1'"),
+    ("s5.scn", "map = 1 1 : 0 -1", "map = 1 1 : 0 -1_0",
+     "bad action table line 'map = 1 1 : 0 -1_0'"),
 ])
 def test_action_and_cocycle_errors_exit_2_with_their_line(
         tmp_path, capsys, base, old, new, message):

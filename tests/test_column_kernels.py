@@ -89,6 +89,13 @@ def pushes(draw):
           [{0: 1, 1: -1}, {2: 1, 3: 1}, ZERO, 4, {4: 2}]))
 @example((2, [0, 0, {1: 1}, {1: 1}, ZERO], [{0: 1, 1: 1}, {2: 3, 3: 5}]))
 @example((7, [1, {1: 6}, 2, 3, 0], [{0: 8, 1: -6}, {2: 7}, {3: -1, 4: 1}]))
+# a sum that cancels to 0 mod p and then gets a term again at the same key
+@example((2, [0, {0: 1}, 0, {0: 1, 1: 1}, ZERO],
+          [{0: 1, 1: 1, 2: 1}, {1: 1, 3: 1, 0: 3}]))
+@example((2 ** 31 - 1, [0, {0: 2 ** 31 - 2}, 0, {0: 1, 1: 2 ** 31 - 2}, ZERO],
+          [{0: 1, 1: 1, 2: 2 ** 31}, {1: 1, 3: 1, 0: 2 ** 32 - 3}]))
+# input coefficients that are multiples of p store nothing
+@example((3, [0, {1: 2}, ZERO, 1, 2], [{0: 3, 1: -6}, {3: 9, 4: 1}]))
 def test_push_images_matches_the_walk_one_image_at_a_time(case):
     p, column, images = case
     column_before, images_before = copy.deepcopy((column, images))
